@@ -125,7 +125,7 @@ let run_engine ~quick () =
           (app, "S", E.Exp_run.s_config Config.default, w);
           ( app,
             "T lat500",
-            E.Exp_run.t_config (Config.with_mem_latency 500 Config.default),
+            E.Exp_run.t_config (Config.v ~mem_latency:500 ()),
             w );
         ])
       apps
@@ -201,9 +201,7 @@ let profile_inputs = ref ([] : Obs.Profile.input list)
    a capped run is reported with its [timed_out] flag set rather than
    spinning out the 30M-cycle default budget at traced-run speed. *)
 let profile_configs ~quick =
-  let base =
-    Config.with_max_cycles (if quick then 100_000 else 300_000) Config.default
-  in
+  let base = Config.v ~max_cycles:(if quick then 100_000 else 300_000) () in
   [ E.Exp_run.s_config base; E.Exp_run.t_config base; E.Exp_run.nf_config base ]
 
 let run_profile ~quick () =
@@ -424,7 +422,7 @@ let run_shard_scaling ~quick () =
   let base = E.Exp_run.s_config Config.default in
   let run d =
     timed (fun () ->
-        Machine.run (Config.with_shard_domains d base) w.W.Workload.program)
+        Machine.run (Config.v ~base ~shard_domains:d ()) w.W.Workload.program)
   in
   let seq_r, seq_s = run 1 in
   let shards = max 2 (min 4 cpus) in
@@ -437,7 +435,7 @@ let run_shard_scaling ~quick () =
      horizon analysis plenty of provably-quiet spans. *)
   let no_elide_r =
     Machine.run
-      (Config.with_elide_barriers false (Config.with_shard_domains shards base))
+      (Config.v ~base ~shard_domains:shards ~elide_barriers:false ())
       w.W.Workload.program
   in
   if strip_spin no_elide_r <> strip_spin shard_r then
@@ -487,13 +485,14 @@ let run_sharded_sampled ~quick () =
   let per = if quick then 1 else 156 in
   let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
   let base =
-    Config.with_sampling
-      (Some (E.Server.sampled_sampling ~quick))
-      (E.Exp_run.s_config Config.default)
+    Config.v
+      ~base:(E.Exp_run.s_config Config.default)
+      ~sampling:(Some (E.Server.sampled_sampling ~quick))
+      ()
   in
   let run d =
     timed (fun () ->
-        Machine.run (Config.with_shard_domains d base) w.W.Workload.program)
+        Machine.run (Config.v ~base ~shard_domains:d ()) w.W.Workload.program)
   in
   let seq_r, seq_s = run 1 in
   let shards = max 2 (min 4 cpus) in
@@ -571,7 +570,7 @@ let run_sampled_sim ~quick () =
   let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
   let s = E.Exp_run.s_config Config.default in
   let sampled_config =
-    Config.with_sampling (Some (E.Server.sampled_sampling ~quick)) s
+    Config.v ~base:s ~sampling:(Some (E.Server.sampled_sampling ~quick)) ()
   in
   let detailed_r, detailed_s =
     timed (fun () -> Machine.run s w.W.Workload.program)
@@ -799,12 +798,12 @@ let bechamel_tests () =
     Test.make ~name:"fig15-cell"
       (staged (fun () ->
            let w = workload "barnes" { Registry.default_params with size = Some 64 } in
-           let c = Config.with_mem_latency 200 Config.default in
+           let c = Config.v ~mem_latency:200 () in
            ignore (E.Exp_run.measure (E.Exp_run.s_config c) w)));
     Test.make ~name:"fig16-cell"
       (staged (fun () ->
            let w = workload "barnes" { Registry.default_params with size = Some 64 } in
-           let c = Config.with_rob_size 64 Config.default in
+           let c = Config.v ~rob_size:64 () in
            ignore (E.Exp_run.measure (E.Exp_run.s_config c) w)));
     Test.make ~name:"ablate-cell"
       (staged (fun () ->

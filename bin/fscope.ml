@@ -133,7 +133,7 @@ let cmd_run name level set_scope traditional speculate mem_latency rob fsb mem_m
       ~no_spin_ff ~shard_domains ()
   in
   let sampling = parse_sampling sample in
-  let config = Config.with_sampling sampling config in
+  let config = Config.v ~base:config ~sampling () in
   let checkpoint =
     match checkpoint_every with
     | None -> None
@@ -231,10 +231,7 @@ let cmd_profile name level set_scope traditional speculate no_fence mem_latency 
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
       ~shard_domains ()
   in
-  let config = if no_fence then Config.with_nop_fences true config else config in
-  let config =
-    match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
-  in
+  let config = Config.v ~base:config ?max_cycles ~nop_fences:no_fence () in
   let input = E.Profiling.profile config w in
   let text =
     match profile_format with
@@ -259,9 +256,7 @@ let cmd_advise name level set_scope mem_latency rob fsb mem_model no_spin_ff
     build_config ~traditional:false ~speculate:false ~mem_latency ~rob ~fsb ~mem_model
       ~no_spin_ff ~shard_domains ()
   in
-  let config =
-    match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
-  in
+  let config = Config.v ~base:config ?max_cycles () in
   let t_input, s_input = E.Profiling.advise_inputs config w in
   let advice = Obs.Advisor.analyze ~scoped:s_input t_input in
   let text =
@@ -330,7 +325,7 @@ let cmd_disasm name level set_scope =
   0
 
 (* Run the workload just far enough to capture one whole-machine
-   checkpoint at the first visited cycle >= --at, write it, and abort
+   checkpoint at the top of cycle --at, write it, and abort
    the rest of the run (the sink raises to cut the simulation short).
    The same machine flags must be given again at resume time — the
    checkpoint digest covers them. *)
@@ -380,9 +375,7 @@ let cmd_checkpoint_resume name level set_scope traditional speculate mem_latency
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
       ~shard_domains ()
   in
-  let config =
-    match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
-  in
+  let config = Config.v ~base:config ?max_cycles () in
   let ck = Checkpoint.load ~file:from in
   let result = Machine.run ~resume:ck config w.W.Workload.program in
   Printf.eprintf "resumed from %s at cycle %d\n" from ck.Checkpoint.cycle;
@@ -510,11 +503,11 @@ let checkpoint_every_arg =
     & opt (some int) None
     & info [ "checkpoint-every" ] ~docv:"CYCLES"
         ~doc:
-          "Write a whole-machine checkpoint to $(b,--checkpoint-out) at (roughly) every \
-           $(docv) cycles, each overwriting the last — a crashed or cancelled run can \
-           be resumed with $(b,fscope checkpoint resume).  Composes with \
-           $(b,--shard-domains): the sharded engine captures at the same cycles as \
-           the sequential one.  Incompatible with $(b,--sample).")
+          "Write a whole-machine checkpoint to $(b,--checkpoint-out) at the top of \
+           every multiple of $(docv) cycles the run reaches, each overwriting the last \
+           — a crashed or cancelled run can be resumed with $(b,fscope checkpoint \
+           resume).  Composes with $(b,--shard-domains): the checkpoints are the same \
+           for every shard count.  Incompatible with $(b,--sample).")
 
 let checkpoint_out_arg =
   Arg.(
@@ -529,8 +522,7 @@ let at_arg =
     & opt (some int) None
     & info [ "at" ] ~docv:"CYCLE"
         ~doc:
-          "Capture the checkpoint at the first visited cycle at or past $(docv) (the \
-           event-horizon engine can jump over exact multiples).")
+          "Capture the checkpoint at the top of cycle $(docv).")
 
 let ckpt_out_arg =
   Arg.(
@@ -543,7 +535,7 @@ let compact_arg =
     value & flag
     & info [ "compact" ]
         ~doc:
-          "Write the checkpoint in the compact v1z form: minified (the plain form \
+          "Write the checkpoint in the compact v2z form: minified (the plain form \
            pretty-prints), with mostly-zero integer arrays (memory image, register \
            files, predictor tables) zero-run elided and repeated elements (cache \
            slots, ROB operand columns) run-length deduplicated.  Several times \

@@ -60,7 +60,7 @@ val jobs : unit -> int
 val set_shard_domains : int -> unit
 (** Number of domains a single simulated machine's cores are split
     across, for the experiment points that opt in (the server suite's
-    big-machine point applies it via [Config.with_shard_domains]).
+    big-machine point applies it via [Config.v ~shard_domains]).
     Clamped to at least 1; default 1 = the sequential engine loop.
     Process-global: the CLIs' [--shard-domains] flag sets it once at
     startup.  Orthogonal to {!set_jobs}, which fans out across

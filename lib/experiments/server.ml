@@ -338,7 +338,7 @@ let points ~quick =
      point then runs the domain-sharded engine, and eval's
      engine-vs-reference check becomes a sharded-vs-sequential
      bit-identity assertion. *)
-  let shard c = Config.with_shard_domains (Exp_run.shard_domains ()) c in
+  let shard c = Config.v ~base:c ~shard_domains:(Exp_run.shard_domains ()) () in
   let t = shard (Exp_run.t_config Config.default) in
   let s = shard (Exp_run.s_config Config.default) in
   let per_workload ?lat_threads name requests build =
@@ -408,11 +408,11 @@ let sampled_points ~quick =
      sequential — the cycle-estimate assertion in [sampled_latencies]
      doubles as a sharded/sequential sampled bit-identity check. *)
   let s =
-    Config.with_shard_domains
-      (Exp_run.shard_domains ())
-      (Config.with_sampling
-         (Some (sampled_sampling ~quick))
-         (Exp_run.s_config Config.default))
+    Config.v
+      ~base:(Exp_run.s_config Config.default)
+      ~shard_domains:(Exp_run.shard_domains ())
+      ~sampling:(Some (sampled_sampling ~quick))
+      ()
   in
   let point threads per =
     {

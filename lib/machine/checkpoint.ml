@@ -10,10 +10,10 @@
    longer cycle budget is the point of checkpointing, and engine
    choice never changes results.
 
-   The per-core payloads are produced by {!Fscope_cpu.Core.snapshot};
-   [wake] is the engine's event-horizon array, captured verbatim so
-   pre-charged stall spans of frozen cores are not re-charged on
-   resume (see Sim_engine). *)
+   The per-core payloads are produced by {!Fscope_cpu.Core.snapshot}.
+   No engine schedule is stored: captures happen at a stop, where
+   every core is in its naive-loop state, so the engine re-derives its
+   schedule from the restored cores (see Sim_engine). *)
 
 module Json = Fscope_util.Json
 module Program = Fscope_isa.Program
@@ -21,7 +21,6 @@ module Program = Fscope_isa.Program
 type t = {
   cycle : int;
   digest : string;
-  wake : int array;
   cores : Json.t array;
   mem : int array;
   hierarchy : Json.t;
@@ -35,7 +34,7 @@ let digest (config : Config.t) (program : Program.t) =
            config.Config.scope, program)
           []))
 
-(* The compact sibling ("v1z") applies {!Json.pack_arrays} to the whole
+(* The compact sibling ("v2z") applies {!Json.pack_arrays} to the whole
    document: memory images, ARFs, rename maps, predictor tables and
    cache arrays are mostly zeros at production core counts, and the
    shared zero-run elision dedups them all through one transform.  The
@@ -43,8 +42,12 @@ let digest (config : Config.t) (program : Program.t) =
    predates packing fails loudly instead of misparsing; {!of_json}
    accepts both and unpacks before field extraction, so the two forms
    are interchangeable everywhere downstream. *)
-let schema_plain = "fscope-checkpoint/v1"
-let schema_compact = "fscope-checkpoint/v1z"
+(* v2 dropped v1's engine wake array along with the capture rule that
+   needed it: a v1 checkpoint may hold frozen cores whose stall spans
+   were pre-charged past its cycle, which a v2 resume would charge
+   again, so v1 documents are refused. *)
+let schema_plain = "fscope-checkpoint/v2"
+let schema_compact = "fscope-checkpoint/v2z"
 
 let to_json ?(compact = false) t =
   let doc =
@@ -53,7 +56,6 @@ let to_json ?(compact = false) t =
         ("schema", Json.Str (if compact then schema_compact else schema_plain));
         ("cycle", Json.Int t.cycle);
         ("digest", Json.Str t.digest);
-        ("wake", Json.of_int_array t.wake);
         ("cores", Json.Arr (Array.to_list t.cores));
         ("mem", Json.of_int_array t.mem);
         ("hierarchy", t.hierarchy);
@@ -71,7 +73,6 @@ let of_json j =
   {
     cycle = Json.int_exn (Json.get "cycle" j);
     digest = Json.str_exn (Json.get "digest" j);
-    wake = Json.int_array_exn (Json.get "wake" j);
     cores = Array.of_list (Json.list_exn (Json.get "cores" j));
     mem = Json.int_array_exn (Json.get "mem" j);
     hierarchy = Json.get "hierarchy" j;

@@ -1,15 +1,14 @@
 (** Whole-machine checkpoints (DESIGN §15).
 
     The complete simulation state at the top of one engine cycle —
-    every core ({!Fscope_cpu.Core.snapshot}), the flat memory image,
-    the cache hierarchy and the engine's wake array — as one JSON
-    document.  Configuration and instructions are not stored; the
-    caller rebuilds both and {!validate} checks them against the
-    embedded digest.  Both the sequential and the sharded detailed
-    engines capture and restore checkpoints — the sharded loop takes
-    its snapshot inside the top-of-cycle publish window, where every
-    shard is quiescent, so a checkpoint written under any
-    [shard_domains] resumes bit-identically under any other. *)
+    every core ({!Fscope_cpu.Core.snapshot}), the flat memory image
+    and the cache hierarchy — as one JSON document.  Configuration and
+    instructions are not stored; the caller rebuilds both and
+    {!validate} checks them against the embedded digest.  The engine
+    captures at a stop of its stepper, with any domain team parked
+    and every core in its naive-loop state, so a checkpoint is the
+    same under every [shard_domains] and resumes bit-identically
+    under any other. *)
 
 type t = {
   cycle : int;  (** the engine resumes at the top of this cycle *)
@@ -17,10 +16,6 @@ type t = {
       (** MD5 over exec/mem/scope configs and the full program image;
           wall-clock knobs ([max_cycles], [shard_domains], [sampling])
           are excluded so a resume may extend the budget *)
-  wake : int array;
-      (** per-core event horizons, verbatim — frozen cores' skipped
-          spans are pre-charged at freeze time and must not be
-          re-charged on resume *)
   cores : Fscope_util.Json.t array;
   mem : int array;
   hierarchy : Fscope_util.Json.t;
@@ -29,7 +24,7 @@ type t = {
 val digest : Config.t -> Fscope_isa.Program.t -> string
 
 val to_json : ?compact:bool -> t -> Fscope_util.Json.t
-(** [compact] (default [false]) selects the ["fscope-checkpoint/v1z"]
+(** [compact] (default [false]) selects the ["fscope-checkpoint/v2z"]
     sibling: the same document with every shrinkable array — the
     mostly-zero memory image, ARFs and predictor tables, the
     run-heavy cache slot and ROB operand arrays — rewritten through
@@ -40,7 +35,7 @@ val to_json : ?compact:bool -> t -> Fscope_util.Json.t
 
 val of_json : Fscope_util.Json.t -> t
 (** Raises [Failure] on a malformed document.  Accepts both the plain
-    v1 and compact v1z schemas. *)
+    v2 and compact v2z schemas. *)
 
 val save : ?compact:bool -> t -> file:string -> unit
 (** Plain saves pretty-print (readable, diffable); [compact] saves

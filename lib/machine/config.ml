@@ -32,13 +32,6 @@ type t = {
   sampling : sampling option;
 }
 
-let make ?(exec = Fscope_cpu.Exec_config.default)
-    ?(mem = Fscope_mem.Hierarchy.default_config) ?(mem_model = Hierarchy)
-    ?(scope = Fscope_core.Scope_unit.default_config) ?(max_cycles = 30_000_000)
-    ?(shard_domains = 1) ?(elide_barriers = true) ?sampling () =
-  Option.iter sampling_validate sampling;
-  { exec; mem; mem_model; scope; max_cycles; shard_domains; elide_barriers; sampling }
-
 let mem_model_name = function Hierarchy -> "hierarchy" | Ideal -> "ideal"
 
 let mem_model_of_string = function
@@ -46,12 +39,22 @@ let mem_model_of_string = function
   | "ideal" -> Some Ideal
   | _ -> None
 
-let default = make ()
+let default =
+  {
+    exec = Fscope_cpu.Exec_config.default;
+    mem = Fscope_mem.Hierarchy.default_config;
+    mem_model = Hierarchy;
+    scope = Fscope_core.Scope_unit.default_config;
+    max_cycles = 30_000_000;
+    shard_domains = 1;
+    elide_barriers = true;
+    sampling = None;
+  }
 
-(* The one keyword constructor every builder below is a special case
-   of: start from [base] (the Table III machine when omitted) and
-   override exactly the named knobs.  An omitted argument leaves the
-   base's value untouched, so refinements compose:
+(* The one keyword constructor: start from [base] (the Table III
+   machine when omitted) and override exactly the named knobs.  An
+   omitted argument leaves the base's value untouched, so refinements
+   compose:
    [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()]. *)
 let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_model
     ?mem_latency ?rob_size ?fsb_entries ?fss_entries ?mt_entries ?max_cycles
@@ -85,16 +88,3 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
 
 let traditional t = v ~base:t ~sfence:false ()
 let scoped t = v ~base:t ~sfence:true ()
-let with_speculation on t = v ~base:t ~speculation:on ()
-let with_nop_fences on t = v ~base:t ~nop_fences:on ()
-let with_mem_latency latency t = v ~base:t ~mem_latency:latency ()
-let with_rob_size size t = v ~base:t ~rob_size:size ()
-let with_fsb_entries n t = v ~base:t ~fsb_entries:n ()
-let with_fss_entries n t = v ~base:t ~fss_entries:n ()
-let with_mt_entries n t = v ~base:t ~mt_entries:n ()
-let with_max_cycles n t = v ~base:t ~max_cycles:n ()
-let with_mem_model m t = v ~base:t ~mem_model:m ()
-let with_spin_fastforward on t = v ~base:t ~spin_fastforward:on ()
-let with_shard_domains n t = v ~base:t ~shard_domains:n ()
-let with_elide_barriers on t = v ~base:t ~elide_barriers:on ()
-let with_sampling s t = v ~base:t ~sampling:s ()

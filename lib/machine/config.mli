@@ -1,13 +1,10 @@
 (** Whole-machine configuration: pipeline, memory system, S-Fence
     hardware, and the run's safety limit.
 
-    Build configurations with the keyword constructor {!v}, which
-    subsumes the older accreted [with_*] builder chain: every [with_*]
-    combinator is now a one-option special case of {!v} and is kept
-    only so existing call sites stay source-compatible.  The record
-    type stays exposed for pattern matching, but prefer {!v} over
-    direct record construction or record-update syntax — new fields
-    then never break call sites. *)
+    Build configurations with the keyword constructor {!v}.  The
+    record type stays exposed for pattern matching, but prefer {!v}
+    over direct record construction or record-update syntax — new
+    fields then never break call sites. *)
 
 (** Which backend answers the cores' memory transactions. *)
 type mem_model =
@@ -60,24 +57,10 @@ type t = {
           default) is exact detailed simulation. *)
 }
 
-val make :
-  ?exec:Fscope_cpu.Exec_config.t ->
-  ?mem:Fscope_mem.Hierarchy.config ->
-  ?mem_model:mem_model ->
-  ?scope:Fscope_core.Scope_unit.config ->
-  ?max_cycles:int ->
-  ?shard_domains:int ->
-  ?elide_barriers:bool ->
-  ?sampling:sampling ->
-  unit ->
-  t
-
 val mem_model_name : mem_model -> string
 (** ["hierarchy"] / ["ideal"] — the [--mem-model] CLI vocabulary. *)
 
 val mem_model_of_string : string -> mem_model option
-(** Every omitted section takes its Table III default; [make ()] is
-    {!default}. *)
 
 val default : t
 (** The paper's Table III machine: 8-core runs use this per-core
@@ -118,9 +101,7 @@ val v :
       [fss_entries], [mt_entries], [max_cycles]: as the record fields.
 
     Omitted arguments keep the base's value, so refinements compose:
-    [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].  Every
-    [with_*] builder below is a one-option special case of [v], kept
-    for source compatibility. *)
+    [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()]. *)
 
 val traditional : t -> t
 (** The same machine with the S-Fence hardware disabled: every fence
@@ -128,50 +109,3 @@ val traditional : t -> t
 
 val scoped : t -> t
 (** With the S-Fence hardware enabled (S). *)
-
-val with_speculation : bool -> t -> t
-(** Toggle in-window speculation (the + variants). *)
-
-val with_nop_fences : bool -> t -> t
-(** Toggle the no-fence ablation: fences retire immediately and order
-    nothing.  Timing-only — functional checks may fail — but it bounds
-    what any fence optimisation could recover, which is the profiler's
-    "where the fence time goes" denominator. *)
-
-val with_mem_latency : int -> t -> t
-(** Set the memory (DRAM) latency — Fig. 15's sweep. *)
-
-val with_rob_size : int -> t -> t
-(** Set the ROB size — Fig. 16's sweep. *)
-
-val with_fsb_entries : int -> t -> t
-(** Set the number of FSB columns — ablation. *)
-
-val with_fss_entries : int -> t -> t
-(** Set the FSS depth — ablation. *)
-
-val with_mt_entries : int -> t -> t
-(** Set the mapping-table capacity — ablation. *)
-
-val with_max_cycles : int -> t -> t
-(** Set the runaway guard. *)
-
-val with_mem_model : mem_model -> t -> t
-(** Select the memory backend behind the cores' {!Fscope_cpu.Mem_port}. *)
-
-val with_spin_fastforward : bool -> t -> t
-(** Toggle the engine's spin fast-forward (default on; off = the
-    engine steps spinning cores cycle by cycle as before).  Results
-    are bit-identical either way — this only trades wall-clock. *)
-
-val with_shard_domains : int -> t -> t
-(** Partition the machine's cores across [n] OCaml domains (default 1
-    = the sequential engine).  Bit-identical for any [n]; wall-clock
-    only.  Values above the core count are clamped by the engine. *)
-
-val with_elide_barriers : bool -> t -> t
-(** Toggle barrier elision in the sharded engine (default on).
-    Bit-identical either way — wall-clock and barrier-count only. *)
-
-val with_sampling : sampling option -> t -> t
-(** Select ([Some]) or clear ([None]) interval sampling. *)

@@ -144,4 +144,4 @@ let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program 
 
 let run_reference ?(obs = Obs.Trace.null) (config : Config.t) program =
   finish ~obs ~shard_domains:config.Config.shard_domains
-    (Sim_engine.run_naive ~obs config program)
+    (Sim_engine.run_reference ~obs config program)

@@ -8,9 +8,9 @@
     is therefore a pure function of (program, config).
 
     The default {!run} drives the {!Sim_engine} event-horizon
-    fast-forward loop, which skips stepping any core over a span in
-    which it is provably frozen and jumps the clock when every core
-    is; {!run_reference} retains the naive one-cycle-at-a-time loop.
+    stepper, which skips stepping any core over a span in which it is
+    provably frozen and jumps the clock when every core is;
+    {!run_reference} retains the naive one-cycle-at-a-time loop.
     The two are bit-identical in every [result] field — the
     differential test suite enforces this. *)
 
@@ -27,13 +27,13 @@ type spin_ff = {
     engine got to the result, not the result. *)
 
 type shard_ctrs = {
-  barriers : int;  (** barrier generations the sharded loop crossed *)
+  barriers : int;  (** barrier generations the shard team crossed *)
   elided_cycles : int;
       (** cycles run inside elided spans — one meeting barrier per
           span instead of four barriers per cycle (DESIGN §16) *)
 }
-(** Lockstep-traffic counters of the sharded engine.  Zero for
-    sequential / naive / unsharded-sampled runs.  Like {!spin_ff},
+(** Lockstep-traffic counters of a sharded run.  Zero for one-domain
+    and naive runs.  Like {!spin_ff},
     engine diagnostics — NOT part of the bit-identity contract. *)
 
 val no_shard_ctrs : shard_ctrs
@@ -79,19 +79,19 @@ val run :
     to an untraced one.
 
     [checkpoint:(every, sink)] hands [sink] a whole-machine
-    {!Checkpoint.t} at (roughly) every [every] cycles; [resume]
-    continues a run from such a checkpoint — the resumed run is
-    bit-identical to the uninterrupted one.  Both compose with
-    [Config.shard_domains] (the sharded loop captures stop-the-world
-    at its publish window, at exactly the sequential loop's cycles)
-    and require an untraced run; both are rejected
-    ([Invalid_argument]) when [Config.sampling] is set.
+    {!Checkpoint.t} at the top of every multiple of [every] cycles
+    (counted from the start) that the run reaches; [resume] continues
+    a run from such a checkpoint — the resumed run is bit-identical to
+    the uninterrupted one.  Both compose with [Config.shard_domains]
+    (captures are the same for every shard count) and require an
+    untraced run; both are rejected ([Invalid_argument]) when
+    [Config.sampling] is set.
 
     With [Config.sampling = Some _] the run uses the interval-sampled
     engine: exact event counters and final memory, ESTIMATED
     cycle-valued metrics (see DESIGN §15); [spin] is then all zero.
     Untraced sampled runs shard their detailed windows across
-    [Config.shard_domains]; traced sampled runs stay sequential and
+    [Config.shard_domains]; traced sampled runs use one domain and
     record [sample_windows] for the latency extraction. *)
 
 val run_reference : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> result

@@ -28,8 +28,9 @@ val set_cursor : t -> shard:int -> round:int -> int -> unit
     step in phase [round] ([cores] = none pending, i.e. a sentinel one
     past the last core).  Must be called once right after classifying
     a phase (before executing any of its steps) and again after each
-    completed ordered step.  [round] must increase by exactly one per
-    phase, in lockstep across shards — it disambiguates a fresh
+    completed ordered step.  [round] must strictly increase from one
+    phase to the next, in lockstep across shards (the engine uses
+    {!barriers}, read between two barriers) — it disambiguates a fresh
     cursor from a stale previous-phase value, which is what makes a
     post-classification barrier unnecessary. *)
 
@@ -43,9 +44,10 @@ val await_prefix : t -> shard:int -> round:int -> int -> unit
 
 val barriers : t -> int
 (** Number of completed barrier generations so far — the lockstep
-    traffic the elision machinery exists to cut.  Read it after the
-    shards have joined (or from any quiescent point); it is a plain
-    monotonic counter, not a synchronisation primitive. *)
+    traffic the elision machinery exists to cut.  A plain monotonic
+    counter, not a synchronisation primitive: no generation can
+    complete before every shard arrives, so between two barriers every
+    shard reads the same value. *)
 
 val poison : t -> exn -> unit
 (** Record the first failure and wake every waiter; subsequent

@@ -14,7 +14,7 @@ type spin_stats = {
 
 let fresh_spin_stats () = { sleeps = 0; cycles_skipped = 0; wakes = 0 }
 
-(* Lockstep-traffic bookkeeping of the sharded loop (zeros elsewhere):
+(* Lockstep-traffic bookkeeping of a sharded run (zeros elsewhere):
    how many barrier generations the run crossed, and how many cycles
    ran inside elided spans (one meeting barrier per span instead of
    four per cycle). *)
@@ -81,9 +81,10 @@ let build ~obs (config : Config.t) program =
   in
   (cores, mem, hierarchy, on_store)
 
-(* The three-phase step protocol shared by both loops; see Core's
-   interface for why the order matters.  Returns whether any core
-   changed state beyond per-cycle stall accounting. *)
+(* The three-phase step protocol, every core every cycle (the
+   reference loop and the sampled settle loop); see Core's interface
+   for why the order matters.  Returns whether any core changed state
+   beyond per-cycle stall accounting. *)
 let step_all cores ~cycle =
   let progress = ref false in
   Array.iter
@@ -95,331 +96,327 @@ let step_all cores ~cycle =
   Array.iter (fun core -> if Core.step_pipeline core ~cycle then progress := true) cores;
   !progress
 
-(* Overwrite a freshly built machine with checkpointed state (shared
-   by the sequential and sharded loops; always single-threaded — the
-   sharded loop restores before spawning its domains).  The wake array
-   comes back verbatim: frozen cores had their skipped spans
-   pre-charged when they froze, so re-deriving horizons here would
-   double-charge them.  [drained] is monotonic state recomputable from
-   the cores, so it is not serialized; [mark_drained] is called for
-   each core that comes back drained.  Returns the resume cycle. *)
-let restore_checkpoint (ck : Checkpoint.t) (config : Config.t) program ~cores ~mem
-    ~hierarchy ~wake ~mark_drained =
-  let n = Array.length cores in
-  Checkpoint.validate ck config program;
-  if Array.length ck.Checkpoint.cores <> n then failwith "checkpoint: core count mismatch";
-  if Array.length ck.Checkpoint.mem <> Array.length mem then
-    failwith "checkpoint: memory size mismatch";
-  if Array.length ck.Checkpoint.wake <> n then
-    failwith "checkpoint: wake array size mismatch";
-  Array.iteri (fun i j -> Core.restore cores.(i) j) ck.Checkpoint.cores;
-  Array.blit ck.Checkpoint.mem 0 mem 0 (Array.length mem);
-  Hierarchy.restore hierarchy ck.Checkpoint.hierarchy;
-  Array.blit ck.Checkpoint.wake 0 wake 0 n;
-  for i = 0 to n - 1 do
-    if Core.drained cores.(i) then mark_drained i
-  done;
-  ck.Checkpoint.cycle
+(* ------------------------------------------------------------------ *)
+(* The cycle stepper                                                   *)
+(* ------------------------------------------------------------------ *)
 
-let run_sequential ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t)
-    program =
+(* One stepper drives the three-phase protocol for every engine mode:
+   {!advance} takes the machine to the top of a stop cycle over a
+   shard plan of [d] domains.
+
+   Per-core event-horizon scheduling.  A core whose three sub-steps
+   all report no progress is frozen: every cycle-dependence of its
+   step functions is a threshold already scheduled in its own state
+   (execution completions, store-buffer drain times, a fetch-resume
+   point), and other cores cannot change any of that — they only
+   write shared memory, which a frozen core samples exactly at those
+   thresholds, and the cache directory, which only affects the latency
+   of accesses it has not issued yet.  So the core sleeps until its
+   {!Core.next_wake} horizon: the stepper pre-charges the skipped
+   span's stall/occupancy accounting in O(1) and stops stepping it,
+   while awake cores keep executing cycle by cycle.  When every core
+   sleeps, the clock jumps straight to the earliest wake-up.  Results
+   are bit-identical to the naive loop.
+
+   The stop rule.  The clock never jumps past the stop, a frozen
+   core's horizon is capped at it (its stall accounting is charged
+   through [stop - 1] only), and spin sleepers are caught up through
+   [stop - 1] on exit.  So at the stop every core is in exactly the
+   state the naive loop gives it at the top of that cycle — which is
+   what lets a checkpoint land on its multiple, a sampled window exit
+   with the naive counters, and every call re-derive its per-core
+   schedule from the cores alone.
+
+   Draining is monotonic (a halted core stays halted, its emptied
+   store buffer stays empty), so a [never] wake plus a counter
+   replaces the naive loop's per-cycle every-core [drained] scan. *)
+
+(* The wake of a drained or spin-sleeping core: no cycle brings it. *)
+let never = max_int
+
+type stepper = {
+  cores : Core.t array;
+  n : int;
+  mem : int array;
+  hierarchy : Hierarchy.t;
+  obs : Obs.Trace.t;
+  hier_mem : bool;
+  spin_on : bool;
+  d : int;  (** shard count; 1 = the sequential engine *)
+  elide_on : bool;
+  sync : Shard_sync.t;
+  wake : int array;
+  progress : bool array;
+  drained_count : int Atomic.t;
+  sleeping : Core.spin_stable option array;
+  was_sleeping : bool array;
+  ordered : bool array;
+  quiet : int array;
+  watches : (int, int list) Hashtbl.t;
+      (** watched address -> sorted list of sleeping watcher cores (a
+          list, not a bitmask, so the machine is not capped at 62
+          cores) *)
+  spin : spin_stats;
+  shard : shard_stats;
+  mutable cycle : int;
+  mutable stop : int;
+  mutable finished : bool;
+  mutable quit : bool;  (** tells the parked team to exit *)
+  mutable phase : int;
+  mutable phase_core : int;
+      (** where in the current cycle the step loops are, so a wake
+          fired from inside another core's step can splice the sleeper
+          back into the phase order it would have had in the naive
+          loop *)
+}
+
+let register_watches t i (st : Core.spin_stable) =
+  List.iter
+    (fun addr ->
+      let cur = Option.value (Hashtbl.find_opt t.watches addr) ~default:[] in
+      Hashtbl.replace t.watches addr (List.sort_uniq compare (i :: cur)))
+    st.Core.footprint
+
+let unregister_watches t i (st : Core.spin_stable) =
+  List.iter
+    (fun addr ->
+      match Hashtbl.find_opt t.watches addr with
+      | None -> ()
+      | Some l -> (
+        match List.filter (fun j -> j <> i) l with
+        | [] -> Hashtbl.remove t.watches addr
+        | l' -> Hashtbl.replace t.watches addr l'))
+    st.Core.footprint
+
+(* Catch a woken sleeper up through cycle [through]: replay whole
+   periods in closed form, then solo-step the tail.  Solo-stepping is
+   exact because within a period the core touches nothing shared — no
+   stores or CAS can be in flight, and every load hits its own L1 — so
+   interleaving with other cores' sub-steps is immaterial. *)
+let catch_up t i (st : Core.spin_stable) ~through =
+  let b = st.Core.armed_cycle in
+  let k = if through <= b then 0 else (through - b) / st.Core.period in
+  if k > 0 then begin
+    Core.spin_replay t.cores.(i) ~stable:st ~k;
+    if t.hier_mem then begin
+      (* the skipped loads would all have hit this core's L1 *)
+      let s = Hierarchy.stats t.hierarchy in
+      s.Hierarchy.l1_hits <- s.Hierarchy.l1_hits + (k * st.Core.loads_per_period)
+    end;
+    t.spin.cycles_skipped <- t.spin.cycles_skipped + (k * st.Core.period)
+  end;
+  for x = b + (k * st.Core.period) + 1 to through do
+    ignore (Core.step_complete_writes t.cores.(i) ~cycle:x);
+    ignore (Core.step_complete_reads t.cores.(i) ~cycle:x);
+    ignore (Core.step_pipeline t.cores.(i) ~cycle:x)
+  done;
+  Core.spin_cancel t.cores.(i)
+
+(* Phase-3 body of the stepper, factored so a phase-3 wake can run it
+   for the sleeper at its original position in core order. *)
+let rec step3 t i c =
+  if Core.step_pipeline t.cores.(i) ~cycle:c then t.progress.(i) <- true;
+  if t.progress.(i) then begin
+    if Core.drained t.cores.(i) then begin
+      (* counted once: a [never] wake keeps it from being stepped again *)
+      Atomic.incr t.drained_count;
+      t.wake.(i) <- never
+    end
+    else begin
+      t.wake.(i) <- c + 1;
+      if t.spin_on then
+        match Core.spin_poll t.cores.(i) ~cycle:c with
+        | Some st ->
+          (* proven stable: sleep until a watched line is written or
+             invalidated (or the stop catches it up) *)
+          t.sleeping.(i) <- Some st;
+          register_watches t i st;
+          t.wake.(i) <- never;
+          t.spin.sleeps <- t.spin.sleeps + 1
+        | None -> ()
+    end
+  end
+  else begin
+    (* Frozen: sleep until the horizon (or, with nothing scheduled at
+       all, until the stop — the core is stuck and can only wait out a
+       timeout), charging the skipped span's per-cycle accounting up
+       front.  The charge is exact: the run cannot end before this
+       core's wake-up, because a sleeping core is never drained. *)
+    let w =
+      match Core.next_wake t.cores.(i) ~cycle:c with
+      | Some w -> min w t.stop
+      | None -> t.stop
+    in
+    Core.account_stall_span t.cores.(i) ~cycle:c ~cycles:(w - c - 1);
+    t.wake.(i) <- w
+  end
+
+(* Wake fired from inside the current cycle's step loops, just before
+   the disturbing write or invalidation takes effect. *)
+and wake_core t i =
+  match t.sleeping.(i) with
+  | None -> ()
+  | Some st ->
+    t.sleeping.(i) <- None;
+    unregister_watches t i st;
+    Core.spin_cancel t.cores.(i);
+    t.spin.wakes <- t.spin.wakes + 1;
+    let c = t.cycle in
+    if c = st.Core.armed_cycle then
+      (* disturbed later in the very cycle it armed (by a core after it
+         in phase-3 order): nothing was skipped and the core has
+         already fully stepped this cycle *)
+      t.wake.(i) <- c + 1
+    else begin
+      catch_up t i st ~through:(c - 1);
+      if t.phase = 3 then begin
+        (* cycle [c]'s write/read phases already passed this core; its
+           writes phase is a no-op (empty store buffer, no CAS in
+           flight — guaranteed by the arming probe) and completing
+           reads now is exact because phase 3 never changes memory
+           values.  Then: in the naive loop a core earlier in core
+           order would have run its pipeline step before the
+           disturber's — replay that ordering here; a later one is
+           picked up by the phase-3 loop as usual. *)
+        if Core.step_complete_reads t.cores.(i) ~cycle:c then t.progress.(i) <- true;
+        if i < t.phase_core then step3 t i c else t.wake.(i) <- c
+      end
+      else begin
+        (* phase 1: the disturbing store has not landed yet; the
+           remaining phase loops of cycle [c] pick the core up *)
+        t.progress.(i) <- false;
+        t.wake.(i) <- c
+      end
+    end
+
+let create ~obs ~spin_on ~domains ~elide (config : Config.t) program =
   let cores, mem, hierarchy, on_store = build ~obs config program in
   let n = Array.length cores in
-  let traced = Obs.Trace.on obs in
-  if traced && (Option.is_some checkpoint || Option.is_some resume) then
-    invalid_arg "Sim_engine: checkpointing is an untraced-run facility";
-  let max_cycles = config.Config.max_cycles in
-  (* Per-core event-horizon scheduling.  A core whose three sub-steps
-     all report no progress is frozen: every cycle-dependence of its
-     step functions is a threshold already scheduled in its own state
-     (execution completions, store-buffer drain times, a fetch-resume
-     point), and other cores cannot change any of that — they only
-     write shared memory, which a frozen core samples exactly at those
-     thresholds, and the cache directory, which only affects the
-     latency of accesses it has not issued yet.  So the core sleeps
-     until its {!Core.next_wake} horizon: the engine pre-charges the
-     skipped span's stall/occupancy accounting in O(1) and stops
-     stepping it, while awake cores keep executing cycle by cycle.
-     When every core sleeps, the clock jumps straight to the earliest
-     wake-up.  Results are bit-identical to the naive loop.
-
-     Draining is monotonic (a halted core stays halted, its emptied
-     store buffer stays empty), so a per-core flag plus a counter
-     replaces the naive loop's per-cycle every-core [drained] scan. *)
-  let wake = Array.make n 0 in
-  let progress = Array.make n false in
-  let drained = Array.make n false in
-  let drained_count = ref 0 in
-  let cycle = ref 0 in
-  let finished = ref false in
-  (match (resume : Checkpoint.t option) with
-  | None -> ()
-  | Some ck ->
-    cycle :=
-      restore_checkpoint ck config program ~cores ~mem ~hierarchy ~wake
-        ~mark_drained:(fun i ->
-          drained.(i) <- true;
-          incr drained_count));
+  let d = max 1 (min domains n) in
+  let t =
+    {
+      cores;
+      n;
+      mem;
+      hierarchy;
+      obs;
+      hier_mem = config.Config.mem_model = Config.Hierarchy;
+      spin_on;
+      d;
+      elide_on = elide && d > 1 && not (Obs.Trace.on obs);
+      sync = Shard_sync.create ~domains:d ~cores:n;
+      wake = Array.make n 0;
+      progress = Array.make n false;
+      drained_count = Atomic.make 0;
+      sleeping = Array.make n None;
+      was_sleeping = Array.make n false;
+      ordered = Array.make n false;
+      quiet = Array.make d (-1);
+      watches = Hashtbl.create 16;
+      spin = fresh_spin_stats ();
+      shard = fresh_shard_stats ();
+      cycle = 0;
+      stop = 0;
+      finished = false;
+      quit = false;
+      phase = 0;
+      phase_core = 0;
+    }
+  in
   (* Spin fast-forward (see Core's spin interface and DESIGN §11).  A
      core that is provably in a stable read-only spin loop sleeps past
      the horizon: its state can only stop being periodic when another
      core writes — or steals — a line it reads, so we watch the loop's
      load footprint and wake the sleeper the instant such an action is
-     about to happen.  On wake (and at timeout) the skipped whole
+     about to happen.  On wake (and at the stop) the skipped whole
      periods are replayed in closed form and the partial tail is
      re-stepped normally, which lands the core in exactly the state
      naive stepping would have produced.  Tracing disables this — a
      traced run must emit every per-cycle event. *)
-  let spin = fresh_spin_stats () in
-  let spin_on = config.Config.exec.Exec_config.spin_fastforward && not traced in
-  if spin_on then Array.iter (fun core -> Core.set_spin_ff core true) cores;
-  let sleeping : Core.spin_stable option array = Array.make n None in
-  (* watched address -> sorted list of sleeping watcher cores (a list,
-     not a bitmask, so the machine is not capped at 62 cores) *)
-  let watches : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  (* where in the current cycle the step loops are, so a wake fired
-     from inside another core's step can splice the sleeper back into
-     the phase order it would have had in the naive loop *)
-  let phase = ref 0 in
-  let phase_core = ref 0 in
-  let register_watches i (st : Core.spin_stable) =
-    List.iter
-      (fun addr ->
-        let cur = Option.value (Hashtbl.find_opt watches addr) ~default:[] in
-        Hashtbl.replace watches addr (List.sort_uniq compare (i :: cur)))
-      st.Core.footprint
-  in
-  let unregister_watches i (st : Core.spin_stable) =
-    List.iter
-      (fun addr ->
-        match Hashtbl.find_opt watches addr with
-        | None -> ()
-        | Some l ->
-          (match List.filter (fun j -> j <> i) l with
-          | [] -> Hashtbl.remove watches addr
-          | l' -> Hashtbl.replace watches addr l'))
-      st.Core.footprint
-  in
-  (* Catch a woken sleeper up through cycle [through]: replay whole
-     periods in closed form, then solo-step the tail.  Solo-stepping is
-     exact because within a period the core touches nothing shared —
-     no stores or CAS can be in flight, and every load hits its own
-     L1 — so interleaving with other cores' sub-steps is immaterial. *)
-  let catch_up i (st : Core.spin_stable) ~through =
-    let b = st.Core.armed_cycle in
-    let k = if through <= b then 0 else (through - b) / st.Core.period in
-    if k > 0 then begin
-      Core.spin_replay cores.(i) ~stable:st ~k;
-      (match config.Config.mem_model with
-      | Config.Hierarchy ->
-        (* the skipped loads would all have hit this core's L1 *)
-        let s = Hierarchy.stats hierarchy in
-        s.Hierarchy.l1_hits <- s.Hierarchy.l1_hits + (k * st.Core.loads_per_period)
-      | Config.Ideal -> ());
-      spin.cycles_skipped <- spin.cycles_skipped + (k * st.Core.period)
-    end;
-    for x = b + (k * st.Core.period) + 1 to through do
-      ignore (Core.step_complete_writes cores.(i) ~cycle:x);
-      ignore (Core.step_complete_reads cores.(i) ~cycle:x);
-      ignore (Core.step_pipeline cores.(i) ~cycle:x)
-    done;
-    Core.spin_cancel cores.(i)
-  in
-  (* Phase-3 body of the main loop, factored so a phase-3 wake can run
-     it for the sleeper at its original position in core order. *)
-  let rec step3 i c =
-    if Core.step_pipeline cores.(i) ~cycle:c then progress.(i) <- true;
-    if progress.(i) then begin
-      wake.(i) <- c + 1;
-      if (not drained.(i)) && Core.drained cores.(i) then begin
-        drained.(i) <- true;
-        incr drained_count;
-        wake.(i) <- max_cycles
-      end
-      else if spin_on then begin
-        match Core.spin_poll cores.(i) ~cycle:c with
-        | Some st ->
-          (* proven stable: sleep until a watched line is written or
-             invalidated (or the run times out) *)
-          sleeping.(i) <- Some st;
-          register_watches i st;
-          wake.(i) <- max_cycles;
-          spin.sleeps <- spin.sleeps + 1
-        | None -> ()
-      end
-    end
-    else begin
-      (* Frozen: sleep until the horizon (or, with nothing
-         scheduled at all, until the run's cycle limit — the core
-         is stuck and can only wait out a timeout), charging the
-         skipped span's per-cycle accounting up front.  The charge
-         is exact: the simulation cannot end before this core's
-         wake-up, because a sleeping core is never drained. *)
-      let d =
-        match Core.next_wake cores.(i) ~cycle:c with
-        | Some d -> min d max_cycles
-        | None -> max_cycles
-      in
-      Core.account_stall_span cores.(i) ~cycle:c ~cycles:(d - c - 1);
-      wake.(i) <- d
-    end
-  (* Wake fired from inside the current cycle's step loops, just
-     before the disturbing write or invalidation takes effect. *)
-  and wake_core i =
-    match sleeping.(i) with
-    | None -> ()
-    | Some st ->
-      sleeping.(i) <- None;
-      unregister_watches i st;
-      Core.spin_cancel cores.(i);
-      spin.wakes <- spin.wakes + 1;
-      let t = !cycle in
-      if t = st.Core.armed_cycle then
-        (* disturbed later in the very cycle it armed (by a core after
-           it in phase-3 order): nothing was skipped and the core has
-           already fully stepped this cycle *)
-        wake.(i) <- t + 1
-      else begin
-        catch_up i st ~through:(t - 1);
-        if !phase = 3 then begin
-          (* cycle [t]'s write/read phases already passed this core;
-             its writes phase is a no-op (empty store buffer, no CAS in
-             flight — guaranteed by the arming probe) and completing
-             reads now is exact because phase 3 never changes memory
-             values.  Then: in the naive loop a core earlier in core
-             order would have run its pipeline step before the
-             disturber's — replay that ordering here; a later one is
-             picked up by the main phase-3 loop as usual. *)
-          if Core.step_complete_reads cores.(i) ~cycle:t then progress.(i) <- true;
-          if i < !phase_core then step3 i t else wake.(i) <- t
-        end
-        else begin
-          (* phase 1: the disturbing store has not landed yet; the
-             remaining phase loops of cycle [t] pick the core up *)
-          progress.(i) <- false;
-          wake.(i) <- t
-        end
-      end
-  in
   if spin_on then begin
+    Array.iter (fun core -> Core.set_spin_ff core true) cores;
     on_store :=
       (fun addr ->
-        match Hashtbl.find_opt watches addr with
+        match Hashtbl.find_opt t.watches addr with
         | None -> ()
-        | Some l -> List.iter wake_core l (* ascending core order *));
+        | Some l -> List.iter (wake_core t) l (* ascending core order *));
     (* a write/RMW/eviction about to invalidate or downgrade a
        sleeper's L1 line could change what its loop observes (values
        or latencies) — wake it first *)
     Hierarchy.set_remote_victim_hook hierarchy (fun ~core ->
-        match sleeping.(core) with Some _ -> wake_core core | None -> ())
+        if Option.is_some t.sleeping.(core) then wake_core t core)
   end;
-  (* Periodic capture, at the top of the first visited cycle at or
-     past each multiple of [every] (the event-horizon clock jumps, so
-     exact multiples may never be visited).  Spin sleepers are woken
-     and caught up through the previous cycle first — waking is
-     bit-identity-neutral (certificates re-arm on fresh boundaries)
-     and keeps probe state out of the format. *)
-  let ckpt_digest = lazy (Checkpoint.digest config program) in
-  let next_ckpt = ref (match checkpoint with Some (every, _) -> !cycle + every | None -> max_int) in
-  let capture c sink every =
-    for i = 0 to n - 1 do
-      match sleeping.(i) with
-      | None -> ()
-      | Some st ->
-        sleeping.(i) <- None;
-        unregister_watches i st;
-        catch_up i st ~through:(c - 1);
-        wake.(i) <- c
-    done;
-    sink
-      {
-        Checkpoint.cycle = c;
-        digest = Lazy.force ckpt_digest;
-        wake = Array.copy wake;
-        cores = Array.map Core.snapshot cores;
-        mem = Array.copy mem;
-        hierarchy = Hierarchy.to_json hierarchy;
-      };
-    next_ckpt := c + every
-  in
-  while (not !finished) && !cycle < max_cycles do
-    let c = !cycle in
-    if traced then Obs.Trace.set_now obs c;
-    (match checkpoint with
-    | Some (every, sink) when c >= !next_ckpt -> capture c sink every
-    | Some _ | None -> ());
-    phase := 1;
-    for i = 0 to n - 1 do
-      phase_core := i;
-      progress.(i) <- wake.(i) <= c && Core.step_complete_writes cores.(i) ~cycle:c
-    done;
-    phase := 2;
-    for i = 0 to n - 1 do
-      phase_core := i;
-      if wake.(i) <= c && Core.step_complete_reads cores.(i) ~cycle:c then
-        progress.(i) <- true
-    done;
-    phase := 3;
-    for i = 0 to n - 1 do
-      phase_core := i;
-      if wake.(i) <= c then step3 i c
-    done;
-    phase := 0;
-    if !drained_count = n then begin
-      cycle := c + 1;
-      finished := true
-    end
-    else begin
-      (* Next cycle at which anything can happen: awake cores have
-         wake = c+1; if everyone sleeps this jumps the clock. *)
-      let target = Array.fold_left min max_int wake in
-      cycle := max target (c + 1)
-    end
-  done;
-  (* A run that timed out may leave spin-sleepers behind: the naive
-     loop would have stepped them through cycle [max_cycles - 1], so
-     catch them up to exactly there before reporting. *)
-  if !drained_count < n then
-    for i = 0 to n - 1 do
-      match sleeping.(i) with
-      | None -> ()
-      | Some st ->
-        sleeping.(i) <- None;
-        unregister_watches i st;
-        catch_up i st ~through:(max_cycles - 1)
-    done;
+  t
+
+let raw t ~cycles ~timed_out ~windows =
   {
-    cycles = !cycle;
-    timed_out = !drained_count < n;
-    cores;
-    mem;
-    hierarchy;
-    spin;
-    shard = fresh_shard_stats ();
-    windows = [];
+    cycles;
+    timed_out;
+    cores = t.cores;
+    mem = t.mem;
+    hierarchy = t.hierarchy;
+    spin = t.spin;
+    shard = t.shard;
+    windows;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Domain-sharded loop                                                 *)
+(* The shard plan                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One machine's cores split cyclically across [d] OCaml domains (core
-   i belongs to shard [i mod d]), running the same three-phase step
-   protocol with a barrier at every phase boundary.  Within a phase,
-   each shard classifies its owned cores' steps as ORDERED — may touch
-   state shared between cores (memory writes, the cache directory and
-   its stats, wakes, traced events) — or FREE (provably commutes with
-   every other step of the phase).  Ordered steps execute at their
-   exact global ascending-core-order turn, serialised by the
-   {!Shard_sync} cursor token; free steps run immediately on their
-   owner.  Since every shared-state interaction happens at the same
-   global position as in the sequential loop, and free steps depend
-   only on their own core's state (plus phase-2 memory reads, which no
-   phase-2 step can change), the whole run — cycles, every CPI leaf,
-   final memory, traces — is bit-identical to {!run_sequential} and
-   therefore to {!run_naive}.
+(* With [d > 1] the machine's cores split cyclically across [d] OCaml
+   domains (core i belongs to shard [i mod d]), each running the same
+   three-phase protocol with a barrier at every phase boundary.
+   Within a phase, each shard classifies its owned cores' steps as
+   ORDERED — may touch state shared between cores (memory writes, the
+   cache directory and its stats, wakes, traced events) — or FREE
+   (provably commutes with every other step of the phase).  Ordered
+   steps execute at their exact global ascending-core-order turn,
+   serialised by the {!Shard_sync} cursor token; free steps run
+   immediately on their owner.  Since every shared-state interaction
+   happens at the same global position as with [d = 1], and free steps
+   depend only on their own core's state (plus phase-2 memory reads,
+   which no phase-2 step can change), the whole run — cycles, every
+   CPI leaf, final memory, traces — is bit-identical to the naive
+   loop.  [d = 1] skips all of it: no classification, no barriers.
 
-   Classification per phase (see DESIGN §13 for the argument):
+   Cross-shard spin wakes fire only from inside ordered steps (the
+   disturbing store / invalidation is itself shared-state work), so
+   [wake_core] runs with the waker holding the global order token at
+   the disturber's position, exactly like the naive loop's program
+   point.  Sleeping cores are always ordered, so their owner's
+   (skipping) turns synchronise with any wake that lands on them.
+
+   Per-core slots ([wake], [progress], [sleeping]) are written only
+   by their owner or, for sleeping cores, by a token-holding waker —
+   never concurrently, with happens-before through the cursor atomics
+   and the phase barriers.  [phase] is
+   written redundantly by every domain at phase entry (same-value);
+   [phase_core] only by token holders; [cycle] and [finished] only by
+   shard 0 in the publish window between the phase-3 barrier and the
+   cycle barrier; [stop] only by the driver while the team is parked.
+   [drained_count] is an atomic because a core can drain inside a
+   free step. *)
+
+let barrier t = if t.d > 1 then Shard_sync.barrier t.sync
+
+(* [f] over the cores shard [me] owns, in ascending order. *)
+let iter_owned t me f =
+  let i = ref me in
+  while !i < t.n do
+    f !i;
+    i := !i + t.d
+  done
+
+let step t p i c =
+  match p with
+  | 1 -> t.progress.(i) <- t.wake.(i) <= c && Core.step_complete_writes t.cores.(i) ~cycle:c
+  | 2 ->
+    if t.wake.(i) <= c && Core.step_complete_reads t.cores.(i) ~cycle:c then
+      t.progress.(i) <- true
+  | _ -> if t.wake.(i) <= c then step3 t i c
+
+(* Classification per phase (see DESIGN §13 for the argument):
    - phase 1: ordered iff traced, or the core was spin-sleeping at
      cycle start (a cross-shard wake may touch its slots), or
      {!Core.writes_pending} (a drain or CAS completion writes memory);
@@ -428,399 +425,242 @@ let run_sequential ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.
      certificate (a sleep transition registers shared watches), or —
      under the hierarchy model, where even an L1 hit bumps shared
      directory stats — {!Core.may_touch_mem}.
+   [was_sleeping], not [sleeping], because a token-holding waker may
+   flip the latter mid-phase. *)
+let is_ordered t p i c =
+  Obs.Trace.on t.obs
+  ||
+  match p with
+  | 1 -> t.was_sleeping.(i) || Core.writes_pending t.cores.(i) ~cycle:c
+  | 2 -> false
+  | _ ->
+    t.was_sleeping.(i)
+    || (t.spin_on && Core.spin_may_arm t.cores.(i))
+    || (t.hier_mem && Core.may_touch_mem t.cores.(i))
 
-   Cross-shard spin wakes fire only from inside ordered steps (the
-   disturbing store / invalidation is itself shared-state work), so
-   the sequential [wake_core] logic carries over verbatim: the waker
-   holds the global order token at the disturber's position, exactly
-   like the naive loop's program point.  Sleeping cores are always
-   ordered, so their owner's (skipping) turns synchronise with any
-   wake that lands on them.
+let next_owned_ordered t i =
+  let k = ref (i + t.d) in
+  while !k < t.n && not t.ordered.(!k) do
+    k := !k + t.d
+  done;
+  min !k t.n
 
-   Per-core slots ([wake], [progress], [drained], [sleeping]) are
-   written only by their owner or, for sleeping cores, by a
-   token-holding waker — never concurrently, with happens-before
-   through the cursor atomics and the phase barriers.  [phase] is
-   written redundantly by every domain at phase entry (same-value);
-   [phase_core] only by token holders; [cycle] and [finished] only by
-   shard 0 in the publish window between the phase-3 barrier and the
-   cycle barrier.  [drained_count] is an atomic because a core can
-   drain inside a free step. *)
-let run_sharded ?(obs = Obs.Trace.null) ?checkpoint ?resume ~domains (config : Config.t)
-    program =
-  let cores, mem, hierarchy, on_store = build ~obs config program in
-  let n = Array.length cores in
-  let d = max 1 (min domains n) in
-  let traced = Obs.Trace.on obs in
-  if traced && (Option.is_some checkpoint || Option.is_some resume) then
-    invalid_arg "Sim_engine: checkpointing is an untraced-run facility";
-  let max_cycles = config.Config.max_cycles in
-  let hier_mem = config.Config.mem_model = Config.Hierarchy in
-  let wake = Array.make n 0 in
-  let progress = Array.make n false in
-  let drained = Array.make n false in
-  let drained_count = Atomic.make 0 in
-  let cycle = ref 0 in
-  let finished = ref false in
-  (match (resume : Checkpoint.t option) with
-  | None -> ()
-  | Some ck ->
-    cycle :=
-      restore_checkpoint ck config program ~cores ~mem ~hierarchy ~wake
-        ~mark_drained:(fun i ->
-          drained.(i) <- true;
-          Atomic.incr drained_count));
-  let spin = fresh_spin_stats () in
-  let shard_s = fresh_shard_stats () in
-  let spin_on = config.Config.exec.Exec_config.spin_fastforward && not traced in
-  if spin_on then Array.iter (fun core -> Core.set_spin_ff core true) cores;
-  let sleeping : Core.spin_stable option array = Array.make n None in
-  (* Stable per-cycle snapshot of [sleeping], refreshed by each owner
-     in the publish window: classification must not read [sleeping]
-     itself, which a token-holding waker may flip mid-phase. *)
-  let was_sleeping = Array.make n false in
-  let ordered = Array.make n false in
-  let watches : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let phase = ref 0 in
-  let phase_core = ref 0 in
-  let sync = Shard_sync.create ~domains:d ~cores:n in
-  let register_watches i (st : Core.spin_stable) =
-    List.iter
-      (fun addr ->
-        let cur = Option.value (Hashtbl.find_opt watches addr) ~default:[] in
-        Hashtbl.replace watches addr (List.sort_uniq compare (i :: cur)))
-      st.Core.footprint
-  in
-  let unregister_watches i (st : Core.spin_stable) =
-    List.iter
-      (fun addr ->
-        match Hashtbl.find_opt watches addr with
-        | None -> ()
-        | Some l ->
-          (match List.filter (fun j -> j <> i) l with
-          | [] -> Hashtbl.remove watches addr
-          | l' -> Hashtbl.replace watches addr l'))
-      st.Core.footprint
-  in
-  (* catch_up / step3 / wake_core are the sequential loop's logic
-     verbatim (see the comments there); in this loop they only ever run
-     under the order token or, for [step3], on a step classified free
-     — whose spin poll is then guaranteed [None]. *)
-  let catch_up i (st : Core.spin_stable) ~through =
-    let b = st.Core.armed_cycle in
-    let k = if through <= b then 0 else (through - b) / st.Core.period in
-    if k > 0 then begin
-      Core.spin_replay cores.(i) ~stable:st ~k;
-      (match config.Config.mem_model with
-      | Config.Hierarchy ->
-        let s = Hierarchy.stats hierarchy in
-        s.Hierarchy.l1_hits <- s.Hierarchy.l1_hits + (k * st.Core.loads_per_period)
-      | Config.Ideal -> ());
-      spin.cycles_skipped <- spin.cycles_skipped + (k * st.Core.period)
-    end;
-    for x = b + (k * st.Core.period) + 1 to through do
-      ignore (Core.step_complete_writes cores.(i) ~cycle:x);
-      ignore (Core.step_complete_reads cores.(i) ~cycle:x);
-      ignore (Core.step_pipeline cores.(i) ~cycle:x)
-    done;
-    Core.spin_cancel cores.(i)
-  in
-  let rec step3 i c =
-    if Core.step_pipeline cores.(i) ~cycle:c then progress.(i) <- true;
-    if progress.(i) then begin
-      wake.(i) <- c + 1;
-      if (not drained.(i)) && Core.drained cores.(i) then begin
-        drained.(i) <- true;
-        Atomic.incr drained_count;
-        wake.(i) <- max_cycles
-      end
-      else if spin_on then begin
-        match Core.spin_poll cores.(i) ~cycle:c with
-        | Some st ->
-          sleeping.(i) <- Some st;
-          register_watches i st;
-          wake.(i) <- max_cycles;
-          spin.sleeps <- spin.sleeps + 1
-        | None -> ()
-      end
+let run_phase t me p c =
+  t.phase <- p;
+  if t.d = 1 then
+    for i = 0 to t.n - 1 do
+      t.phase_core <- i;
+      step t p i c
+    done
+  else begin
+    (* the barrier generation names the phase: every shard reads the
+       same value between two barriers, and it grows with each phase *)
+    let r = Shard_sync.barriers t.sync in
+    let first = ref t.n in
+    iter_owned t me (fun i ->
+        let o = is_ordered t p i c in
+        t.ordered.(i) <- o;
+        if o && !first = t.n then first := i);
+    Shard_sync.set_cursor t.sync ~shard:me ~round:r !first;
+    iter_owned t me (fun core ->
+        if t.ordered.(core) then begin
+          Shard_sync.await_prefix t.sync ~shard:me ~round:r core;
+          t.phase_core <- core;
+          step t p core c;
+          Shard_sync.set_cursor t.sync ~shard:me ~round:r (next_owned_ordered t core)
+        end
+        else step t p core c)
+  end
+
+(* Barrier elision (DESIGN §16).  In the publish window each shard
+   computes, over its own non-drained non-sleeping cores (the ones
+   with a wake other than [never]), the minimum
+   {!Core.quiet_until} horizon — the last cycle through which stepping
+   those cores provably performs no shared-state step, no sleep
+   transition and no drain.  Sleeping cores contribute infinity: a
+   quiet span is machine-wide write-free, so nothing can touch their
+   watches.  At the next loop top every shard reads all slots
+   (published before the cycle barrier) and derives the same span
+   end; if it covers at least one cycle, the shards step their own
+   cores through the whole span locally — per-core, all three
+   sub-steps per cycle in order, which is observationally identical to
+   the phase-major order because no step touches shared state — and
+   meet at ONE barrier instead of four per cycle.  Capped at
+   [stop - 1] and recomputed at every publish, so the horizon is
+   always fresh by construction. *)
+let compute_quiet t me c =
+  let b = ref max_int in
+  iter_owned t me (fun core ->
+      if t.wake.(core) <> never then
+        b :=
+          min !b
+            (Core.quiet_until t.cores.(core)
+               ~from:(max t.wake.(core) (c + 1))
+               ~cap:(t.stop - 1) ~hier:t.hier_mem));
+  t.quiet.(me) <- !b
+
+(* Publish window after the last stepped cycle [c]: no step runs, so
+   owners can snapshot their cores' sleep state and refresh their
+   elision horizon, and shard 0 advances the shared clock — to the
+   next cycle at which anything can happen (awake cores have
+   wake = c+1; if everyone sleeps this jumps the clock), never past
+   the stop.  Ends with the cycle barrier. *)
+let publish t me c =
+  if t.d > 1 then iter_owned t me (fun i -> t.was_sleeping.(i) <- t.sleeping.(i) <> None);
+  if t.elide_on then compute_quiet t me c;
+  if me = 0 then begin
+    t.finished <- Atomic.get t.drained_count = t.n;
+    t.cycle <-
+      (if t.finished then c + 1
+       else min t.stop (max (Array.fold_left min max_int t.wake) (c + 1)));
+    if (not t.finished) && t.cycle < t.stop then Obs.Trace.set_now t.obs t.cycle
+  end;
+  barrier t
+
+(* One shard's share of an {!advance}, in lockstep with the others.
+   The exit barrier keeps shard 0 from returning to its driver and
+   moving [stop] before a worker re-read the loop condition, which
+   would strand that worker in a phantom cycle. *)
+let shard_body t me =
+  while (not t.finished) && t.cycle < t.stop do
+    let c = t.cycle in
+    (* same inputs on every shard, hence the same answer *)
+    let span_end = if t.elide_on then Array.fold_left min (t.stop - 1) t.quiet else c - 1 in
+    if span_end >= c then begin
+      t.phase <- 0;
+      if me = 0 then t.shard.elided_cycles <- t.shard.elided_cycles + (span_end - c + 1);
+      (* every step in the span is provably FREE, so per-core
+         cycle-major order is observationally identical to the
+         phase-major order of the lockstep path *)
+      iter_owned t me (fun core ->
+          for x = c to span_end do
+            step t 1 core x;
+            step t 2 core x;
+            step t 3 core x
+          done);
+      barrier t;
+      publish t me span_end
     end
     else begin
-      let dd =
-        match Core.next_wake cores.(i) ~cycle:c with
-        | Some dd -> min dd max_cycles
-        | None -> max_cycles
-      in
-      Core.account_stall_span cores.(i) ~cycle:c ~cycles:(dd - c - 1);
-      wake.(i) <- dd
+      run_phase t me 1 c;
+      barrier t;
+      run_phase t me 2 c;
+      barrier t;
+      run_phase t me 3 c;
+      barrier t;
+      t.phase <- 0;
+      publish t me c
     end
-  and wake_core i =
-    match sleeping.(i) with
-    | None -> ()
-    | Some st ->
-      sleeping.(i) <- None;
-      unregister_watches i st;
-      Core.spin_cancel cores.(i);
-      spin.wakes <- spin.wakes + 1;
-      let t = !cycle in
-      if t = st.Core.armed_cycle then wake.(i) <- t + 1
-      else begin
-        catch_up i st ~through:(t - 1);
-        if !phase = 3 then begin
-          if Core.step_complete_reads cores.(i) ~cycle:t then progress.(i) <- true;
-          if i < !phase_core then step3 i t else wake.(i) <- t
-        end
-        else begin
-          progress.(i) <- false;
-          wake.(i) <- t
-        end
-      end
-  in
-  if spin_on then begin
-    on_store :=
-      (fun addr ->
-        match Hashtbl.find_opt watches addr with
+  done;
+  barrier t
+
+(* Step the machine to the top of [stop], or until every core has
+   drained.  Entry re-derives the schedule from the cores (live cores
+   awake, drained ones retired): exact at cycle 0, after a restore or
+   a functional leg, and at any stop.  Runs as shard 0; the command
+   barrier releases the parked team. *)
+let advance t ~stop =
+  t.stop <- stop;
+  Atomic.set t.drained_count 0;
+  for i = 0 to t.n - 1 do
+    let drained = Core.drained t.cores.(i) in
+    if drained then Atomic.incr t.drained_count;
+    t.wake.(i) <- (if drained then never else t.cycle)
+  done;
+  (* no elision before the first publish: the last horizons are stale *)
+  Array.fill t.quiet 0 t.d (-1);
+  Obs.Trace.set_now t.obs t.cycle;
+  barrier t;
+  shard_body t 0;
+  if not t.finished then
+    Array.iteri
+      (fun i s ->
+        match s with
         | None -> ()
-        | Some l -> List.iter wake_core l);
-    Hierarchy.set_remote_victim_hook hierarchy (fun ~core ->
-        match sleeping.(core) with Some _ -> wake_core core | None -> ())
-  end;
-  if traced then Obs.Trace.set_now obs 0;
-  (* Periodic capture, sharded.  The decision is made by shard 0 in
-     the publish window ([ckpt_at] names the cycle, written before the
-     cycle barrier so every shard reads the same value at the next
-     loop top); the capture itself is stop-the-world — every shard
-     parks at a barrier while shard 0 alone force-wakes sleepers,
-     catches them up and snapshots, exactly like the sequential
-     [capture].  Elision is suppressed on a capture cycle (and capped
-     at [next_ckpt - 1] otherwise) so the set of visited capture
-     cycles — and therefore the emitted checkpoints — match the
-     sequential loop's bit for bit. *)
-  let ckpt_digest = lazy (Checkpoint.digest config program) in
-  let next_ckpt =
-    ref (match checkpoint with Some (every, _) -> !cycle + every | None -> max_int)
-  in
-  let ckpt_at = ref (-1) in
-  let capture c sink every =
-    for i = 0 to n - 1 do
-      match sleeping.(i) with
-      | None -> ()
-      | Some st ->
-        sleeping.(i) <- None;
-        unregister_watches i st;
-        catch_up i st ~through:(c - 1);
-        wake.(i) <- c
-    done;
-    sink
-      {
-        Checkpoint.cycle = c;
-        digest = Lazy.force ckpt_digest;
-        wake = Array.copy wake;
-        cores = Array.map Core.snapshot cores;
-        mem = Array.copy mem;
-        hierarchy = Hierarchy.to_json hierarchy;
-      };
-    next_ckpt := c + every
-  in
-  (* Barrier elision (DESIGN §16).  In the publish window each shard
-     computes, over its own non-drained non-sleeping cores, the
-     minimum {!Core.quiet_until} horizon — the last cycle through
-     which stepping those cores provably performs no shared-state
-     step, no sleep transition and no drain.  Sleeping cores
-     contribute infinity: a quiet span is machine-wide write-free, so
-     nothing can touch their watches.  At the next loop top every
-     shard reads all slots (published before the cycle barrier) and
-     derives the same span end; if it covers at least one cycle, the
-     shards step their own cores through the whole span locally —
-     per-core, all three sub-steps per cycle in order, which is
-     observationally identical to the phase-major order because no
-     step touches shared state — and meet at ONE barrier instead of
-     four per cycle.  Capped at the capture horizon so checkpoint
-     cycles stay identical, and recomputed at every publish, so the
-     horizon is always fresh by construction. *)
-  let elide_on = config.Config.elide_barriers && not traced in
-  let quiet = Array.make d (-1) in
-  let compute_quiet me c =
-    let b = ref max_int in
-    let i = ref me in
-    while !i < n do
-      let core = !i in
-      if (not drained.(core)) && sleeping.(core) = None then begin
-        let q =
-          Core.quiet_until cores.(core)
-            ~from:(max wake.(core) (c + 1))
-            ~cap:(max_cycles - 1) ~hier:hier_mem
-        in
-        if q < !b then b := q
-      end;
-      i := !i + d
-    done;
-    quiet.(me) <- !b
-  in
-  if elide_on then
-    for s = 0 to d - 1 do
-      compute_quiet s (!cycle - 1)
-    done;
-  let shard_body me =
-    (* Phase round counter: +1 per phase, in lockstep across shards by
-       construction (every shard runs the same phase sequence). *)
-    let round = ref 0 in
-    let next_owned_ordered i =
-      let k = ref (i + d) in
-      while !k < n && not ordered.(!k) do k := !k + d done;
-      if !k < n then !k else n
+        | Some st ->
+          t.sleeping.(i) <- None;
+          unregister_watches t i st;
+          catch_up t i st ~through:(t.cycle - 1))
+      t.sleeping
+
+(* Run the driver [f] with the stepper's [d - 1] worker domains,
+   spawned once and parked at the command barrier between {!advance}
+   calls.  A failure anywhere — a step, a worker, or driver code such
+   as a checkpoint sink — poisons the team, joins every domain and
+   re-raises the original exception. *)
+let with_team t f =
+  if t.d = 1 then f ()
+  else
+    let worker me () =
+      try
+        Shard_sync.barrier t.sync;
+        while not t.quit do
+          shard_body t me;
+          Shard_sync.barrier t.sync
+        done
+      with e -> Shard_sync.poison t.sync e
     in
-    let run_phase ~pred ~step =
-      let r = !round in
-      incr round;
-      let first = ref n in
-      let i = ref me in
-      while !i < n do
-        let o = pred !i in
-        ordered.(!i) <- o;
-        if o && !first = n then first := !i;
-        i := !i + d
-      done;
-      Shard_sync.set_cursor sync ~shard:me ~round:r !first;
-      let i = ref me in
-      while !i < n do
-        let core = !i in
-        if ordered.(core) then begin
-          Shard_sync.await_prefix sync ~shard:me ~round:r core;
-          phase_core := core;
-          step core;
-          Shard_sync.set_cursor sync ~shard:me ~round:r (next_owned_ordered core)
-        end
-        else step core;
-        i := !i + d
-      done
-    in
-    (* Publish window after the last stepped cycle [c]: no step runs,
-       so owners can snapshot their cores' sleep state and refresh
-       their elision horizon, and shard 0 can advance the shared clock
-       and schedule a capture.  Ends with the cycle barrier. *)
-    let publish c =
-      let i = ref me in
-      while !i < n do
-        was_sleeping.(!i) <- sleeping.(!i) <> None;
-        i := !i + d
-      done;
-      if elide_on then compute_quiet me c;
-      if me = 0 then begin
-        if Atomic.get drained_count = n then begin
-          cycle := c + 1;
-          finished := true
-        end
-        else begin
-          let target = Array.fold_left min max_int wake in
-          cycle := max target (c + 1)
-        end;
-        if (not !finished) && !cycle < max_cycles && !cycle >= !next_ckpt then
-          ckpt_at := !cycle;
-        if traced then Obs.Trace.set_now obs !cycle
-      end;
-      Shard_sync.barrier sync
-    in
-    while (not !finished) && !cycle < max_cycles do
-      let c = !cycle in
-      let do_ckpt = !ckpt_at = c in
-      if do_ckpt then begin
-        if me = 0 then
-          (match checkpoint with
-          | Some (every, sink) -> capture c sink every
-          | None -> assert false);
-        Shard_sync.barrier sync
-      end;
-      let span_end =
-        (* Same inputs on every shard ([quiet] and [next_ckpt] were
-           published before the last barrier), hence the same answer —
-           the branch below stays in lockstep.  A capture cycle never
-           elides: the force-wake just invalidated the horizons. *)
-        if elide_on && not do_ckpt then begin
-          let b = ref (min (max_cycles - 1) (!next_ckpt - 1)) in
-          for s = 0 to d - 1 do
-            if quiet.(s) < !b then b := quiet.(s)
-          done;
-          !b
-        end
-        else c - 1
-      in
-      if span_end >= c then begin
-        phase := 0;
-        if me = 0 then shard_s.elided_cycles <- shard_s.elided_cycles + (span_end - c + 1);
-        (* Every step in the span is provably FREE, so per-core
-           cycle-major order is observationally identical to the
-           phase-major order of the lockstep path. *)
-        let i = ref me in
-        while !i < n do
-          let core = !i in
-          for x = c to span_end do
-            if wake.(core) <= x then begin
-              progress.(core) <- Core.step_complete_writes cores.(core) ~cycle:x;
-              if Core.step_complete_reads cores.(core) ~cycle:x then
-                progress.(core) <- true;
-              step3 core x
-            end
-          done;
-          i := !i + d
-        done;
-        Shard_sync.barrier sync;
-        publish span_end
-      end
-      else begin
-        phase := 1;
-        run_phase
-          ~pred:(fun i ->
-            traced || was_sleeping.(i) || Core.writes_pending cores.(i) ~cycle:c)
-          ~step:(fun i ->
-            progress.(i) <- wake.(i) <= c && Core.step_complete_writes cores.(i) ~cycle:c);
-        Shard_sync.barrier sync;
-        phase := 2;
-        run_phase
-          ~pred:(fun _ -> traced)
-          ~step:(fun i ->
-            if wake.(i) <= c && Core.step_complete_reads cores.(i) ~cycle:c then
-              progress.(i) <- true);
-        Shard_sync.barrier sync;
-        phase := 3;
-        run_phase
-          ~pred:(fun i ->
-            traced || was_sleeping.(i)
-            || (spin_on && Core.spin_may_arm cores.(i))
-            || (hier_mem && Core.may_touch_mem cores.(i)))
-          ~step:(fun i -> if wake.(i) <= c then step3 i c);
-        Shard_sync.barrier sync;
-        phase := 0;
-        publish c
-      end
-    done
+    let team = Array.init (t.d - 1) (fun k -> Domain.spawn (worker (k + 1))) in
+    match f () with
+    | v ->
+      t.quit <- true;
+      Shard_sync.barrier t.sync;
+      Array.iter Domain.join team;
+      Shard_sync.check t.sync;
+      t.shard.barriers <- Shard_sync.barriers t.sync;
+      v
+    | exception e ->
+      Shard_sync.poison t.sync e;
+      Array.iter Domain.join team;
+      raise e
+
+(* ------------------------------------------------------------------ *)
+(* Plain runs and checkpoints                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Overwrite a freshly built machine with checkpointed state; the
+   first {!advance} re-derives the schedule from the restored cores. *)
+let restore t (config : Config.t) program (ck : Checkpoint.t) =
+  Checkpoint.validate ck config program;
+  if Array.length ck.Checkpoint.cores <> t.n then failwith "checkpoint: core count mismatch";
+  if Array.length ck.Checkpoint.mem <> Array.length t.mem then
+    failwith "checkpoint: memory size mismatch";
+  Array.iteri (fun i j -> Core.restore t.cores.(i) j) ck.Checkpoint.cores;
+  Array.blit ck.Checkpoint.mem 0 t.mem 0 (Array.length t.mem);
+  Hierarchy.restore t.hierarchy ck.Checkpoint.hierarchy;
+  t.cycle <- ck.Checkpoint.cycle
+
+(* Advance to [max_cycles] in [every]-cycle legs, capturing at each
+   stop the run reaches before it ends.  The capture is the one
+   publish point: the team is parked and the stop rule has put every
+   core, spin sleepers included, in its naive-loop state. *)
+let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
+  let t =
+    create ~obs
+      ~spin_on:(config.Config.exec.Exec_config.spin_fastforward && not (Obs.Trace.on obs))
+      ~domains:config.Config.shard_domains ~elide:config.Config.elide_barriers config
+      program
   in
-  let guarded me () =
-    try shard_body me with e -> Shard_sync.poison sync e
+  Option.iter (restore t config program) resume;
+  let max_cycles = config.Config.max_cycles in
+  let every, sink = Option.value checkpoint ~default:(max_cycles, ignore) in
+  let digest = lazy (Checkpoint.digest config program) in
+  let rec legs () =
+    advance t ~stop:(t.cycle + min every (max_cycles - t.cycle));
+    if (not t.finished) && t.cycle < max_cycles then begin
+      sink
+        {
+          Checkpoint.cycle = t.cycle;
+          digest = Lazy.force digest;
+          cores = Array.map Core.snapshot t.cores;
+          mem = Array.copy t.mem;
+          hierarchy = Hierarchy.to_json t.hierarchy;
+        };
+      legs ()
+    end
   in
-  let others = Array.init (d - 1) (fun k -> Domain.spawn (guarded (k + 1))) in
-  guarded 0 ();
-  Array.iter Domain.join others;
-  Shard_sync.check sync;
-  if Atomic.get drained_count < n then
-    for i = 0 to n - 1 do
-      match sleeping.(i) with
-      | None -> ()
-      | Some st ->
-        sleeping.(i) <- None;
-        unregister_watches i st;
-        catch_up i st ~through:(max_cycles - 1)
-    done;
-  shard_s.barriers <- Shard_sync.barriers sync;
-  {
-    cycles = !cycle;
-    timed_out = Atomic.get drained_count < n;
-    cores;
-    mem;
-    hierarchy;
-    spin;
-    shard = shard_s;
-    windows = [];
-  }
+  with_team t legs;
+  raw t ~cycles:t.cycle ~timed_out:(Atomic.get t.drained_count < t.n) ~windows:[]
 
 (* ------------------------------------------------------------------ *)
 (* SMARTS-style interval sampling                                      *)
@@ -844,186 +684,57 @@ let run_sharded ?(obs = Obs.Trace.null) ?checkpoint ?resume ~domains (config : C
      one instruction per live core)  ->  reseed_scope*  ->  warmup
      cycles (accounting erased)  ->  measured detailed cycles
 
-   Spin fast-forward stays off: windows are short and bounded, and the
-   probe's sleep transitions would complicate window accounting for no
-   measurable win. *)
-let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
-    (s : Config.sampling) =
-  let cores, mem, hierarchy, _on_store = build ~obs config program in
-  let n = Array.length cores in
-  let traced = Obs.Trace.on obs in
-  let max_cycles = config.Config.max_cycles in
-  let hier_mem = config.Config.mem_model = Config.Hierarchy in
-  let hstats = Hierarchy.stats hierarchy in
-  let cycle = ref 0 in (* detailed cycles actually simulated *)
-  let hstats_snapshot () =
-    ( hstats.Hierarchy.l1_hits,
-      hstats.Hierarchy.l1_misses,
-      hstats.Hierarchy.l2_hits,
-      hstats.Hierarchy.l2_misses,
-      hstats.Hierarchy.invalidations,
-      hstats.Hierarchy.c2c_transfers )
+   Every detailed window (warmup and measured alike) is one {!advance}
+   with the window end as the stop.  Spin fast-forward and barrier
+   elision stay off: windows are short and bounded, and sleep
+   transitions would complicate window accounting for no gain. *)
+let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
+  let t =
+    create ~obs ~spin_on:false
+      ~domains:(if Obs.Trace.on obs then 1 else config.Config.shard_domains)
+      ~elide:false config program
   in
-  let hstats_restore (a, b, c, d, e, f) =
-    hstats.Hierarchy.l1_hits <- a;
-    hstats.Hierarchy.l1_misses <- b;
-    hstats.Hierarchy.l2_hits <- c;
-    hstats.Hierarchy.l2_misses <- d;
-    hstats.Hierarchy.invalidations <- e;
-    hstats.Hierarchy.c2c_transfers <- f
+  let cores = t.cores and n = t.n and max_cycles = config.Config.max_cycles in
+  let hstats = Hierarchy.stats t.hierarchy in
+  let set_hstats f (h : Hierarchy.stats) =
+    hstats.Hierarchy.l1_hits <- f h.Hierarchy.l1_hits;
+    hstats.Hierarchy.l1_misses <- f h.Hierarchy.l1_misses;
+    hstats.Hierarchy.l2_hits <- f h.Hierarchy.l2_hits;
+    hstats.Hierarchy.l2_misses <- f h.Hierarchy.l2_misses;
+    hstats.Hierarchy.invalidations <- f h.Hierarchy.invalidations;
+    hstats.Hierarchy.c2c_transfers <- f h.Hierarchy.c2c_transfers
+  in
+  (* Snapshot the micro-architectural accounting; the returned thunk
+     erases everything charged since. *)
+  let mark () =
+    let snaps = Array.map Core.counters_snapshot cores in
+    let h = { hstats with Hierarchy.l1_hits = hstats.Hierarchy.l1_hits } in
+    fun () ->
+      Array.iteri (fun i c -> Core.counters_restore c snaps.(i)) cores;
+      set_hstats Fun.id h
   in
   let measured = Array.make n 0 in
-  let all_drained () = Array.for_all Core.drained cores in
-  let finished = ref false in
   let sampled_any = ref false in
+  let worst f =
+    let w = ref 0 in
+    Array.iteri (fun i c -> w := max !w (f i (Core.stats c))) cores;
+    !w
+  in
   (* Estimated whole-run cycle count: cores run concurrently from
      cycle 0, so the machine estimate is the slowest core's scaled
      active cycles. *)
   let estimate () =
-    let worst = ref 0 in
-    for i = 0 to n - 1 do
-      let st = Core.stats cores.(i) in
-      let m = measured.(i) in
-      let e =
+    worst (fun i st ->
+        let m = measured.(i) in
         if m > 0 && st.Core.committed > m then st.Core.active_cycles * st.Core.committed / m
-        else st.Core.active_cycles
-      in
-      if e > !worst then worst := e
-    done;
-    !worst
+        else st.Core.active_cycles)
   in
-  (* Sharded detailed windows.  With [shard_domains > 1] (untraced —
-     tracing serialises every step anyway) a persistent worker team is
-     spawned once and parked at a command barrier; each detailed
-     window (warmup and measured alike — both run [detailed_cycles])
-     is dispatched to the team, which runs the window's cycles under
-     the same ORDERED/FREE three-phase protocol as {!run_sharded}.
-     Two differences from the sharded detailed loop: every core steps
-     every cycle (no event-horizon wake array — window entry and exit
-     must land exactly where the sequential [step_all] loop lands),
-     and phase 2 consumes no round (nothing to serialise: windows run
-     untraced and spin fast-forward is off, so reads are always FREE).
-     The functional legs, settle loops and estimate bookkeeping stay
-     on shard 0 while the workers wait at the command barrier.
-     Results are bit-identical to the sequential sampled run for any
-     shard count — the qcheck property in test_sampling.ml holds the
-     engine to that. *)
-  let domains = if traced then 1 else max 1 (min config.Config.shard_domains n) in
-  let shard_s = fresh_shard_stats () in
-  let sync = if domains > 1 then Some (Shard_sync.create ~domains ~cores:n) else None in
-  let team_quit = ref false in
-  let win_budget = ref 0 in
-  let win_stop = ref false in
-  let ordered = Array.make n false in
-  let window_shard sy me round =
-    let next_owned_ordered i =
-      let k = ref (i + domains) in
-      while !k < n && not ordered.(!k) do
-        k := !k + domains
-      done;
-      if !k < n then !k else n
-    in
-    let run_phase ~pred ~step =
-      let r = !round in
-      incr round;
-      let first = ref n in
-      let i = ref me in
-      while !i < n do
-        let o = pred !i in
-        ordered.(!i) <- o;
-        if o && !first = n then first := !i;
-        i := !i + domains
-      done;
-      Shard_sync.set_cursor sy ~shard:me ~round:r !first;
-      let i = ref me in
-      while !i < n do
-        let core = !i in
-        if ordered.(core) then begin
-          Shard_sync.await_prefix sy ~shard:me ~round:r core;
-          step core;
-          Shard_sync.set_cursor sy ~shard:me ~round:r (next_owned_ordered core)
-        end
-        else step core;
-        i := !i + domains
-      done
-    in
-    let continue = ref true in
-    while !continue do
-      let c = !cycle in
-      run_phase
-        ~pred:(fun i -> Core.writes_pending cores.(i) ~cycle:c)
-        ~step:(fun i -> ignore (Core.step_complete_writes cores.(i) ~cycle:c));
-      Shard_sync.barrier sy;
-      (* read-only phase: always FREE, no round consumed *)
-      let i = ref me in
-      while !i < n do
-        ignore (Core.step_complete_reads cores.(!i) ~cycle:c);
-        i := !i + domains
-      done;
-      Shard_sync.barrier sy;
-      run_phase
-        ~pred:(fun i -> hier_mem && Core.may_touch_mem cores.(i))
-        ~step:(fun i -> ignore (Core.step_pipeline cores.(i) ~cycle:c));
-      Shard_sync.barrier sy;
-      if me = 0 then begin
-        incr cycle;
-        decr win_budget;
-        if all_drained () then begin
-          finished := true;
-          win_stop := true
-        end
-        else if !win_budget <= 0 then win_stop := true
-      end;
-      Shard_sync.barrier sy;
-      if !win_stop then continue := false
-    done;
-    (* window-exit barrier: every shard has read [win_stop] by now, so
-       shard 0 may reset it for the next dispatch.  Without this a
-       racing reset (shard 0 can reach the next dispatch before a
-       worker re-reads the flag) strands that worker in a phantom
-       cycle, one barrier out of step with the team — a deadlock. *)
-    Shard_sync.barrier sy
-  in
-  let workers =
-    match sync with
-    | None -> [||]
-    | Some sy ->
-      Array.init (domains - 1) (fun k ->
-          Domain.spawn (fun () ->
-              try
-                let me = k + 1 in
-                let round = ref 0 in
-                let live = ref true in
-                while !live do
-                  Shard_sync.barrier sy;
-                  if !team_quit then live := false else window_shard sy me round
-                done
-              with e -> Shard_sync.poison sy e))
-  in
-  let round0 = ref 0 in
   let windows = ref [] in
   let detailed_cycles k ~measure =
-    let before =
-      if measure then Array.map (fun c -> (Core.stats c).Core.committed) cores
-      else [||]
-    in
-    let start = !cycle in
-    (match sync with
-    | Some sy when (not !finished) && k > 0 ->
-      win_budget := k;
-      win_stop := false;
-      Shard_sync.barrier sy;
-      window_shard sy 0 round0
-    | _ ->
-      let w = ref 0 in
-      while (not !finished) && !w < k do
-        if traced then Obs.Trace.set_now obs !cycle;
-        ignore (step_all cores ~cycle:!cycle);
-        incr cycle;
-        incr w;
-        if all_drained () then finished := true
-      done);
-    if measure && !cycle > start then windows := (start, !cycle - 1) :: !windows;
+    let before = Array.map (fun c -> (Core.stats c).Core.committed) cores in
+    let start = t.cycle in
+    if (not t.finished) && k > 0 then advance t ~stop:(start + k);
+    if measure && t.cycle > start then windows := (start, t.cycle - 1) :: !windows;
     if measure then
       Array.iteri
         (fun i b ->
@@ -1034,102 +745,81 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
      without a warmup bracket. *)
   let sampled_main () =
     detailed_cycles s.Config.detailed ~measure:true;
-    while not !finished do
-    (* detailed -> functional: collapse to architectural state.  A CAS
-       performs its read-modify-write at its completion point, before
-       commit, so a core whose ROB holds a [Done] CAS must not flush:
-       discarding the entry would let the functional leg apply the
-       write a second time.  Settle instead — flush and park each core
-       the moment it is [Core.flushable], and step the stragglers
-       detailed until everyone has flushed.  A completed CAS is
-       non-speculative (issue rules) and commits within bounded
-       cycles, so this converges fast.  Settle commits are real
-       forward progress (the exact counters keep them), but the
-       micro-architectural accounting is erased like warmup: the
-       measured windows already stand for this regime. *)
-    sampled_any := true;
-    let snaps = Array.map Core.counters_snapshot cores in
-    let hsnap = hstats_snapshot () in
-    let flushed = Array.make n false in
-    let settle = ref 0 in
-    let all_flushed = ref false in
-    while not !all_flushed do
-      all_flushed := true;
-      for i = 0 to n - 1 do
-        if not flushed.(i) then
-          if Core.flushable cores.(i) then begin
-            Core.flush_arch cores.(i);
-            Core.park cores.(i);
-            flushed.(i) <- true
-          end
-          else all_flushed := false
+    while not t.finished do
+      (* detailed -> functional: collapse to architectural state.  A CAS
+         performs its read-modify-write at its completion point, before
+         commit, so a core whose ROB holds a [Done] CAS must not flush:
+         discarding the entry would let the functional leg apply the
+         write a second time.  Settle instead — flush and park each core
+         the moment it is [Core.flushable], and step the stragglers
+         detailed until everyone has flushed.  A completed CAS is
+         non-speculative (issue rules) and commits within bounded
+         cycles, so this converges fast.  Settle commits are real
+         forward progress (the exact counters keep them), but the
+         micro-architectural accounting is erased like warmup: the
+         measured windows already stand for this regime. *)
+      sampled_any := true;
+      let erase = mark () in
+      let flushed = Array.make n false in
+      let settle = ref 0 in
+      let all_flushed = ref false in
+      while not !all_flushed do
+        all_flushed := true;
+        for i = 0 to n - 1 do
+          if not flushed.(i) then
+            if Core.flushable cores.(i) then begin
+              Core.flush_arch cores.(i);
+              Core.park cores.(i);
+              flushed.(i) <- true
+            end
+            else all_flushed := false
+        done;
+        if not !all_flushed then begin
+          Obs.Trace.set_now obs t.cycle;
+          ignore (step_all cores ~cycle:t.cycle);
+          t.cycle <- t.cycle + 1;
+          incr settle;
+          if !settle > 1_000_000 then
+            failwith "Sim_engine.run_sampled: flush settle did not converge"
+        end
       done;
-      if not !all_flushed then begin
-        if traced then Obs.Trace.set_now obs !cycle;
-        ignore (step_all cores ~cycle:!cycle);
-        incr cycle;
-        incr settle;
-        if !settle > 1_000_000 then
-          failwith "Sim_engine.run_sampled: flush settle did not converge"
+      erase ();
+      Array.iter Core.unpark cores;
+      let budget = Array.make n s.Config.ff_instrs in
+      let live = ref true in
+      while !live do
+        live := false;
+        for i = 0 to n - 1 do
+          if budget.(i) > 0 then
+            if Core.func_step cores.(i) then begin
+              budget.(i) <- budget.(i) - 1;
+              live := true
+            end
+            else budget.(i) <- 0
+        done
+      done;
+      if Array.for_all Core.halted cores then t.finished <- true
+      else if estimate () >= max_cycles then
+        (* stuck or runaway workload: the scaled estimate already blows
+           the cycle budget, so stop — the run reports timed out, like
+           the detailed engine at [max_cycles] *)
+        t.finished <- true
+      else begin
+        (* functional -> detailed: rebuild scope state, re-warm the
+           pipeline with erased accounting, then measure *)
+        Array.iter Core.reseed_scope cores;
+        let erase = mark () in
+        detailed_cycles s.Config.warmup ~measure:false;
+        if not t.finished then begin
+          (* erase warmup accounting (unless the run ended inside the
+             warmup — then those cycles are the true tail and stand) *)
+          erase ();
+          detailed_cycles s.Config.detailed ~measure:true
+        end
       end
-    done;
-    Array.iteri (fun i c -> Core.counters_restore c snaps.(i)) cores;
-    hstats_restore hsnap;
-    Array.iter Core.unpark cores;
-    let budget = Array.make n s.Config.ff_instrs in
-    let live = ref true in
-    while !live do
-      live := false;
-      for i = 0 to n - 1 do
-        if budget.(i) > 0 then
-          if Core.func_step cores.(i) then begin
-            budget.(i) <- budget.(i) - 1;
-            live := true
-          end
-          else budget.(i) <- 0
-      done
-    done;
-    if Array.for_all Core.halted cores then finished := true
-    else if estimate () >= max_cycles then
-      (* stuck or runaway workload: the scaled estimate already blows
-         the cycle budget, so stop — the run reports timed out, like
-         the detailed engine at [max_cycles] *)
-      finished := true
-    else begin
-      (* functional -> detailed: rebuild scope state, re-warm the
-         pipeline with erased accounting, then measure *)
-      Array.iter Core.reseed_scope cores;
-      let snaps = Array.map Core.counters_snapshot cores in
-      let hsnap = hstats_snapshot () in
-      detailed_cycles s.Config.warmup ~measure:false;
-      if not !finished then begin
-        (* erase warmup accounting (unless the run ended inside the
-           warmup — then those cycles are the true tail and stand) *)
-        Array.iteri (fun i c -> Core.counters_restore c snaps.(i)) cores;
-        hstats_restore hsnap;
-        detailed_cycles s.Config.detailed ~measure:true
-      end
-    end
     done
   in
-  (match sync with
-  | None -> sampled_main ()
-  | Some sy -> (
-    try sampled_main ()
-    with e ->
-      (* a failing shard-0 leg must not leave the workers parked at
-         the command barrier: poison, collect, re-raise *)
-      Shard_sync.poison sy e;
-      Array.iter Domain.join workers;
-      raise e));
-  (match sync with
-  | None -> ()
-  | Some sy ->
-    team_quit := true;
-    Shard_sync.barrier sy;
-    Array.iter Domain.join workers;
-    Shard_sync.check sy;
-    shard_s.barriers <- Shard_sync.barriers sy);
+  with_team t sampled_main;
   (* Scale measured micro-architecture to the whole run. *)
   let total_all = ref 0 and measured_all = ref 0 in
   for i = 0 to n - 1 do
@@ -1138,65 +828,36 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
     measured_all := !measured_all + measured.(i);
     Core.extrapolate cores.(i) ~total ~measured:measured.(i)
   done;
-  if !measured_all > 0 && !total_all > !measured_all then begin
-    let scale x = x * !total_all / !measured_all in
-    hstats.Hierarchy.l1_hits <- scale hstats.Hierarchy.l1_hits;
-    hstats.Hierarchy.l1_misses <- scale hstats.Hierarchy.l1_misses;
-    hstats.Hierarchy.l2_hits <- scale hstats.Hierarchy.l2_hits;
-    hstats.Hierarchy.l2_misses <- scale hstats.Hierarchy.l2_misses;
-    hstats.Hierarchy.invalidations <- scale hstats.Hierarchy.invalidations;
-    hstats.Hierarchy.c2c_transfers <- scale hstats.Hierarchy.c2c_transfers
-  end;
+  if !measured_all > 0 && !total_all > !measured_all then
+    set_hstats (fun x -> x * !total_all / !measured_all) hstats;
   (* [Core.extrapolate] already scaled each core's active cycles to
      the whole run, so the machine estimate is now a plain max. *)
   let cycles =
-    if !sampled_any then begin
-      let worst = ref 0 in
-      for i = 0 to n - 1 do
-        let a = (Core.stats cores.(i)).Core.active_cycles in
-        if a > !worst then worst := a
-      done;
-      min max_cycles (max !cycle !worst)
-    end
-    else !cycle
+    if !sampled_any then
+      min max_cycles (max t.cycle (worst (fun _ st -> st.Core.active_cycles)))
+    else t.cycle
   in
-  {
-    cycles;
-    timed_out = not (all_drained ());
-    cores;
-    mem;
-    hierarchy;
-    spin = fresh_spin_stats ();
-    shard = shard_s;
-    windows = List.rev !windows;
-  }
+  raw t ~cycles ~windows:(List.rev !windows)
+    ~timed_out:(not (Array.for_all Core.drained cores))
 
-(* Entry point: the sampled engine when the config asks for it
-   (detailed windows shard across [shard_domains]); otherwise shard
-   when the config asks for it and the program has cores to spread —
-   including checkpointing and resuming runs, which the sharded loop
-   now handles at its publish window — and take the sequential
-   event-horizon loop for single-core / single-domain runs. *)
+(* Entry point: the sampled driver when the config asks for it,
+   otherwise the plain driver. *)
 let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program =
-  (match checkpoint with
-  | Some (every, _) when every <= 0 ->
+  let checkpointing = Option.is_some checkpoint || Option.is_some resume in
+  match (config.Config.sampling, checkpoint) with
+  | _, Some (every, _) when every <= 0 ->
     invalid_arg "Sim_engine.run: checkpoint interval must be positive"
-  | Some _ | None -> ());
-  match config.Config.sampling with
-  | Some s ->
-    if Option.is_some checkpoint || Option.is_some resume then
-      invalid_arg "Sim_engine.run: sampling and checkpointing are incompatible";
-    run_sampled ~obs config program s
-  | None ->
-    let d = config.Config.shard_domains in
-    if d > 1 && Program.thread_count program > 1 then
-      run_sharded ~obs ?checkpoint ?resume ~domains:d config program
-    else run_sequential ~obs ?checkpoint ?resume config program
+  | Some _, _ when checkpointing ->
+    invalid_arg "Sim_engine.run: sampling and checkpointing are incompatible"
+  | Some s, _ -> run_sampled ~obs config program s
+  | None, _ when checkpointing && Obs.Trace.on obs ->
+    invalid_arg "Sim_engine: checkpointing is an untraced-run facility"
+  | None, _ -> run_exact ~obs ?checkpoint ?resume config program
 
 (* The retained naive loop: one cycle at a time, no fast-forward.  The
    differential suite holds [run] to bit-identical results against
    this, and the bench harness quotes the wall-clock win over it. *)
-let run_naive ?(obs = Obs.Trace.null) (config : Config.t) program =
+let run_reference ?(obs = Obs.Trace.null) (config : Config.t) program =
   let cores, mem, hierarchy, _on_store = build ~obs config program in
   let all_done () = Array.for_all Core.drained cores in
   let cycle = ref 0 in

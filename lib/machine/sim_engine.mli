@@ -2,20 +2,20 @@
     cache hierarchy and flat memory through a {!Fscope_cpu.Mem_port})
     and drives the three-phase step protocol.
 
-    Two loops share that setup.  {!run} is the event-horizon
-    fast-forward engine: each sub-step reports whether it changed
-    pipeline state, and a core whose whole cycle made no progress is
-    frozen — nothing can change its state before its earliest
-    scheduled completion ({!Fscope_cpu.Core.next_wake}), no matter
-    what other cores do meanwhile.  The engine puts such a core to
-    sleep until that horizon, replaying the skipped span's
-    stall/occupancy accounting in O(1), and steps only awake cores;
-    when every core sleeps, the clock jumps straight to the earliest
-    wake-up.  Results (cycle counts, every stats field, final memory,
-    metrics) are bit-identical to stepping each core every cycle.
-    {!run_naive} is the retained reference loop, kept for differential
-    testing and as the baseline the bench harness quotes speedups
-    against. *)
+    One event-horizon stepper drives that protocol for every engine
+    mode: a core whose whole cycle made no progress is frozen until
+    its earliest scheduled completion ({!Fscope_cpu.Core.next_wake}),
+    its skipped span's accounting replayed in O(1), and when every
+    core sleeps the clock jumps to the earliest wake-up.  The stepper
+    advances the machine to a stop cycle over one or more shard
+    domains, never letting the clock or a frozen core's horizon pass
+    the stop, so every core is in its naive-loop state there.  A plain
+    run is one call (or one per checkpoint interval); a sampled run is
+    one call per detailed window.  Results (cycle counts, every stats
+    field, final memory, metrics) are bit-identical to stepping each
+    core every cycle.  {!run_reference} is that naive loop, kept as
+    the oracle for differential testing and as the baseline the bench
+    harness quotes speedups against. *)
 
 type spin_stats = {
   mutable sleeps : int;
@@ -25,19 +25,18 @@ type spin_stats = {
 (** Spin fast-forward bookkeeping: how often a provably-stable spin
     loop was put to sleep, how many of its cycles were replayed in
     closed form instead of stepped, and how many sleeps ended in a
-    cross-core wake (the rest ran into the cycle limit).  Always zero
-    for {!run_naive}, for traced runs, and with
+    cross-core wake (the rest ran into a stop).  Always zero for
+    {!run_reference}, for traced and sampled runs, and with
     [Exec_config.spin_fastforward] off. *)
 
 type shard_stats = {
   mutable barriers : int;
   mutable elided_cycles : int;
 }
-(** Lockstep-traffic bookkeeping of the sharded loop: barrier
+(** Lockstep-traffic bookkeeping of a sharded run: barrier
     generations crossed, and cycles run inside elided spans (one
     meeting barrier per span instead of four barriers per cycle — see
-    DESIGN.md §16).  Zeros for sequential, naive and unsharded
-    sampled runs.  Engine diagnostics, like {!spin_stats}: excluded
+    DESIGN.md §16).  Zeros for one-domain and naive runs.  Engine diagnostics, like {!spin_stats}: excluded
     from bit-identity comparisons. *)
 
 type raw = {
@@ -62,59 +61,50 @@ val run :
   Config.t ->
   Fscope_isa.Program.t ->
   raw
-(** Event-horizon fast-forward loop.  With [Config.shard_domains > 1]
+(** Event-horizon fast-forward engine.  With [Config.shard_domains > 1]
     (and a multi-core program) the cores are partitioned cyclically
-    across that many OCaml domains, which run the same three-phase
-    protocol with barriers at phase boundaries and a global-order
-    token serialising exactly the steps that touch shared state —
-    results stay bit-identical to the sequential loop (and to
-    {!run_naive}) except for the spin fast-forward and shard
-    counters, which every consumer already treats as engine
-    diagnostics.  With [Config.elide_barriers] (the default), the
-    sharded loop additionally collapses spans of provably
+    across that many OCaml domains, spawned once per run, which run
+    the same three-phase protocol with barriers at phase boundaries
+    and a global-order token serialising exactly the steps that touch
+    shared state — results stay bit-identical to the one-domain
+    engine (and to {!run_reference}) except for the spin fast-forward
+    and shard counters, which every consumer already treats as engine
+    diagnostics.  With [Config.elide_barriers] (the default), a
+    sharded exact run additionally collapses spans of provably
     non-interacting cycles — no memory writes, no ordered steps, no
     sleep or drain transitions machine-wide, per
     {!Fscope_cpu.Core.quiet_until} — to a single meeting barrier.
 
     [checkpoint:(every, sink)]: capture a whole-machine checkpoint at
-    the top of the first visited cycle at or past each multiple of
-    [every] and hand it to [sink].  [resume]: start from a checkpoint
-    instead of cycle 0 (digest-validated; [Failure] on mismatch).
-    Both compose with sharding: the sharded loop restores before
-    spawning its domains and captures stop-the-world at the
-    top-of-cycle publish window, at exactly the cycles the sequential
-    loop would, so checkpoints and resumed runs are bit-identical
-    across engines.  Untraced runs only.
+    the top of each cycle [start + k * every] the run reaches
+    ([start] is 0, or the resume cycle) and hand it to [sink].
+    [resume]: start from a checkpoint instead of cycle 0
+    (digest-validated; [Failure] on mismatch).  Captures happen with
+    the domain team parked, so checkpoints and resumed runs are
+    bit-identical across shard counts.  If [sink] raises, every domain
+    is joined and the exception re-raised.  Untraced runs only.
 
-    With [Config.sampling = Some _] the run is dispatched to
-    {!run_sampled}; combining sampling with checkpointing is
-    [Invalid_argument]. *)
+    With [Config.sampling = Some _] the run is SMARTS-style interval
+    sampling: measured detailed windows alternate with functional
+    fast-forward, and cycle-valued metrics (CPI leaves, mispredicts,
+    occupancy, cache stats, [cycles]) are scaled by
+    committed-instruction coverage at the end.  Exact event counters
+    (committed / memory / fence / load / store / CAS / branch counts,
+    final memory) remain exact.  Deterministic, but an estimate — the
+    sampled harness bounds the per-metric error.  Untraced sampled
+    runs shard their detailed windows across [shard_domains]
+    (bit-identical for any shard count); traced ones run them on one
+    domain and record their cycle ranges ([raw.windows]), which is
+    what the sampled latency extraction consumes.  Spin fast-forward
+    and barrier elision stay off inside windows.  The
+    detailed->functional transition settles rather than flushing
+    blindly: a core flushes only once {!Fscope_cpu.Core.flushable}
+    holds (no completed CAS still in its ROB — its RMW already hit
+    memory and must not be re-applied functionally) and is parked
+    while stragglers step detailed to their own flush points.
+    Combining sampling with checkpointing is [Invalid_argument]. *)
 
-val run_sampled :
-  ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> Config.sampling -> raw
-(** SMARTS-style interval sampling: measured detailed windows
-    alternate with functional fast-forward, and cycle-valued metrics
-    (CPI leaves, mispredicts, occupancy, cache stats, [cycles]) are
-    scaled by committed-instruction coverage at the end.  Exact event
-    counters (committed / memory / fence / load / store / CAS /
-    branch counts, final memory) remain exact.  Deterministic, but an
-    estimate — the sampled harness bounds the per-metric error.
-
-    With [Config.shard_domains > 1] on an untraced run, the detailed
-    windows (warmup and measured alike) run under the sharded
-    three-phase protocol on a persistent worker team; functional legs
-    and settle loops stay sequential.  Bit-identical to the
-    sequential sampled run for any shard count.  Traced runs are
-    allowed since the windows record their cycle ranges
-    ([raw.windows]): they force sequential windows and advance the
-    trace clock only while stepping detailed cycles, which is what
-    the sampled latency extraction consumes.  Spin fast-forward stays
-    off inside windows.  The detailed->functional transition settles
-    rather than flushing blindly: a core flushes only once
-    {!Fscope_cpu.Core.flushable} holds (no completed CAS still in its
-    ROB — its RMW already hit memory and must not be re-applied
-    functionally) and is parked while stragglers step detailed to
-    their own flush points. *)
-
-val run_naive : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> raw
-(** The naive one-cycle-at-a-time reference loop. *)
+val run_reference :
+  ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> raw
+(** The naive one-cycle-at-a-time reference loop: every core steps
+    every cycle, with no fast-forward, sharding or sampling. *)

@@ -90,7 +90,7 @@ let test_determinism_across_jobs_and_shards () =
   let advise ~jobs ~shards =
     let saved = E.Exp_run.jobs () in
     E.Exp_run.set_jobs jobs;
-    let config = Config.with_shard_domains shards base_config in
+    let config = Config.v ~base:base_config ~shard_domains:shards () in
     let t_input, s_input = E.Profiling.advise_inputs config (quick "dekker" ~attempts:10) in
     E.Exp_run.set_jobs saved;
     Obs.Advisor.json (Obs.Advisor.analyze ~scoped:s_input t_input)

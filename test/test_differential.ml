@@ -236,11 +236,11 @@ let configs =
   [
     ("scoped", Config.scoped Config.default);
     ("traditional", Config.traditional Config.default);
-    ("scoped+spec", Config.with_speculation true (Config.scoped Config.default));
-    ("small-rob", Config.with_rob_size 16 (Config.scoped Config.default));
+    ("scoped+spec", Config.v ~base:(Config.scoped Config.default) ~speculation:true ());
+    ("small-rob", Config.v ~base:(Config.scoped Config.default) ~rob_size:16 ());
     (* the ideal 1-cycle memory backend must preserve functional
        behaviour (only timing changes) and engine/reference identity *)
-    ("ideal-mem", Config.with_mem_model Config.Ideal (Config.scoped Config.default));
+    ("ideal-mem", Config.v ~base:(Config.scoped Config.default) ~mem_model:Config.Ideal ());
   ]
 
 let check_seed seed =
@@ -374,9 +374,7 @@ let prop_engine_matches_reference =
       in
       let program, _info = Compile.compile program_ast in
       let label, config = List.nth configs cfg_i in
-      let config =
-        match max_c with None -> config | Some n -> Config.with_max_cycles n config
-      in
+      let config = Config.v ~base:config ?max_cycles:max_c () in
       let engine = Machine.run config program in
       let reference = Machine.run_reference config program in
       if strip_spin engine = strip_spin reference then true
@@ -489,11 +487,9 @@ let prop_spin_ff_identity =
     ~print:print_spin_case spin_case_gen (fun (seed, cfg_i, max_c) ->
       let program = handshake_program (Rng.create seed) in
       let label, config = List.nth configs cfg_i in
-      let config =
-        match max_c with None -> config | Some n -> Config.with_max_cycles n config
-      in
+      let config = Config.v ~base:config ?max_cycles:max_c () in
       let ff_on = Machine.run config program in
-      let ff_off = Machine.run (Config.with_spin_fastforward false config) program in
+      let ff_off = Machine.run (Config.v ~base:config ~spin_fastforward:false ()) program in
       let reference = Machine.run_reference config program in
       if strip_spin ff_on <> strip_spin reference then
         QCheck2.Test.fail_report
@@ -563,7 +559,8 @@ let prop_shard_invariance =
    the parsed copy, and require the resumed run to be bit-identical to
    the uninterrupted one — across both program families, shard counts,
    spin fast-forward on/off and both memory models.  The run being
-   checkpointed must itself be unperturbed by the capture. *)
+   checkpointed must itself be unperturbed by the capture, and the
+   checkpoint must equal the one a single-domain run captures. *)
 
 module Checkpoint = Fscope_machine.Checkpoint
 module Json = Fscope_util.Json
@@ -600,14 +597,21 @@ let prop_checkpoint_roundtrip =
           ~shard_domains:shards ()
       in
       let baseline = Machine.run config program in
-      let first = ref None in
-      let sink ck = if Option.is_none !first then first := Some ck in
-      let observed = Machine.run ~checkpoint:(every, sink) config program in
+      let first_capture config =
+        let first = ref None in
+        let sink ck = if Option.is_none !first then first := Some ck in
+        let r = Machine.run ~checkpoint:(every, sink) config program in
+        (r, !first)
+      in
+      let observed, first = first_capture config in
+      let _, first_seq = first_capture (Config.v ~base:config ~shard_domains:1 ()) in
       if strip_spin observed <> strip_spin baseline then
         QCheck2.Test.fail_report
           ("capture perturbed the run: " ^ explain_mismatch "ckpt" seed observed baseline)
+      else if first <> first_seq then
+        QCheck2.Test.fail_reportf "shards=%d captured a checkpoint unlike shards=1" shards
       else
-        match !first with
+        match first with
         | None ->
           (* the run finished before the first capture point; the
              unperturbed-run identity above is the whole property *)

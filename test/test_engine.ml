@@ -90,7 +90,7 @@ let test_sharded_traced_identical () =
   List.iter
     (fun shards ->
       let config =
-        Config.with_shard_domains shards (E.Exp_run.s_config Config.default)
+        Config.v ~base:(E.Exp_run.s_config Config.default) ~shard_domains:shards ()
       in
       check_traced_matches_reference
         ~label:(Printf.sprintf "%d shards" shards)
@@ -140,7 +140,7 @@ let test_spin_fastforward () =
   in
   let config = Config.default in
   let ff_on = Machine.run config program in
-  let ff_off = Machine.run (Config.with_spin_fastforward false config) program in
+  let ff_off = Machine.run (Config.v ~base:config ~spin_fastforward:false ()) program in
   let reference = Machine.run_reference config program in
   Alcotest.(check bool) "FF on == reference (up to spin counters)" true
     (strip ff_on = strip reference);
@@ -150,6 +150,24 @@ let test_spin_fastforward () =
   Alcotest.(check bool) "engine stats expose skipped cycles" true
     (ff_on.Machine.spin.Machine.cycles_skipped > 0);
   Alcotest.(check int) "FF off skipped nothing" 0 ff_off.Machine.spin.Machine.cycles_skipped
+
+(* A checkpoint sink that raises while a 4-core run is split across
+   two domains: the worker domain is parked between legs, so the run
+   must poison it, join it and hand back the sink's own exception —
+   returning, not hanging.  A second sharded run afterwards must still
+   be bit-identical to the sequential engine. *)
+exception Sink_failed
+
+let test_poisoned_team () =
+  let w = Fscope_workloads.Mpmc.make ~threads:4 ~per_producer:8 ~scope:`Class () in
+  let program = w.Fscope_workloads.Workload.program in
+  let sharded = Config.v ~shard_domains:2 () in
+  (match Machine.run ~checkpoint:(100, fun _ -> raise Sink_failed) sharded program with
+  | _ -> Alcotest.fail "the run swallowed the sink's exception"
+  | exception Sink_failed -> ());
+  let strip (r : Machine.result) = { r with Machine.shard = Machine.no_shard_ctrs } in
+  Alcotest.(check bool) "sharded run after a poisoned team == sequential" true
+    (strip (Machine.run sharded program) = strip (Machine.run Config.default program))
 
 let tests =
   [
@@ -163,4 +181,6 @@ let tests =
       test_sharded_traced_identical;
     Alcotest.test_case "spin fast-forward sleeps and stays bit-identical" `Quick
       test_spin_fastforward;
+    Alcotest.test_case "raising checkpoint sink poisons and joins the team" `Quick
+      test_poisoned_team;
   ]

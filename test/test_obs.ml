@@ -296,7 +296,7 @@ let test_chrome_shard_lanes () =
   Alcotest.(check bool) "one process at --shard-domains 1" true
     (contains ~needle:"{\"name\":\"fscope\"}" plain
     && not (contains ~needle:"shard" plain));
-  let sharded = Obs.Sink.chrome (run (Config.with_shard_domains 2 Config.default)) in
+  let sharded = Obs.Sink.chrome (run (Config.v ~shard_domains:2 ())) in
   Alcotest.(check bool) "one process track per shard" true
     (contains ~needle:"{\"name\":\"fscope shard 0\"}" sharded
     && contains ~needle:"{\"name\":\"fscope shard 1\"}" sharded);

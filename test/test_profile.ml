@@ -193,7 +193,7 @@ let test_profile_timing_neutral () =
    original fixed-width renderer silently overflowed its columns. *)
 let test_text_columns_survive_64_cores () =
   let w = W.Mpmc.make ~threads:64 ~per_producer:4 ~scope:`Class () in
-  let config = Config.with_max_cycles 100_000 (E.Exp_run.s_config Config.default) in
+  let config = Config.v ~base:(E.Exp_run.s_config Config.default) ~max_cycles:100_000 () in
   let input = E.Profiling.profile config w in
   let lines = String.split_on_char '\n' (Obs.Profile.text input) in
   (* fence-site rows: everything between the "fence sites:" header and

@@ -19,7 +19,7 @@ module Mpmc = Fscope_workloads.Mpmc
 (* short windows so the tiny test workload alternates modes a few
    times instead of finishing inside the first detailed window *)
 let schedule = { Config.warmup = 100; detailed = 500; ff_instrs = 1_000 }
-let sampled config = Config.with_sampling (Some schedule) config
+let sampled config = Config.v ~base:config ~sampling:(Some schedule) ()
 let mpmc () = Mpmc.make ~threads:8 ~per_producer:32 ~scope:`Class ()
 
 (* cycle-estimate error bounds, mirroring the bench gate *)
@@ -59,7 +59,7 @@ let test_sampling_off_identity () =
   let w = mpmc () in
   let a = Workload.run_validated Config.default w in
   let b =
-    Workload.run_validated (Config.with_sampling None Config.default) w
+    Workload.run_validated (Config.v ~sampling:None ()) w
   in
   Alcotest.(check int) "sampling None == default engine" a.Machine.cycles
     b.Machine.cycles;
@@ -82,9 +82,7 @@ let test_bad_schedule_rejected () =
     (Invalid_argument "Config.sampling: detailed window must be positive")
     (fun () ->
       ignore
-        (Config.with_sampling
-           (Some { Config.warmup = 0; detailed = 0; ff_instrs = 1 })
-           Config.default))
+        (Config.v ~sampling:(Some { Config.warmup = 0; detailed = 0; ff_instrs = 1 }) ()))
 
 (* ------------------------------------------------------------------ *)
 (* Sharded sampled identity: splitting the detailed windows across
@@ -118,14 +116,14 @@ let prop_sampled_shard_invariance =
     (fun (threads, per, shards, elide, ideal) ->
       let w = Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
       let base =
-        Config.with_mem_model
-          (if ideal then Config.Ideal else Config.Hierarchy)
-          (sampled Config.default)
+        Config.v ~base:(sampled Config.default)
+          ~mem_model:(if ideal then Config.Ideal else Config.Hierarchy)
+          ()
       in
       let seq = Machine.run base w.Workload.program in
       let sharded =
         Machine.run
-          (Config.with_elide_barriers elide (Config.with_shard_domains shards base))
+          (Config.v ~base ~shard_domains:shards ~elide_barriers:elide ())
           w.Workload.program
       in
       if strip_shard seq = strip_shard sharded then true
@@ -151,14 +149,14 @@ let test_sharded_checkpoint_sequential_resume () =
       Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
     }
   in
-  let sharded_cfg = Config.with_shard_domains 4 Config.default in
+  let sharded_cfg = Config.v ~shard_domains:4 () in
   let first = ref None in
   let sink ck = if Option.is_none !first then first := Some ck in
   ignore (Machine.run ~checkpoint:(200, sink) sharded_cfg w.Workload.program);
   match !first with
   | None -> Alcotest.fail "run finished before the first capture point"
   | Some ck ->
-    let sequential_cfg = Config.with_shard_domains 1 Config.default in
+    let sequential_cfg = Config.v ~shard_domains:1 () in
     Checkpoint.validate ck sequential_cfg w.Workload.program;
     let resumed = Machine.run ~resume:ck sequential_cfg w.Workload.program in
     let baseline = Machine.run sequential_cfg w.Workload.program in
@@ -166,8 +164,58 @@ let test_sharded_checkpoint_sequential_resume () =
       "sharded-captured checkpoint resumes bit-identically under sequential" true
       (strip resumed = strip baseline)
 
+(* Sampled results pinned to recorded values.  The sharded-sampled
+   property above compares two runs of the same engine; this pins the
+   sampled driver's output itself, so a change to how detailed windows
+   are stepped cannot move the estimate unnoticed.  The expected
+   strings were recorded from the engine whose windows stepped every
+   core every cycle; the event-horizon stepper must land every window
+   on exactly the same state. *)
+let pinned_summary (r : Machine.result) =
+  let b = Buffer.create 4096 in
+  let add v = Buffer.add_string b (string_of_int v ^ ",") in
+  Array.iter (fun cpi -> Array.iter add (Fscope_obs.Cpi.to_array cpi)) r.Machine.core_cpi;
+  Buffer.add_char b '|';
+  Array.iter add r.Machine.mem;
+  Printf.sprintf "cycles=%d windows=%s committed=%s digest=%s" r.Machine.cycles
+    (String.concat ";"
+       (List.map (fun (a, z) -> Printf.sprintf "%d-%d" a z) r.Machine.sample_windows))
+    (String.concat ","
+       (Array.to_list
+          (Array.map (fun (s : Fscope_cpu.Core.stats) -> string_of_int s.committed)
+             r.Machine.core_stats)))
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_sampled_pinned () =
+  let w = Mpmc.make ~threads:8 ~per_producer:16 ~scope:`Class () in
+  List.iter
+    (fun (label, mem_model, s, expected) ->
+      let config = Config.v ~mem_model ~sampling:(Some s) () in
+      Alcotest.(check string) label expected
+        (pinned_summary (Machine.run config w.Workload.program)))
+    [
+      ( "default schedule, hierarchy",
+        Config.Hierarchy,
+        Config.sampling_default,
+        "cycles=11708 windows=0-999 committed=19093,14278,18790,18844,19193,18957,18962,19013 digest=8e40dbd8006d3e0dd0e29109d1f8f55c" );
+      ( "default schedule, ideal",
+        Config.Ideal,
+        Config.sampling_default,
+        "cycles=8375 windows=0-999 committed=19093,14303,18872,18471,18525,18540,18470,18469 digest=a8a1c78f3798dafecf7f3d8350b14498" );
+      ( "short windows, hierarchy",
+        Config.Hierarchy,
+        schedule,
+        "cycles=10946 windows=0-499;600-1099;1200-1699;1976-2475;2576-3075;3176-3675;3776-4275;4376-4875;4976-5475 committed=19093,14278,18078,16798,16963,18607,16703,17288 digest=a6bae56aa73fa3aee642690ed0ff0bfe" );
+      ( "short windows, ideal",
+        Config.Ideal,
+        schedule,
+        "cycles=7687 windows=0-499;600-1099;1200-1699;1800-2299;2400-2899;3000-3499;3600-4099;4200-4526 committed=19093,14278,17899,17610,17559,17395,17879,17936 digest=46580a74cc245bc338c7b8ee4b915e3d" );
+    ]
+
 let tests =
   [
+    Alcotest.test_case "sampled results match recorded values" `Quick
+      test_sampled_pinned;
     Alcotest.test_case "sampled run validates, spin counters zero" `Quick
       test_sampled_validates;
     Alcotest.test_case "cycle and fence-share estimate error bounds" `Quick

@@ -352,7 +352,7 @@ let test_in_window_speculation_helps_traditional () =
   let t = Machine.run (Config.traditional test_config) (fig10_program ~kind:Fk.full) in
   let t_plus =
     Machine.run
-      (Config.with_speculation true (Config.traditional test_config))
+      (Config.v ~base:(Config.traditional test_config) ~speculation:true ())
       (fig10_program ~kind:Fk.full)
   in
   check_finished t_plus;
