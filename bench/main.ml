@@ -81,16 +81,6 @@ type engine_row = {
   er_spin_sleeps : int;
 }
 
-(* The spin fast-forward counters describe how the engine reached the
-   result, not the result itself, so they are excluded from the
-   bit-identity check (the naive loop never spins). *)
-let strip_spin (r : Machine.result) =
-  {
-    r with
-    Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    shard = Machine.no_shard_ctrs;
-  }
-
 let timed f =
   let t0 = now_s () in
   let r = f () in
@@ -139,7 +129,7 @@ let run_engine ~quick () =
         let naive_r, naive_s =
           timed (fun () -> Machine.run_reference config w.W.Workload.program)
         in
-        if strip_spin engine_r <> strip_spin naive_r then
+        if not (Machine.same_outcome engine_r naive_r) then
           failwith
             (Printf.sprintf "engine/naive mismatch on %s (%s)" app cname);
         {
@@ -427,7 +417,7 @@ let run_shard_scaling ~quick () =
   let seq_r, seq_s = run 1 in
   let shards = max 2 (min 4 cpus) in
   let shard_r, shard_s = run shards in
-  if strip_spin seq_r <> strip_spin shard_r then
+  if not (Machine.same_outcome seq_r shard_r) then
     failwith
       (Printf.sprintf "shard-scaling: %d-shard run diverged from the sequential loop"
          shards);
@@ -438,7 +428,7 @@ let run_shard_scaling ~quick () =
       (Config.v ~base ~shard_domains:shards ~elide_barriers:false ())
       w.W.Workload.program
   in
-  if strip_spin no_elide_r <> strip_spin shard_r then
+  if not (Machine.same_outcome no_elide_r shard_r) then
     failwith "shard-scaling: elision changed the result";
   if shard_r.Machine.shard.Machine.elided_cycles = 0 then
     failwith "shard-scaling: barrier elision never fired";
@@ -497,7 +487,7 @@ let run_sharded_sampled ~quick () =
   let seq_r, seq_s = run 1 in
   let shards = max 2 (min 4 cpus) in
   let shard_r, shard_s = run shards in
-  if strip_spin seq_r <> strip_spin shard_r then
+  if not (Machine.same_outcome seq_r shard_r) then
     failwith
       (Printf.sprintf
          "sharded-sampled: %d-shard sampled run diverged from the sequential one"
@@ -657,7 +647,7 @@ let fallback_engine_row () =
   let naive_r, naive_s =
     timed (fun () -> Machine.run_reference config w.W.Workload.program)
   in
-  if strip_spin engine_r <> strip_spin naive_r then
+  if not (Machine.same_outcome engine_r naive_r) then
     failwith "engine/naive mismatch on the fallback dekker row";
   {
     er_workload = "dekker";

@@ -6,7 +6,16 @@
      fscope trace dekker --format=chrome -o trace.json
                                       run with the observability layer on
      fscope profile dekker            CPI stack + per-fence-site attribution
-     fscope disasm dekker             dump the compiled program *)
+     fscope advise dekker             rank fence sites worth scoping
+     fscope report --against bench/baseline
+                                      diff BENCH_* artefacts, gate regressions
+     fscope disasm dekker             dump the compiled program
+     fscope checkpoint save msn --at 5000
+                                      save (or resume) a whole-machine checkpoint
+
+   Exit codes (README "Exit codes"): 0 success; 1 bad input, an
+   unreadable file or a checkpoint digest mismatch; 2 a timed-out run
+   or a gated report regression; 124 a flag cmdliner cannot parse. *)
 
 module Config = Fscope_machine.Config
 module Machine = Fscope_machine.Machine
@@ -23,7 +32,13 @@ let level_of_int n =
     failwith (Printf.sprintf "workload level must be 1..%d" (Array.length levels))
   else levels.(n - 1)
 
+(* Library constructors reject out-of-range values with
+   [Invalid_argument]; where those values come from flags they are bad
+   input, reported by [guard] like any other. *)
+let of_flags f = try f () with Invalid_argument msg -> failwith msg
+
 let find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed =
+  of_flags @@ fun () ->
   let scope = if set_scope then `Set else `Class in
   let default = Registry.default_params in
   E.Exp_run.workload
@@ -58,6 +73,7 @@ let guard f =
 
 let build_config ?(no_elide = false) ~traditional ~speculate ~mem_latency ~rob ~fsb
     ~mem_model ~no_spin_ff ~shard_domains () =
+  of_flags @@ fun () ->
   Config.v ~sfence:(not traditional) ~speculation:speculate ?mem_latency ?rob_size:rob
     ?fsb_entries:fsb ~mem_model ~elide_barriers:(not no_elide)
     ~spin_fastforward:(not no_spin_ff) ~shard_domains ()
@@ -133,7 +149,7 @@ let cmd_run name level set_scope traditional speculate mem_latency rob fsb mem_m
       ~no_spin_ff ~shard_domains ()
   in
   let sampling = parse_sampling sample in
-  let config = Config.v ~base:config ~sampling () in
+  let config = of_flags (fun () -> Config.v ~base:config ~sampling ()) in
   let checkpoint =
     match checkpoint_every with
     | None -> None
@@ -190,7 +206,7 @@ let cmd_trace name level set_scope traditional speculate mem_latency rob fsb mem
       ~no_spin_ff:false ~shard_domains ()
   in
   let cores = Fscope_isa.Program.thread_count w.W.Workload.program in
-  let trace = Obs.Trace.create ~ring_capacity ~cores () in
+  let trace = of_flags (fun () -> Obs.Trace.create ~ring_capacity ~cores ()) in
   let result = Machine.run ~obs:trace config w.W.Workload.program in
   match result.Machine.obs with
   | None -> Printf.eprintf "internal error: traced run produced no report\n"; 1
@@ -417,9 +433,9 @@ let mem_model_arg =
     & opt (enum [ ("hierarchy", Config.Hierarchy); ("ideal", Config.Ideal) ]) Config.Hierarchy
     & info [ "mem-model" ] ~docv:"MODEL"
         ~doc:
-          "Memory backend: $(b,hierarchy) (MESI L1/L2 plus main memory, the default) or \
-           $(b,ideal) (every access a 1-cycle hit — isolates pipeline effects from the \
-           memory system).")
+          "Memory backend: $(b,hierarchy) (directory-MSI L1/L2 plus main memory, the \
+           default) or $(b,ideal) (every access a 1-cycle hit — isolates pipeline \
+           effects from the memory system).")
 
 let shard_domains_arg =
   Arg.(
@@ -469,9 +485,10 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Fan the four machine variants across $(docv) OCaml domains.  Runs are \
-           deterministic and results keep their order, so the output is \
-           byte-identical for any job count.")
+          "Fan the command's independent machine runs ($(b,compare): the four \
+           variants; $(b,advise): the T and S profiles) across $(docv) OCaml \
+           domains.  Runs are deterministic and results keep their order, so the \
+           output is byte-identical for any job count.")
 
 let rounds_arg =
   Arg.(value & opt (some int) None & info [ "rounds" ] ~docv:"N" ~doc:"Rounds for wsq/nested-scopes (workload default otherwise).")
@@ -491,8 +508,8 @@ let sample_arg =
     & opt (some string) None
     & info [ "sample" ] ~docv:"SPEC"
         ~doc:
-          "Interval sampling: $(b,default) (2k-cycle warmup, 10k-cycle detailed window, \
-           200k-instruction functional fast-forward) or an explicit \
+          "Interval sampling: $(b,default) (500-cycle warmup, 1000-cycle detailed \
+           window, 20000-instruction functional fast-forward) or an explicit \
            $(b,WARMUP:DETAILED:FF) triple.  Cycle-valued metrics become extrapolated \
            estimates; committed-instruction counts, final memory and validation stay \
            exact.  See DESIGN §15 for the error contract.")

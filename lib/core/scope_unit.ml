@@ -33,9 +33,14 @@ type t = {
   core : int;
 }
 
+let validate config =
+  if config.fsb_entries < 1 || config.fsb_entries > 62 then
+    invalid_arg "Scope_unit: fsb_entries must be in 1..62";
+  if config.fss_entries < 1 then invalid_arg "Scope_unit: fss_entries must be positive";
+  if config.mt_entries < 1 then invalid_arg "Scope_unit: mt_entries must be positive"
+
 let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) config =
-  if config.fsb_entries < 1 then invalid_arg "Scope_unit.create: need >= 1 FSB column";
-  if config.fss_entries < 1 then invalid_arg "Scope_unit.create: need >= 1 FSS entry";
+  validate config;
   {
     config;
     live = { stack = Fss.create ~capacity:config.fss_entries; counter = 0 };

@@ -42,6 +42,11 @@ type config = {
 val default_config : config
 (** 4 FSB columns, 4 FSS entries, 4 MT entries, enabled. *)
 
+val validate : config -> unit
+(** Raises [Invalid_argument] unless [fsb_entries] is in 1..62 (one
+    {!Fsb} mask bit per column) and the FSS and mapping table have at
+    least one entry each. *)
+
 type t
 
 val create : ?trace:Fscope_obs.Trace.t -> ?core:int -> config -> t

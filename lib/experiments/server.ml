@@ -69,15 +69,6 @@ type point = {
   pt_lat_threads : int option;
 }
 
-(* The engine's spin fast-forward counters describe how a result was
-   reached, not the result; the reference loop never spins. *)
-let strip_spin (r : Machine.result) =
-  {
-    r with
-    Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    shard = Machine.no_shard_ctrs;
-  }
-
 (* Nearest-rank percentile over the log2-bucket histogram, reported as
    the bucket lower bound (the resolution the histogram actually
    has). *)
@@ -181,7 +172,7 @@ let eval pt =
   let program = w.W.Workload.program in
   let engine_r = Machine.run pt.pt_machine program in
   let naive_r = Machine.run_reference pt.pt_machine program in
-  if strip_spin engine_r <> strip_spin naive_r then
+  if not (Machine.same_outcome engine_r naive_r) then
     failwith
       (Printf.sprintf "server %s (%s): engine/reference mismatch" pt.pt_workload
          pt.pt_config);

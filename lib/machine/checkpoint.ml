@@ -13,7 +13,7 @@
    The per-core payloads are produced by {!Fscope_cpu.Core.snapshot}.
    No engine schedule is stored: captures happen at a stop, where
    every core is in its naive-loop state, so the engine re-derives its
-   schedule from the restored cores (see Sim_engine). *)
+   schedule from the restored cores (see Machine). *)
 
 module Json = Fscope_util.Json
 module Program = Fscope_isa.Program

@@ -62,29 +62,34 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
   let opt v dflt = Option.value v ~default:dflt in
   let sampling = opt sampling base.sampling in
   Option.iter sampling_validate sampling;
-  {
-    exec =
-      {
-        base.exec with
-        in_window_speculation = opt speculation base.exec.in_window_speculation;
-        nop_fences = opt nop_fences base.exec.nop_fences;
-        spin_fastforward = opt spin_fastforward base.exec.spin_fastforward;
-        rob_size = opt rob_size base.exec.rob_size;
-      };
-    mem = { base.mem with mem_latency = opt mem_latency base.mem.mem_latency };
-    mem_model = opt mem_model base.mem_model;
-    scope =
-      {
-        enabled = opt sfence base.scope.enabled;
-        fsb_entries = opt fsb_entries base.scope.fsb_entries;
-        fss_entries = opt fss_entries base.scope.fss_entries;
-        mt_entries = opt mt_entries base.scope.mt_entries;
-      };
-    max_cycles = opt max_cycles base.max_cycles;
-    shard_domains = opt shard_domains base.shard_domains;
-    elide_barriers = opt elide_barriers base.elide_barriers;
-    sampling;
-  }
+  let t =
+    {
+      exec =
+        {
+          base.exec with
+          in_window_speculation = opt speculation base.exec.in_window_speculation;
+          nop_fences = opt nop_fences base.exec.nop_fences;
+          spin_fastforward = opt spin_fastforward base.exec.spin_fastforward;
+          rob_size = opt rob_size base.exec.rob_size;
+        };
+      mem = { base.mem with mem_latency = opt mem_latency base.mem.mem_latency };
+      mem_model = opt mem_model base.mem_model;
+      scope =
+        {
+          enabled = opt sfence base.scope.enabled;
+          fsb_entries = opt fsb_entries base.scope.fsb_entries;
+          fss_entries = opt fss_entries base.scope.fss_entries;
+          mt_entries = opt mt_entries base.scope.mt_entries;
+        };
+      max_cycles = opt max_cycles base.max_cycles;
+      shard_domains = opt shard_domains base.shard_domains;
+      elide_barriers = opt elide_barriers base.elide_barriers;
+      sampling;
+    }
+  in
+  Fscope_cpu.Exec_config.validate t.exec;
+  Fscope_core.Scope_unit.validate t.scope;
+  t
 
 let traditional t = v ~base:t ~sfence:false ()
 let scoped t = v ~base:t ~sfence:true ()

@@ -101,7 +101,12 @@ val v :
       [fss_entries], [mt_entries], [max_cycles]: as the record fields.
 
     Omitted arguments keep the base's value, so refinements compose:
-    [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()]. *)
+    [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].
+
+    Raises [Invalid_argument] when the result would be an unbuildable
+    machine: pipeline knobs per {!Fscope_cpu.Exec_config.validate},
+    scope knobs per {!Fscope_core.Scope_unit.validate}, or a
+    non-positive sampling window. *)
 
 val traditional : t -> t
 (** The same machine with the S-Fence hardware disabled: every fence

@@ -7,12 +7,21 @@
     same-cycle cross-core interactions deterministic.  The whole run
     is therefore a pure function of (program, config).
 
-    The default {!run} drives the {!Sim_engine} event-horizon
-    stepper, which skips stepping any core over a span in which it is
-    provably frozen and jumps the clock when every core is;
-    {!run_reference} retains the naive one-cycle-at-a-time loop.
-    The two are bit-identical in every [result] field — the
-    differential test suite enforces this. *)
+    One event-horizon stepper drives that protocol for every engine
+    mode: a core whose whole cycle made no progress is frozen until
+    its earliest scheduled completion ({!Fscope_cpu.Core.next_wake}),
+    its skipped span's accounting replayed in O(1), and when every
+    core sleeps the clock jumps to the earliest wake-up.  The stepper
+    advances the machine to a stop cycle over one or more shard
+    domains, never letting the clock or a frozen core's horizon pass
+    the stop, so every core is in its naive-loop state there.  A plain
+    run is one call (or one per checkpoint interval); a sampled run is
+    one call per detailed window.  {!run_reference} is the naive
+    one-cycle-at-a-time loop, kept as the oracle for differential
+    testing and as the baseline the bench harness quotes speedups
+    against.  The two agree on every [result] field except the engine
+    diagnostics [spin] and [shard] ({!same_outcome}); the differential
+    test suite enforces this. *)
 
 type spin_ff = {
   sleeps : int;  (** times the engine put a core into spin-sleep *)
@@ -21,10 +30,10 @@ type spin_ff = {
 }
 (** Spin fast-forward counters of the run (see
     [Exec_config.spin_fastforward]).  All zero under {!run_reference},
-    on traced runs (tracing disables the optimisation), or when the
-    workload never reached a stable spin.  Deliberately NOT part of the
-    bit-identity contract between the two loops — they describe how the
-    engine got to the result, not the result. *)
+    on traced and sampled runs (both disable the optimisation), or
+    when the workload never reached a stable spin.  Deliberately NOT
+    part of the bit-identity contract between the two loops — they
+    describe how the engine got to the result, not the result. *)
 
 type shard_ctrs = {
   barriers : int;  (** barrier generations the shard team crossed *)
@@ -33,12 +42,8 @@ type shard_ctrs = {
           span instead of four barriers per cycle (DESIGN §16) *)
 }
 (** Lockstep-traffic counters of a sharded run.  Zero for one-domain
-    and naive runs.  Like {!spin_ff},
-    engine diagnostics — NOT part of the bit-identity contract. *)
-
-val no_shard_ctrs : shard_ctrs
-(** All-zero counters, for harnesses that strip engine diagnostics
-    before comparing results across engines. *)
+    and naive runs.  Like {!spin_ff}, engine diagnostics — NOT part of
+    the bit-identity contract. *)
 
 type result = {
   cycles : int;  (** cycle at which every core had halted and drained *)
@@ -81,24 +86,48 @@ val run :
     [checkpoint:(every, sink)] hands [sink] a whole-machine
     {!Checkpoint.t} at the top of every multiple of [every] cycles
     (counted from the start) that the run reaches; [resume] continues
-    a run from such a checkpoint — the resumed run is bit-identical to
-    the uninterrupted one.  Both compose with [Config.shard_domains]
-    (captures are the same for every shard count) and require an
-    untraced run; both are rejected ([Invalid_argument]) when
+    a run from such a checkpoint (digest-validated, [Failure] on a
+    mismatch) — the resumed run is bit-identical to the uninterrupted
+    one.  Captures happen with the domain team parked, so checkpoints
+    and resumed runs are the same for every shard count; if [sink]
+    raises, every domain is joined and the exception re-raised.  Both
+    require an untraced run and are rejected ([Invalid_argument]) when
     [Config.sampling] is set.
 
-    With [Config.sampling = Some _] the run uses the interval-sampled
-    engine: exact event counters and final memory, ESTIMATED
-    cycle-valued metrics (see DESIGN §15); [spin] is then all zero.
-    Untraced sampled runs shard their detailed windows across
-    [Config.shard_domains]; traced sampled runs use one domain and
-    record [sample_windows] for the latency extraction. *)
+    With [Config.shard_domains > 1] (and a multi-core program) the
+    cores are partitioned cyclically across that many OCaml domains,
+    spawned once per run, with barriers at phase boundaries and a
+    global-order token serialising exactly the steps that touch shared
+    state (DESIGN §13).  With [Config.elide_barriers] a sharded exact
+    run also collapses spans of provably non-interacting cycles
+    ({!Fscope_cpu.Core.quiet_until}) to a single meeting barrier
+    (DESIGN §16).
+
+    With [Config.sampling = Some _] the run is SMARTS-style interval
+    sampling (DESIGN §15): measured detailed windows alternate with
+    functional fast-forward, exact event counters and final memory
+    stay exact, and cycle-valued metrics (CPI leaves, mispredicts,
+    occupancy, cache stats, [cycles]) are ESTIMATED by scaling with
+    committed-instruction coverage.  The detailed->functional
+    transition settles rather than flushing blindly: a core flushes
+    only once {!Fscope_cpu.Core.flushable} holds and is parked while
+    stragglers step to their own flush points.  Untraced sampled runs
+    shard their detailed windows across [Config.shard_domains];
+    traced sampled runs use one domain and record [sample_windows]
+    for the latency extraction.  Spin fast-forward and barrier
+    elision stay off inside windows. *)
 
 val run_reference : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> result
 (** Same machine, driven by the retained naive per-cycle loop instead
     of the fast-forward engine.  Exists as the differential-testing
-    reference and the bench baseline; results are bit-identical to
-    {!run}. *)
+    reference and the bench baseline; its results agree with {!run}'s
+    by {!same_outcome}. *)
+
+val same_outcome : result -> result -> bool
+(** Equality of everything but the engine diagnostics [spin] and
+    [shard] — the bit-identity contract between {!run} (under any
+    shard count, elision or spin fast-forward setting) and
+    {!run_reference}. *)
 
 val fence_stall_cycles : result -> int
 (** Sum of per-core commit-head fence stalls. *)

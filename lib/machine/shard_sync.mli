@@ -1,7 +1,7 @@
 (** Synchronisation kernel for the domain-sharded engine.
 
-    The sharded {!Sim_engine} partitions one machine's cores across
-    OCaml domains and runs the three-phase step protocol with a
+    The sharded {!Machine} stepper partitions one machine's cores
+    across OCaml domains and runs the three-phase step protocol with a
     {!barrier} at every phase boundary.  Within a phase, each shard
     classifies its owned cores' steps as ORDERED (may touch state
     shared between cores: memory writes, cache directory, wakes,

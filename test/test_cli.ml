@@ -1,0 +1,111 @@
+(* The fscope exit-code contract (README "Exit codes"), checked by
+   driving the built binary:
+     0    success
+     1    bad input, an unreadable file or a checkpoint digest mismatch,
+          reported as one "fscope: ..." line on stderr
+     2    a timed-out run, or a gated `report` regression
+     124  a flag cmdliner cannot parse *)
+
+module Json = Fscope_util.Json
+
+let exe = "../bin/fscope.exe"
+let server_baseline = "../bench/baseline/BENCH_server.json"
+
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+(* Exit code and stderr of one fscope invocation; stdout is dropped. *)
+let fscope args =
+  let err = Filename.temp_file "fscope" ".err" in
+  let code =
+    Sys.command (Filename.quote_command exe args ~stdout:Filename.null ~stderr:err)
+  in
+  let stderr = read_file err in
+  Sys.remove err;
+  (code, stderr)
+
+let expect_exit want args =
+  let code, stderr = fscope args in
+  if code <> want then
+    Alcotest.failf "fscope %s: exit %d, expected %d; stderr:\n%s" (String.concat " " args)
+      code want stderr;
+  stderr
+
+(* Bad input: exit 1 with exactly one "fscope: " line, no backtrace. *)
+let expect_bad_input args =
+  let stderr = expect_exit 1 args in
+  let lines = String.split_on_char '\n' (String.trim stderr) in
+  match lines with
+  | [ line ] when String.starts_with ~prefix:"fscope: " line -> ()
+  | _ ->
+    Alcotest.failf "fscope %s: expected one 'fscope: ...' line, got:\n%s"
+      (String.concat " " args) stderr
+
+let test_success () =
+  ignore (expect_exit 0 [ "list" ]);
+  ignore (expect_exit 0 [ "report"; "--against"; server_baseline; "--current"; server_baseline ])
+
+let test_out_of_range_flags () =
+  List.iter expect_bad_input
+    [
+      [ "run"; "dekker"; "--rob"; "0" ];
+      [ "run"; "dekker"; "--fsb"; "0" ];
+      [ "run"; "msn"; "--sample"; "0:0:0" ];
+      [ "run"; "msn"; "--threads"; "0" ];
+      [ "run"; "dekker"; "--level"; "9" ];
+      [ "run"; "server-mpnc" ];
+    ]
+
+let test_unreadable_file () =
+  expect_bad_input [ "report"; "--against"; "no-such-baseline.json" ]
+
+(* One checkpoint, saved at cycle 2000, serves two cases: resuming it
+   under a different machine is a digest mismatch (1), and resuming it
+   with a cycle budget that msn cannot finish in is a timeout (2). *)
+let test_checkpoint_exits () =
+  let ck = Filename.temp_file "fscope" ".ckpt.json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove ck)
+    (fun () ->
+      ignore (expect_exit 0 [ "checkpoint"; "save"; "msn"; "--at"; "2000"; "--compact"; "-o"; ck ]);
+      expect_bad_input [ "checkpoint"; "resume"; "msn"; "--traditional"; "--from"; ck ];
+      ignore
+        (expect_exit 2 [ "checkpoint"; "resume"; "msn"; "--from"; ck; "--max-cycles"; "3000" ]))
+
+(* A copy of the server baseline whose first row took twice the
+   simulated cycles must trip the regression gate. *)
+let test_report_regression () =
+  let double_first_row = function
+    | "rows", Json.Arr (Json.Obj row :: rest) ->
+      let row =
+        List.map
+          (function "sim_cycles", Json.Int c -> ("sim_cycles", Json.Int (2 * c)) | kv -> kv)
+          row
+      in
+      ("rows", Json.Arr (Json.Obj row :: rest))
+    | kv -> kv
+  in
+  let tampered =
+    match Json.of_file server_baseline with
+    | Json.Obj fields -> Json.Obj (List.map double_first_row fields)
+    | _ -> Alcotest.fail "server baseline is not a JSON object"
+  in
+  let file = Filename.temp_file "fscope" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc (Json.render tampered));
+      ignore
+        (expect_exit 2
+           [ "report"; "--against"; server_baseline; "--current"; file; "--threshold"; "15" ]))
+
+let test_unparsable_flag () = ignore (expect_exit 124 [ "run"; "dekker"; "--no-such-flag" ])
+
+let tests =
+  [
+    Alcotest.test_case "success exits 0" `Quick test_success;
+    Alcotest.test_case "out-of-range flags exit 1" `Quick test_out_of_range_flags;
+    Alcotest.test_case "unreadable file exits 1" `Quick test_unreadable_file;
+    Alcotest.test_case "checkpoint mismatch 1, timeout 2" `Quick test_checkpoint_exits;
+    Alcotest.test_case "report regression exits 2" `Quick test_report_regression;
+    Alcotest.test_case "unparsable flag exits 124" `Quick test_unparsable_flag;
+  ]

@@ -300,17 +300,6 @@ let test_disjoint_batch lo hi () =
    the cache stats — on random programs under random configurations,
    including runs truncated by a small cycle limit.   *)
 
-(* The spin fast-forward counters describe how the engine reached the
-   result, not the result: they legitimately differ between the two
-   loops (the reference never sleeps), so identity is checked over
-   everything else. *)
-let strip_spin (r : Machine.result) =
-  {
-    r with
-    Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    shard = Machine.no_shard_ctrs;
-  }
-
 let explain_mismatch label seed (a : Machine.result) (b : Machine.result) =
   let check name va vb acc =
     if va = vb then acc else Printf.sprintf "%s%s: engine %d, reference %d; " acc name va vb
@@ -377,7 +366,7 @@ let prop_engine_matches_reference =
       let config = Config.v ~base:config ?max_cycles:max_c () in
       let engine = Machine.run config program in
       let reference = Machine.run_reference config program in
-      if strip_spin engine = strip_spin reference then true
+      if Machine.same_outcome engine reference then true
       else QCheck2.Test.fail_report (explain_mismatch label seed engine reference))
 
 (* ------------------------------------------------------------------ *)
@@ -491,10 +480,10 @@ let prop_spin_ff_identity =
       let ff_on = Machine.run config program in
       let ff_off = Machine.run (Config.v ~base:config ~spin_fastforward:false ()) program in
       let reference = Machine.run_reference config program in
-      if strip_spin ff_on <> strip_spin reference then
+      if not (Machine.same_outcome ff_on reference) then
         QCheck2.Test.fail_report
           ("FF on: " ^ explain_mismatch label seed ff_on reference)
-      else if strip_spin ff_off <> strip_spin reference then
+      else if not (Machine.same_outcome ff_off reference) then
         QCheck2.Test.fail_report
           ("FF off: " ^ explain_mismatch label seed ff_off reference)
       else if ff_off.Machine.spin.Machine.cycles_skipped <> 0 then
@@ -545,7 +534,7 @@ let prop_shard_invariance =
       in
       let sharded = Machine.run config program in
       let reference = Machine.run_reference config program in
-      if strip_spin sharded = strip_spin reference then true
+      if Machine.same_outcome sharded reference then true
       else
         QCheck2.Test.fail_report
           (Printf.sprintf "shards=%d elide=%b: %s" shards elide
@@ -605,7 +594,7 @@ let prop_checkpoint_roundtrip =
       in
       let observed, first = first_capture config in
       let _, first_seq = first_capture (Config.v ~base:config ~shard_domains:1 ()) in
-      if strip_spin observed <> strip_spin baseline then
+      if not (Machine.same_outcome observed baseline) then
         QCheck2.Test.fail_report
           ("capture perturbed the run: " ^ explain_mismatch "ckpt" seed observed baseline)
       else if first <> first_seq then
@@ -622,7 +611,7 @@ let prop_checkpoint_roundtrip =
           in
           Checkpoint.validate ck config program;
           let resumed = Machine.run ~resume:ck config program in
-          if strip_spin resumed = strip_spin baseline then true
+          if Machine.same_outcome resumed baseline then true
           else
             QCheck2.Test.fail_report
               ("resumed run diverged: "
@@ -659,7 +648,7 @@ let test_compact_checkpoint () =
     Checkpoint.validate ck_compact config program;
     let resumed = Machine.run ~resume:ck_compact config program in
     Alcotest.(check bool) "compact resume == uninterrupted run" true
-      (strip_spin resumed = strip_spin baseline)
+      (Machine.same_outcome resumed baseline)
 
 let tests =
   [

@@ -131,20 +131,13 @@ let test_spin_fastforward () =
     |]
   in
   let program = Program.make ~threads:[ worker; spinner ] ~mem_words:8 () in
-  let strip (res : Machine.result) =
-    {
-      res with
-      Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-      shard = Machine.no_shard_ctrs;
-    }
-  in
   let config = Config.default in
   let ff_on = Machine.run config program in
   let ff_off = Machine.run (Config.v ~base:config ~spin_fastforward:false ()) program in
   let reference = Machine.run_reference config program in
   Alcotest.(check bool) "FF on == reference (up to spin counters)" true
-    (strip ff_on = strip reference);
-  Alcotest.(check bool) "FF off == reference" true (strip ff_off = strip reference);
+    (Machine.same_outcome ff_on reference);
+  Alcotest.(check bool) "FF off == reference" true (Machine.same_outcome ff_off reference);
   Alcotest.(check int) "handshake value arrived" 42 ff_on.Machine.mem.(2);
   Alcotest.(check bool) "spinner was put to sleep" true (ff_on.Machine.spin.Machine.sleeps > 0);
   Alcotest.(check bool) "engine stats expose skipped cycles" true
@@ -165,9 +158,8 @@ let test_poisoned_team () =
   (match Machine.run ~checkpoint:(100, fun _ -> raise Sink_failed) sharded program with
   | _ -> Alcotest.fail "the run swallowed the sink's exception"
   | exception Sink_failed -> ());
-  let strip (r : Machine.result) = { r with Machine.shard = Machine.no_shard_ctrs } in
   Alcotest.(check bool) "sharded run after a poisoned team == sequential" true
-    (strip (Machine.run sharded program) = strip (Machine.run Config.default program))
+    (Machine.same_outcome (Machine.run sharded program) (Machine.run Config.default program))
 
 let tests =
   [

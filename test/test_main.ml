@@ -20,4 +20,5 @@ let () =
       ("server", Test_server.tests);
       ("advisor", Test_advisor.tests);
       ("trend", Test_trend.tests);
+      ("cli", Test_cli.tests);
     ]

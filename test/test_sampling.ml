@@ -70,7 +70,7 @@ let test_sampling_off_identity () =
 let test_checkpoint_sampling_rejected () =
   let w = mpmc () in
   Alcotest.check_raises "sampling + checkpoint rejected"
-    (Invalid_argument "Sim_engine.run: sampling and checkpointing are incompatible")
+    (Invalid_argument "Machine.run: sampling and checkpointing are incompatible")
     (fun () ->
       ignore
         (Machine.run
@@ -92,9 +92,6 @@ let test_bad_schedule_rejected () =
    unsharded sampled run, across shard counts, barrier elision on/off
    and both memory models.  Only the lockstep diagnostics (shard
    barrier/elision counters) may differ. *)
-
-let strip_shard (r : Machine.result) =
-  { r with Machine.shard = Machine.no_shard_ctrs }
 
 let sampled_shard_gen =
   let open QCheck2.Gen in
@@ -126,7 +123,7 @@ let prop_sampled_shard_invariance =
           (Config.v ~base ~shard_domains:shards ~elide_barriers:elide ())
           w.Workload.program
       in
-      if strip_shard seq = strip_shard sharded then true
+      if Machine.same_outcome seq sharded then true
       else if seq.Machine.cycles <> sharded.Machine.cycles then
         QCheck2.Test.fail_reportf "cycle estimate: sequential %d, sharded %d"
           seq.Machine.cycles sharded.Machine.cycles
@@ -143,12 +140,6 @@ let prop_sampled_shard_invariance =
    detailed engine.) *)
 let test_sharded_checkpoint_sequential_resume () =
   let w = mpmc () in
-  let strip (r : Machine.result) =
-    {
-      (strip_shard r) with
-      Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    }
-  in
   let sharded_cfg = Config.v ~shard_domains:4 () in
   let first = ref None in
   let sink ck = if Option.is_none !first then first := Some ck in
@@ -162,7 +153,7 @@ let test_sharded_checkpoint_sequential_resume () =
     let baseline = Machine.run sequential_cfg w.Workload.program in
     Alcotest.(check bool)
       "sharded-captured checkpoint resumes bit-identically under sequential" true
-      (strip resumed = strip baseline)
+      (Machine.same_outcome resumed baseline)
 
 (* Sampled results pinned to recorded values.  The sharded-sampled
    property above compares two runs of the same engine; this pins the

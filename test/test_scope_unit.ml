@@ -188,6 +188,15 @@ let test_counter_restored_on_mispredict () =
   Su.on_branch_mispredict u ~id:50;
   Alcotest.(check bool) "counter restored" false (Su.in_overflow u)
 
+(* Fsb allows 62 columns; the top one is the int's highest bit. *)
+let test_top_fsb_column () =
+  Alcotest.(check (list int)) "column 61 listed" [ 0; 61 ] (Fsb.columns (mask_of_cols [ 0; 61 ]));
+  let u = Su.create { cfg with fsb_entries = 62 } in
+  Alcotest.(check int) "set column is 61" 61 (Su.set_column u);
+  Alcotest.check_raises "63 columns rejected"
+    (Invalid_argument "Scope_unit: fsb_entries must be in 1..62") (fun () ->
+      Su.validate { cfg with fsb_entries = 63 })
+
 let tests =
   [
     Alcotest.test_case "fig9 nested scopes" `Quick test_fig9_nested_scopes;
@@ -208,4 +217,5 @@ let tests =
       test_mispredict_with_older_unresolved_branch;
     Alcotest.test_case "FSS' lags speculation" `Quick test_confirmed_lags_speculation;
     Alcotest.test_case "counter restored" `Quick test_counter_restored_on_mispredict;
+    Alcotest.test_case "top FSB column" `Quick test_top_fsb_column;
   ]

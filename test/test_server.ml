@@ -86,13 +86,6 @@ let test_traffic_edge_cases () =
 
 (* -- registry round-trip: engine == reference, bit for bit ------------- *)
 
-let strip_spin (r : Machine.result) =
-  {
-    r with
-    Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    shard = Machine.no_shard_ctrs;
-  }
-
 let small_params =
   { Registry.default_params with threads = Some 4; size = Some 4; seed = 3 }
 
@@ -110,7 +103,7 @@ let test_registry_roundtrip () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: engine == reference at 1k cycles" name)
         true
-        (strip_spin engine = strip_spin reference))
+        (Machine.same_outcome engine reference))
     [ "server-mpmc"; "server-cache"; "server-steal" ]
 
 (* -- full runs validate under both machines ---------------------------- *)
