@@ -175,7 +175,7 @@ let writes_pending (t : t) ~cycle =
   let pending = ref false in
   Store_buffer.iter t.sb (fun en -> if en.done_at <= cycle then pending := true);
   if not !pending then
-    Rob.iter t.rob (fun e ->
+    Rob.iter_exec t.rob (fun e ->
         match (e.instr, e.state) with
         | Fscope_isa.Instr.Cas _, Rob.Executing d -> if d <= cycle then pending := true
         | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
@@ -291,7 +291,7 @@ let next_wake (t : t) ~cycle =
   let m = ref max_int in
   let consider d = if d > cycle && d < !m then m := d in
   if not t.halted then begin
-    Rob.iter t.rob (fun e ->
+    Rob.iter_exec t.rob (fun e ->
         match e.state with
         | Rob.Executing d -> consider d
         | Rob.Waiting | Rob.Done -> ());

@@ -106,8 +106,12 @@ let entry_of_json (t : t) j =
          (fun r p -> { Rob.producer = producer_of_int p; reg = r })
          regs producers)
   in
-  let e = Rob.make_entry ~seq:(Json.int_exn (Json.get "seq" j)) ~pc ~instr ~srcs in
-  e.state <- state_of_json (Json.get "state" j);
+  let e =
+    Rob.make_entry
+      ~state:(state_of_json (Json.get "state" j))
+      ~seq:(Json.int_exn (Json.get "seq" j))
+      ~pc ~instr ~srcs
+  in
   e.result <- Json.int_exn (Json.get "result" j);
   e.addr <- Json.int_exn (Json.get "addr" j);
   e.data <- Json.int_exn (Json.get "data" j);

@@ -4,7 +4,10 @@
    per-cycle stall accounting — the fast-forwarding engine freezes a
    core only when a whole cycle reports no progress, so any state
    change (a drained store, a completed load, a squash, even a
-   computed address) must be reported. *)
+   computed address) must be reported.
+
+   Only [Executing] entries can complete, so every phase here walks
+   the ROB's executing queue (oldest first) rather than the window. *)
 
 module Instr = Fscope_isa.Instr
 module Scope_unit = Fscope_core.Scope_unit
@@ -18,7 +21,7 @@ let step_complete_writes t ~cycle =
       Mem_port.store t.port ~addr:en.addr ~value:en.value;
       Scope_unit.on_bits_cleared t.scope en.mask)
     (Store_buffer.take_completed t.sb ~cycle);
-  Rob.iter t.rob (fun e ->
+  Rob.iter_exec t.rob (fun e ->
       match (e.instr, e.state) with
       | Instr.Cas _, Rob.Executing d when d <= cycle ->
         (* The RMW performs atomically at its completion point. *)
@@ -28,7 +31,7 @@ let step_complete_writes t ~cycle =
         if success && in_bounds t e.addr then
           Mem_port.store t.port ~addr:e.addr ~value:e.data;
         e.result <- (if success then 1 else 0);
-        e.state <- Rob.Done;
+        Rob.set_state t.rob e Rob.Done;
         Scope_unit.on_bits_cleared t.scope e.scope_mask;
         (match t.obs with
         | Some o ->
@@ -40,7 +43,7 @@ let step_complete_writes t ~cycle =
 
 let step_complete_reads t ~cycle =
   let progress = ref false in
-  Rob.iter t.rob (fun e ->
+  Rob.iter_exec t.rob (fun e ->
       match (e.instr, e.state) with
       | Instr.Load _, Rob.Executing d when d <= cycle ->
         (* data2 = 1 marks a forwarded load whose value was captured at
@@ -48,7 +51,7 @@ let step_complete_reads t ~cycle =
            the access's completion point. *)
         progress := true;
         if e.data2 = 0 then e.result <- read_mem t e.addr;
-        e.state <- Rob.Done;
+        Rob.set_state t.rob e Rob.Done;
         Scope_unit.on_bits_cleared t.scope e.scope_mask
       | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
   !progress
@@ -93,23 +96,15 @@ let resolve_branch t (e : Rob.entry) ~cycle =
    (a misprediction squashes the younger ones before they resolve). *)
 let finalize t ~cycle =
   let progress = ref false in
-  let rec go seq =
-    if Rob.contains t.rob seq then begin
-      let e = Rob.get t.rob seq in
-      (match (e.instr, e.state) with
+  Rob.iter_exec t.rob (fun e ->
+      match (e.instr, e.state) with
       | (Instr.Load _ | Instr.Cas _), _ -> () (* completion phases own these *)
       | Instr.Branch _, Rob.Executing d when d <= cycle ->
         progress := true;
-        e.state <- Rob.Done;
+        Rob.set_state t.rob e Rob.Done;
         resolve_branch t e ~cycle
       | _, Rob.Executing d when d <= cycle ->
         progress := true;
-        e.state <- Rob.Done
+        Rob.set_state t.rob e Rob.Done
       | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-      go (seq + 1)
-    end
-  in
-  (match Rob.head t.rob with
-  | Some e -> go e.seq
-  | None -> ());
   !progress

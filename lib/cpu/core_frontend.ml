@@ -17,6 +17,16 @@ let explicit_srcs = function
   | Instr.Cas { base; expected; desired; _ } -> [ base; expected; desired ]
   | Instr.Branch { src; _ } -> [ src ]
 
+(* Instructions with nothing to execute enter the ROB already [Done];
+   so do fences that order nothing in the window (in-window speculation
+   checks them at commit, no-fence runs drop them). *)
+let dispatch_state t = function
+  | Instr.Nop | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Jump _ | Instr.Halt -> Rob.Done
+  | Instr.Fence _ when t.cfg.in_window_speculation || t.cfg.nop_fences -> Rob.Done
+  | Instr.Fence _ | Instr.Li _ | Instr.Alu _ | Instr.Tid _ | Instr.Load _ | Instr.Store _
+  | Instr.Cas _ | Instr.Branch _ ->
+    Rob.Waiting
+
 let dispatch t ~cycle =
   let progress = ref false in
   if cycle >= t.fetch_resume && not t.fetch_stopped then begin
@@ -39,24 +49,19 @@ let dispatch t ~cycle =
              (fun r -> { Rob.producer = t.rename.(Reg.index r); reg = r })
              (explicit_srcs instr))
       in
-      let e = Rob.make_entry ~seq ~pc ~instr ~srcs in
+      let e = Rob.make_entry ~state:(dispatch_state t instr) ~seq ~pc ~instr ~srcs in
       (match instr with
-      | Instr.Nop -> e.state <- Rob.Done
+      | Instr.Nop -> ()
       | Instr.Fs_start cid ->
         Scope_unit.on_fs_start t.scope ~cid;
         (* scope micro-ops mutate the scope unit at dispatch — the
            closed-form spin replay cannot reproduce that *)
-        Core_spin.note_dirty t;
-        e.state <- Rob.Done
+        Core_spin.note_dirty t
       | Instr.Fs_end cid ->
         Scope_unit.on_fs_end t.scope ~cid;
-        Core_spin.note_dirty t;
-        e.state <- Rob.Done
-      | Instr.Jump target ->
-        e.state <- Rob.Done;
-        t.fetch_pc <- target
+        Core_spin.note_dirty t
+      | Instr.Jump target -> t.fetch_pc <- target
       | Instr.Halt ->
-        e.state <- Rob.Done;
         t.fetch_stopped <- true;
         halt_fetch := true
       | Instr.Fence kind ->
@@ -64,10 +69,7 @@ let dispatch t ~cycle =
         (match Scope_unit.current_cid t.scope with
         | Some cid -> e.fence_cid <- cid
         | None -> ());
-        if t.cfg.in_window_speculation || t.cfg.nop_fences then begin
-          e.fence_issued <- true;
-          e.state <- Rob.Done
-        end
+        if e.state = Rob.Done then e.fence_issued <- true
       | Instr.Load { flagged; _ } | Instr.Store { flagged; _ } | Instr.Cas { flagged; _ }
         ->
         let mask = Scope_unit.decode_mask t.scope ~flagged in

@@ -99,7 +99,7 @@ let try_issue_load t (e : Rob.entry) ~cycle =
   | Forward v ->
     e.result <- v;
     e.data2 <- 1;
-    e.state <- Rob.Executing (cycle + 1);
+    Rob.set_state t.rob e (Rob.Executing (cycle + 1));
     (* a forward implies a store in flight — not a stable spin *)
     Core_spin.note_dirty t;
     true
@@ -111,7 +111,7 @@ let try_issue_load t (e : Rob.entry) ~cycle =
       in
       e.data2 <- 0;
       e.mem_level <- Some level;
-      e.state <- Rob.Executing completes;
+      Rob.set_state t.rob e (Rob.Executing completes);
       Core_spin.note_load t ~addr:e.addr ~level
     end
     else begin
@@ -119,7 +119,7 @@ let try_issue_load t (e : Rob.entry) ~cycle =
          with 0 and leave the caches untouched. *)
       e.result <- 0;
       e.data2 <- 1;
-      e.state <- Rob.Executing (cycle + 1);
+      Rob.set_state t.rob e (Rob.Executing (cycle + 1));
       Core_spin.note_dirty t
     end;
     true
@@ -140,23 +140,33 @@ let cas_issue_ok t (e : Rob.entry) =
           | _ -> false)))
   && not (Store_buffer.has_addr t.sb ~addr:e.addr)
 
+(* Only [Waiting] entries can issue, so the walk covers the waiting
+   queue, oldest first; an entry that issues leaves the queue as it is
+   visited.  An unissued fence is [Waiting] by construction (a fence
+   turns [Done] exactly when it issues or, under in-window speculation
+   and no-fence runs, at dispatch). *)
 let issue t ~cycle =
   let progress = ref false in
   let budget = ref t.cfg.issue_width in
+  let start e d =
+    Rob.set_state t.rob e (Rob.Executing d);
+    progress := true;
+    decr budget
+  in
   (* In the non-speculative pipeline, an unissued fence whose flavour
      has [block_loads] blocks the issue of every younger load; any
      unissued fence blocks younger CAS and keeps younger fences from
      issuing (fences issue oldest-first). *)
   let pending_fence = ref false in
   let pending_blocking_fence = ref false in
-  Rob.iter t.rob (fun e ->
+  Rob.iter_waiting t.rob (fun e ->
       if !budget > 0 then begin
-        match (e.instr, e.state) with
-        | Instr.Fence k, _ when not e.fence_issued ->
+        match e.instr with
+        | Instr.Fence k ->
           if (not t.cfg.in_window_speculation) && not !pending_fence then begin
             if fence_issue_ok t e then begin
               e.fence_issued <- true;
-              e.state <- Rob.Done;
+              Rob.set_state t.rob e Rob.Done;
               progress := true;
               decr budget
             end
@@ -169,65 +179,46 @@ let issue t ~cycle =
             pending_fence := true;
             if k.Fscope_isa.Fence_kind.block_loads then pending_blocking_fence := true
           end
-        | Instr.Li (_, v), Rob.Waiting ->
+        | Instr.Li (_, v) ->
           e.result <- v;
-          e.state <- Rob.Executing (cycle + 1);
-          progress := true;
-          decr budget
-        | Instr.Tid _, Rob.Waiting ->
+          start e (cycle + 1)
+        | Instr.Tid _ ->
           e.result <- t.id;
-          e.state <- Rob.Executing (cycle + 1);
-          progress := true;
-          decr budget
-        | Instr.Alu (op, _, _, operand), Rob.Waiting -> (
-          match srcs_values t cycle e with
-          | None -> ()
-          | Some vals ->
-            let a = vals.(0) in
-            let b = match operand with Instr.Reg _ -> vals.(1) | Instr.Imm i -> i in
-            e.result <- eval_alu op a b;
-            e.state <- Rob.Executing (cycle + 1);
-            progress := true;
-            decr budget)
-        | Instr.Branch { cond; _ }, Rob.Waiting -> (
-          match srcs_values t cycle e with
-          | None -> ()
-          | Some vals ->
-            let v = vals.(0) in
-            let taken =
-              match cond with Instr.Eqz -> v = 0 | Instr.Nez -> v <> 0
+          start e (cycle + 1)
+        | Instr.Alu (op, _, _, operand) ->
+          if srcs_ready t cycle e then begin
+            let a = src_get t e.srcs.(0) in
+            let b =
+              match operand with Instr.Reg _ -> src_get t e.srcs.(1) | Instr.Imm i -> i
             in
+            e.result <- eval_alu op a b;
+            start e (cycle + 1)
+          end
+        | Instr.Branch { cond; _ } ->
+          if src_ready t cycle e.srcs.(0) then begin
+            let v = src_get t e.srcs.(0) in
+            let taken = match cond with Instr.Eqz -> v = 0 | Instr.Nez -> v <> 0 in
             e.result <- (if taken then 1 else 0);
-            e.state <- Rob.Executing (cycle + 1);
-            progress := true;
-            decr budget)
-        | Instr.Store { off; _ }, Rob.Waiting ->
+            start e (cycle + 1)
+          end
+        | Instr.Store { off; _ } ->
           (* Address generation does not wait for the data: younger
              loads disambiguate against the address as soon as the
              base register is ready. *)
-          if e.addr < 0 then begin
-            match src_value t cycle e.srcs.(1) with
-            | Some base ->
-              e.addr <- base + off;
-              progress := true
-            | None -> ()
+          if e.addr < 0 && src_ready t cycle e.srcs.(1) then begin
+            e.addr <- src_get t e.srcs.(1) + off;
+            progress := true
           end;
-          (match src_value t cycle e.srcs.(0) with
-          | Some data when e.addr >= 0 ->
-            e.data <- data;
-            e.state <- Rob.Executing (cycle + 1);
-            progress := true;
-            decr budget
-          | Some _ | None -> ())
-        | Instr.Load { off; _ }, Rob.Waiting ->
+          if e.addr >= 0 && src_ready t cycle e.srcs.(0) then begin
+            e.data <- src_get t e.srcs.(0);
+            start e (cycle + 1)
+          end
+        | Instr.Load { off; _ } ->
           (* Address generation is free as soon as the base is ready;
              the issue slot is only spent on the actual access. *)
-          if e.addr < 0 then begin
-            match src_value t cycle e.srcs.(0) with
-            | Some base ->
-              e.addr <- base + off;
-              progress := true
-            | None -> ()
+          if e.addr < 0 && src_ready t cycle e.srcs.(0) then begin
+            e.addr <- src_get t e.srcs.(0) + off;
+            progress := true
           end;
           if e.addr >= 0
              && ((not !pending_blocking_fence) || t.cfg.in_window_speculation)
@@ -236,15 +227,12 @@ let issue t ~cycle =
             progress := true;
             decr budget
           end
-        | Instr.Cas { off; _ }, Rob.Waiting ->
-          if e.addr < 0 then begin
-            match srcs_values t cycle e with
-            | Some vals ->
-              e.addr <- vals.(0) + off;
-              e.data2 <- vals.(1);
-              e.data <- vals.(2);
-              progress := true
-            | None -> ()
+        | Instr.Cas { off; _ } ->
+          if e.addr < 0 && srcs_ready t cycle e then begin
+            e.addr <- src_get t e.srcs.(0) + off;
+            e.data2 <- src_get t e.srcs.(1);
+            e.data <- src_get t e.srcs.(2);
+            progress := true
           end;
           if e.addr >= 0
              && (not !pending_fence) (* CAS never passes a fence speculatively *)
@@ -259,14 +247,8 @@ let issue t ~cycle =
                 ~now:cycle
             in
             e.mem_level <- Some level;
-            e.state <- Rob.Executing completes;
-            progress := true;
-            decr budget
+            start e completes
           end
-        | ( ( Instr.Nop | Instr.Jump _ | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt
-            | Instr.Fence _ ),
-            _ )
-        | _, (Rob.Executing _ | Rob.Done) ->
-          ()
+        | Instr.Nop | Instr.Jump _ | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt -> ()
       end);
   !progress

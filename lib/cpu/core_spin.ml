@@ -86,7 +86,7 @@ let delta prev now = Array.init (Array.length now) (fun i -> now.(i) - prev.(i))
 (* The relativized snapshot. *)
 
 (* A producer seq that already left the ROB is behaviorally identical
-   to [Arch] (src_value falls back to the architectural file), so dead
+   to [Arch] (src_get falls back to the architectural file), so dead
    seqs relativize to the Arch sentinel; otherwise stale pointers from
    before the loop would drift against [base] and block arming. *)
 let rel_producer t base = function
@@ -252,9 +252,6 @@ let replay t ~(stable : stable) ~k =
     let shift = k * stable.period in
     counts_add t.counts stable.d_counts ~k;
     List.iteri (fun i leaf -> Cpi.charge_n t.cpi leaf ~times:(k * stable.d_cpi.(i))) Cpi.leaves;
-    Rob.iter t.rob (fun e ->
-        match e.state with
-        | Rob.Executing d -> e.state <- Rob.Executing (d + shift)
-        | Rob.Waiting | Rob.Done -> ());
+    Rob.shift_executing t.rob ~by:shift;
     if t.fetch_resume > stable.armed_cycle then t.fetch_resume <- t.fetch_resume + shift
   end

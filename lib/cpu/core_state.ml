@@ -178,34 +178,34 @@ type t = {
 (* A source value is available if its producer has left the ROB (then
    the architectural file holds it: in-order commit guarantees no
    younger same-register producer has overwritten it yet) or has
-   finished executing. *)
-let src_value t cycle (s : Rob.src) =
-  if Reg.equal s.reg Reg.zero then Some 0
+   finished executing.  [src_ready] and [src_get] split the test from
+   the read so that issue allocates nothing per operand. *)
+let src_ready t cycle (s : Rob.src) =
+  Reg.equal s.reg Reg.zero
+  ||
+  match s.producer with
+  | Rob.Arch -> true
+  | Rob.Rob seq -> (
+    (not (Rob.contains t.rob seq))
+    ||
+    match (Rob.get t.rob seq).state with
+    | Rob.Done -> true
+    | Rob.Executing d -> d <= cycle
+    | Rob.Waiting -> false)
+
+(* The value of a source [src_ready] accepted. *)
+let src_get t (s : Rob.src) =
+  if Reg.equal s.reg Reg.zero then 0
   else
     match s.producer with
-    | Rob.Arch -> Some t.arf.(Reg.index s.reg)
-    | Rob.Rob seq ->
-      if not (Rob.contains t.rob seq) then Some t.arf.(Reg.index s.reg)
-      else (
-        let p = Rob.get t.rob seq in
-        match p.state with
-        | Rob.Done -> Some p.result
-        | Rob.Executing d when d <= cycle -> Some p.result
-        | Rob.Executing _ | Rob.Waiting -> None)
+    | Rob.Rob seq when Rob.contains t.rob seq -> (Rob.get t.rob seq).result
+    | Rob.Rob _ | Rob.Arch -> t.arf.(Reg.index s.reg)
 
-let srcs_values t cycle (e : Rob.entry) =
-  let n = Array.length e.srcs in
-  let vals = Array.make n 0 in
-  let rec go i =
-    if i >= n then Some vals
-    else
-      match src_value t cycle e.srcs.(i) with
-      | Some v ->
-        vals.(i) <- v;
-        go (i + 1)
-      | None -> None
-  in
-  go 0
+let rec srcs_ready_from t cycle (e : Rob.entry) i =
+  i >= Array.length e.srcs
+  || (src_ready t cycle e.srcs.(i) && srcs_ready_from t cycle e (i + 1))
+
+let srcs_ready t cycle e = srcs_ready_from t cycle e 0
 
 let eval_alu op a b =
   match op with

@@ -31,13 +31,13 @@ type entry = {
   mutable checkpoint : producer array option;
 }
 
-let make_entry ~seq ~pc ~instr ~srcs =
+let make_entry ~state ~seq ~pc ~instr ~srcs =
   {
     seq;
     pc;
     instr;
     srcs;
-    state = Waiting;
+    state;
     result = 0;
     addr = -1;
     data = 0;
@@ -51,18 +51,78 @@ let make_entry ~seq ~pc ~instr ~srcs =
     checkpoint = None;
   }
 
+(* The window is a circular buffer of slots ([seq mod size]).  Beside
+   it, the [Waiting] and the [Executing] entries each form an
+   oldest-first doubly linked queue threaded through the per-slot
+   [next]/[prev] arrays; [first.(q)]/[last.(q)] are the ends of queue
+   [q] (slot indices, -1 = none).  An entry's [state] alone says which
+   queue holds it, which is why only [set_state] may change it. *)
 type t = {
   size : int;
   slots : entry option array;
   mutable head_seq : int;
   mutable tail_seq : int;
+  next : int array;
+  prev : int array;
+  first : int array;
+  last : int array;
   trace : Fscope_obs.Trace.t;
   core : int;
 }
 
+let waiting_q = 0
+let executing_q = 1
+
+let queue_of = function
+  | Waiting -> waiting_q
+  | Executing _ -> executing_q
+  | Done -> -1
+
 let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~size () =
   if size <= 0 then invalid_arg "Rob.create: size must be positive";
-  { size; slots = Array.make size None; head_seq = 0; tail_seq = 0; trace; core }
+  {
+    size;
+    slots = Array.make size None;
+    head_seq = 0;
+    tail_seq = 0;
+    next = Array.make size (-1);
+    prev = Array.make size (-1);
+    first = [| -1; -1 |];
+    last = [| -1; -1 |];
+    trace;
+    core;
+  }
+
+let at t slot =
+  match t.slots.(slot) with
+  | Some e -> e
+  | None -> assert false
+
+(* Insert [slot] into queue [q] in seq order.  The search runs from the
+   young end: dispatch appends, and an issuing entry is usually among
+   the youngest executing ones. *)
+let link t q slot =
+  let seq = (at t slot).seq in
+  let rec older s = if s < 0 || (at t s).seq < seq then s else older t.prev.(s) in
+  let p = older t.last.(q) in
+  let n = if p < 0 then t.first.(q) else t.next.(p) in
+  t.prev.(slot) <- p;
+  t.next.(slot) <- n;
+  if p < 0 then t.first.(q) <- slot else t.next.(p) <- slot;
+  if n < 0 then t.last.(q) <- slot else t.prev.(n) <- slot
+
+let unlink t q slot =
+  let p = t.prev.(slot) and n = t.next.(slot) in
+  if p < 0 then t.first.(q) <- n else t.next.(p) <- n;
+  if n < 0 then t.last.(q) <- p else t.prev.(n) <- p
+
+let enqueue t e =
+  let q = queue_of e.state in
+  if q >= 0 then link t q (e.seq mod t.size)
+
+let dequeue t e =
+  let q = queue_of e.state in
+  if q >= 0 then unlink t q (e.seq mod t.size)
 
 let instr_class (i : Fscope_isa.Instr.t) : Fscope_obs.Event.instr_class =
   match i with
@@ -89,6 +149,7 @@ let dispatch t entry =
   if entry.seq <> t.tail_seq then invalid_arg "Rob.dispatch: wrong seq";
   t.slots.(entry.seq mod t.size) <- Some entry;
   t.tail_seq <- t.tail_seq + 1;
+  enqueue t entry;
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
       (Fscope_obs.Event.Rob_dispatch { pc = entry.pc; cls = instr_class entry.instr })
@@ -106,6 +167,7 @@ let head t = if is_empty t then None else Some (get t t.head_seq)
 let pop_head t =
   if is_empty t then invalid_arg "Rob.pop_head: empty";
   let e = get t t.head_seq in
+  dequeue t e;
   t.slots.(t.head_seq mod t.size) <- None;
   t.head_seq <- t.head_seq + 1;
   if Fscope_obs.Trace.on t.trace then
@@ -116,7 +178,9 @@ let pop_head t =
 let squash_after t seq =
   let removed = ref [] in
   for s = t.tail_seq - 1 downto max (seq + 1) t.head_seq do
-    removed := get t s :: !removed;
+    let e = get t s in
+    dequeue t e;
+    removed := e :: !removed;
     t.slots.(s mod t.size) <- None
   done;
   if seq + 1 < t.tail_seq then t.tail_seq <- max (seq + 1) t.head_seq;
@@ -126,6 +190,48 @@ let iter t f =
   for s = t.head_seq to t.tail_seq - 1 do
     f (get t s)
   done
+
+let in_flight t e =
+  contains t e.seq
+  &&
+  match t.slots.(e.seq mod t.size) with
+  | Some x -> x == e
+  | None -> false
+
+let set_state t e state =
+  if not (in_flight t e) then invalid_arg "Rob.set_state: entry not in flight";
+  let from = queue_of e.state and into = queue_of state in
+  if from <> into then dequeue t e;
+  e.state <- state;
+  if from <> into then enqueue t e
+
+(* Walk queue [q] oldest first.  [f] may move the visited entry out of
+   [q] or truncate the window behind it ([squash_after]): the walk
+   then resumes at the visited entry's old successor if that is still
+   in [q], and stops otherwise. *)
+let iter_queue t q f =
+  let rec go slot =
+    if slot >= 0 then begin
+      let e = at t slot in
+      let succ = t.next.(slot) in
+      f e;
+      if queue_of e.state = q then go t.next.(slot)
+      else if succ >= 0 then
+        match t.slots.(succ) with
+        | Some n when queue_of n.state = q -> go succ
+        | Some _ | None -> ()
+    end
+  in
+  go t.first.(q)
+
+let iter_waiting t f = iter_queue t waiting_q f
+let iter_exec t f = iter_queue t executing_q f
+
+let shift_executing t ~by =
+  iter_exec t (fun e ->
+      match e.state with
+      | Executing d -> e.state <- Executing (d + by)
+      | Waiting | Done -> ())
 
 let exists_older t seq p =
   let rec go s = s < min seq t.tail_seq && s >= t.head_seq && (p (get t s) || go (s + 1)) in
@@ -147,11 +253,14 @@ let head_seq t = t.head_seq
 let restore t ~head_seq entries =
   if List.length entries > t.size then invalid_arg "Rob.restore: too many entries";
   Array.fill t.slots 0 t.size None;
+  Array.fill t.first 0 2 (-1);
+  Array.fill t.last 0 2 (-1);
   t.head_seq <- head_seq;
   t.tail_seq <- head_seq;
   List.iter
     (fun e ->
       if e.seq <> t.tail_seq then invalid_arg "Rob.restore: non-consecutive seq";
       t.slots.(e.seq mod t.size) <- Some e;
-      t.tail_seq <- t.tail_seq + 1)
+      t.tail_seq <- t.tail_seq + 1;
+      enqueue t e)
     entries

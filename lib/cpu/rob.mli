@@ -6,6 +6,18 @@
     from the head.  A branch misprediction squashes every entry
     younger than the branch.
 
+    Beside the window, the ROB keeps two oldest-first sub-queues: the
+    entries that are [Waiting] and the entries that are [Executing].
+    A full ROB behind a fence or a long miss is mostly [Done] entries
+    that no stage can act on, so the per-cycle stages walk a queue
+    instead of the window: issue walks {!iter_waiting}, the completion
+    phases and branch resolution walk {!iter_exec}.  An entry's
+    [state] alone decides which queue holds it, so the rule is: after
+    an entry is dispatched, only {!set_state} (and
+    {!shift_executing}) may change its [state].  {!dispatch},
+    {!pop_head}, {!squash_after} and {!restore} keep the queues in
+    step with the window.
+
     Each entry carries the paper's per-entry fence scope bits
     ([scope_mask]) and, for fences, the wait condition captured from
     the {!Fscope_core.Scope_unit} at dispatch. *)
@@ -29,7 +41,7 @@ type entry = {
   pc : int;
   instr : Fscope_isa.Instr.t;
   srcs : src array;  (** in the order of {!Fscope_isa.Instr.reads_regs} *)
-  mutable state : exec_state;
+  mutable state : exec_state;  (** write through {!set_state} only *)
   mutable result : int;  (** dst value: load data, ALU result, CAS success bit *)
   mutable addr : int;  (** memory address once computed; -1 = unknown *)
   mutable data : int;  (** store data / CAS desired value *)
@@ -47,7 +59,14 @@ type entry = {
   mutable checkpoint : producer array option;  (** rename snapshot, branches only *)
 }
 
-val make_entry : seq:int -> pc:int -> instr:Fscope_isa.Instr.t -> srcs:src array -> entry
+val make_entry :
+  state:exec_state ->
+  seq:int ->
+  pc:int ->
+  instr:Fscope_isa.Instr.t ->
+  srcs:src array ->
+  entry
+(** A fresh entry in its dispatch-time [state]. *)
 
 type t
 
@@ -65,8 +84,14 @@ val next_seq : t -> int
 (** The seq the next dispatched entry must carry. *)
 
 val dispatch : t -> entry -> unit
-(** Append at the tail.  Raises [Invalid_argument] if full or if the
-    entry's seq is not [next_seq]. *)
+(** Append at the tail (and to the sub-queue of its [state]).  Raises
+    [Invalid_argument] if full or if the entry's seq is not
+    [next_seq]. *)
+
+val set_state : t -> entry -> exec_state -> unit
+(** Change an in-flight entry's state, moving it between the
+    sub-queues.  Raises [Invalid_argument] if the entry is not in
+    flight. *)
 
 val contains : t -> int -> bool
 (** Is [seq] currently in flight? *)
@@ -86,6 +111,21 @@ val squash_after : t -> int -> entry list
 
 val iter : t -> (entry -> unit) -> unit
 (** All in-flight entries, oldest first. *)
+
+val iter_waiting : t -> (entry -> unit) -> unit
+(** The [Waiting] entries, oldest first. *)
+
+val iter_exec : t -> (entry -> unit) -> unit
+(** The [Executing] entries, oldest first.
+
+    In both walks the callback may move the visited entry to another
+    state and may call {!squash_after} on it; it must change no other
+    entry's state and must not dispatch.  Entries removed by a squash
+    are not visited. *)
+
+val shift_executing : t -> by:int -> unit
+(** Add [by] to the completion cycle of every [Executing] entry (the
+    closed-form spin replay's time shift). *)
 
 val exists_older : t -> int -> (entry -> bool) -> bool
 (** [exists_older t seq p]: does any in-flight entry older than [seq]

@@ -30,16 +30,25 @@ let push t entry =
     Fscope_obs.Trace.emit t.trace ~core:t.core
       (Fscope_obs.Event.Sb_insert { addr = entry.addr })
 
+let rec any_due cycle = function
+  | [] -> false
+  | e :: rest -> e.done_at <= cycle || any_due cycle rest
+
+(* Called on every phase-1 step of every awake core, and usually
+   nothing is due: that case must not allocate. *)
 let take_completed t ~cycle =
-  let done_, waiting = List.partition (fun e -> e.done_at <= cycle) t.entries in
-  t.entries <- waiting;
-  if Fscope_obs.Trace.on t.trace then
-    List.iter
-      (fun e ->
-        Fscope_obs.Trace.emit t.trace ~core:t.core
-          (Fscope_obs.Event.Sb_drain { addr = e.addr; value = e.value }))
-      done_;
-  done_
+  if not (any_due cycle t.entries) then []
+  else begin
+    let done_, waiting = List.partition (fun e -> e.done_at <= cycle) t.entries in
+    t.entries <- waiting;
+    if Fscope_obs.Trace.on t.trace then
+      List.iter
+        (fun e ->
+          Fscope_obs.Trace.emit t.trace ~core:t.core
+            (Fscope_obs.Event.Sb_drain { addr = e.addr; value = e.value }))
+        done_;
+    done_
+  end
 
 let forward t ~addr =
   List.fold_left

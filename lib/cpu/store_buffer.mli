@@ -36,7 +36,7 @@ val push : t -> entry -> unit
 val take_completed : t -> cycle:int -> entry list
 (** Remove and return every entry with [done_at <= cycle], oldest
     first.  These are the stores whose values the machine must apply
-    to memory this cycle. *)
+    to memory this cycle.  Allocates nothing when no entry is due. *)
 
 val forward : t -> addr:int -> int option
 (** Youngest entry to [addr], for store-to-load forwarding. *)

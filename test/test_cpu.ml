@@ -9,7 +9,7 @@ module Reg = Fscope_isa.Reg
 module Fsb = Fscope_core.Fsb
 module Fk = Fscope_isa.Fence_kind
 
-let entry seq = Rob.make_entry ~seq ~pc:seq ~instr:Instr.Nop ~srcs:[||]
+let entry seq = Rob.make_entry ~state:Rob.Waiting ~seq ~pc:seq ~instr:Instr.Nop ~srcs:[||]
 
 let test_rob_fifo () =
   let rob = Rob.create ~size:4 () in
@@ -52,6 +52,91 @@ let test_rob_iteration_helpers () =
     (Rob.exists_older rob 3 (fun e -> e.Rob.seq = 3));
   let seen = Rob.fold_older rob 4 (fun acc e -> e.Rob.seq :: acc) [] in
   Alcotest.(check (list int)) "fold_older oldest-first" [ 3; 2; 1; 0 ] seen
+
+(* The Waiting and Executing sub-queues must always hold exactly the
+   window's entries in that state, oldest first, whatever sequence of
+   dispatches, state changes, squashes, commits, restores and mutating
+   walks built the window.  Op codes are decoded from random int
+   triples so shrinking stays meaningful. *)
+let state_of_int k =
+  match k mod 3 with
+  | 0 -> Rob.Waiting
+  | 1 -> Rob.Executing (k / 3)
+  | _ -> Rob.Done
+
+let is_waiting = function Rob.Waiting -> true | Rob.Executing _ | Rob.Done -> false
+let is_executing = function Rob.Executing _ -> true | Rob.Waiting | Rob.Done -> false
+
+let walk_seqs walk rob =
+  let acc = ref [] in
+  walk rob (fun (e : Rob.entry) -> acc := e.Rob.seq :: !acc);
+  List.rev !acc
+
+let window_seqs rob p =
+  walk_seqs (fun rob f -> Rob.iter rob (fun e -> if p e.Rob.state then f e)) rob
+
+let queues_agree rob =
+  walk_seqs Rob.iter_waiting rob = window_seqs rob is_waiting
+  && walk_seqs Rob.iter_exec rob = window_seqs rob is_executing
+
+let nop ~state seq = Rob.make_entry ~state ~seq ~pc:seq ~instr:Instr.Nop ~srcs:[||]
+
+(* Walk one queue, acting on the i-th visited entry by 2-bit code i of
+   [codes]: 1 moves it out of the queue, 2 moves it out and squashes
+   everything younger, else it stays.  The walk must visit the queue's
+   entries at its start, oldest first, up to the first squash. *)
+let walk_and_check rob ~waiting ~codes =
+  let walk, out =
+    if waiting then (Rob.iter_waiting, Rob.Executing 0) else (Rob.iter_exec, Rob.Done)
+  in
+  let before = walk_seqs walk rob in
+  let visited = ref [] in
+  walk rob (fun e ->
+      let code = (codes lsr (2 * (List.length !visited mod 30))) land 3 in
+      visited := e.Rob.seq :: !visited;
+      if code = 1 || code = 2 then Rob.set_state rob e out;
+      if code = 2 then ignore (Rob.squash_after rob e.Rob.seq));
+  let rec upto_squash i = function
+    | [] -> []
+    | s :: rest ->
+      let code = (codes lsr (2 * (i mod 30))) land 3 in
+      if code = 2 then [ s ] else s :: upto_squash (i + 1) rest
+  in
+  List.rev !visited = upto_squash 0 before
+
+let apply rob (op, a, b) =
+  let n = Rob.count rob in
+  match op mod 6 with
+  | 0 ->
+    if not (Rob.is_full rob) then
+      Rob.dispatch rob (nop ~state:(state_of_int a) (Rob.next_seq rob));
+    true
+  | 1 ->
+    if n > 0 then
+      Rob.set_state rob (Rob.get rob (Rob.head_seq rob + (a mod n))) (state_of_int b);
+    true
+  | 2 ->
+    ignore (Rob.squash_after rob (Rob.head_seq rob - 1 + (a mod (n + 1))));
+    true
+  | 3 ->
+    if n > 0 then ignore (Rob.pop_head rob);
+    true
+  | 4 ->
+    let head_seq = Rob.head_seq rob + (a mod 3) in
+    Rob.restore rob ~head_seq
+      (List.init
+         (b mod (Rob.size rob + 1))
+         (fun i -> nop ~state:(state_of_int (a + (7 * i))) (head_seq + i)));
+    true
+  | _ -> walk_and_check rob ~waiting:(a mod 2 = 0) ~codes:b
+
+let prop_rob_queues =
+  QCheck2.Test.make ~count:300 ~name:"rob state queues match the window"
+    ~print:QCheck2.Print.(list (triple int int int))
+    QCheck2.Gen.(list_size (int_range 0 80) (triple (int_bound 5) nat nat))
+    (fun ops ->
+      let rob = Rob.create ~size:8 () in
+      List.for_all (fun op -> apply rob op && queues_agree rob) ops)
 
 let sb_entry ?(mask = Fsb.empty) ~addr ~done_at () =
   { Sb.addr; value = 7; mask; done_at }
@@ -123,6 +208,7 @@ let tests =
     Alcotest.test_case "rob wrong seq" `Quick test_rob_wrong_seq;
     Alcotest.test_case "rob squash" `Quick test_rob_squash;
     Alcotest.test_case "rob iteration" `Quick test_rob_iteration_helpers;
+    QCheck_alcotest.to_alcotest prop_rob_queues;
     Alcotest.test_case "sb completion order" `Quick test_sb_fifo_and_completion;
     Alcotest.test_case "sb forwarding" `Quick test_sb_forward_youngest;
     Alcotest.test_case "sb mask overlap" `Quick test_sb_mask_overlap;

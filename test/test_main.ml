@@ -17,6 +17,7 @@ let () =
       ("differential", Test_differential.tests);
       ("engine", Test_engine.tests);
       ("sampling", Test_sampling.tests);
+      ("core_pinned", Test_core_pinned.tests);
       ("server", Test_server.tests);
       ("advisor", Test_advisor.tests);
       ("trend", Test_trend.tests);
