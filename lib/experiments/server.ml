@@ -9,12 +9,13 @@
    [fence/stall_cycles] histogram) — the quantities a server operator
    would ask about.
 
-   Every point is triple-checked before it lands in a row:
+   Every exact point is triple-checked before it lands in a row:
    - the event-horizon engine and the naive reference loop must agree
      bit-for-bit (spin fast-forward counters excluded);
    - the workload's functional validation must pass;
-   - the traced (profiled) run must reproduce the untraced cycle count
-     exactly, since tracing is timing-neutral by contract.
+   - the one traced run must reproduce the untraced cycle count
+     exactly, since tracing is timing-neutral by contract, and must
+     drop none of the markers it keeps.
    A row is therefore identical no matter which loop, job count or
    host produced it, which is what lets CI diff BENCH_server.json. *)
 
@@ -64,29 +65,10 @@ type point = {
   pt_machine : Config.t;
   pt_build : unit -> W.Workload.t;
   (* [Some threads] on workloads with per-request latency markers
-     (currently server-mpmc): run an extra drain-filtered trace and
-     extract inject-to-retire latencies. *)
+     (currently server-mpmc): the traced run also keeps those markers
+     and the row gets inject-to-retire latencies. *)
   pt_lat_threads : int option;
 }
-
-(* Nearest-rank percentile over the log2-bucket histogram, reported as
-   the bucket lower bound (the resolution the histogram actually
-   has). *)
-let percentile (h : Obs.Metrics.hist_snapshot) q =
-  if h.count = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int h.count))) in
-    let rec go seen = function
-      | [] -> 0
-      | (floor, c) :: rest ->
-        let seen = seen + c in
-        if seen >= rank then floor else go seen rest
-    in
-    go 0 h.buckets
-  end
-
-let max_floor (h : Obs.Metrics.hist_snapshot) =
-  List.fold_left (fun acc (floor, _) -> max acc floor) 0 h.buckets
 
 (* Exact nearest-rank percentile over an ascending sample list. *)
 let rank_percentile sorted q =
@@ -97,225 +79,128 @@ let rank_percentile sorted q =
     let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
     List.nth sorted (rank - 1)
 
-(* Per-request latencies from a dedicated traced run that retains only
-   the workload's inject/retire drain markers.  The filtered ring keeps
-   at most one event per marker, so even a 10k-request point fits with
-   room to spare; tracing stays timing-neutral, which we assert. *)
-let request_latencies pt program ~threads ~cycles =
+let empty_hist = { Obs.Metrics.count = 0; sum = 0; buckets = [] }
+
+let hist_of metrics name =
+  Option.value ~default:empty_hist (Obs.Metrics.find_histogram metrics name)
+
+(* One evaluator for exact and sampled points.  Each point makes one
+   untraced run (cycles, CPI fence share, validation), the naive
+   reference run on exact points only, and one traced run whose keep
+   filter retains exactly the workload's drain markers: the inject /
+   retire markers of the latency extraction and the gauge sampler's
+   occupancy markers.  That trace must reproduce the untraced cycle
+   count (tracing is timing-neutral; on a sampled point the traced run
+   is sequential, so this doubles as a sharded/sequential sampled
+   bit-identity check) and must drop nothing.  The keep filter does
+   not touch the metrics registry, so the [fence/stall_cycles]
+   histogram still counts every stall episode.
+
+   Sampled points skip the reference run (the estimator IS the
+   engine), leave the stall columns zero (the registry only saw the
+   measured windows) and carry no gauge; functional validation holds
+   exactly, because the fast-forward legs execute real instructions.
+   Their latencies keep only request pairs whose BOTH endpoints landed
+   inside one measured window — a pair spanning a functional gap would
+   count unsimulated fast-forward cycles — so the tail is exact over
+   the covered requests, flagged [sv_lat_sampled]. *)
+let eval pt =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        failwith (Printf.sprintf "server %s (%s): %s" pt.pt_workload pt.pt_config msg))
+      fmt
+  in
+  let sampled = pt.pt_machine.Config.sampling <> None in
+  let w = pt.pt_build () in
+  let program = w.W.Workload.program in
+  let r = Machine.run pt.pt_machine program in
+  if sampled then (if r.Machine.timed_out then fail "sampled run timed out")
+  else if not (Machine.same_outcome r (Machine.run_reference pt.pt_machine program))
+  then fail "engine/reference mismatch";
+  (match w.W.Workload.validate r with
+  | Ok () -> ()
+  | Error msg -> fail "validation failed — %s" msg);
   let requests = pt.pt_requests in
-  let keep = W.Mpmc.keep_latency ~requests ~threads program in
+  let gauge =
+    if sampled then None
+    else W.Gauges.for_workload ~name:w.W.Workload.name program
+  in
+  let keeps =
+    Option.to_list
+      (Option.map
+         (fun threads -> W.Mpmc.keep_latency ~requests ~threads program)
+         pt.pt_lat_threads)
+    @ Option.to_list (Option.map (fun g -> g.W.Gauges.keep) gauge)
+  in
+  let keep ev = List.exists (fun k -> k ev) keeps in
+  (* A request leaves at most one marker of each family; gauge samplers
+     also follow per-thread structures, so they get more headroom. *)
+  let ring_capacity =
+    max 1024 (if gauge = None then requests + 2 else (4 * requests) + 64)
+  in
   let trace =
-    Obs.Trace.create
-      ~ring_capacity:(max 1024 (requests + 2))
-      ~keep
+    Obs.Trace.create ~ring_capacity ~keep
       ~cores:(Fscope_isa.Program.thread_count program)
       ()
   in
-  let r = Machine.run ~obs:trace pt.pt_machine program in
-  if r.Machine.cycles <> cycles then
-    failwith
-      (Printf.sprintf "server %s (%s): latency trace not timing-neutral"
-         pt.pt_workload pt.pt_config);
-  if Obs.Trace.dropped trace <> 0 then
-    failwith
-      (Printf.sprintf "server %s (%s): latency trace dropped markers" pt.pt_workload
-         pt.pt_config);
-  W.Mpmc.latency_of_events ~requests ~threads program (Obs.Trace.events trace)
-
-(* Live occupancy gauge (queue depth / deque occupancy / limbo length)
-   from a second dedicated drain-marker trace, folded post-hoc in the
-   trace's deterministic order — same timing-neutrality and no-drop
-   contract as the latency trace.  The 64-core scale point reuses the
-   base workload's sampler. *)
-let workload_gauge pt program ~cycles =
-  let name =
-    if pt.pt_workload = "server-mpmc-64" then "server-mpmc" else pt.pt_workload
-  in
-  match W.Gauges.for_workload ~name program with
-  | None -> None
-  | Some g ->
-    let trace =
-      Obs.Trace.create
-        ~ring_capacity:(max 1024 ((4 * pt.pt_requests) + 64))
-        ~keep:g.W.Gauges.keep
-        ~cores:(Fscope_isa.Program.thread_count program)
-        ()
-    in
-    let r = Machine.run ~obs:trace pt.pt_machine program in
-    if r.Machine.cycles <> cycles then
-      failwith
-        (Printf.sprintf "server %s (%s): gauge trace not timing-neutral"
-           pt.pt_workload pt.pt_config);
-    if Obs.Trace.dropped trace <> 0 then
-      failwith
-        (Printf.sprintf "server %s (%s): gauge trace dropped markers" pt.pt_workload
-           pt.pt_config);
-    let m = Obs.Metrics.create () in
-    g.W.Gauges.fold m (Obs.Trace.events trace);
-    let h =
-      match Obs.Metrics.find_histogram m g.W.Gauges.hist with
-      | Some h -> h
-      | None -> { Obs.Metrics.count = 0; sum = 0; buckets = [] }
-    in
-    Some
-      {
-        gv_name = g.W.Gauges.label;
-        gv_samples = h.Obs.Metrics.count;
-        gv_p50 = percentile h 0.50;
-        gv_p90 = percentile h 0.90;
-        gv_p99 = percentile h 0.99;
-        gv_max = max_floor h;
-      }
-
-let eval pt =
-  let w = pt.pt_build () in
-  let program = w.W.Workload.program in
-  let engine_r = Machine.run pt.pt_machine program in
-  let naive_r = Machine.run_reference pt.pt_machine program in
-  if not (Machine.same_outcome engine_r naive_r) then
-    failwith
-      (Printf.sprintf "server %s (%s): engine/reference mismatch" pt.pt_workload
-         pt.pt_config);
-  (match w.W.Workload.validate engine_r with
-  | Ok () -> ()
-  | Error msg ->
-    failwith
-      (Printf.sprintf "server %s (%s): validation failed — %s" pt.pt_workload
-         pt.pt_config msg));
-  let input = Profiling.profile ~label:pt.pt_config pt.pt_machine w in
-  if input.Obs.Profile.cycles <> engine_r.Machine.cycles then
-    failwith
-      (Printf.sprintf "server %s (%s): traced run not timing-neutral" pt.pt_workload
-         pt.pt_config);
-  let active = Array.fold_left ( + ) 0 input.Obs.Profile.core_active in
-  let fence =
-    Array.fold_left (fun acc c -> acc + Obs.Cpi.fence_cycles c) 0 input.Obs.Profile.cpi
-  in
-  let h =
-    match input.Obs.Profile.metrics with
-    | Some m -> (
-      match Obs.Metrics.find_histogram m "fence/stall_cycles" with
-      | Some h -> h
-      | None -> { Obs.Metrics.count = 0; sum = 0; buckets = [] })
-    | None -> failwith "server: traced run carried no metrics"
-  in
+  let traced = Machine.run ~obs:trace pt.pt_machine program in
+  if traced.Machine.cycles <> r.Machine.cycles then fail "trace not timing-neutral";
+  if Obs.Trace.dropped trace <> 0 then fail "trace dropped markers";
+  let events = Obs.Trace.events trace in
+  let metrics = Obs.Trace.metrics trace in
+  let h = if sampled then empty_hist else hist_of metrics "fence/stall_cycles" in
   let lats =
     match pt.pt_lat_threads with
     | None -> []
     | Some threads ->
-      request_latencies pt program ~threads ~cycles:engine_r.Machine.cycles
+      let windows =
+        if sampled then traced.Machine.sample_windows else [ (0, traced.Machine.cycles) ]
+      in
+      W.Mpmc.latency_of_events ~requests ~threads ~windows program events
   in
+  let fence =
+    Array.fold_left (fun acc c -> acc + Obs.Cpi.fence_cycles c) 0 r.Machine.core_cpi
+  in
+  let pct = Obs.Metrics.hist_percentile in
   {
     sv_workload = pt.pt_workload;
     sv_config = pt.pt_config;
-    sv_cycles = engine_r.Machine.cycles;
-    sv_requests = pt.pt_requests;
-    sv_rpk =
-      1000. *. float_of_int pt.pt_requests /. float_of_int engine_r.Machine.cycles;
-    sv_fence_share = 100. *. Fscope_util.Stats.ratio ~num:fence ~den:active;
+    sv_cycles = r.Machine.cycles;
+    sv_requests = requests;
+    sv_rpk = 1000. *. float_of_int requests /. float_of_int r.Machine.cycles;
+    sv_fence_share =
+      100. *. Fscope_util.Stats.ratio ~num:fence ~den:(Machine.total_active_cycles r);
     sv_stall_episodes = h.Obs.Metrics.count;
     sv_stall_cycles = h.Obs.Metrics.sum;
     sv_stall_mean =
       (if h.Obs.Metrics.count = 0 then 0.
        else float_of_int h.Obs.Metrics.sum /. float_of_int h.Obs.Metrics.count);
-    sv_stall_p50 = percentile h 0.50;
-    sv_stall_p90 = percentile h 0.90;
-    sv_stall_p99 = percentile h 0.99;
-    sv_stall_max = max_floor h;
+    sv_stall_p50 = pct h 0.50;
+    sv_stall_p90 = pct h 0.90;
+    sv_stall_p99 = pct h 0.99;
+    sv_stall_max = Obs.Metrics.hist_max_floor h;
     sv_lat_samples = List.length lats;
     sv_lat_p50 = rank_percentile lats 0.50;
     sv_lat_p90 = rank_percentile lats 0.90;
     sv_lat_p99 = rank_percentile lats 0.99;
     sv_lat_max = (match List.rev lats with [] -> 0 | m :: _ -> m);
-    sv_gauge = workload_gauge pt program ~cycles:engine_r.Machine.cycles;
-    sv_sampled = false;
-    sv_lat_sampled = false;
-  }
-
-(* Window-restricted per-request latencies for a sampled point: a
-   second, traced sampled run (sequential detailed windows — the
-   estimator is bit-identical for any shard count, which we assert via
-   the cycle estimate) keeps only the inject/retire drain markers, and
-   only pairs whose BOTH endpoints landed inside one measured window
-   survive — a pair spanning a functional gap would count unsimulated
-   fast-forward cycles.  The tail is thus exact over the covered
-   requests rather than silently absent. *)
-let sampled_latencies pt program ~threads ~cycles =
-  let requests = pt.pt_requests in
-  let keep = W.Mpmc.keep_latency ~requests ~threads program in
-  let trace =
-    Obs.Trace.create
-      ~ring_capacity:(max 1024 (requests + 2))
-      ~keep
-      ~cores:(Fscope_isa.Program.thread_count program)
-      ()
-  in
-  let rt = Machine.run ~obs:trace pt.pt_machine program in
-  if rt.Machine.cycles <> cycles then
-    failwith
-      (Printf.sprintf "server %s (%s): sampled latency trace diverged from estimate"
-         pt.pt_workload pt.pt_config);
-  if Obs.Trace.dropped trace <> 0 then
-    failwith
-      (Printf.sprintf "server %s (%s): sampled latency trace dropped markers"
-         pt.pt_workload pt.pt_config);
-  W.Mpmc.latency_of_events_windowed ~requests ~threads
-    ~windows:rt.Machine.sample_windows program (Obs.Trace.events trace)
-
-(* Sampled points trade the per-point triple-check for wall-clock: the
-   engine-vs-reference and timing-neutrality assertions have no
-   meaning under sampling (the estimator IS the engine), but
-   functional validation still holds exactly — the fast-forward legs
-   execute real instructions, so the retired requests and final memory
-   are real.  The fence share comes straight from the run's
-   extrapolated CPI stacks; stall tails need a full trace, so those
-   columns stay zero; latency tails come from the measured-window
-   extraction above, flagged [sv_lat_sampled]. *)
-let eval_sampled pt =
-  let w = pt.pt_build () in
-  let program = w.W.Workload.program in
-  let r = Machine.run pt.pt_machine program in
-  if r.Machine.timed_out then
-    failwith
-      (Printf.sprintf "server %s (%s): sampled run timed out" pt.pt_workload
-         pt.pt_config);
-  (match w.W.Workload.validate r with
-  | Ok () -> ()
-  | Error msg ->
-    failwith
-      (Printf.sprintf "server %s (%s): sampled validation failed — %s" pt.pt_workload
-         pt.pt_config msg));
-  let active = Machine.total_active_cycles r in
-  let fence =
-    Array.fold_left (fun acc c -> acc + Obs.Cpi.fence_cycles c) 0 r.Machine.core_cpi
-  in
-  let lats =
-    match pt.pt_lat_threads with
-    | None -> []
-    | Some threads -> sampled_latencies pt program ~threads ~cycles:r.Machine.cycles
-  in
-  {
-    sv_workload = pt.pt_workload;
-    sv_config = pt.pt_config;
-    sv_cycles = r.Machine.cycles;
-    sv_requests = pt.pt_requests;
-    sv_rpk = 1000. *. float_of_int pt.pt_requests /. float_of_int r.Machine.cycles;
-    sv_fence_share = 100. *. Fscope_util.Stats.ratio ~num:fence ~den:active;
-    sv_stall_episodes = 0;
-    sv_stall_cycles = 0;
-    sv_stall_mean = 0.;
-    sv_stall_p50 = 0;
-    sv_stall_p90 = 0;
-    sv_stall_p99 = 0;
-    sv_stall_max = 0;
-    sv_lat_samples = List.length lats;
-    sv_lat_p50 = rank_percentile lats 0.50;
-    sv_lat_p90 = rank_percentile lats 0.90;
-    sv_lat_p99 = rank_percentile lats 0.99;
-    sv_lat_max = (match List.rev lats with [] -> 0 | m :: _ -> m);
-    sv_gauge = None;
-    sv_sampled = true;
-    sv_lat_sampled = pt.pt_lat_threads <> None;
+    sv_gauge =
+      Option.map
+        (fun g ->
+          g.W.Gauges.fold metrics events;
+          let gh = hist_of metrics g.W.Gauges.hist in
+          {
+            gv_name = g.W.Gauges.label;
+            gv_samples = gh.Obs.Metrics.count;
+            gv_p50 = pct gh 0.50;
+            gv_p90 = pct gh 0.90;
+            gv_p99 = pct gh 0.99;
+            gv_max = Obs.Metrics.hist_max_floor gh;
+          })
+        gauge;
+    sv_sampled = sampled;
+    sv_lat_sampled = sampled && pt.pt_lat_threads <> None;
   }
 
 (* Three machine configurations per workload.  The set-scope point
@@ -395,9 +280,9 @@ let sampled_sampling ~quick =
    is for. *)
 let sampled_points ~quick =
   (* Sampled points honour --shard-domains too: the untraced run then
-     shards its detailed windows, while the traced latency run stays
-     sequential — the cycle-estimate assertion in [sampled_latencies]
-     doubles as a sharded/sequential sampled bit-identity check. *)
+     shards its detailed windows, while the traced run stays
+     sequential — [eval]'s timing-neutrality assertion doubles as a
+     sharded/sequential sampled bit-identity check. *)
   let s =
     Config.v
       ~base:(Exp_run.s_config Config.default)
@@ -417,7 +302,7 @@ let sampled_points ~quick =
   in
   [ point 64 (if quick then 4 else 625); point 256 (if quick then 1 else 156) ]
 
-let run_sampled ?(quick = false) () = List.map eval_sampled (sampled_points ~quick)
+let run_sampled ?(quick = false) () = List.map eval (sampled_points ~quick)
 
 let table rows =
   let t =

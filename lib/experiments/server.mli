@@ -4,10 +4,15 @@
     server workloads under traditional, class-scoped and set-scoped
     fences.
 
-    Every point asserts engine/reference bit-identity, functional
-    validation and traced-run timing-neutrality before it becomes a
-    row, so a row is identical for any loop, any [--jobs] count and
-    any host — BENCH_server.json can be diffed byte-for-byte. *)
+    One evaluator measures every point, exact or sampled: one
+    untraced run, the naive reference run on exact points only, and
+    one traced run whose keep filter retains exactly the workload's
+    latency and gauge drain markers (3 machine runs per exact point,
+    2 per sampled point).  Every exact point asserts engine/reference
+    bit-identity, functional validation, and that the traced run is
+    timing-neutral and dropped no marker, before it becomes a row, so
+    a row is identical for any loop, any [--jobs] count and any host —
+    BENCH_server.json can be diffed byte-for-byte. *)
 
 type gauge_row = {
   gv_name : string;  (** short gauge label, e.g. ["queue_depth"] *)
@@ -42,13 +47,14 @@ type row = {
   sv_lat_p99 : int;
   sv_lat_max : int;
       (** exact nearest-rank percentiles over per-request
-          inject-to-retire latencies (simulated cycles), from a
-          dedicated drain-marker trace; zero samples on workloads
-          without latency markers *)
+          inject-to-retire latencies (simulated cycles), from the
+          point's one traced run; zero samples on workloads without
+          latency markers *)
   sv_gauge : gauge_row option;
       (** live data-structure occupancy (queue depth / deque occupancy /
-          limbo-ring length) from a second dedicated drain-marker trace;
-          [None] on workloads without a gauge sampler *)
+          limbo-ring length), folded from the same traced run's gauge
+          markers; [None] on workloads without a gauge sampler and on
+          sampled points *)
   sv_sampled : bool;
       (** interval-sampled point: [sv_cycles] / [sv_rpk] /
           [sv_fence_share] are extrapolated estimates (DESIGN §15),
@@ -56,9 +62,9 @@ type row = {
           stall-tail columns are zero *)
   sv_lat_sampled : bool;
       (** the latency columns come from the measured-window extraction:
-          a traced sampled run keeps the inject/retire drain markers,
-          and only request pairs with both endpoints inside ONE
-          measured detailed window count — exact latencies over the
+          the point's traced sampled run keeps the inject/retire drain
+          markers, and only request pairs with both endpoints inside
+          ONE measured detailed window count — exact latencies over the
           covered subset ([sv_lat_samples]), not estimates *)
 }
 
@@ -86,8 +92,8 @@ val run_sampled : ?quick:bool -> unit -> row list
     functionally like every other point, and fill the latency columns
     from the measured-window extraction ([sv_lat_sampled]).  Machine
     configs honour {!Exp_run.shard_domains}: the untraced run shards
-    its detailed windows, and the traced latency run's cycle estimate
-    must reproduce it exactly. *)
+    its detailed windows, and the sequential traced run's cycle
+    estimate must reproduce it exactly. *)
 
 val table : row list -> Fscope_util.Table.t
 

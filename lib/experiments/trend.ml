@@ -9,8 +9,12 @@
    kilocycle, fence share, stall tails) gate at [threshold]; wall-clock
    metrics are advisory unless the caller supplies [wall_threshold],
    because two runners legitimately differ in speed.  Gauge summaries
-   (v3 server rows) never gate — a deeper queue is context, not a
-   regression by itself.
+   never gate — a deeper queue is context, not a regression by itself.
+
+   Loaders exist only for the schema versions the bench emits today
+   (engine v4, profile v2, server v5); any other version is rejected as
+   an unknown schema, so a stale baseline fails loudly instead of
+   diffing against zero-filled columns.
 
    Two artefacts are comparable only when their "quick" flags agree
    (both absent counts as agreement): a quick run diffed against a
@@ -73,7 +77,7 @@ let load_engine ~file j =
     List.map
       (fun a ->
         let name = str ~file ~ctx:"artefacts[]" a "name" in
-        (* A self-skipped artefact (v3 "skipped" marker, e.g.
+        (* A self-skipped artefact ("skipped" marker, e.g.
            jobs-scaling on a 1-CPU host) records near-zero seconds that
            no later run can "regress" against — its wall-clock is
            context, never a gate. *)
@@ -113,7 +117,7 @@ let load_engine ~file j =
         };
       ]
   in
-  (* The shard objects (v4): wall-clock compares only across equal
+  (* The shard objects: wall-clock compares only across equal
      hosts, so speedup/seconds stay Gate_wall; the barrier and elision
      counters are engine diagnostics — a rewrite legitimately moves
      them, so they are context (Gate_never), never a gate. *)
@@ -182,9 +186,8 @@ let load_engine ~file j =
   in
   artefact_points @ sampled_points @ shard_points @ engine_points @ totals
 
-(* One profile object is Obs.Profile.json output: the fence share is
-   recomputed here from the CPI leaves so older artefacts (which never
-   stored a share) still produce the metric. *)
+(* One profile object is Obs.Profile.json output, which stores no
+   fence share: it is recomputed here from the CPI leaves. *)
 let load_profile ~file j =
   List.map
     (fun p ->
@@ -236,9 +239,8 @@ let load_server ~file j =
             [ "p50"; "p99"; "max" ]
         | _ -> []
       in
-      (* A row with no latency samples (a workload without markers, or
-         a pre-v5 sampled row whose columns were zero placeholders)
-         carries zeros there — later generations filling them in must
+      (* A row with no latency samples (a workload without markers)
+         carries zeros there — a later generation filling them in must
          not read as a regression from 0. *)
       let lat_gate =
         if Option.value ~default:0.0 (num_opt r "latency_samples") > 0.0 then
@@ -264,9 +266,9 @@ let load_server ~file j =
 
 let known_schemas =
   [
-    ("fence-scoping/bench-engine/", load_engine);
-    ("fence-scoping/bench-profile/", load_profile);
-    ("fence-scoping/bench-server/", load_server);
+    ("fence-scoping/bench-engine/v4", load_engine);
+    ("fence-scoping/bench-profile/v2", load_profile);
+    ("fence-scoping/bench-server/v5", load_server);
   ]
 
 let load ~file j =
@@ -276,14 +278,8 @@ let load ~file j =
     | None -> load_error file "no \"schema\" field — not a BENCH artefact"
   in
   let loader =
-    match
-      List.find_opt
-        (fun (prefix, _) ->
-          String.length schema >= String.length prefix
-          && String.sub schema 0 (String.length prefix) = prefix)
-        known_schemas
-    with
-    | Some (_, l) -> l
+    match List.assoc_opt schema known_schemas with
+    | Some l -> l
     | None -> load_error file "unknown schema %S" schema
   in
   { a_file = file; a_schema = schema; a_quick = quick_flag j; a_points = loader ~file j }

@@ -1,7 +1,7 @@
 (** Bench-trajectory differ over the BENCH_* artefact family.
 
-    Loads any schema generation of BENCH_engine / BENCH_profile /
-    BENCH_server JSON into one uniform shape — points keyed
+    Loads the schema versions the bench emits — BENCH_engine v4,
+    BENCH_profile v2 and BENCH_server v5 — into one uniform shape — points keyed
     ["server/<workload>/<config>"]-style, each carrying named metrics
     with a better-direction and a gate class — then diffs two
     artefacts point by point.  Deterministic metrics (simulated
@@ -42,8 +42,8 @@ type artefact = {
 
 val load : file:string -> Fscope_util.Json.t -> artefact
 (** Interpret a parsed artefact; [file] labels error messages and the
-    rendered table.  Raises [Failure] on an unknown schema or a
-    missing field. *)
+    rendered table.  Raises [Failure] on a missing field or on any
+    other schema, older versions of the three included. *)
 
 val load_file : string -> artefact
 

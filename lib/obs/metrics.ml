@@ -104,6 +104,21 @@ type hist_snapshot = {
   buckets : (int * int) list;
 }
 
+(* Nearest-rank percentile, reported as the bucket lower bound (the
+   histogram's native resolution). *)
+let hist_percentile (h : hist_snapshot) q =
+  let rank = max 1 (int_of_float (ceil (q *. float_of_int h.count))) in
+  let rec go seen = function
+    | [] -> 0
+    | (floor, n) :: rest ->
+      let seen = seen + n in
+      if seen >= rank then floor else go seen rest
+  in
+  go 0 h.buckets
+
+let hist_max_floor (h : hist_snapshot) =
+  List.fold_left (fun acc (floor, _) -> max acc floor) 0 h.buckets
+
 type gauge_snapshot = {
   count : int;
   sum : int;

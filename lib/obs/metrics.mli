@@ -54,6 +54,15 @@ type hist_snapshot = {
   buckets : (int * int) list;  (** (bucket lower bound, count), non-empty buckets only *)
 }
 
+val hist_percentile : hist_snapshot -> float -> int
+(** [hist_percentile h q] is the nearest-rank [q]-quantile
+    ([0. <= q <= 1.]), reported as the lower bound of the bucket the
+    rank lands in — the histogram's native resolution.  [0] on an
+    empty histogram. *)
+
+val hist_max_floor : hist_snapshot -> int
+(** Lower bound of the highest non-empty bucket; [0] when empty. *)
+
 type gauge_snapshot = {
   count : int;
   sum : int;

@@ -56,7 +56,7 @@ let stall_of_histogram = function
       episodes = h.count;
       stall_cycles = h.sum;
       mean = (if h.count = 0 then 0.0 else float_of_int h.sum /. float_of_int h.count);
-      max_floor = List.fold_left (fun acc (floor, _) -> max acc floor) 0 h.buckets;
+      max_floor = Metrics.hist_max_floor h;
     }
 
 type site_row = {

@@ -94,24 +94,6 @@ let chrome (r : Report.t) =
 
 let pct num den = if den = 0 then 0. else 100. *. float_of_int num /. float_of_int den
 
-(* Nearest-rank percentile over the log2-bucket histogram, reported as
-   the bucket lower bound (the histogram's native resolution). *)
-let hist_percentile (h : Metrics.hist_snapshot) q =
-  if h.count = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int h.count))) in
-    let rec go seen = function
-      | [] -> 0
-      | (floor, n) :: rest ->
-        let seen = seen + n in
-        if seen >= rank then floor else go seen rest
-    in
-    go 0 h.buckets
-  end
-
-let hist_max_floor (h : Metrics.hist_snapshot) =
-  List.fold_left (fun acc (floor, _) -> max acc floor) 0 h.buckets
-
 let summary (r : Report.t) =
   let buf = Buffer.create 1024 in
   let c name = Report.counter r name in
@@ -191,8 +173,8 @@ let summary (r : Report.t) =
       (fun (name, (h : Metrics.hist_snapshot)) ->
         Printf.bprintf buf "%-44s %8d %8.2f %5d %5d %5d %5d\n" name h.count
           (if h.count = 0 then 0. else float_of_int h.sum /. float_of_int h.count)
-          (hist_percentile h 0.50) (hist_percentile h 0.90) (hist_percentile h 0.99)
-          (hist_max_floor h)
+          (Metrics.hist_percentile h 0.50) (Metrics.hist_percentile h 0.90)
+          (Metrics.hist_percentile h 0.99) (Metrics.hist_max_floor h)
       )
       gauges
   end;

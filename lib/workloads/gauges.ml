@@ -77,12 +77,7 @@ let mpmc program =
   let threads = Program.thread_count program in
   let requests = snd (region program "claims0") - 2 in
   let inject_slot, retire_slot = Mpmc.latency_markers ~requests ~threads program in
-  let keep (ev : Obs.Event.t) =
-    match ev with
-    | Obs.Event.Sb_drain { addr; value } ->
-      inject_slot addr value <> None || retire_slot addr value <> None
-    | _ -> false
-  in
+  let keep = Mpmc.keep_latency ~requests ~threads program in
   let fold metrics events =
     let h = Obs.Metrics.histogram metrics "gauge/server-mpmc/queue_depth" in
     let injected = Array.make requests false in

@@ -243,7 +243,12 @@ let keep_latency ~requests ~threads program =
       inject_slot addr value <> None || retire_slot addr value <> None
     | _ -> false
 
-let marker_cycles ~requests ~threads program events =
+(* A marker pair counts only when both endpoints fall inside ONE of
+   the inclusive [windows].  An exact run passes the whole run as one
+   window; a sampled run passes its measured detailed windows, since a
+   pair spanning a functional gap would fold unsimulated fast-forward
+   cycles into the latency. *)
+let latency_of_events ~requests ~threads ~windows program events =
   let inject_slot, retire_slot = latency_markers ~requests ~threads program in
   let inject = Array.make requests max_int in
   let retire = Array.make requests max_int in
@@ -259,23 +264,6 @@ let marker_cycles ~requests ~threads program events =
         | None -> ())
       | _ -> ())
     events;
-  (inject, retire)
-
-let latency_of_events ~requests ~threads program events =
-  let inject, retire = marker_cycles ~requests ~threads program events in
-  let lats = ref [] in
-  for s = requests - 1 downto 0 do
-    if inject.(s) < max_int && retire.(s) >= inject.(s) && retire.(s) < max_int then
-      lats := (retire.(s) - inject.(s)) :: !lats
-  done;
-  List.sort compare !lats
-
-(* Sampled runs only trace detailed cycles, so a marker pair is
-   trustworthy only when both endpoints landed inside the SAME measured
-   window — a pair spanning a functional gap would fold unsimulated
-   fast-forward cycles into the latency. *)
-let latency_of_events_windowed ~requests ~threads ~windows program events =
-  let inject, retire = marker_cycles ~requests ~threads program events in
   let in_one_window lo hi =
     List.exists (fun (ws, we) -> ws <= lo && hi <= we) windows
   in

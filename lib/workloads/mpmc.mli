@@ -54,24 +54,16 @@ val keep_latency :
 val latency_of_events :
   requests:int ->
   threads:int ->
-  Fscope_isa.Program.t ->
-  Fscope_obs.Event.timed list ->
-  int list
-(** Per-request inject-to-retire latencies (simulated cycles),
-    ascending.  A request appears once both its markers were retained;
-    with an undropped {!keep_latency}-filtered trace that is all of
-    them. *)
-
-val latency_of_events_windowed :
-  requests:int ->
-  threads:int ->
   windows:(int * int) list ->
   Fscope_isa.Program.t ->
   Fscope_obs.Event.timed list ->
   int list
-(** {!latency_of_events} restricted to request pairs whose inject and
-    retire cycles both fall inside ONE of the inclusive [windows] — a
-    sampled run's measured detailed ranges
-    ([Machine.result.sample_windows]).  A pair spanning a functional
+(** Per-request inject-to-retire latencies (simulated cycles),
+    ascending.  A request appears once both its markers were retained
+    and both fall inside ONE of the inclusive [windows].  An exact run
+    passes the whole run, [[(0, cycles)]]: with an undropped
+    {!keep_latency}-filtered trace every request then appears.  A
+    sampled run passes its measured detailed ranges
+    ([Machine.result.sample_windows]): a pair spanning a functional
     fast-forward gap would count unsimulated cycles, so it is dropped
     rather than estimated. *)

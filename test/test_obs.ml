@@ -53,6 +53,30 @@ let test_metrics_histogram () =
       buckets
   | _ -> Alcotest.fail "histogram snapshot missing"
 
+(* Nearest-rank percentiles over log2 buckets, at the edges: an empty
+   histogram, one bucket, and q = 0.99 landing exactly on the last
+   sample of a bucket (rank 99 of 100) versus one past it. *)
+let test_hist_percentile_edges () =
+  let snap values =
+    let m = Obs.Metrics.create () in
+    let h = Obs.Metrics.histogram m "h" in
+    List.iter (Obs.Metrics.observe h) values;
+    Option.get (Obs.Metrics.find_histogram m "h")
+  in
+  let pct = Obs.Metrics.hist_percentile and top = Obs.Metrics.hist_max_floor in
+  let empty = snap [] in
+  Alcotest.(check (list int)) "empty: p0/p50/p99/max" [ 0; 0; 0; 0 ]
+    [ pct empty 0.; pct empty 0.5; pct empty 0.99; top empty ];
+  let one = snap [ 5; 6; 7 ] in
+  Alcotest.(check (list int)) "one bucket [4,8): p0/p50/p99/p100/max" [ 4; 4; 4; 4; 4 ]
+    [ pct one 0.; pct one 0.5; pct one 0.99; pct one 1.0; top one ];
+  let on_edge = snap (List.init 99 (fun _ -> 1) @ [ 300 ]) in
+  Alcotest.(check (list int)) "rank 99 of 100 is the last 1: p99/p100/max"
+    [ 1; 256; 256 ]
+    [ pct on_edge 0.99; pct on_edge 1.0; top on_edge ];
+  let past_edge = snap (List.init 98 (fun _ -> 1) @ [ 300; 300 ]) in
+  Alcotest.(check int) "rank 99 of 100 is the first 300: p99" 256 (pct past_edge 0.99)
+
 let test_metrics_gauge () =
   let m = Obs.Metrics.create () in
   let g = Obs.Metrics.gauge m "g" in
@@ -345,6 +369,7 @@ let tests =
   [
     Alcotest.test_case "metrics counter" `Quick test_metrics_counter;
     Alcotest.test_case "metrics histogram" `Quick test_metrics_histogram;
+    Alcotest.test_case "histogram percentile edges" `Quick test_hist_percentile_edges;
     Alcotest.test_case "metrics gauge" `Quick test_metrics_gauge;
     Alcotest.test_case "metrics find accessors" `Quick test_metrics_find;
     Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;

@@ -155,6 +155,27 @@ let prop_mpmc_exactly_once =
           (Printf.sprintf "threads=%d per_producer=%d seed=%d closed=%b: %s"
              threads per_producer seed closed msg))
 
+(* -- the quick server artefact, pinned byte for byte ------------------ *)
+
+(* The rows are deterministic (every point self-asserts engine ==
+   reference, validation and trace neutrality), so the quick
+   BENCH_server.json document has one digest.  It does not depend on
+   the job count: the exact half fans across 2 domains here. *)
+let server_json_md5 = "15e1abb1d16c879f0a8ef6cba89bf6c4"
+
+let test_server_rows_pinned () =
+  let module Server = Fscope_experiments.Server in
+  let module Exp_run = Fscope_experiments.Exp_run in
+  let saved = Exp_run.jobs () in
+  Exp_run.set_jobs 2;
+  let exact =
+    Fun.protect ~finally:(fun () -> Exp_run.set_jobs saved) (fun () ->
+        Server.run ~quick:true ())
+  in
+  let rows = exact @ Server.run_sampled ~quick:true () in
+  Alcotest.(check string) "quick BENCH_server.json md5" server_json_md5
+    (Digest.to_hex (Digest.string (Server.json ~quick:true ~jobs:1 rows)))
+
 let tests =
   [
     Alcotest.test_case "traffic deterministic" `Quick test_traffic_deterministic;
@@ -169,4 +190,5 @@ let tests =
     Alcotest.test_case "cache validates on T and S" `Quick test_cache_validates;
     Alcotest.test_case "steal validates on T and S" `Quick test_steal_validates;
     QCheck_alcotest.to_alcotest prop_mpmc_exactly_once;
+    Alcotest.test_case "quick server rows pinned" `Slow test_server_rows_pinned;
   ]

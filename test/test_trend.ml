@@ -63,9 +63,10 @@ let test_json_roundtrip () =
 
 let test_committed_artefacts_roundtrip () =
   let files = baseline_files () in
-  Alcotest.(check bool)
-    "committed baselines present (engine, profile, profile_v1, server)" true
-    (List.length files >= 4);
+  Alcotest.(check (list string))
+    "committed baselines present (engine, profile, server)"
+    [ "BENCH_engine.json"; "BENCH_profile.json"; "BENCH_server.json" ]
+    (List.map Filename.basename files);
   List.iter
     (fun file ->
       let v = Json.of_file file in
@@ -204,10 +205,29 @@ let test_wall_threshold_arms_wall_metrics () =
   Alcotest.(check bool) "armed by --wall-threshold" true
     (on.Trend.v_regressions <> [])
 
+(* A v1 profile document: a well-formed artefact of a schema the
+   bench no longer emits, so it has no loader. *)
+let profile_v1 =
+  {|{"schema": "fence-scoping/bench-profile/v1", "profiles": [
+     {"schema": "fence-scoping/profile/v1", "label": "dekker", "config": "sfence",
+      "cores": 2, "cycles": 9210, "timed_out": false, "active_cycles": 17686,
+      "cpi": {"commit": 646, "fence_sb_scoped": 798}}]}|}
+
 let test_unknown_schema_rejected () =
   (match Trend.load ~file:"x" (Json.parse "{\"schema\":\"fence-scoping/unheard-of/v9\"}") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "unknown schema accepted");
+  (match Trend.load ~file:"v1" (Json.parse profile_v1) with
+  | exception Failure msg ->
+    Alcotest.(check string) "names the schema"
+      "v1: unknown schema \"fence-scoping/bench-profile/v1\"" msg
+  | _ -> Alcotest.fail "retired profile v1 schema accepted");
+  List.iter
+    (fun schema ->
+      match Trend.load ~file:"x" (Json.Obj [ ("schema", Json.Str schema) ]) with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "retired schema %s accepted" schema)
+    [ "fence-scoping/bench-engine/v3"; "fence-scoping/bench-server/v4" ];
   match Trend.load ~file:"x" (Json.parse "{\"rows\":[]}") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "schema-less artefact accepted"
