@@ -8,14 +8,11 @@
                                               across 4 domains
      dune exec bench/main.exe -- engine    -- fast-forward engine vs
                                               the naive cycle loop
-     dune exec bench/main.exe -- bechamel  -- wall-clock cost of the
-                                              simulator itself, one
-                                              Bechamel test per artefact
 
    The simulator is deterministic, so every table below reproduces
    bit-for-bit regardless of --jobs; EXPERIMENTS.md records these
-   outputs against the paper's claims.  Each non-bechamel invocation
-   also drops BENCH_engine.json (wall-clock per artefact plus the
+   outputs against the paper's claims.  Each invocation also drops
+   BENCH_engine.json (wall-clock per artefact plus the
    engine-vs-naive comparison) for CI to archive. *)
 
 module Table = Fscope_util.Table
@@ -293,16 +290,16 @@ let server_rows = ref ([] : E.Server.row list)
 let skipped_artefacts = ref ([] : string list)
 let mark_skipped name = skipped_artefacts := name :: !skipped_artefacts
 
-let run_server ~quick () =
+let run_server ~quick ~shard_domains () =
   let cpus = Domain.recommended_domain_count () in
   let saved = E.Exp_run.jobs () in
   let rows =
-    if cpus < 2 then E.Server.run ~quick ()
+    if cpus < 2 then E.Server.run ~quick ~shard_domains ()
     else begin
       E.Exp_run.set_jobs 1;
-      let seq = E.Server.run ~quick () in
+      let seq = E.Server.run ~quick ~shard_domains () in
       E.Exp_run.set_jobs 2;
-      let par = E.Server.run ~quick () in
+      let par = E.Server.run ~quick ~shard_domains () in
       if seq <> par then
         failwith "server: rows diverge between --jobs 1 and --jobs 2";
       seq
@@ -423,16 +420,16 @@ let run_shard_scaling ~quick () =
          shards);
   (* Barrier elision must have fired: the MPMC service loops give the
      horizon analysis plenty of provably-quiet spans. *)
-  let no_elide_r =
+  let lockstep_r =
     Machine.run
       (Config.v ~base ~shard_domains:shards ~elide_barriers:false ())
       w.W.Workload.program
   in
-  if not (Machine.same_outcome no_elide_r shard_r) then
+  if not (Machine.same_outcome lockstep_r shard_r) then
     failwith "shard-scaling: elision changed the result";
   if shard_r.Machine.shard.Machine.elided_cycles = 0 then
     failwith "shard-scaling: barrier elision never fired";
-  if shard_r.Machine.shard.Machine.barriers >= no_elide_r.Machine.shard.Machine.barriers
+  if shard_r.Machine.shard.Machine.barriers >= lockstep_r.Machine.shard.Machine.barriers
   then
     failwith "shard-scaling: elision did not reduce barrier traffic";
   say
@@ -440,7 +437,7 @@ let run_shard_scaling ~quick () =
      bit-identical; %d barriers, %d cycles elided, %d barriers without elision)"
     threads seq_s shards shard_s (seq_s /. shard_s) cpus
     shard_r.Machine.shard.Machine.barriers shard_r.Machine.shard.Machine.elided_cycles
-    no_elide_r.Machine.shard.Machine.barriers;
+    lockstep_r.Machine.shard.Machine.barriers;
   shard_scaling_row :=
     Some
       { ss_cpus = cpus; ss_cores = threads; ss_shards = shards; ss_seq_s = seq_s;
@@ -554,7 +551,7 @@ let sampled_cmp_row = ref (None : sampled_cmp option)
 let sampled_cycles_err_bound = 25.0
 let sampled_fence_err_bound = 10.0
 
-let run_sampled_sim ~quick () =
+let run_sampled_sim ~quick ~shard_domains () =
   let threads = 64 in
   let per = if quick then 4 else 625 in
   let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
@@ -624,7 +621,7 @@ let run_sampled_sim ~quick () =
         sm_sampled_s = sampled_s;
         sm_speedup = speedup;
       };
-  let rows = E.Server.run_sampled ~quick () in
+  let rows = E.Server.run_sampled ~quick ~shard_domains () in
   server_rows := !server_rows @ rows;
   Table.print (E.Server.table rows)
 
@@ -636,38 +633,14 @@ let run_sampled_sim ~quick () =
 
 let artefact_times = ref ([] : (string * float) list)
 
-(* The engine_vs_naive list must never be empty — CI diffs it, and an
-   invocation that skipped the [engine] artefact (e.g. [bench server])
-   used to drop an empty list.  One small dekker point keeps the
-   document well-formed and the comparison live. *)
-let fallback_engine_row () =
-  let w = workload "dekker" { Registry.default_params with attempts = 5 } in
-  let config = E.Exp_run.t_config Config.default in
-  let engine_r, engine_s = timed (fun () -> Machine.run config w.W.Workload.program) in
-  let naive_r, naive_s =
-    timed (fun () -> Machine.run_reference config w.W.Workload.program)
-  in
-  if not (Machine.same_outcome engine_r naive_r) then
-    failwith "engine/naive mismatch on the fallback dekker row";
-  {
-    er_workload = "dekker";
-    er_config = "T-fallback";
-    er_cycles = engine_r.Machine.cycles;
-    er_engine_s = engine_s;
-    er_naive_s = naive_s;
-    er_spin_skipped = engine_r.Machine.spin.Machine.cycles_skipped;
-    er_spin_sleeps = engine_r.Machine.spin.Machine.sleeps;
-  }
-
-let write_bench_json ~quick ~jobs path =
-  if !engine_rows = [] then engine_rows := [ fallback_engine_row () ];
+let write_bench_json ~quick ~jobs ~shard_domains path =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
   add "  \"schema\": \"fence-scoping/bench-engine/v4\",\n";
   add "  \"quick\": %b,\n" quick;
   add "  \"jobs\": %d,\n" jobs;
-  add "  \"shard_domains\": %d,\n" (E.Exp_run.shard_domains ());
+  add "  \"shard_domains\": %d,\n" shard_domains;
   add "  \"artefacts\": [";
   List.iteri
     (fun i (name, s) ->
@@ -750,76 +723,7 @@ let write_bench_json ~quick ~jobs path =
   close_out oc;
   say "wrote %s" path
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock cost of regenerating each artefact, measured
-   on reduced-size runs so sampling stays tractable.                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let staged f = Staged.stage f in
-  [
-    Test.make ~name:"table3" (staged (fun () -> ignore (E.Tables.table3 Config.default)));
-    Test.make ~name:"table4" (staged (fun () -> ignore (E.Tables.table4 ())));
-    Test.make ~name:"hw-cost"
-      (staged (fun () -> ignore (E.Tables.hardware_cost_bits Config.default)));
-    Test.make ~name:"fig12-cell"
-      (staged (fun () ->
-           let w =
-             workload "dekker"
-               { Registry.default_params with
-                 level = Fscope_workloads.Privwork.fig12_levels.(0);
-                 attempts = 5 }
-           in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-    Test.make ~name:"fig13-cell"
-      (staged (fun () ->
-           let w = workload "radiosity" { Registry.default_params with size = Some 32 } in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-    Test.make ~name:"fig14-cell"
-      (staged (fun () ->
-           let w =
-             workload "harris"
-               { Registry.default_params with
-                 scope = `Set;
-                 level = Fscope_workloads.Privwork.fig12_levels.(0) }
-           in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-    Test.make ~name:"fig15-cell"
-      (staged (fun () ->
-           let w = workload "barnes" { Registry.default_params with size = Some 64 } in
-           let c = Config.v ~mem_latency:200 () in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config c) w)));
-    Test.make ~name:"fig16-cell"
-      (staged (fun () ->
-           let w = workload "barnes" { Registry.default_params with size = Some 64 } in
-           let c = Config.v ~rob_size:64 () in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config c) w)));
-    Test.make ~name:"ablate-cell"
-      (staged (fun () ->
-           let w = workload "nested-scopes" { Registry.default_params with rounds = Some 8 } in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let tests = Test.make_grouped ~name:"bench" (bechamel_tests ()) in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~stabilize:false () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> say "%-40s %12.3f ms/run" name (est /. 1e6)
-      | Some _ | None -> say "%-40s (no estimate)" name)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
-
-let artefacts ~quick =
+let artefacts ~quick ~shard_domains =
   [
     ("table3", run_table3);
     ("table4", run_table4);
@@ -832,8 +736,8 @@ let artefacts ~quick =
     ("ablate", run_ablate ~quick);
     ("engine", run_engine ~quick);
     ("profile", run_profile ~quick);
-    ("server", run_server ~quick);
-    ("sampled", run_sampled_sim ~quick);
+    ("server", run_server ~quick ~shard_domains);
+    ("sampled", run_sampled_sim ~quick ~shard_domains);
     ("jobs-scaling", run_jobs_scaling ~quick);
     ("shard-scaling", run_shard_scaling ~quick);
     ("sharded-sampled", run_sharded_sampled ~quick);
@@ -843,56 +747,60 @@ let run_artefact (name, f) =
   let (), s = timed f in
   artefact_times := (name, s) :: !artefact_times
 
+(* A bad argument is rejected before anything runs or any file is
+   written: one line on stderr, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
 (* "quick", "--jobs N" / "--jobs=N" and "--shard-domains N" /
    "--shard-domains=N" are modifiers; everything else names an
    artefact. *)
 let parse_args args =
-  let prefixed prefix arg =
-    let pl = String.length prefix in
-    if String.length arg > pl && String.sub arg 0 pl = prefix then
-      Some (String.sub arg pl (String.length arg - pl))
-    else None
+  let count flag n =
+    match int_of_string_opt n with
+    | Some k when k >= 1 -> k
+    | _ -> usage_error "%s expects a positive integer, got %S" flag n
   in
   let rec go quick jobs shards wanted = function
     | [] -> (quick, jobs, shards, List.rev wanted)
     | "quick" :: rest -> go true jobs shards wanted rest
-    | "--jobs" :: n :: rest -> go quick (int_of_string n) shards wanted rest
-    | "--shard-domains" :: n :: rest -> go quick jobs (int_of_string n) wanted rest
+    | "--jobs" :: n :: rest -> go quick (count "--jobs" n) shards wanted rest
+    | "--shard-domains" :: n :: rest ->
+      go quick jobs (count "--shard-domains" n) wanted rest
     | arg :: rest -> (
-      match prefixed "--jobs=" arg with
-      | Some n -> go quick (int_of_string n) shards wanted rest
-      | None -> (
-        match prefixed "--shard-domains=" arg with
-        | Some n -> go quick jobs (int_of_string n) wanted rest
-        | None -> go quick jobs shards (arg :: wanted) rest))
+      match String.split_on_char '=' arg with
+      | [ "--jobs"; n ] -> go quick (count "--jobs" n) shards wanted rest
+      | [ "--shard-domains"; n ] -> go quick jobs (count "--shard-domains" n) wanted rest
+      | _ -> go quick jobs shards (arg :: wanted) rest)
   in
   go false 1 1 [] args
 
 let () =
-  let quick, jobs, shards, wanted = parse_args (Array.to_list Sys.argv |> List.tl) in
-  E.Exp_run.set_jobs jobs;
-  E.Exp_run.set_shard_domains shards;
-  match wanted with
-  | [ "bechamel" ] -> run_bechamel ()
-  | [] ->
-    List.iter
-      (fun (name, f) ->
-        say "";
-        say "### %s" name;
-        run_artefact (name, f))
-      (artefacts ~quick);
-    write_bench_json ~quick ~jobs "BENCH_engine.json";
-    if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
-    if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"
-  | names ->
-    List.iter
+  let quick, jobs, shard_domains, wanted = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let all = artefacts ~quick ~shard_domains in
+  let selected =
+    List.map
       (fun name ->
-        match List.assoc_opt name (artefacts ~quick) with
-        | Some f -> run_artefact (name, f)
+        match List.assoc_opt name all with
+        | Some f -> (name, f)
         | None ->
-          say "unknown artefact %s (have: %s, bechamel)" name
-            (String.concat ", " (List.map fst (artefacts ~quick))))
-      names;
-    write_bench_json ~quick ~jobs "BENCH_engine.json";
-    if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
-    if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"
+          usage_error "unknown artefact %s (have: %s)" name
+            (String.concat ", " (List.map fst all)))
+      wanted
+  in
+  E.Exp_run.set_jobs jobs;
+  if wanted = [] then
+    List.iter
+      (fun a ->
+        say "";
+        say "### %s" (fst a);
+        run_artefact a)
+      all
+  else List.iter run_artefact selected;
+  write_bench_json ~quick ~jobs ~shard_domains "BENCH_engine.json";
+  if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
+  if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"

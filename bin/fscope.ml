@@ -37,23 +37,6 @@ let level_of_int n =
    input, reported by [guard] like any other. *)
 let of_flags f = try f () with Invalid_argument msg -> failwith msg
 
-let find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed =
-  of_flags @@ fun () ->
-  let scope = if set_scope then `Set else `Class in
-  let default = Registry.default_params in
-  E.Exp_run.workload
-    ~params:
-      {
-        default with
-        level = level_of_int level;
-        scope;
-        rounds;
-        size;
-        threads;
-        seed = Option.value seed ~default:default.seed;
-      }
-    name
-
 (* Registry misses (and bad flag values) raise [Failure] with a
    one-line message — "did you mean" included; render it without a
    backtrace.  IO and parse errors from artefact / checkpoint files
@@ -70,13 +53,6 @@ let guard f =
   | Json.Parse_error msg ->
     Printf.eprintf "fscope: invalid JSON: %s\n" msg;
     1
-
-let build_config ?(no_elide = false) ~traditional ~speculate ~mem_latency ~rob ~fsb
-    ~mem_model ~no_spin_ff ~shard_domains () =
-  of_flags @@ fun () ->
-  Config.v ~sfence:(not traditional) ~speculation:speculate ?mem_latency ?rob_size:rob
-    ?fsb_entries:fsb ~mem_model ~elide_barriers:(not no_elide)
-    ~spin_fastforward:(not no_spin_ff) ~shard_domains ()
 
 (* --sample accepts "default" or WARMUP:DETAILED:FF (instruction count
    for the fast-forward leg, cycles for the two windows). *)
@@ -95,9 +71,22 @@ let parse_sampling = function
         (Printf.sprintf
            "bad --sample spec %S: expected WARMUP:DETAILED:FF or 'default'" spec))
 
+(* Print a command's rendered output, or write it to [-o FILE] and say
+   so on stderr. *)
+let emit ?(detail = "") output text =
+  match output with
+  | None -> print_string text
+  | Some file ->
+    Out_channel.with_open_bin file (fun oc -> output_string oc text);
+    Printf.eprintf "wrote %s%s\n" file detail
+
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* Every workload command takes its workload (and most a machine) as a
+   thunk built from the shared flag terms below; forcing it inside
+   [guard] turns a bad flag value into one "fscope:" line. *)
 
 let cmd_list () =
   let specs =
@@ -117,7 +106,7 @@ let cmd_list () =
    and validate.  Cycle-valued lines are estimates under sampling, but
    committed counts and final memory stay exact, so validation still
    means something there. *)
-let print_run_summary ~speculate ~sampled w (result : Machine.result) =
+let print_run_summary (config : Config.t) w (result : Machine.result) =
   if result.Machine.timed_out then begin
     Printf.eprintf "run timed out\n";
     2
@@ -125,13 +114,14 @@ let print_run_summary ~speculate ~sampled w (result : Machine.result) =
   else begin
     Printf.printf "workload:      %s (%s)\n" w.W.Workload.name w.W.Workload.description;
     Printf.printf "cycles:        %d%s\n" result.Machine.cycles
-      (if sampled then " (sampled estimate)" else "");
+      (if config.Config.sampling <> None then " (sampled estimate)" else "");
     Printf.printf "fence stalls:  %d (%.1f%% of active cycles)\n"
       (Machine.fence_stall_cycles result)
       (100. *. Machine.fence_stall_fraction result);
     Printf.printf "instructions:  %d committed\n" (Machine.committed_instrs result);
     Printf.printf "avg ROB use:   %.1f\n" (Machine.avg_rob_occupancy result);
-    (if speculate then Printf.printf "validation:    skipped (in-window speculation is timing-only)\n"
+    (if config.Config.exec.Fscope_cpu.Exec_config.in_window_speculation then
+       Printf.printf "validation:    skipped (in-window speculation is timing-only)\n"
      else
        match w.W.Workload.validate result with
        | Ok () -> Printf.printf "validation:    ok\n"
@@ -139,17 +129,12 @@ let print_run_summary ~speculate ~sampled w (result : Machine.result) =
     0
   end
 
-let cmd_run name level set_scope traditional speculate mem_latency rob fsb mem_model
-    no_spin_ff no_elide shard_domains sample checkpoint_every checkpoint_out rounds size
-    threads seed =
+let cmd_run workload machine sample checkpoint_every checkpoint_out =
   guard @@ fun () ->
-  let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
-  let config =
-    build_config ~no_elide ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model
-      ~no_spin_ff ~shard_domains ()
-  in
+  let w = workload () in
+  let machine = machine () in
   let sampling = parse_sampling sample in
-  let config = of_flags (fun () -> Config.v ~base:config ~sampling ()) in
+  let config = of_flags (fun () -> Config.v ~base:machine ~sampling ()) in
   let checkpoint =
     match checkpoint_every with
     | None -> None
@@ -164,28 +149,17 @@ let cmd_run name level set_scope traditional speculate mem_latency rob fsb mem_m
   | Some _ when Sys.file_exists checkpoint_out ->
     Printf.eprintf "checkpoint:    %s\n" checkpoint_out
   | _ -> ());
-  print_run_summary ~speculate ~sampled:(sampling <> None) w result
+  print_run_summary config w result
 
-let cmd_compare name level set_scope jobs =
+let cmd_compare workload jobs =
   guard @@ fun () ->
-  E.Exp_run.set_jobs jobs;
-  let w =
-    find_workload name ~level ~set_scope ~rounds:None ~size:None ~threads:None
-      ~seed:None
-  in
-  let variants =
-    [
-      ("T", E.Exp_run.t_config);
-      ("S", E.Exp_run.s_config);
-      ("T+", E.Exp_run.t_plus);
-      ("S+", E.Exp_run.s_plus);
-    ]
-  in
+  of_flags (fun () -> E.Exp_run.set_jobs jobs);
+  let w = workload () in
   let ms =
     E.Exp_run.measure_all
       (List.map
          (fun (_, mk) -> { E.Exp_run.config = mk Config.default; workload = w })
-         variants)
+         E.Exp_run.variants)
   in
   let base = List.hd ms in
   Printf.printf "%-4s %10s %14s %9s\n" "cfg" "cycles" "fence stalls" "speedup";
@@ -194,17 +168,13 @@ let cmd_compare name level set_scope jobs =
       Printf.printf "%-4s %10d %13.1f%% %8.2fx\n" label m.E.Exp_run.cycles
         (100. *. m.E.Exp_run.fence_stall_fraction)
         (E.Exp_run.speedup ~baseline:base m))
-    variants ms;
+    E.Exp_run.variants ms;
   0
 
-let cmd_trace name level set_scope traditional speculate mem_latency rob fsb mem_model
-    shard_domains format output ring_capacity rounds size threads seed =
+let cmd_trace workload machine format output ring_capacity =
   guard @@ fun () ->
-  let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
-  let config =
-    build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model
-      ~no_spin_ff:false ~shard_domains ()
-  in
+  let w = workload () in
+  let config = machine () in
   let cores = Fscope_isa.Program.thread_count w.W.Workload.program in
   let trace = of_flags (fun () -> Obs.Trace.create ~ring_capacity ~cores ()) in
   let result = Machine.run ~obs:trace config w.W.Workload.program in
@@ -224,69 +194,40 @@ let cmd_trace name level set_scope traditional speculate mem_latency rob fsb mem
       | `Chrome -> Obs.Sink.chrome report
       | `Summary -> Obs.Sink.summary report
     in
-    (match output with
-    | None -> print_string text
-    | Some file ->
-      let oc = open_out file in
-      output_string oc text;
-      close_out oc;
-      Printf.eprintf "wrote %s (%d events, %d dropped)\n" file
-        (Obs.Report.events_count report) report.Obs.Report.dropped);
+    emit output text
+      ~detail:
+        (Printf.sprintf " (%d events, %d dropped)" (Obs.Report.events_count report)
+           report.Obs.Report.dropped);
     if result.Machine.timed_out then begin
       Printf.eprintf "run timed out\n";
       2
     end
     else 0
 
-let cmd_profile name level set_scope traditional speculate no_fence mem_latency rob fsb
-    mem_model no_spin_ff shard_domains max_cycles profile_format output rounds size
-    threads seed =
+let cmd_profile workload machine no_fence max_cycles format output =
   guard @@ fun () ->
-  let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
+  let w = workload () in
   let config =
-    build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
-      ~shard_domains ()
+    of_flags (fun () -> Config.v ~base:(machine ()) ?max_cycles ~nop_fences:no_fence ())
   in
-  let config = Config.v ~base:config ?max_cycles ~nop_fences:no_fence () in
   let input = E.Profiling.profile config w in
-  let text =
-    match profile_format with
+  emit output
+    (match format with
     | `Text -> Obs.Profile.text input
-    | `Json -> Obs.Profile.json input ^ "\n"
-  in
-  (match output with
-  | None -> print_string text
-  | Some file ->
-    let oc = open_out file in
-    output_string oc text;
-    close_out oc;
-    Printf.eprintf "wrote %s\n" file);
+    | `Json -> Obs.Profile.json input ^ "\n");
   0
 
-let cmd_advise name level set_scope mem_latency rob fsb mem_model no_spin_ff
-    shard_domains jobs max_cycles advise_format output rounds size threads seed =
+let cmd_advise workload machine jobs max_cycles format output =
   guard @@ fun () ->
-  E.Exp_run.set_jobs jobs;
-  let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
-  let config =
-    build_config ~traditional:false ~speculate:false ~mem_latency ~rob ~fsb ~mem_model
-      ~no_spin_ff ~shard_domains ()
-  in
-  let config = Config.v ~base:config ?max_cycles () in
+  of_flags (fun () -> E.Exp_run.set_jobs jobs);
+  let w = workload () in
+  let config = of_flags (fun () -> Config.v ~base:(machine ()) ?max_cycles ()) in
   let t_input, s_input = E.Profiling.advise_inputs config w in
   let advice = Obs.Advisor.analyze ~scoped:s_input t_input in
-  let text =
-    match advise_format with
+  emit output
+    (match format with
     | `Text -> Obs.Advisor.text advice
-    | `Json -> Obs.Advisor.json advice ^ "\n"
-  in
-  (match output with
-  | None -> print_string text
-  | Some file ->
-    let oc = open_out file in
-    output_string oc text;
-    close_out oc;
-    Printf.eprintf "wrote %s\n" file);
+    | `Json -> Obs.Advisor.json advice ^ "\n");
   0
 
 (* Compare the current BENCH_* artefacts against a baseline generation:
@@ -331,12 +272,9 @@ let cmd_report against current threshold wall_threshold =
     pairs;
   if !regressed then 2 else 0
 
-let cmd_disasm name level set_scope =
+let cmd_disasm workload =
   guard @@ fun () ->
-  let w =
-    find_workload name ~level ~set_scope ~rounds:None ~size:None ~threads:None
-      ~seed:None
-  in
+  let w = workload () in
   Format.printf "%a@." Fscope_isa.Program.pp_disassembly w.W.Workload.program;
   0
 
@@ -347,15 +285,11 @@ let cmd_disasm name level set_scope =
    checkpoint digest covers them. *)
 exception Captured
 
-let cmd_checkpoint_save name level set_scope traditional speculate mem_latency rob fsb
-    mem_model no_spin_ff shard_domains rounds size threads seed at out compact =
+let cmd_checkpoint_save workload machine at out compact =
   guard @@ fun () ->
   if at <= 0 then failwith "--at must be positive";
-  let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
-  let config =
-    build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
-      ~shard_domains ()
-  in
+  let w = workload () in
+  let config = machine () in
   let saved = ref None in
   let sink ck =
     saved := Some ck;
@@ -383,19 +317,14 @@ let cmd_checkpoint_save name level set_scope traditional speculate mem_latency r
       finished at;
     1
 
-let cmd_checkpoint_resume name level set_scope traditional speculate mem_latency rob fsb
-    mem_model no_spin_ff shard_domains max_cycles rounds size threads seed from =
+let cmd_checkpoint_resume workload machine max_cycles from =
   guard @@ fun () ->
-  let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
-  let config =
-    build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
-      ~shard_domains ()
-  in
-  let config = Config.v ~base:config ?max_cycles () in
+  let w = workload () in
+  let config = of_flags (fun () -> Config.v ~base:(machine ()) ?max_cycles ()) in
   let ck = Checkpoint.load ~file:from in
   let result = Machine.run ~resume:ck config w.W.Workload.program in
   Printf.eprintf "resumed from %s at cycle %d\n" from ck.Checkpoint.cycle;
-  print_run_summary ~speculate ~sampled:false w result
+  print_run_summary config w result
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner plumbing                                                   *)
@@ -403,82 +332,106 @@ let cmd_checkpoint_resume name level set_scope traditional speculate mem_latency
 
 open Cmdliner
 
-let workload_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,fscope list)).")
+(* The three terms every workload command shares: [workload] (the
+   program), [machine] (Table III with its knobs overridden) and
+   [variant] (that machine as T, S, T+ or S+).  Each yields a thunk
+   the command forces inside [guard]. *)
 
-let level_arg =
-  Arg.(value & opt int 3 & info [ "level"; "l" ] ~docv:"N" ~doc:"Fig. 12 private-workload level (1-6).")
+let workload =
+  let name_arg =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,fscope list)).")
+  and level =
+    Arg.(value & opt int 3 & info [ "level"; "l" ] ~docv:"N" ~doc:"Fig. 12 private-workload level (1-6).")
+  and set_scope =
+    Arg.(value & flag & info [ "set-scope" ] ~doc:"Use S-FENCE[set] instead of S-FENCE[class] where the workload supports both.")
+  and rounds =
+    Arg.(value & opt (some int) None & info [ "rounds" ] ~docv:"N" ~doc:"Rounds for wsq/nested-scopes (workload default otherwise).")
+  and size =
+    Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc:"Principal size knob (per_producer/keys/nodes/bodies/patches/requests).")
+  and threads =
+    Arg.(value & opt (some int) None & info [ "threads" ] ~docv:"N" ~doc:"Cores for workloads with a thread-count knob (msn, wsq, spin-barrier, server-*).")
+  and seed =
+    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc:"Traffic trace seed for the server-* workloads (default 1).")
+  in
+  let make name level set_scope rounds size threads seed () =
+    of_flags @@ fun () ->
+    let default = Registry.default_params in
+    E.Exp_run.workload
+      ~params:
+        {
+          default with
+          level = level_of_int level;
+          scope = (if set_scope then `Set else `Class);
+          rounds;
+          size;
+          threads;
+          seed = Option.value seed ~default:default.seed;
+        }
+      name
+  in
+  Term.(const make $ name_arg $ level $ set_scope $ rounds $ size $ threads $ seed)
 
-let set_scope_arg =
-  Arg.(value & flag & info [ "set-scope" ] ~doc:"Use S-FENCE[set] instead of S-FENCE[class] where the workload supports both.")
+let machine =
+  let mem_latency =
+    Arg.(value & opt (some int) None & info [ "mem-latency" ] ~docv:"CYCLES" ~doc:"Memory latency (Table III default: 300).")
+  and rob =
+    Arg.(value & opt (some int) None & info [ "rob" ] ~docv:"ENTRIES" ~doc:"Reorder buffer size (default 128).")
+  and fsb =
+    Arg.(value & opt (some int) None & info [ "fsb" ] ~docv:"ENTRIES" ~doc:"Fence scope bit columns (default 4).")
+  and mem_model =
+    Arg.(
+      value
+      & opt (enum [ ("hierarchy", Config.Hierarchy); ("ideal", Config.Ideal) ]) Config.Hierarchy
+      & info [ "mem-model" ] ~docv:"MODEL"
+          ~doc:
+            "Memory backend: $(b,hierarchy) (directory-MSI L1/L2 plus main memory, the \
+             default) or $(b,ideal) (every access a 1-cycle hit — isolates pipeline \
+             effects from the memory system).")
+  and no_spin_ff =
+    Arg.(
+      value & flag
+      & info [ "no-spin-ff" ]
+          ~doc:
+            "Disable the engine's spin fast-forward (sleeping provably-stable spin loops \
+             until a cross-core store wakes them).  Timing-neutral: results are \
+             bit-identical either way; this only trades simulator wall-clock for a \
+             simpler execution.")
+  and shard_domains =
+    Arg.(
+      value & opt int 1
+      & info [ "shard-domains" ] ~docv:"N"
+          ~doc:
+            "Split the simulated machine's cores across $(docv) OCaml domains (default 1: \
+             the sequential engine loop).  Timing-neutral: the sharded engine is \
+             bit-identical to the sequential one — this only trades simulator \
+             wall-clock on multi-core hosts.")
+  in
+  let make mem_latency rob_size fsb_entries mem_model no_spin_ff shard_domains () =
+    of_flags @@ fun () ->
+    Config.v ?mem_latency ?rob_size ?fsb_entries ~mem_model
+      ~spin_fastforward:(not no_spin_ff) ~shard_domains ()
+  in
+  Term.(const make $ mem_latency $ rob $ fsb $ mem_model $ no_spin_ff $ shard_domains)
 
-let traditional_arg =
-  Arg.(value & flag & info [ "traditional"; "t" ] ~doc:"Disable the S-Fence hardware (baseline T).")
-
-let speculate_arg =
-  Arg.(value & flag & info [ "speculate" ] ~doc:"Enable in-window speculation (timing-only; validation is skipped).")
-
-let mem_latency_arg =
-  Arg.(value & opt (some int) None & info [ "mem-latency" ] ~docv:"CYCLES" ~doc:"Memory latency (Table III default: 300).")
-
-let rob_arg =
-  Arg.(value & opt (some int) None & info [ "rob" ] ~docv:"ENTRIES" ~doc:"Reorder buffer size (default 128).")
-
-let fsb_arg =
-  Arg.(value & opt (some int) None & info [ "fsb" ] ~docv:"ENTRIES" ~doc:"Fence scope bit columns (default 4).")
-
-let mem_model_arg =
-  Arg.(
-    value
-    & opt (enum [ ("hierarchy", Config.Hierarchy); ("ideal", Config.Ideal) ]) Config.Hierarchy
-    & info [ "mem-model" ] ~docv:"MODEL"
-        ~doc:
-          "Memory backend: $(b,hierarchy) (directory-MSI L1/L2 plus main memory, the \
-           default) or $(b,ideal) (every access a 1-cycle hit — isolates pipeline \
-           effects from the memory system).")
-
-let shard_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shard-domains" ] ~docv:"N"
-        ~doc:
-          "Split the simulated machine's cores across $(docv) OCaml domains (default 1: \
-           the sequential engine loop).  Timing-neutral: the sharded engine is \
-           bit-identical to the sequential one — this only trades simulator \
-           wall-clock on multi-core hosts.")
-
-let no_spin_ff_arg =
-  Arg.(
-    value & flag
-    & info [ "no-spin-ff" ]
-        ~doc:
-          "Disable the engine's spin fast-forward (sleeping provably-stable spin loops \
-           until a cross-core store wakes them).  Timing-neutral: results are \
-           bit-identical either way; this only trades simulator wall-clock for a \
-           simpler execution.")
-
-let no_elide_arg =
-  Arg.(
-    value & flag
-    & info [ "no-elide-barriers" ]
-        ~doc:
-          "Run every sharded cycle in full lockstep instead of eliding barriers over \
-           provably non-interacting spans.  Timing-neutral diagnostic: results are \
-           bit-identical either way; only the sharded engine's barrier counters \
-           change.  No effect without $(b,--shard-domains).")
-
-let format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome); ("summary", `Summary) ]) `Summary
-    & info [ "format"; "f" ] ~docv:"FORMAT"
-        ~doc:"Output format: $(b,jsonl) (one event per line), $(b,chrome) (trace_event JSON for chrome://tracing / Perfetto), or $(b,summary) (human digest).")
+let variant =
+  let traditional =
+    Arg.(value & flag & info [ "traditional"; "t" ] ~doc:"Disable the S-Fence hardware (baseline T).")
+  and speculate =
+    Arg.(value & flag & info [ "speculate" ] ~doc:"Enable in-window speculation (timing-only; validation is skipped).")
+  in
+  let make machine traditional speculate () =
+    Config.v ~base:(machine ()) ~sfence:(not traditional) ~speculation:speculate ()
+  in
+  Term.(const make $ machine $ traditional $ speculate)
 
 let output_arg =
-  Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write the rendered trace to $(docv) instead of stdout.")
+  Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write the rendered output to $(docv) instead of stdout.")
 
-let ring_arg =
-  Arg.(value & opt int 65536 & info [ "ring-capacity" ] ~docv:"EVENTS" ~doc:"Per-core event ring capacity; oldest events are dropped beyond it.")
+let text_or_json ~doc =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format"; "f" ] ~docv:"FORMAT" ~doc)
 
 let jobs_arg =
   Arg.(
@@ -490,112 +443,6 @@ let jobs_arg =
            domains.  Runs are deterministic and results keep their order, so the \
            output is byte-identical for any job count.")
 
-let rounds_arg =
-  Arg.(value & opt (some int) None & info [ "rounds" ] ~docv:"N" ~doc:"Rounds for wsq/nested-scopes (workload default otherwise).")
-
-let size_arg =
-  Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc:"Principal size knob (per_producer/keys/nodes/bodies/patches/requests).")
-
-let threads_arg =
-  Arg.(value & opt (some int) None & info [ "threads" ] ~docv:"N" ~doc:"Cores for workloads with a thread-count knob (msn, wsq, spin-barrier, server-*).")
-
-let seed_arg =
-  Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc:"Traffic trace seed for the server-* workloads (default 1).")
-
-let sample_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "sample" ] ~docv:"SPEC"
-        ~doc:
-          "Interval sampling: $(b,default) (500-cycle warmup, 1000-cycle detailed \
-           window, 20000-instruction functional fast-forward) or an explicit \
-           $(b,WARMUP:DETAILED:FF) triple.  Cycle-valued metrics become extrapolated \
-           estimates; committed-instruction counts, final memory and validation stay \
-           exact.  See DESIGN §15 for the error contract.")
-
-let checkpoint_every_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "checkpoint-every" ] ~docv:"CYCLES"
-        ~doc:
-          "Write a whole-machine checkpoint to $(b,--checkpoint-out) at the top of \
-           every multiple of $(docv) cycles the run reaches, each overwriting the last \
-           — a crashed or cancelled run can be resumed with $(b,fscope checkpoint \
-           resume).  Composes with $(b,--shard-domains): the checkpoints are the same \
-           for every shard count.  Incompatible with $(b,--sample).")
-
-let checkpoint_out_arg =
-  Arg.(
-    value & opt string "fscope.ckpt.json"
-    & info [ "checkpoint-out" ] ~docv:"FILE"
-        ~doc:"Destination for $(b,--checkpoint-every) snapshots (default \
-              fscope.ckpt.json).")
-
-let at_arg =
-  Arg.(
-    required
-    & opt (some int) None
-    & info [ "at" ] ~docv:"CYCLE"
-        ~doc:
-          "Capture the checkpoint at the top of cycle $(docv).")
-
-let ckpt_out_arg =
-  Arg.(
-    value & opt string "fscope.ckpt.json"
-    & info [ "output"; "o" ] ~docv:"FILE"
-        ~doc:"Checkpoint file to write (default fscope.ckpt.json).")
-
-let compact_arg =
-  Arg.(
-    value & flag
-    & info [ "compact" ]
-        ~doc:
-          "Write the checkpoint in the compact v2z form: minified (the plain form \
-           pretty-prints), with mostly-zero integer arrays (memory image, register \
-           files, predictor tables) zero-run elided and repeated elements (cache \
-           slots, ROB operand columns) run-length deduplicated.  Several times \
-           smaller at production core counts; $(b,fscope checkpoint resume) reads \
-           both forms and the resumed run is bit-identical either way.")
-
-let from_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "from" ] ~docv:"FILE" ~doc:"Checkpoint file to resume from.")
-
-let list_cmd =
-  Cmd.v (Cmd.info "list" ~doc:"List the available workloads") Term.(const cmd_list $ const ())
-
-let run_cmd =
-  Cmd.v
-    (Cmd.info "run" ~doc:"Run one workload on one machine configuration")
-    Term.(
-      const cmd_run $ workload_arg $ level_arg $ set_scope_arg $ traditional_arg
-      $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg $ mem_model_arg
-      $ no_spin_ff_arg $ no_elide_arg $ shard_domains_arg $ sample_arg
-      $ checkpoint_every_arg $ checkpoint_out_arg $ rounds_arg $ size_arg $ threads_arg
-      $ seed_arg)
-
-let compare_cmd =
-  Cmd.v
-    (Cmd.info "compare" ~doc:"Run a workload under T, S, T+ and S+ and compare")
-    Term.(const cmd_compare $ workload_arg $ level_arg $ set_scope_arg $ jobs_arg)
-
-let trace_cmd =
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run one workload with the observability layer on and render the event trace")
-    Term.(
-      const cmd_trace $ workload_arg $ level_arg $ set_scope_arg $ traditional_arg
-      $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg $ mem_model_arg
-      $ shard_domains_arg $ format_arg $ output_arg $ ring_arg $ rounds_arg $ size_arg
-      $ threads_arg $ seed_arg)
-
-let no_fence_arg =
-  Arg.(value & flag & info [ "no-fence" ] ~doc:"Retire fences as nops (timing-only ablation; validation is skipped).")
-
 let max_cycles_arg =
   Arg.(
     value
@@ -606,34 +453,82 @@ let max_cycles_arg =
            can break a workload's termination protocol; a capped run is profiled and \
            flagged as timed out.")
 
-let profile_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-    & info [ "format"; "f" ] ~docv:"FORMAT"
-        ~doc:"Output format: $(b,text) (aligned tables) or $(b,json) (one object).")
+let list_cmd =
+  Cmd.v (Cmd.info "list" ~doc:"List the available workloads") Term.(const cmd_list $ const ())
+
+let run_cmd =
+  let sample =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "sample" ] ~docv:"SPEC"
+          ~doc:
+            "Interval sampling: $(b,default) (500-cycle warmup, 1000-cycle detailed \
+             window, 20000-instruction functional fast-forward) or an explicit \
+             $(b,WARMUP:DETAILED:FF) triple.  Cycle-valued metrics become extrapolated \
+             estimates; committed-instruction counts, final memory and validation stay \
+             exact.  See DESIGN §15 for the error contract.")
+  and checkpoint_every =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "checkpoint-every" ] ~docv:"CYCLES"
+          ~doc:
+            "Write a whole-machine checkpoint to $(b,--checkpoint-out) at the top of \
+             every multiple of $(docv) cycles the run reaches, each overwriting the last \
+             — a crashed or cancelled run can be resumed with $(b,fscope checkpoint \
+             resume).  Composes with $(b,--shard-domains): the checkpoints are the same \
+             for every shard count.  Incompatible with $(b,--sample).")
+  and checkpoint_out =
+    Arg.(
+      value & opt string "fscope.ckpt.json"
+      & info [ "checkpoint-out" ] ~docv:"FILE"
+          ~doc:"Destination for $(b,--checkpoint-every) snapshots (default \
+                fscope.ckpt.json).")
+  in
+  Cmd.v
+    (Cmd.info "run" ~doc:"Run one workload on one machine configuration")
+    Term.(const cmd_run $ workload $ variant $ sample $ checkpoint_every $ checkpoint_out)
+
+let compare_cmd =
+  Cmd.v
+    (Cmd.info "compare" ~doc:"Run a workload under T, S, T+ and S+ and compare")
+    Term.(const cmd_compare $ workload $ jobs_arg)
+
+let trace_cmd =
+  let format =
+    Arg.(
+      value
+      & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome); ("summary", `Summary) ]) `Summary
+      & info [ "format"; "f" ] ~docv:"FORMAT"
+          ~doc:"Output format: $(b,jsonl) (one event per line), $(b,chrome) (trace_event JSON for chrome://tracing / Perfetto), or $(b,summary) (human digest).")
+  and ring =
+    Arg.(value & opt int 65536 & info [ "ring-capacity" ] ~docv:"EVENTS" ~doc:"Per-core event ring capacity; oldest events are dropped beyond it.")
+  in
+  Cmd.v
+    (Cmd.info "trace"
+       ~doc:"Run one workload with the observability layer on and render the event trace")
+    Term.(const cmd_trace $ workload $ variant $ format $ output_arg $ ring)
 
 let profile_cmd =
+  let no_fence =
+    Arg.(value & flag & info [ "no-fence" ] ~doc:"Retire fences as nops (timing-only ablation; validation is skipped).")
+  and format =
+    text_or_json ~doc:"Output format: $(b,text) (aligned tables) or $(b,json) (one object)."
+  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Run one workload with cycle accounting on and print its CPI stack, \
           per-fence-site attribution, per-scope totals and spin candidates")
     Term.(
-      const cmd_profile $ workload_arg $ level_arg $ set_scope_arg $ traditional_arg
-      $ speculate_arg $ no_fence_arg $ mem_latency_arg $ rob_arg $ fsb_arg
-      $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg $ max_cycles_arg
-      $ profile_format_arg $ output_arg $ rounds_arg $ size_arg $ threads_arg
-      $ seed_arg)
-
-let advise_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-    & info [ "format"; "f" ] ~docv:"FORMAT"
-        ~doc:"Output format: $(b,text) (ranked table) or $(b,json) (one object).")
+      const cmd_profile $ workload $ variant $ no_fence $ max_cycles_arg $ format
+      $ output_arg)
 
 let advise_cmd =
+  let format =
+    text_or_json ~doc:"Output format: $(b,text) (ranked table) or $(b,json) (one object)."
+  in
   Cmd.v
     (Cmd.info "advise"
        ~doc:
@@ -641,74 +536,92 @@ let advise_cmd =
           fence sites by the cycles expected back if each became scoped, with a \
           whole-run speedup prediction")
     Term.(
-      const cmd_advise $ workload_arg $ level_arg $ set_scope_arg $ mem_latency_arg
-      $ rob_arg $ fsb_arg $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg
-      $ jobs_arg $ max_cycles_arg $ advise_format_arg $ output_arg $ rounds_arg
-      $ size_arg $ threads_arg $ seed_arg)
-
-let against_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "against" ] ~docv:"DIR|JSON"
-        ~doc:
-          "Baseline to diff against: a directory holding BENCH_*.json artefacts \
-           (matched by name against the current directory, or $(b,--current)) or one \
-           artefact file.")
-
-let current_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "current" ] ~docv:"DIR|JSON"
-        ~doc:
-          "Current artefacts to compare (default: the working directory when \
-           $(b,--against) is a directory, else the baseline's basename).")
-
-let threshold_arg =
-  Arg.(
-    value & opt float 5.0
-    & info [ "threshold" ] ~docv:"PCT"
-        ~doc:
-          "Regression threshold for deterministic metrics, in percent worsening \
-           (default 5).")
-
-let wall_threshold_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "wall-threshold" ] ~docv:"PCT"
-        ~doc:
-          "Also gate wall-clock metrics at $(docv) percent worsening (default: \
-           wall-clock rows are advisory).")
+      const cmd_advise $ workload $ machine $ jobs_arg $ max_cycles_arg $ format
+      $ output_arg)
 
 let report_cmd =
+  let against =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "against" ] ~docv:"DIR|JSON"
+          ~doc:
+            "Baseline to diff against: a directory holding BENCH_*.json artefacts \
+             (matched by name against the current directory, or $(b,--current)) or one \
+             artefact file.")
+  and current =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "current" ] ~docv:"DIR|JSON"
+          ~doc:
+            "Current artefacts to compare (default: the working directory when \
+             $(b,--against) is a directory, else the baseline's basename).")
+  and threshold =
+    Arg.(
+      value & opt float 5.0
+      & info [ "threshold" ] ~docv:"PCT"
+          ~doc:
+            "Regression threshold for deterministic metrics, in percent worsening \
+             (default 5).")
+  and wall_threshold =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "wall-threshold" ] ~docv:"PCT"
+          ~doc:
+            "Also gate wall-clock metrics at $(docv) percent worsening (default: \
+             wall-clock rows are advisory).")
+  in
   Cmd.v
     (Cmd.info "report"
        ~doc:
          "Diff BENCH_* artefacts against a baseline generation and render the trend \
           table; exits 2 when a gated metric worsened past the threshold")
-    Term.(
-      const cmd_report $ against_arg $ current_arg $ threshold_arg $ wall_threshold_arg)
+    Term.(const cmd_report $ against $ current $ threshold $ wall_threshold)
 
 let disasm_cmd =
   Cmd.v
     (Cmd.info "disasm" ~doc:"Print the compiled program of a workload")
-    Term.(const cmd_disasm $ workload_arg $ level_arg $ set_scope_arg)
+    Term.(const cmd_disasm $ workload)
 
 let checkpoint_save_cmd =
+  let at =
+    Arg.(
+      required
+      & opt (some int) None
+      & info [ "at" ] ~docv:"CYCLE" ~doc:"Capture the checkpoint at the top of cycle $(docv).")
+  and out =
+    Arg.(
+      value & opt string "fscope.ckpt.json"
+      & info [ "output"; "o" ] ~docv:"FILE"
+          ~doc:"Checkpoint file to write (default fscope.ckpt.json).")
+  and compact =
+    Arg.(
+      value & flag
+      & info [ "compact" ]
+          ~doc:
+            "Write the checkpoint in the compact v2z form: minified (the plain form \
+             pretty-prints), with mostly-zero integer arrays (memory image, register \
+             files, predictor tables) zero-run elided and repeated elements (cache \
+             slots, ROB operand columns) run-length deduplicated.  Several times \
+             smaller at production core counts; $(b,fscope checkpoint resume) reads \
+             both forms and the resumed run is bit-identical either way.")
+  in
   Cmd.v
     (Cmd.info "save"
        ~doc:
          "Run a workload up to a cycle and write the whole-machine state as a \
           checkpoint file (the rest of the run is skipped)")
-    Term.(
-      const cmd_checkpoint_save $ workload_arg $ level_arg $ set_scope_arg
-      $ traditional_arg $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg
-      $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg $ rounds_arg $ size_arg
-      $ threads_arg $ seed_arg $ at_arg $ ckpt_out_arg $ compact_arg)
+    Term.(const cmd_checkpoint_save $ workload $ variant $ at $ out $ compact)
 
 let checkpoint_resume_cmd =
+  let from =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "from" ] ~docv:"FILE" ~doc:"Checkpoint file to resume from.")
+  in
   Cmd.v
     (Cmd.info "resume"
        ~doc:
@@ -716,11 +629,7 @@ let checkpoint_resume_cmd =
           bit-identical to the uninterrupted run.  Machine flags and workload knobs \
           must match the saving run (the checkpoint digest covers them); \
           $(b,--max-cycles) may differ, so a resume can extend the cycle budget.")
-    Term.(
-      const cmd_checkpoint_resume $ workload_arg $ level_arg $ set_scope_arg
-      $ traditional_arg $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg
-      $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg $ max_cycles_arg
-      $ rounds_arg $ size_arg $ threads_arg $ seed_arg $ from_arg)
+    Term.(const cmd_checkpoint_resume $ workload $ variant $ max_cycles_arg $ from)
 
 let checkpoint_cmd =
   Cmd.group

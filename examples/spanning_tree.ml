@@ -27,10 +27,5 @@ let () =
         m.E.Exp_run.cycles
         (E.Exp_run.speedup ~baseline:base m)
         (100. *. m.E.Exp_run.fence_stall_fraction))
-    [
-      ("T", E.Exp_run.t_config);
-      ("S", E.Exp_run.s_config);
-      ("T+", E.Exp_run.t_plus);
-      ("S+", E.Exp_run.s_plus);
-    ];
+    E.Exp_run.variants;
   Printf.printf "\nthe S runs passed the spanning-tree validation (tree checked on host)\n"

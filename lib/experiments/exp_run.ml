@@ -23,6 +23,7 @@ let s_config c = Config.v ~base:c ~sfence:true ()
 let t_plus c = Config.v ~base:c ~sfence:false ~speculation:true ()
 let s_plus c = Config.v ~base:c ~sfence:true ~speculation:true ()
 let nf_config c = Config.v ~base:c ~sfence:false ~nop_fences:true ()
+let variants = [ ("T", t_config); ("S", s_config); ("T+", t_plus); ("S+", s_plus) ]
 
 let sampled_config ?(sampling = Config.sampling_default) c =
   Config.v ~base:c ~sampling:(Some sampling) ()
@@ -56,16 +57,12 @@ let speedup ~baseline m = float_of_int baseline.cycles /. float_of_int m.cycles
    byte-identical to a sequential one. *)
 
 let jobs_ref = ref 1
-let set_jobs n = jobs_ref := max 1 n
-let jobs () = !jobs_ref
 
-(* Intra-run parallelism: how many domains a single big simulated
-   machine is sharded across (Config.shard_domains for the points that
-   opt in, e.g. the server suite's 64-core point).  Orthogonal to
-   [jobs], which fans out across independent points. *)
-let shard_domains_ref = ref 1
-let set_shard_domains n = shard_domains_ref := max 1 n
-let shard_domains () = !shard_domains_ref
+let set_jobs n =
+  if n < 1 then invalid_arg "Exp_run.set_jobs: job count must be positive";
+  jobs_ref := n
+
+let jobs () = !jobs_ref
 
 let parmap ~jobs f (inputs : _ array) =
   let n = Array.length inputs in

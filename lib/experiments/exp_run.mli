@@ -33,6 +33,10 @@ val nf_config : Fscope_machine.Config.t -> Fscope_machine.Config.t
     not enforced, so runs under this config skip validation).  The
     profiler's upper bound on what fence elision could buy. *)
 
+val variants : (string * (Fscope_machine.Config.t -> Fscope_machine.Config.t)) list
+(** The evaluation's four machines in order, labelled as in the
+    paper: [T], [S], [T+], [S+]. *)
+
 val sampled_config :
   ?sampling:Fscope_machine.Config.sampling ->
   Fscope_machine.Config.t ->
@@ -52,21 +56,13 @@ val speedup : baseline:measurement -> measurement -> float
 
 val set_jobs : int -> unit
 (** Number of domains {!measure_all} fans experiment points across
-    (clamped to at least 1; default 1 = sequential).  Process-global:
-    the CLI's [--jobs] flag sets it once at startup. *)
+    (default 1 = sequential).  Process-global: the CLI's [--jobs] flag
+    sets it once at startup.  How many domains one machine's cores are
+    split across is a machine knob instead,
+    [Fscope_machine.Config.shard_domains].  Raises [Invalid_argument]
+    when [n < 1]. *)
 
 val jobs : unit -> int
-
-val set_shard_domains : int -> unit
-(** Number of domains a single simulated machine's cores are split
-    across, for the experiment points that opt in (the server suite's
-    big-machine point applies it via [Config.v ~shard_domains]).
-    Clamped to at least 1; default 1 = the sequential engine loop.
-    Process-global: the CLIs' [--shard-domains] flag sets it once at
-    startup.  Orthogonal to {!set_jobs}, which fans out across
-    independent points. *)
-
-val shard_domains : unit -> int
 
 val parmap : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Generic deterministic fan-out over domains: applies [f] to every

@@ -23,14 +23,6 @@ let apps ?(quick = false) () =
     app "radiosity" (if quick then 64 else 160);
   ]
 
-let variants =
-  [
-    ("T", Exp_run.t_config);
-    ("S", Exp_run.s_config);
-    ("T+", Exp_run.t_plus);
-    ("S+", Exp_run.s_plus);
-  ]
-
 let run ?quick () =
   (* One point per (app, variant); the T point doubles as the app's
      normalization baseline (runs are deterministic, so measuring T
@@ -38,7 +30,8 @@ let run ?quick () =
   let keyed =
     List.concat_map
       (fun (app, workload) ->
-        List.map (fun (variant, mk) -> (app, variant, workload, mk Config.default)) variants)
+        List.map (fun (variant, mk) -> (app, variant, workload, mk Config.default))
+          Exp_run.variants)
       (apps ?quick ())
   in
   let ms =

@@ -206,15 +206,14 @@ let eval pt =
 (* Three machine configurations per workload.  The set-scope point
    recompiles the workload with S-FENCE[set] sites, so it is a
    (program, machine) pair of its own. *)
-let points ~quick =
+let points ~quick ~shard_domains =
   let threads = if quick then 4 else 8 in
   let per = if quick then 8 else 24 in
   let steal_reqs = if quick then 24 else 96 in
-  (* Server machines honour the global --shard-domains knob: every
-     point then runs the domain-sharded engine, and eval's
-     engine-vs-reference check becomes a sharded-vs-sequential
-     bit-identity assertion. *)
-  let shard c = Config.v ~base:c ~shard_domains:(Exp_run.shard_domains ()) () in
+  (* With [shard_domains > 1] every point runs the domain-sharded
+     engine, and eval's engine-vs-reference check becomes a
+     sharded-vs-sequential bit-identity assertion. *)
+  let shard c = Config.v ~base:c ~shard_domains () in
   let t = shard (Exp_run.t_config Config.default) in
   let s = shard (Exp_run.s_config Config.default) in
   let per_workload ?lat_threads name requests build =
@@ -236,8 +235,7 @@ let points ~quick =
   (* The scale point: one 64-core MPMC machine, the shape the sharded
      engine exists for.  Quick keeps the request count small so the
      point still runs everywhere; full is the 64-core x 10k-request
-     configuration from the issue.  Sharding comes from the global
-     --shard-domains knob via the config, like every other point. *)
+     configuration from the issue. *)
   let big_threads = 64 in
   let big_per = if quick then 4 else 625 in
   per_workload "server-mpmc"
@@ -262,9 +260,10 @@ let points ~quick =
       };
     ]
 
-let run ?(quick = false) () =
+let run ?(quick = false) ?(shard_domains = 1) () =
   Array.to_list
-    (Exp_run.parmap ~jobs:(Exp_run.jobs ()) eval (Array.of_list (points ~quick)))
+    (Exp_run.parmap ~jobs:(Exp_run.jobs ()) eval
+       (Array.of_list (points ~quick ~shard_domains)))
 
 (* Quick points are a few thousand cycles end to end — smaller than
    the default 10k-cycle detailed window — so quick mode shrinks the
@@ -278,15 +277,15 @@ let sampled_sampling ~quick =
    against the detailed row above), and the 256-core machine — which
    only exists sampled; a detailed 256-core run is what the estimator
    is for. *)
-let sampled_points ~quick =
-  (* Sampled points honour --shard-domains too: the untraced run then
-     shards its detailed windows, while the traced run stays
-     sequential — [eval]'s timing-neutrality assertion doubles as a
+let sampled_points ~quick ~shard_domains =
+  (* Sampled points shard too: the untraced run then shards its
+     detailed windows, while the traced run stays sequential —
+     [eval]'s timing-neutrality assertion doubles as a
      sharded/sequential sampled bit-identity check. *)
   let s =
     Config.v
       ~base:(Exp_run.s_config Config.default)
-      ~shard_domains:(Exp_run.shard_domains ())
+      ~shard_domains
       ~sampling:(Some (sampled_sampling ~quick))
       ()
   in
@@ -302,7 +301,8 @@ let sampled_points ~quick =
   in
   [ point 64 (if quick then 4 else 625); point 256 (if quick then 1 else 156) ]
 
-let run_sampled ?(quick = false) () = List.map eval (sampled_points ~quick)
+let run_sampled ?(quick = false) ?(shard_domains = 1) () =
+  List.map eval (sampled_points ~quick ~shard_domains)
 
 let table rows =
   let t =

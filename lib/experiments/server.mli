@@ -68,11 +68,11 @@ type row = {
           covered subset ([sv_lat_samples]), not estimates *)
 }
 
-val run : ?quick:bool -> unit -> row list
+val run : ?quick:bool -> ?shard_domains:int -> unit -> row list
 (** Ten points (3 workloads x T/S/S-set, plus one 64-core MPMC scale
     point), fanned across {!Exp_run.jobs} domains; results are in
-    point order and independent of the job count.  Machine configs
-    honour {!Exp_run.shard_domains}, so with [--shard-domains N] every
+    point order and independent of the job count.  Every machine
+    config carries [shard_domains] (default 1), so with [N > 1] every
     point runs the domain-sharded engine and the per-point
     engine-vs-reference check asserts sharded/sequential
     bit-identity. *)
@@ -84,16 +84,16 @@ val sampled_sampling : quick:bool -> Fscope_machine.Config.sampling
     detailed window, so the estimator would otherwise never leave its
     first window). *)
 
-val run_sampled : ?quick:bool -> unit -> row list
+val run_sampled : ?quick:bool -> ?shard_domains:int -> unit -> row list
 (** The interval-sampled scale points: the 64-core MPMC machine again
     (sampled, so the bench harness can quote the error and wall-clock
     win against the detailed row) and the 256-core MPMC machine, which
     only exists sampled.  Rows carry [sv_sampled = true], validate
     functionally like every other point, and fill the latency columns
     from the measured-window extraction ([sv_lat_sampled]).  Machine
-    configs honour {!Exp_run.shard_domains}: the untraced run shards
-    its detailed windows, and the sequential traced run's cycle
-    estimate must reproduce it exactly. *)
+    configs carry [shard_domains] (default 1): the untraced run
+    shards its detailed windows, and the sequential traced run's
+    cycle estimate must reproduce it exactly. *)
 
 val table : row list -> Fscope_util.Table.t
 

@@ -89,6 +89,10 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
   in
   Fscope_cpu.Exec_config.validate t.exec;
   Fscope_core.Scope_unit.validate t.scope;
+  let check name v = if v < 1 then invalid_arg ("Config: " ^ name ^ " must be positive") in
+  check "mem_latency" t.mem.mem_latency;
+  check "max_cycles" t.max_cycles;
+  check "shard_domains" t.shard_domains;
   t
 
 let traditional t = v ~base:t ~sfence:false ()

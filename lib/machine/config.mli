@@ -105,7 +105,8 @@ val v :
 
     Raises [Invalid_argument] when the result would be an unbuildable
     machine: pipeline knobs per {!Fscope_cpu.Exec_config.validate},
-    scope knobs per {!Fscope_core.Scope_unit.validate}, or a
+    scope knobs per {!Fscope_core.Scope_unit.validate}, a
+    non-positive memory latency, cycle cap or shard count, or a
     non-positive sampling window. *)
 
 val traditional : t -> t

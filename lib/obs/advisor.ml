@@ -247,26 +247,14 @@ let text t =
       advice);
   Buffer.contents b
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Fscope_util.Json
 
 let json t =
   let b = Buffer.create 2048 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   p "{\"schema\":\"fence-scoping/advice/v1\"";
-  p ",\"label\":\"%s\",\"config\":\"%s\",\"cores\":%d,\"cycles\":%d" (escape t.label)
-    (escape t.config) t.cores t.cycles;
+  p ",\"label\":\"%s\",\"config\":\"%s\",\"cores\":%d,\"cycles\":%d" (Json.escape t.label)
+    (Json.escape t.config) t.cores t.cycles;
   p ",\"modeled_residuals\":%b" t.modeled_residuals;
   p ",\"total_unscoped\":%d,\"total_recovery\":%.2f,\"predicted_speedup\":%.4f"
     t.total_unscoped t.total_recovery t.predicted_speedup;
@@ -276,7 +264,7 @@ let json t =
           (fun i a ->
             Printf.sprintf
               "{\"rank\":%d,\"core\":%d,\"pc\":%d,\"kind\":\"%s\",\"commits\":%d,\"stalls\":%d,\"stall_cycles\":%d,\"stall_share\":%.4f,\"attributed\":%.2f,\"residual\":%.2f,\"recovery\":%.2f,\"confidence\":\"%s\"}"
-              (i + 1) a.core a.pc (escape a.kind) a.commits a.episodes a.site_stall
+              (i + 1) a.core a.pc (Json.escape a.kind) a.commits a.episodes a.site_stall
               a.stall_share a.attributed a.residual a.recovery
               (confidence_name a.confidence))
           t.advice));

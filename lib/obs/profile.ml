@@ -193,18 +193,7 @@ let text input =
 (* ------------------------------------------------------------------ *)
 (* JSON                                                               *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Fscope_util.Json
 
 let cpi_json t =
   String.concat ","
@@ -215,7 +204,7 @@ let json input =
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let agg = aggregate input in
   p "{\"schema\":\"fence-scoping/profile/v1\"";
-  p ",\"label\":\"%s\",\"config\":\"%s\"" (escape input.label) (escape input.config);
+  p ",\"label\":\"%s\",\"config\":\"%s\"" (Json.escape input.label) (Json.escape input.config);
   p ",\"cores\":%d,\"cycles\":%d,\"timed_out\":%b,\"active_cycles\":%d"
     (Array.length input.cpi) input.cycles input.timed_out (active_cycles input);
   p ",\"cpi\":{%s}" (cpi_json agg);
@@ -237,7 +226,7 @@ let json input =
           (fun r ->
             Printf.sprintf
               "{\"core\":%d,\"pc\":%d,\"kind\":\"%s\",\"commits\":%d,\"scoped_commits\":%d,\"stalls\":%d,\"stall_cycles\":%d,\"mean\":%.2f,\"max_floor\":%d}"
-              r.site.core r.site.pc (escape r.site.kind) r.commits r.scoped_commits
+              r.site.core r.site.pc (Json.escape r.site.kind) r.commits r.scoped_commits
               r.stall.episodes r.stall.stall_cycles r.stall.mean r.stall.max_floor)
           (site_rows input)));
   p ",\"scopes\":[%s]"

@@ -29,6 +29,11 @@ val of_file : string -> t
 val render : t -> string
 (** Compact (single-line) rendering. *)
 
+val escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quote, backslash and control characters escaped.  For writers that
+    print JSON text directly instead of building a {!t}. *)
+
 val render_pretty : t -> string
 (** Two-space-indented multi-line rendering, for artefacts meant to be
     read or diffed by humans (plain checkpoints).  Same grammar as

@@ -53,6 +53,24 @@ let test_out_of_range_flags () =
       [ "run"; "msn"; "--threads"; "0" ];
       [ "run"; "dekker"; "--level"; "9" ];
       [ "run"; "server-mpnc" ];
+      [ "run"; "dekker"; "--mem-latency=-5" ];
+      [ "run"; "dekker"; "--shard-domains=-3" ];
+      [ "compare"; "dekker"; "--jobs"; "0" ];
+      [ "profile"; "dekker"; "--max-cycles"; "0" ];
+    ];
+  (* Every command that names a machine shares one set of machine
+     flags, validated the same way. *)
+  List.iter
+    (fun command ->
+      List.iter
+        (fun flag -> expect_bad_input (command @ flag))
+        [ [ "--rob"; "0" ]; [ "--shard-domains"; "0" ] ])
+    [
+      [ "trace"; "dekker" ];
+      [ "profile"; "dekker" ];
+      [ "advise"; "dekker" ];
+      [ "checkpoint"; "save"; "msn"; "--at"; "2000" ];
+      [ "checkpoint"; "resume"; "msn"; "--from"; "no-such-checkpoint.json" ];
     ]
 
 let test_unreadable_file () =
