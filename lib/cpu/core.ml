@@ -49,10 +49,13 @@ let create ?(trace = Fscope_obs.Trace.null) ~id ~code ~port ~scope_config ~exec_
   {
     Core_state.id;
     code;
+    src_regs = Core_state.src_regs_table code;
     port;
     scope = Scope_unit.create ~trace ~core:id scope_config;
     cfg = exec_config;
-    rob = Rob.create ~trace ~core:id ~size:exec_config.rob_size ();
+    rob =
+      Rob.create ~trace ~core:id ~size:exec_config.rob_size
+        ~columns:scope_config.Scope_unit.fsb_entries ();
     sb = Store_buffer.create ~trace ~core:id ~capacity:exec_config.sb_size ();
     bpred = Branch_pred.create ~entries:exec_config.bpred_entries;
     arf = Array.make Reg.count 0;

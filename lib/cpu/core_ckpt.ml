@@ -89,31 +89,34 @@ let entry_to_json (e : Rob.entry) =
     ]
 
 (* Rebuild an entry exactly as dispatch would have: the instruction is
-   re-read from the code image and the positional source list from
-   [Core_frontend.explicit_srcs] — duplicates and order preserved —
-   with the serialized producers zipped back in. *)
+   re-read from the code image and the positional source registers
+   from the core's per-pc [src_regs] — duplicates and order preserved —
+   with the serialized producers zipped back in.  The entry is not in
+   flight yet, so its address is set by building it, not through
+   [Rob.set_addr]. *)
 let entry_of_json (t : t) j =
   let pc = Json.int_exn (Json.get "pc" j) in
   if pc < 0 || pc >= Array.length t.code then failwith "checkpoint: entry pc out of range";
   let instr = t.code.(pc) in
   let producers = Json.int_list_exn (Json.get "srcs" j) in
-  let regs = Core_frontend.explicit_srcs instr in
-  if List.length producers <> List.length regs then
+  let regs = t.src_regs.(pc) in
+  if List.length producers <> Array.length regs then
     failwith "checkpoint: source arity mismatch (program changed?)";
   let srcs =
     Array.of_list
-      (List.map2
-         (fun r p -> { Rob.producer = producer_of_int p; reg = r })
-         regs producers)
+      (List.mapi (fun i p -> { Rob.producer = producer_of_int p; reg = regs.(i) }) producers)
   in
   let e =
-    Rob.make_entry
-      ~state:(state_of_json (Json.get "state" j))
-      ~seq:(Json.int_exn (Json.get "seq" j))
-      ~pc ~instr ~srcs
+    {
+      (Rob.make_entry
+         ~state:(state_of_json (Json.get "state" j))
+         ~seq:(Json.int_exn (Json.get "seq" j))
+         ~pc ~instr ~srcs)
+      with
+      addr = Json.int_exn (Json.get "addr" j);
+    }
   in
   e.result <- Json.int_exn (Json.get "result" j);
-  e.addr <- Json.int_exn (Json.get "addr" j);
   e.data <- Json.int_exn (Json.get "data" j);
   e.data2 <- Json.int_exn (Json.get "data2" j);
   e.scope_mask <- Json.int_exn (Json.get "mask" j);

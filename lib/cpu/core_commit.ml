@@ -5,7 +5,6 @@
 
 module Instr = Fscope_isa.Instr
 module Reg = Fscope_isa.Reg
-module Fsb = Fscope_core.Fsb
 module Cpi = Fscope_obs.Cpi
 open Core_state
 
@@ -83,37 +82,19 @@ let commit_effects t (e : Rob.entry) =
   | Instr.Halt ->
     ()
 
-(* Why is the head fence stalled?  Charged once per stalled cycle to
-   the first matching cause (ROB loads, then ROB stores, then SB
-   drain), split by whether the fence waits on an S-Fence scope mask
-   or globally.  [times] lets the engine charge a whole frozen span at
-   once — the classification only reads state that cannot change while
-   the core makes no progress, so every cycle of the span lands in the
-   same leaf. *)
+(* Why is the head fence stalled?  Nothing older than the head is left
+   in the ROB, so under head-of-ROB attribution only the in-scope part
+   of the store buffer can hold it: the [Rob_load] / [Rob_store]
+   causes stay in the taxonomy but are never charged.  Split by
+   whether the fence waits on an S-Fence scope mask or globally.
+   [times] lets the engine charge a whole frozen span at once. *)
 let charge_fence_stall t (e : Rob.entry) ~times =
-  let covered o =
-    match e.fence_wait with
-    | Some `Global | None -> true
-    | Some (`Mask m) -> not (Fsb.is_empty (Fsb.inter o.Rob.scope_mask m))
-  in
-  let rob_load = ref false and rob_store = ref false in
-  Rob.iter t.rob (fun o ->
-      if o.seq < e.seq && covered o then
-        match o.instr with
-        | Instr.Load _ | Instr.Cas _ -> if o.state <> Rob.Done then rob_load := true
-        | Instr.Store _ -> rob_store := true
-        | _ -> ());
-  let cause =
-    if !rob_load then Cpi.Rob_load
-    else if !rob_store then Cpi.Rob_store
-    else Cpi.Sb_drain
-  in
   let scope =
     match e.fence_wait with
     | Some (`Mask _) -> Cpi.Scoped
     | Some `Global | None -> Cpi.Unscoped
   in
-  Cpi.charge_n t.cpi (Cpi.Fence_wait (cause, scope)) ~times
+  Cpi.charge_n t.cpi (Cpi.Fence_wait (Cpi.Sb_drain, scope)) ~times
 
 (* Per-static-fence-site and per-scope attribution, on traced runs
    only: a commit counter per (core, fence PC), a scoped-commit

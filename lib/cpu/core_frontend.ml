@@ -5,18 +5,6 @@ module Reg = Fscope_isa.Reg
 module Scope_unit = Fscope_core.Scope_unit
 open Core_state
 
-(* Positional source registers, matching how execution consumes them. *)
-let explicit_srcs = function
-  | Instr.Nop | Instr.Li _ | Instr.Tid _ | Instr.Jump _ | Instr.Fence _
-  | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt ->
-    []
-  | Instr.Alu (_, _, a, Instr.Reg b) -> [ a; b ]
-  | Instr.Alu (_, _, a, Instr.Imm _) -> [ a ]
-  | Instr.Load { base; _ } -> [ base ]
-  | Instr.Store { src; base; _ } -> [ src; base ]
-  | Instr.Cas { base; expected; desired; _ } -> [ base; expected; desired ]
-  | Instr.Branch { src; _ } -> [ src ]
-
 (* Instructions with nothing to execute enter the ROB already [Done];
    so do fences that order nothing in the window (in-window speculation
    checks them at commit, no-fence runs drop them). *)
@@ -26,6 +14,21 @@ let dispatch_state t = function
   | Instr.Fence _ | Instr.Li _ | Instr.Alu _ | Instr.Tid _ | Instr.Load _ | Instr.Store _
   | Instr.Cas _ | Instr.Branch _ ->
     Rob.Waiting
+
+(* The entry's sources: [regs] read through the current rename map.
+   Allocates only the array and its records. *)
+let renamed t r = { Rob.producer = t.rename.(Reg.index r); reg = r }
+
+let rename_srcs t regs =
+  let n = Array.length regs in
+  if n = 0 then [||]
+  else begin
+    let srcs = Array.make n (renamed t regs.(0)) in
+    for i = 1 to n - 1 do
+      srcs.(i) <- renamed t regs.(i)
+    done;
+    srcs
+  end
 
 let dispatch t ~cycle =
   let progress = ref false in
@@ -43,12 +46,7 @@ let dispatch t ~cycle =
       let pc = t.fetch_pc in
       let instr = t.code.(pc) in
       let seq = Rob.next_seq t.rob in
-      let srcs =
-        Array.of_list
-          (List.map
-             (fun r -> { Rob.producer = t.rename.(Reg.index r); reg = r })
-             (explicit_srcs instr))
-      in
+      let srcs = rename_srcs t t.src_regs.(pc) in
       let e = Rob.make_entry ~state:(dispatch_state t instr) ~seq ~pc ~instr ~srcs in
       (match instr with
       | Instr.Nop -> ()

@@ -7,47 +7,43 @@
    so it must count as progress for the fast-forwarding engine. *)
 
 module Instr = Fscope_isa.Instr
-module Fsb = Fscope_core.Fsb
 open Core_state
-
-(* Is an older entry something the fence's flavour must still wait
-   for?  Loads and CAS: until their value is bound (CAS also writes, so
-   it is in both classes).  Stores: as long as they are in the ROB they
-   have not even reached the store buffer. *)
-let mem_incomplete (k : Fscope_isa.Fence_kind.t) (o : Rob.entry) =
-  match o.instr with
-  | Instr.Load _ -> k.Fscope_isa.Fence_kind.wait_loads && o.state <> Rob.Done
-  | Instr.Cas _ ->
-    (k.Fscope_isa.Fence_kind.wait_loads || k.Fscope_isa.Fence_kind.wait_stores)
-    && o.state <> Rob.Done
-  | Instr.Store _ -> k.Fscope_isa.Fence_kind.wait_stores
-  | Instr.Nop | Instr.Li _ | Instr.Alu _ | Instr.Tid _ | Instr.Branch _ | Instr.Jump _
-  | Instr.Fence _ | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt ->
-    false
 
 let fence_kind (e : Rob.entry) =
   match e.instr with
   | Instr.Fence k -> k
   | _ -> assert false
 
+(* May the fence issue?  It waits for every older access its flavour
+   orders: loads and CAS until their value is bound, stores as long as
+   they are in the ROB (they have not even reached the store buffer)
+   and then until they drain.  The ROB keeps the oldest such access per
+   FSB column (and over all entries for a global fence), so "older than
+   the fence" is one seq comparison per column of the fence's mask —
+   the paper's column check of the FSB bits. *)
+let older_access t (k : Fscope_isa.Fence_kind.t) ~seq col =
+  (k.Fscope_isa.Fence_kind.wait_loads && Rob.oldest_read t.rob col < seq)
+  || (k.Fscope_isa.Fence_kind.wait_stores && Rob.oldest_store t.rob col < seq)
+
+(* No older access the fence waits for in the columns of [m] from [col]. *)
+let rec columns_clear t k ~seq m col =
+  m = 0
+  || ((m land 1 = 0 || not (older_access t k ~seq col))
+     && columns_clear t k ~seq (m lsr 1) (col + 1))
+
 let fence_issue_ok t (e : Rob.entry) =
   let k = fence_kind e in
-  let sb_ok mask_opt =
+  let sb_ok =
     (not k.Fscope_isa.Fence_kind.wait_stores)
     ||
-    match mask_opt with
-    | None -> Store_buffer.is_empty t.sb
-    | Some m -> not (Store_buffer.mask_overlaps t.sb m)
+    match e.fence_wait with
+    | Some (`Mask m) -> not (Store_buffer.mask_overlaps t.sb m)
+    | Some `Global | None -> Store_buffer.is_empty t.sb
   in
   match e.fence_wait with
   | None -> assert false
-  | Some `Global ->
-    (not (Rob.exists_older t.rob e.seq (mem_incomplete k))) && sb_ok None
-  | Some (`Mask m) ->
-    (not
-       (Rob.exists_older t.rob e.seq (fun o ->
-            (not (Fsb.is_empty (Fsb.inter o.scope_mask m))) && mem_incomplete k o)))
-    && sb_ok (Some m)
+  | Some `Global -> (not (older_access t k ~seq:e.seq Rob.all_columns)) && sb_ok
+  | Some (`Mask m) -> columns_clear t k ~seq:e.seq m 0 && sb_ok
 
 (* What should an issuing load do about the youngest older same-address
    memory operation? *)
@@ -61,11 +57,11 @@ let load_disambiguate t (e : Rob.entry) =
      load still in flight, blocks the load (conservative
      disambiguation; same-address load-load order is coherence). *)
   if
-    Rob.exists_older t.rob e.seq (fun o ->
-        match o.instr with
-        | Instr.Store _ | Instr.Cas _ -> o.addr < 0
-        | Instr.Load _ -> o.addr = e.addr && o.state <> Rob.Done
-        | _ -> false)
+    Rob.oldest_unknown_addr t.rob < e.seq
+    || Rob.exists_older t.rob e.seq (fun o ->
+           match o.instr with
+           | Instr.Load _ -> o.addr = e.addr && o.state <> Rob.Done
+           | _ -> false)
   then Must_wait
   else begin
     (* Youngest older same-address writer in the ROB decides. *)
@@ -140,11 +136,50 @@ let cas_issue_ok t (e : Rob.entry) =
           | _ -> false)))
   && not (Store_buffer.has_addr t.sb ~addr:e.addr)
 
+(* The seq of the in-flight producer of [s] that has not issued yet,
+   or -1: an entry reading [s] cannot issue before that producer does. *)
+let waiting_producer t (s : Rob.src) =
+  if Reg.equal s.reg Reg.zero then -1
+  else
+    match s.producer with
+    | Rob.Arch -> -1
+    | Rob.Rob seq -> (
+      if not (Rob.contains t.rob seq) then -1
+      else
+        match (Rob.get t.rob seq).state with
+        | Rob.Waiting -> seq
+        | Rob.Executing _ | Rob.Done -> -1)
+
+(* Park [e] on the first of its sources whose producer has not issued;
+   leave it in the walk when every missing operand is already on its
+   way. *)
+let rec park_on_srcs_from t (e : Rob.entry) i =
+  if i < Array.length e.srcs then begin
+    let p = waiting_producer t e.srcs.(i) in
+    if p >= 0 then Rob.park t.rob e ~blocker:p else park_on_srcs_from t e (i + 1)
+  end
+
+let park_on_srcs t e = park_on_srcs_from t e 0
+
+let park_on_src t (e : Rob.entry) i =
+  let p = waiting_producer t e.srcs.(i) in
+  if p >= 0 then Rob.park t.rob e ~blocker:p
+
 (* Only [Waiting] entries can issue, so the walk covers the waiting
    queue, oldest first; an entry that issues leaves the queue as it is
    visited.  An unissued fence is [Waiting] by construction (a fence
    turns [Done] exactly when it issues or, under in-window speculation
-   and no-fence runs, at dispatch). *)
+   and no-fence runs, at dispatch).
+
+   An entry that cannot act until one specific older [Waiting] entry
+   leaves [Waiting] is parked on it ({!Rob.park}) and drops out of the
+   walks until then: an ALU op, branch or store-data read whose
+   producer has not issued, an address generation whose operand
+   producer has not issued, and a load behind an unissued fence that
+   blocks loads.  Visiting it meanwhile would change nothing, so
+   parking is invisible in the results.  When the blocker issues it
+   wakes the entry back into the queue, and this same walk reaches it
+   (a load behind a fence issues in the cycle the fence does). *)
 let issue t ~cycle =
   let progress = ref false in
   let budget = ref t.cfg.issue_width in
@@ -156,28 +191,28 @@ let issue t ~cycle =
   (* In the non-speculative pipeline, an unissued fence whose flavour
      has [block_loads] blocks the issue of every younger load; any
      unissued fence blocks younger CAS and keeps younger fences from
-     issuing (fences issue oldest-first). *)
+     issuing (fences issue oldest-first).  [blocking_fence] is the
+     seq of the oldest unissued fence that blocks loads, or -1. *)
   let pending_fence = ref false in
-  let pending_blocking_fence = ref false in
+  let blocking_fence = ref (-1) in
   Rob.iter_waiting t.rob (fun e ->
       if !budget > 0 then begin
         match e.instr with
         | Instr.Fence k ->
-          if (not t.cfg.in_window_speculation) && not !pending_fence then begin
-            if fence_issue_ok t e then begin
-              e.fence_issued <- true;
-              Rob.set_state t.rob e Rob.Done;
-              progress := true;
-              decr budget
-            end
-            else begin
-              pending_fence := true;
-              if k.Fscope_isa.Fence_kind.block_loads then pending_blocking_fence := true
-            end
+          if
+            (not t.cfg.in_window_speculation)
+            && (not !pending_fence)
+            && fence_issue_ok t e
+          then begin
+            e.fence_issued <- true;
+            Rob.set_state t.rob e Rob.Done;
+            progress := true;
+            decr budget
           end
           else begin
             pending_fence := true;
-            if k.Fscope_isa.Fence_kind.block_loads then pending_blocking_fence := true
+            if k.Fscope_isa.Fence_kind.block_loads && !blocking_fence < 0 then
+              blocking_fence := e.seq
           end
         | Instr.Li (_, v) ->
           e.result <- v;
@@ -194,6 +229,7 @@ let issue t ~cycle =
             e.result <- eval_alu op a b;
             start e (cycle + 1)
           end
+          else park_on_srcs t e
         | Instr.Branch { cond; _ } ->
           if src_ready t cycle e.srcs.(0) then begin
             let v = src_get t e.srcs.(0) in
@@ -201,39 +237,46 @@ let issue t ~cycle =
             e.result <- (if taken then 1 else 0);
             start e (cycle + 1)
           end
+          else park_on_src t e 0
         | Instr.Store { off; _ } ->
           (* Address generation does not wait for the data: younger
              loads disambiguate against the address as soon as the
              base register is ready. *)
-          if e.addr < 0 && src_ready t cycle e.srcs.(1) then begin
-            e.addr <- src_get t e.srcs.(1) + off;
-            progress := true
-          end;
-          if e.addr >= 0 && src_ready t cycle e.srcs.(0) then begin
+          if e.addr < 0 then
+            if src_ready t cycle e.srcs.(1) then begin
+              Rob.set_addr t.rob e (src_get t e.srcs.(1) + off);
+              progress := true
+            end;
+          if e.addr < 0 then park_on_src t e 1
+          else if src_ready t cycle e.srcs.(0) then begin
             e.data <- src_get t e.srcs.(0);
             start e (cycle + 1)
           end
+          else park_on_src t e 0
         | Instr.Load { off; _ } ->
           (* Address generation is free as soon as the base is ready;
              the issue slot is only spent on the actual access. *)
-          if e.addr < 0 && src_ready t cycle e.srcs.(0) then begin
-            e.addr <- src_get t e.srcs.(0) + off;
-            progress := true
-          end;
-          if e.addr >= 0
-             && ((not !pending_blocking_fence) || t.cfg.in_window_speculation)
-             && try_issue_load t e ~cycle
-          then begin
+          if e.addr < 0 then
+            if src_ready t cycle e.srcs.(0) then begin
+              Rob.set_addr t.rob e (src_get t e.srcs.(0) + off);
+              progress := true
+            end;
+          if e.addr < 0 then park_on_src t e 0
+          else if !blocking_fence >= 0 && not t.cfg.in_window_speculation then
+            Rob.park t.rob e ~blocker:!blocking_fence
+          else if try_issue_load t e ~cycle then begin
             progress := true;
             decr budget
           end
         | Instr.Cas { off; _ } ->
-          if e.addr < 0 && srcs_ready t cycle e then begin
-            e.addr <- src_get t e.srcs.(0) + off;
-            e.data2 <- src_get t e.srcs.(1);
-            e.data <- src_get t e.srcs.(2);
-            progress := true
-          end;
+          if e.addr < 0 then
+            if srcs_ready t cycle e then begin
+              Rob.set_addr t.rob e (src_get t e.srcs.(0) + off);
+              e.data2 <- src_get t e.srcs.(1);
+              e.data <- src_get t e.srcs.(2);
+              progress := true
+            end
+            else park_on_srcs t e;
           if e.addr >= 0
              && (not !pending_fence) (* CAS never passes a fence speculatively *)
              && cas_issue_ok t e

@@ -138,6 +138,7 @@ let fresh_probe () =
 type t = {
   id : int;
   code : Instr.t array;
+  src_regs : Reg.t array array;  (* per pc: {!operand_regs} of [code.(pc)] *)
   port : Mem_port.t;
   scope : Scope_unit.t;
   cfg : Exec_config.t;
@@ -174,6 +175,34 @@ type t = {
   spin_probe : probe;
   obs : obs option;
 }
+
+(* Positional source registers, in the order execution reads them
+   (duplicates kept): the registers behind a ROB entry's [srcs]. *)
+let operand_regs = function
+  | Instr.Nop | Instr.Li _ | Instr.Tid _ | Instr.Jump _ | Instr.Fence _
+  | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt ->
+    [||]
+  | Instr.Alu (_, _, a, Instr.Reg b) -> [| a; b |]
+  | Instr.Alu (_, _, a, Instr.Imm _) -> [| a |]
+  | Instr.Load { base; _ } -> [| base |]
+  | Instr.Store { src; base; _ } -> [| src; base |]
+  | Instr.Cas { base; expected; desired; _ } -> [| base; expected; desired |]
+  | Instr.Branch { src; _ } -> [| src |]
+
+(* [code] never changes, so a core looks its operand registers up per
+   pc.  Equal register lists share one array, which keeps the table at
+   about a word per instruction. *)
+let src_regs_table code =
+  let seen = Hashtbl.create 64 in
+  Array.map
+    (fun instr ->
+      let regs = operand_regs instr in
+      match Hashtbl.find_opt seen regs with
+      | Some shared -> shared
+      | None ->
+        Hashtbl.add seen regs regs;
+        regs)
+    code
 
 (* A source value is available if its producer has left the ROB (then
    the architectural file holds it: in-order commit guarantees no

@@ -5,18 +5,27 @@ type entry = {
   done_at : int;
 }
 
-(* A small array-backed FIFO; capacity is 8-ish so linear operations
-   are the right implementation. *)
+(* A small FIFO; capacity is 8-ish so linear operations are the right
+   implementation, except for the fence check: [col_count.(c)] counts
+   the entries with scope bit [c] set, one counter per bit of a mask,
+   so [mask_overlaps] never walks the entries. *)
 type t = {
   capacity : int;
   mutable entries : entry list; (* oldest first *)
+  col_count : int array;
   trace : Fscope_obs.Trace.t;
   core : int;
 }
 
 let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~capacity () =
   if capacity <= 0 then invalid_arg "Store_buffer.create: capacity must be positive";
-  { capacity; entries = []; trace; core }
+  { capacity; entries = []; col_count = Array.make Sys.int_size 0; trace; core }
+
+let rec count_mask t mask col by =
+  if mask <> 0 then begin
+    if mask land 1 <> 0 then t.col_count.(col) <- t.col_count.(col) + by;
+    count_mask t (mask lsr 1) (col + 1) by
+  end
 
 let capacity t = t.capacity
 let count t = List.length t.entries
@@ -26,6 +35,7 @@ let is_empty t = t.entries = []
 let push t entry =
   if is_full t then invalid_arg "Store_buffer.push: full";
   t.entries <- t.entries @ [ entry ];
+  count_mask t entry.mask 0 1;
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
       (Fscope_obs.Event.Sb_insert { addr = entry.addr })
@@ -41,6 +51,7 @@ let take_completed t ~cycle =
   else begin
     let done_, waiting = List.partition (fun e -> e.done_at <= cycle) t.entries in
     t.entries <- waiting;
+    List.iter (fun e -> count_mask t e.mask 0 (-1)) done_;
     if Fscope_obs.Trace.on t.trace then
       List.iter
         (fun e ->
@@ -57,8 +68,13 @@ let forward t ~addr =
 
 let has_addr t ~addr = List.exists (fun e -> e.addr = addr) t.entries
 
-let mask_overlaps t mask =
-  List.exists (fun e -> not (Fscope_core.Fsb.is_empty (Fscope_core.Fsb.inter e.mask mask))) t.entries
+let rec overlaps_from t mask col =
+  mask <> 0
+  && ((mask land 1 <> 0 && t.col_count.(col) > 0) || overlaps_from t (mask lsr 1) (col + 1))
+
+let mask_overlaps t mask = overlaps_from t mask 0
+
+let column_count t col = t.col_count.(col)
 
 let iter t f = List.iter f t.entries
 
@@ -66,4 +82,6 @@ let iter t f = List.iter f t.entries
    emitting nothing. *)
 let restore t entries =
   if List.length entries > t.capacity then invalid_arg "Store_buffer.restore: overflow";
-  t.entries <- entries
+  t.entries <- entries;
+  Array.fill t.col_count 0 (Array.length t.col_count) 0;
+  List.iter (fun e -> count_mask t e.mask 0 1) entries

@@ -45,7 +45,11 @@ val has_addr : t -> addr:int -> bool
 
 val mask_overlaps : t -> Fscope_core.Fsb.mask -> bool
 (** Does any entry's scope bits intersect the given mask?  (The fence
-    FSB check over the store buffer.) *)
+    FSB check over the store buffer.)  Reads one per-column count per
+    set bit of the mask; never walks the entries. *)
+
+val column_count : t -> int -> int
+(** [column_count t c]: how many entries have scope bit [c] set. *)
 
 val iter : t -> (entry -> unit) -> unit
 (** Oldest first. *)

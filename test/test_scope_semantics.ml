@@ -150,8 +150,8 @@ let hardware_wait_sets config stream =
         mem_masks := (idx, mask) :: !mem_masks
       | Instr.Fence kind ->
         (* The core additionally filters the wait set by the fence's
-           flavour; model that here exactly as Core.mem_incomplete
-           does. *)
+           flavour; model that here exactly as Core_issue.older_access
+           does (CAS counts as a load and as a store). *)
         let flavour_keeps i =
           match List.nth stream i with
           | Instr.Load _ -> kind.Fk.wait_loads
