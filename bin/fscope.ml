@@ -601,7 +601,7 @@ let checkpoint_save_cmd =
       value & flag
       & info [ "compact" ]
           ~doc:
-            "Write the checkpoint in the compact v2z form: minified (the plain form \
+            "Write the checkpoint in the compact v3z form: minified (the plain form \
              pretty-prints), with mostly-zero integer arrays (memory image, register \
              files, predictor tables) zero-run elided and repeated elements (cache \
              slots, ROB operand columns) run-length deduplicated.  Several times \

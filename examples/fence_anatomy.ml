@@ -1,33 +1,31 @@
 (* Where do fence stalls come from?  This example runs the radiosity
-   kernel and breaks each variant's fence stalls into the buckets the
-   core tracks (in-flight ROB loads, uncommitted stores, store-buffer
-   drain) — the anatomy behind Fig. 13's bars.  By the time a fence
-   reaches the commit head its older ROB entries have retired, so
-   head stalls are store-buffer drain almost by construction; the
-   interesting number is how much smaller the scoped drain is.
+   kernel and splits each variant's fence stalls by the wait the stalled
+   fence carried: an S-Fence scope mask (scoped) or the whole store
+   buffer (unscoped) — the anatomy behind Fig. 13's bars.  By the time a
+   fence reaches the commit head its older ROB entries have retired, so
+   a head stall is always store-buffer drain; the interesting numbers
+   are how much of it is scoped and how much smaller the scoped drain
+   is.
 
      dune exec examples/fence_anatomy.exe *)
 
 module Config = Fscope_machine.Config
 module Machine = Fscope_machine.Machine
+module Cpi = Fscope_obs.Cpi
 module W = Fscope_workloads
 
 let () =
   let workload = W.Radiosity.make () in
   Printf.printf "radiosity kernel: fence-stall anatomy per variant\n\n";
-  Printf.printf "  %-4s %9s %10s %11s %11s %9s\n" "cfg" "cycles" "stalls" "on ROB ld" "on ROB st"
-    "on SB";
+  Printf.printf "  %-4s %9s %10s %10s %10s\n" "cfg" "cycles" "stalls" "scoped" "unscoped";
   List.iter
     (fun (label, config) ->
       let result = W.Workload.run config workload in
-      let sum f =
-        Array.fold_left (fun acc s -> acc + f s) 0 result.Machine.core_stats
-      in
-      Printf.printf "  %-4s %9d %10d %11d %11d %9d\n" label result.Machine.cycles
-        (sum (fun (s : Fscope_cpu.Core.stats) -> s.fence_stall_cycles))
-        (sum (fun s -> s.Fscope_cpu.Core.stall_rob_load))
-        (sum (fun s -> s.Fscope_cpu.Core.stall_rob_store))
-        (sum (fun s -> s.Fscope_cpu.Core.stall_sb)))
+      let sum f = Array.fold_left (fun acc c -> acc + f c) 0 result.Machine.core_cpi in
+      Printf.printf "  %-4s %9d %10d %10d %10d\n" label result.Machine.cycles
+        (sum Cpi.fence_cycles)
+        (sum (fun c -> Cpi.fence_scope_cycles c Cpi.Scoped))
+        (sum (fun c -> Cpi.fence_scope_cycles c Cpi.Unscoped)))
     [
       ("T", Config.traditional Config.default);
       ("S", Config.scoped Config.default);

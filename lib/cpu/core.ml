@@ -11,9 +11,6 @@ module Cpi = Fscope_obs.Cpi
 
 type stats = {
   committed : int;
-  stall_rob_load : int;
-  stall_rob_store : int;
-  stall_sb : int;
   committed_mem : int;
   committed_fences : int;
   fence_stall_cycles : int;
@@ -87,9 +84,6 @@ let stats (t : t) =
   let cpi = t.Core_state.cpi in
   {
     committed = c.committed;
-    stall_rob_load = Cpi.fence_cause_cycles cpi Cpi.Rob_load;
-    stall_rob_store = Cpi.fence_cause_cycles cpi Cpi.Rob_store;
-    stall_sb = Cpi.fence_cause_cycles cpi Cpi.Sb_drain;
     committed_mem = c.committed_mem;
     committed_fences = c.committed_fences;
     fence_stall_cycles = Cpi.fence_cycles cpi;

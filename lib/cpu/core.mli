@@ -40,11 +40,6 @@
 
 type stats = {
   committed : int;
-  stall_rob_load : int;
-      (** head-fence stall cycles attributable to an incomplete in-ROB
-          load or CAS inside the fence's wait set *)
-  stall_rob_store : int;  (** ... to a store not yet in the store buffer *)
-  stall_sb : int;  (** ... to store-buffer drain *)
   committed_mem : int;
   committed_fences : int;
   fence_stall_cycles : int;
@@ -59,11 +54,10 @@ type stats = {
   rob_occupancy_sum : int;  (** sampled once per active cycle *)
   active_cycles : int;
 }
-(** A point-in-time snapshot.  Since PR 3 the stall fields are derived
-    views over the core's CPI table (see {!cpi}): [fence_stall_cycles]
-    is the sum of the six [Fence_wait] leaves, [stall_rob_load] /
-    [stall_rob_store] / [stall_sb] its per-cause sums, and
-    [sb_stall_cycles] the [Sb_full] leaf. *)
+(** A point-in-time snapshot.  The stall fields are derived views over
+    the core's CPI table (see {!cpi}): [fence_stall_cycles] is the sum
+    of the two [Fence_wait] leaves and [sb_stall_cycles] the [Sb_full]
+    leaf. *)
 
 type t
 

@@ -131,35 +131,6 @@ let entry_of_json (t : t) j =
      | cp -> Some (Array.of_list (List.map producer_of_int (Json.int_list_exn cp)))));
   e
 
-let counts_to_json (c : counts) =
-  Json.of_int_list
-    [
-      c.committed;
-      c.committed_mem;
-      c.committed_fences;
-      c.branches;
-      c.mispredicts;
-      c.loads;
-      c.stores;
-      c.cas_ops;
-      c.rob_occupancy_sum;
-      c.active_cycles;
-    ]
-
-let counts_restore_list (c : counts) = function
-  | [ a0; a1; a2; a3; a4; a5; a6; a7; a8; a9 ] ->
-    c.committed <- a0;
-    c.committed_mem <- a1;
-    c.committed_fences <- a2;
-    c.branches <- a3;
-    c.mispredicts <- a4;
-    c.loads <- a5;
-    c.stores <- a6;
-    c.cas_ops <- a7;
-    c.rob_occupancy_sum <- a8;
-    c.active_cycles <- a9
-  | _ -> failwith "checkpoint: malformed counts"
-
 (* ------------------------------------------------------------------ *)
 (* Whole-core snapshot / restore                                       *)
 
@@ -183,7 +154,7 @@ let snapshot (t : t) =
       ("rob", Json.Arr (List.rev !rob_entries));
       ("sb", Json.Arr (List.rev !sb_entries));
       ("bpred", Json.of_int_array (Branch_pred.snapshot t.bpred));
-      ("counts", counts_to_json t.counts);
+      ("counts", Json.of_int_array (counts_to_array t.counts));
       ("cpi", Json.of_int_array (Cpi.to_array t.cpi));
       ("spin_last_pc", Json.Int t.spin_last_pc);
       ("spin_dirty", Json.Bool t.spin_dirty);
@@ -191,7 +162,7 @@ let snapshot (t : t) =
       ("scope", Scope_unit.to_json t.scope);
     ]
 
-let restore (t : t) j =
+let restore_fields (t : t) j =
   t.fetch_pc <- Json.int_exn (Json.get "fetch_pc" j);
   t.fetch_resume <- Json.int_exn (Json.get "fetch_resume" j);
   t.fetch_stopped <- Json.bool_exn (Json.get "fetch_stopped" j);
@@ -215,7 +186,7 @@ let restore (t : t) j =
          | _ -> failwith "checkpoint: malformed store-buffer entry")
        (Json.list_exn (Json.get "sb" j)));
   Branch_pred.restore t.bpred (Json.int_array_exn (Json.get "bpred" j));
-  counts_restore_list t.counts (Json.int_list_exn (Json.get "counts" j));
+  counts_restore t.counts (Json.int_array_exn (Json.get "counts" j));
   Cpi.restore t.cpi (Json.int_array_exn (Json.get "cpi" j));
   t.spin_last_pc <- Json.int_exn (Json.get "spin_last_pc" j);
   t.spin_dirty <- Json.bool_exn (Json.get "spin_dirty" j);
@@ -226,6 +197,14 @@ let restore (t : t) j =
      format *)
   t.cycle_charged <- false;
   Core_spin.cancel t
+
+(* The components' restores reject inconsistent state with
+   [Invalid_argument] (a wrong arity, non-consecutive ROB seqs, an
+   out-of-range scope bit, an overfull store buffer).  Read from a
+   checkpoint file that is bad input, not a bug, so it fails like any
+   other malformed field. *)
+let restore (t : t) j =
+  try restore_fields t j with Invalid_argument msg -> failwith ("checkpoint: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Sampled-mode transitions                                            *)

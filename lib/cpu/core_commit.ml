@@ -8,20 +8,23 @@ module Reg = Fscope_isa.Reg
 module Cpi = Fscope_obs.Cpi
 open Core_state
 
-let fence_commit_ok t (e : Rob.entry) =
-  (* In-window speculation: the fence retires when the in-scope part of
-     the store buffer has drained (older ROB entries are gone by
-     definition at the commit head); flavours that do not order prior
-     stores retire immediately. *)
-  t.cfg.nop_fences
-  ||
-  let k = match e.instr with Instr.Fence k -> k | _ -> assert false in
-  (not k.Fscope_isa.Fence_kind.wait_stores)
-  ||
-  match e.fence_wait with
-  | None -> assert false
-  | Some `Global -> Store_buffer.is_empty t.sb
-  | Some (`Mask m) -> not (Store_buffer.mask_overlaps t.sb m)
+(* May the head fence [e] retire?  Without in-window speculation it
+   already waited at issue.  With it, the fence retires when the
+   in-scope part of the store buffer has drained (older ROB entries are
+   gone by definition at the commit head); flavours that do not order
+   prior stores retire immediately. *)
+let fence_may_retire t (e : Rob.entry) =
+  if not t.cfg.in_window_speculation then e.fence_issued
+  else
+    t.cfg.nop_fences
+    ||
+    let k = match e.instr with Instr.Fence k -> k | _ -> assert false in
+    (not k.Fscope_isa.Fence_kind.wait_stores)
+    ||
+    match e.fence_wait with
+    | None -> assert false
+    | Some `Global -> Store_buffer.is_empty t.sb
+    | Some (`Mask m) -> not (Store_buffer.mask_overlaps t.sb m)
 
 (* Spin detection over the commit stream: a backward control transfer
    that repeats at the same PC with no store, CAS or fence committed in
@@ -82,19 +85,17 @@ let commit_effects t (e : Rob.entry) =
   | Instr.Halt ->
     ()
 
-(* Why is the head fence stalled?  Nothing older than the head is left
-   in the ROB, so under head-of-ROB attribution only the in-scope part
-   of the store buffer can hold it: the [Rob_load] / [Rob_store]
-   causes stay in the taxonomy but are never charged.  Split by
-   whether the fence waits on an S-Fence scope mask or globally.
-   [times] lets the engine charge a whole frozen span at once. *)
+(* A stalled head fence has nothing older left in the ROB, so only the
+   in-scope part of the store buffer can hold it; the leaf records
+   whether it waits on an S-Fence scope mask or globally.  [times] lets
+   the engine charge a whole frozen span at once. *)
 let charge_fence_stall t (e : Rob.entry) ~times =
   let scope =
     match e.fence_wait with
     | Some (`Mask _) -> Cpi.Scoped
     | Some `Global | None -> Cpi.Unscoped
   in
-  Cpi.charge_n t.cpi (Cpi.Fence_wait (Cpi.Sb_drain, scope)) ~times
+  Cpi.charge_n t.cpi (Cpi.Fence_wait scope) ~times
 
 (* Per-static-fence-site and per-scope attribution, on traced runs
    only: a commit counter per (core, fence PC), a scoped-commit
@@ -175,11 +176,7 @@ let commit t ~cycle =
           decr budget
         end
       | Instr.Fence _ ->
-        let ok =
-          if t.cfg.in_window_speculation then fence_commit_ok t e
-          else e.fence_issued
-        in
-        if ok then begin
+        if fence_may_retire t e then begin
           let stalled = ref None in
           (match t.obs with
           | Some o when o.stall_begin >= 0 ->
@@ -278,11 +275,7 @@ let account_stall_span t ~cycle ~cycles:n =
       match e.instr with
       | Instr.Store _ when e.state = Rob.Done && Store_buffer.is_full t.sb ->
         Cpi.charge_n t.cpi Cpi.Sb_full ~times:n
-      | Instr.Fence _
-        when not
-               (if t.cfg.in_window_speculation then fence_commit_ok t e
-                else e.fence_issued) ->
-        charge_fence_stall t e ~times:n
+      | Instr.Fence _ when not (fence_may_retire t e) -> charge_fence_stall t e ~times:n
       | _ -> Cpi.charge_n t.cpi (classify_waiting_head e) ~times:n)
     | None ->
       (* Cycles [cycle+1 .. cycle+n]: Branch_flush while the cycle is

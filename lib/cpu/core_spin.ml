@@ -53,33 +53,6 @@ let note_boundary t =
 (* ------------------------------------------------------------------ *)
 (* Counter vectors: the per-period deltas replayed in closed form. *)
 
-let counts_snapshot (c : counts) =
-  [|
-    c.committed;
-    c.committed_mem;
-    c.committed_fences;
-    c.branches;
-    c.mispredicts;
-    c.loads;
-    c.stores;
-    c.cas_ops;
-    c.rob_occupancy_sum;
-    c.active_cycles;
-  |]
-
-let counts_add (c : counts) (d : int array) ~k =
-  c.committed <- c.committed + (k * d.(0));
-  c.committed_mem <- c.committed_mem + (k * d.(1));
-  c.committed_fences <- c.committed_fences + (k * d.(2));
-  c.branches <- c.branches + (k * d.(3));
-  c.mispredicts <- c.mispredicts + (k * d.(4));
-  c.loads <- c.loads + (k * d.(5));
-  c.stores <- c.stores + (k * d.(6));
-  c.cas_ops <- c.cas_ops + (k * d.(7));
-  c.rob_occupancy_sum <- c.rob_occupancy_sum + (k * d.(8));
-  c.active_cycles <- c.active_cycles + (k * d.(9))
-
-let cpi_snapshot cpi = Array.of_list (List.map (Cpi.get cpi) Cpi.leaves)
 let delta prev now = Array.init (Array.length now) (fun i -> now.(i) - prev.(i))
 
 (* ------------------------------------------------------------------ *)
@@ -205,8 +178,8 @@ let on_boundary t ~cycle =
             {
               armed_cycle = cycle;
               period = cycle - pr.pr_last_cycle;
-              d_counts = delta pr.pr_counts (counts_snapshot t.counts);
-              d_cpi = delta pr.pr_cpi (cpi_snapshot t.cpi);
+              d_counts = delta pr.pr_counts (counts_to_array t.counts);
+              d_cpi = delta pr.pr_cpi (Cpi.to_array t.cpi);
               loads_per_period = pr.pr_loads;
               footprint = pr.pr_footprint;
             }
@@ -217,8 +190,8 @@ let on_boundary t ~cycle =
   pr.pr_dirty <- false;
   pr.pr_footprint <- [];
   pr.pr_loads <- 0;
-  pr.pr_counts <- counts_snapshot t.counts;
-  pr.pr_cpi <- cpi_snapshot t.cpi
+  pr.pr_counts <- counts_to_array t.counts;
+  pr.pr_cpi <- Cpi.to_array t.cpi
 
 (* ------------------------------------------------------------------ *)
 (* Engine interface. *)
@@ -250,7 +223,8 @@ let cancel t =
 let replay t ~(stable : stable) ~k =
   if k > 0 then begin
     let shift = k * stable.period in
-    counts_add t.counts stable.d_counts ~k;
+    counts_restore t.counts
+      (Array.mapi (fun i v -> v + (k * stable.d_counts.(i))) (counts_to_array t.counts));
     List.iteri (fun i leaf -> Cpi.charge_n t.cpi leaf ~times:(k * stable.d_cpi.(i))) Cpi.leaves;
     Rob.shift_executing t.rob ~by:shift;
     if t.fetch_resume > stable.armed_cycle then t.fetch_resume <- t.fetch_resume + shift

@@ -39,6 +39,36 @@ let fresh_counts () =
     active_cycles = 0;
   }
 
+(* The one fixed order of the counters as an int array, shared by the
+   checkpoint format and the spin fast-forward's per-period deltas. *)
+let counts_to_array c =
+  [|
+    c.committed;
+    c.committed_mem;
+    c.committed_fences;
+    c.branches;
+    c.mispredicts;
+    c.loads;
+    c.stores;
+    c.cas_ops;
+    c.rob_occupancy_sum;
+    c.active_cycles;
+  |]
+
+let counts_restore c = function
+  | [| a0; a1; a2; a3; a4; a5; a6; a7; a8; a9 |] ->
+    c.committed <- a0;
+    c.committed_mem <- a1;
+    c.committed_fences <- a2;
+    c.branches <- a3;
+    c.mispredicts <- a4;
+    c.loads <- a5;
+    c.stores <- a6;
+    c.cas_ops <- a7;
+    c.rob_occupancy_sum <- a8;
+    c.active_cycles <- a9
+  | _ -> invalid_arg "Core_state.counts_restore: wrong arity"
+
 (* Observability hooks, present only on a traced run: handles are
    resolved once at core creation so emission is a guarded write, and
    [stall_begin] pairs each Fence_stall_begin with its End. *)
@@ -101,7 +131,7 @@ type stable = {
   armed_cycle : int;
   period : int;  (* cycles between consecutive loop boundaries *)
   d_counts : int array;  (* per-period commit-counter deltas *)
-  d_cpi : int array;  (* per-period CPI-leaf deltas, in Cpi.leaves order *)
+  d_cpi : int array;  (* per-period CPI-leaf deltas, in Cpi.to_array order *)
   loads_per_period : int;  (* port loads issued per period (all L1 hits) *)
   footprint : int list;  (* word addresses the loop reads *)
 }

@@ -34,7 +34,7 @@ let digest (config : Config.t) (program : Program.t) =
            config.Config.scope, program)
           []))
 
-(* The compact sibling ("v2z") applies {!Json.pack_arrays} to the whole
+(* The compact sibling ("v3z") applies {!Json.pack_arrays} to the whole
    document: memory images, ARFs, rename maps, predictor tables and
    cache arrays are mostly zeros at production core counts, and the
    shared zero-run elision dedups them all through one transform.  The
@@ -42,12 +42,12 @@ let digest (config : Config.t) (program : Program.t) =
    predates packing fails loudly instead of misparsing; {!of_json}
    accepts both and unpacks before field extraction, so the two forms
    are interchangeable everywhere downstream. *)
-(* v2 dropped v1's engine wake array along with the capture rule that
-   needed it: a v1 checkpoint may hold frozen cores whose stall spans
-   were pre-charged past its cycle, which a v2 resume would charge
-   again, so v1 documents are refused. *)
-let schema_plain = "fscope-checkpoint/v2"
-let schema_compact = "fscope-checkpoint/v2z"
+(* v3 stores each core's CPI table with 11 leaves; v2 stored 15 (four
+   fence-stall leaves that were never charged), so v2 documents are
+   refused rather than re-indexed.  v1 documents, which could hold
+   stall spans pre-charged past their cycle, were refused already. *)
+let schema_plain = "fscope-checkpoint/v3"
+let schema_compact = "fscope-checkpoint/v3z"
 
 let to_json ?(compact = false) t =
   let doc =

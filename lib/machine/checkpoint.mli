@@ -24,7 +24,7 @@ type t = {
 val digest : Config.t -> Fscope_isa.Program.t -> string
 
 val to_json : ?compact:bool -> t -> Fscope_util.Json.t
-(** [compact] (default [false]) selects the ["fscope-checkpoint/v2z"]
+(** [compact] (default [false]) selects the ["fscope-checkpoint/v3z"]
     sibling: the same document with every shrinkable array — the
     mostly-zero memory image, ARFs and predictor tables, the
     run-heavy cache slot and ROB operand arrays — rewritten through
@@ -35,7 +35,7 @@ val to_json : ?compact:bool -> t -> Fscope_util.Json.t
 
 val of_json : Fscope_util.Json.t -> t
 (** Raises [Failure] on a malformed document.  Accepts both the plain
-    v2 and compact v2z schemas. *)
+    v3 and compact v3z schemas. *)
 
 val save : ?compact:bool -> t -> file:string -> unit
 (** Plain saves pretty-print (readable, diffable); [compact] saves

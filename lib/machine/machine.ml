@@ -61,9 +61,6 @@ let snapshot_stats trace r =
       set_c "committed_mem" s.committed_mem;
       set_c "committed_fences" s.committed_fences;
       set_c "fence_stall_cycles" s.fence_stall_cycles;
-      set_c "stall_rob_load" s.stall_rob_load;
-      set_c "stall_rob_store" s.stall_rob_store;
-      set_c "stall_sb" s.stall_sb;
       set_c "sb_stall_cycles" s.sb_stall_cycles;
       set_c "branches" s.branches;
       set_c "mispredicts" s.mispredicts;

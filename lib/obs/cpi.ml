@@ -2,11 +2,6 @@
    table indexed by leaf, and O(1) bulk charging so the fast-forward
    engine can account a frozen span in one call. *)
 
-type fence_cause =
-  | Rob_load
-  | Rob_store
-  | Sb_drain
-
 type fence_scope =
   | Scoped
   | Unscoped
@@ -21,9 +16,7 @@ type leaf =
   | Mem_l2
   | Mem_main
   | Sb_full
-  | Fence_wait of fence_cause * fence_scope
-
-let cause_index = function Rob_load -> 0 | Rob_store -> 1 | Sb_drain -> 2
+  | Fence_wait of fence_scope
 
 let index = function
   | Commit -> 0
@@ -35,10 +28,10 @@ let index = function
   | Mem_l2 -> 6
   | Mem_main -> 7
   | Sb_full -> 8
-  | Fence_wait (cause, scope) ->
-    9 + (2 * cause_index cause) + (match scope with Scoped -> 0 | Unscoped -> 1)
+  | Fence_wait Scoped -> 9
+  | Fence_wait Unscoped -> 10
 
-let leaf_count = 15
+let leaf_count = 11
 
 let leaves =
   [
@@ -51,18 +44,9 @@ let leaves =
     Mem_l2;
     Mem_main;
     Sb_full;
-    Fence_wait (Rob_load, Scoped);
-    Fence_wait (Rob_load, Unscoped);
-    Fence_wait (Rob_store, Scoped);
-    Fence_wait (Rob_store, Unscoped);
-    Fence_wait (Sb_drain, Scoped);
-    Fence_wait (Sb_drain, Unscoped);
+    Fence_wait Scoped;
+    Fence_wait Unscoped;
   ]
-
-let cause_name = function
-  | Rob_load -> "rob_load"
-  | Rob_store -> "rob_store"
-  | Sb_drain -> "sb"
 
 let name = function
   | Commit -> "commit"
@@ -74,9 +58,8 @@ let name = function
   | Mem_l2 -> "mem_l2"
   | Mem_main -> "mem_main"
   | Sb_full -> "sb_full"
-  | Fence_wait (cause, scope) ->
-    Printf.sprintf "fence_%s_%s" (cause_name cause)
-      (match scope with Scoped -> "scoped" | Unscoped -> "unscoped")
+  | Fence_wait Scoped -> "fence_sb_scoped"
+  | Fence_wait Unscoped -> "fence_sb_unscoped"
 
 type t = int array
 
@@ -90,19 +73,8 @@ let charge_n (t : t) leaf ~times =
 let get (t : t) leaf = t.(index leaf)
 let total (t : t) = Array.fold_left ( + ) 0 t
 
-let fence_cycles (t : t) =
-  List.fold_left
-    (fun acc leaf -> match leaf with Fence_wait _ -> acc + get t leaf | _ -> acc)
-    0 leaves
-
-let fence_cause_cycles (t : t) cause =
-  get t (Fence_wait (cause, Scoped)) + get t (Fence_wait (cause, Unscoped))
-
-let fence_scope_cycles (t : t) scope =
-  List.fold_left
-    (fun acc cause -> acc + get t (Fence_wait (cause, scope)))
-    0
-    [ Rob_load; Rob_store; Sb_drain ]
+let fence_scope_cycles (t : t) scope = get t (Fence_wait scope)
+let fence_cycles (t : t) = fence_scope_cycles t Scoped + fence_scope_cycles t Unscoped
 
 let accumulate ~into (t : t) =
   Array.iteri (fun i v -> into.(i) <- into.(i) + v) t

@@ -10,9 +10,10 @@
 
     Leaf precedence for one cycle (first match wins):
     + the commit head was blocked by an unsatisfied fence
-      ([Fence_wait], split by the first matching cause — an incomplete
-      in-ROB load/CAS, then an uncommitted store, then store-buffer
-      drain — and by whether the fence carried an S-Fence scope mask);
+      ([Fence_wait], split by whether the fence carried an S-Fence
+      scope mask).  Nothing older than the head is left in the ROB, so
+      such a fence can only be waiting for the in-scope part of the
+      store buffer to drain;
     + the commit head was a completed store facing a full store buffer
       ([Sb_full]);
     + at least one instruction committed ([Spin_candidate] when the
@@ -23,11 +24,6 @@
       that serves it ([Mem_l1] / [Mem_l2] / [Mem_main]); everything
       else — operand dependences, disambiguation, forwarded loads,
       unresolved branches — is [Exec_dep]. *)
-
-type fence_cause =
-  | Rob_load  (** an incomplete in-scope load or CAS still in the ROB *)
-  | Rob_store  (** an in-scope store not yet drained to the store buffer *)
-  | Sb_drain  (** only the store buffer's in-scope entries remain *)
 
 type fence_scope =
   | Scoped  (** the fence waited on an FSB mask (S-Fence hit) *)
@@ -43,7 +39,7 @@ type leaf =
   | Mem_l2
   | Mem_main
   | Sb_full
-  | Fence_wait of fence_cause * fence_scope
+  | Fence_wait of fence_scope
 
 val leaf_count : int
 val leaves : leaf list
@@ -53,10 +49,8 @@ val index : leaf -> int
 (** Dense index in [0, leaf_count); the order of {!leaves}. *)
 
 val name : leaf -> string
-(** Stable snake_case name ([commit], [fence_rob_load_scoped], ...)
-    used for registry counters and JSON keys. *)
-
-val cause_name : fence_cause -> string
+(** Stable snake_case name ([commit], [fence_sb_scoped], ...) used for
+    registry counters and JSON keys. *)
 
 type t
 (** One core's table: cycles charged per leaf. *)
@@ -72,10 +66,9 @@ val total : t -> int
 (** Sum over all leaves — equals the core's active cycles. *)
 
 val fence_cycles : t -> int
-(** Sum over the six [Fence_wait] leaves (the legacy
+(** Sum over the two [Fence_wait] leaves (the legacy
     [fence_stall_cycles]). *)
 
-val fence_cause_cycles : t -> fence_cause -> int
 val fence_scope_cycles : t -> fence_scope -> int
 val accumulate : into:t -> t -> unit
 val equal : t -> t -> bool

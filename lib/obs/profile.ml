@@ -203,7 +203,7 @@ let json input =
   let b = Buffer.create 4096 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let agg = aggregate input in
-  p "{\"schema\":\"fence-scoping/profile/v1\"";
+  p "{\"schema\":\"fence-scoping/profile/v2\"";
   p ",\"label\":\"%s\",\"config\":\"%s\"" (Json.escape input.label) (Json.escape input.config);
   p ",\"cores\":%d,\"cycles\":%d,\"timed_out\":%b,\"active_cycles\":%d"
     (Array.length input.cpi) input.cycles input.timed_out (active_cycles input);

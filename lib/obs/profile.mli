@@ -69,4 +69,4 @@ val text : input -> string
 
 val json : input -> string
 (** The same data as a single-line JSON object
-    (schema ["fence-scoping/profile/v1"]). *)
+    (schema ["fence-scoping/profile/v2"]). *)

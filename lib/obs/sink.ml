@@ -108,13 +108,12 @@ let summary (r : Report.t) =
        partial; rerun with a larger --ring-capacity\n"
       r.dropped;
   Buffer.add_char buf '\n';
-  Printf.bprintf buf "%-5s %10s %10s %12s %7s %9s %10s %9s\n" "core" "active"
-    "committed" "fence-stall" "share" "rob-load" "rob-store" "sb-drain";
+  Printf.bprintf buf "%-5s %10s %10s %12s %7s\n" "core" "active" "committed"
+    "fence-stall" "share";
   for i = 0 to r.cores - 1 do
-    Printf.bprintf buf "%-5d %10d %10d %12d %6.1f%% %9d %10d %9d\n" i
-      (core_c i "active_cycles") (core_c i "committed") (core_c i "fence_stall_cycles")
+    Printf.bprintf buf "%-5d %10d %10d %12d %6.1f%%\n" i (core_c i "active_cycles")
+      (core_c i "committed") (core_c i "fence_stall_cycles")
       (pct (core_c i "fence_stall_cycles") (core_c i "active_cycles"))
-      (core_c i "stall_rob_load") (core_c i "stall_rob_store") (core_c i "stall_sb")
   done;
   let sum field =
     let t = ref 0 in
@@ -123,10 +122,9 @@ let summary (r : Report.t) =
     done;
     !t
   in
-  Printf.bprintf buf "%-5s %10d %10d %12d %6.1f%% %9d %10d %9d\n" "all"
-    (sum "active_cycles") (sum "committed") (c "total/fence_stall_cycles")
-    (pct (c "total/fence_stall_cycles") (sum "active_cycles"))
-    (sum "stall_rob_load") (sum "stall_rob_store") (sum "stall_sb");
+  Printf.bprintf buf "%-5s %10d %10d %12d %6.1f%%\n" "all" (sum "active_cycles")
+    (sum "committed") (c "total/fence_stall_cycles")
+    (pct (c "total/fence_stall_cycles") (sum "active_cycles"));
   Printf.bprintf buf "\ntotal fence-stall cycles: %d (%.1f%% of %d active)\n"
     (c "total/fence_stall_cycles")
     (pct (c "total/fence_stall_cycles") (sum "active_cycles"))

@@ -89,6 +89,47 @@ let test_checkpoint_exits () =
       ignore
         (expect_exit 2 [ "checkpoint"; "resume"; "msn"; "--from"; ck; "--max-cycles"; "3000" ]))
 
+(* A saved checkpoint is input from outside the program: each edit
+   below makes one core component refuse its restore, and every one
+   must be reported as bad input (1), not crash (125).  So must a
+   document of the previous schema, whose CPI arrays had 15 leaves. *)
+let test_tampered_checkpoint () =
+  let ck = Filename.temp_file "fscope" ".ckpt.json" in
+  let bad = Filename.temp_file "fscope" ".ckpt.json" in
+  let set key f = List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) in
+  let obj f = function Json.Obj kvs -> Json.Obj (f kvs) | _ -> Alcotest.fail "object" in
+  let arr f = function Json.Arr xs -> Json.Arr (f xs) | _ -> Alcotest.fail "array" in
+  let first f = arr (function x :: rest -> f x :: rest | [] -> Alcotest.fail "empty") in
+  let drop_last xs = List.filteri (fun i _ -> i < List.length xs - 1) xs in
+  let bump j = Json.Int (Json.int_exn j + 1) in
+  let core0 edit = obj (set "cores" (first (obj edit))) in
+  let resume_tampered doc =
+    Out_channel.with_open_bin bad (fun oc -> output_string oc (Json.render doc));
+    [ "checkpoint"; "resume"; "msn"; "--from"; bad ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove ck;
+      Sys.remove bad)
+    (fun () ->
+      ignore (expect_exit 0 [ "checkpoint"; "save"; "msn"; "--at"; "2000"; "-o"; ck ]);
+      let saved = Json.of_file ck in
+      List.iter
+        (fun tamper -> expect_bad_input (resume_tampered (tamper saved)))
+        [
+          core0 (set "cpi" (arr drop_last));
+          core0 (set "counts" (arr drop_last));
+          core0 (set "rob_head" bump);
+          core0 (set "rob" (first (obj (set "seq" bump))));
+          core0 (set "bpred" (arr drop_last));
+          core0 (set "rob" (first (obj (set "mask" (fun _ -> Json.Int (1 lsl 40))))));
+          core0 (set "sb" (fun _ -> Json.Arr (List.init 40 (fun _ -> Json.of_int_list [ 0; 0; 0; 0 ]))));
+        ];
+      let v2 = obj (set "schema" (fun _ -> Json.Str "fscope-checkpoint/v2")) saved in
+      Alcotest.(check string)
+        "v2 refused" "fscope: checkpoint: unknown schema\n"
+        (expect_exit 1 (resume_tampered v2)))
+
 (* A copy of the server baseline whose first row took twice the
    simulated cycles must trip the regression gate. *)
 let test_report_regression () =
@@ -124,6 +165,7 @@ let tests =
     Alcotest.test_case "out-of-range flags exit 1" `Quick test_out_of_range_flags;
     Alcotest.test_case "unreadable file exits 1" `Quick test_unreadable_file;
     Alcotest.test_case "checkpoint mismatch 1, timeout 2" `Quick test_checkpoint_exits;
+    Alcotest.test_case "tampered checkpoint exits 1" `Quick test_tampered_checkpoint;
     Alcotest.test_case "report regression exits 2" `Quick test_report_regression;
     Alcotest.test_case "unparsable flag exits 124" `Quick test_unparsable_flag;
   ]

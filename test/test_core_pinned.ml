@@ -9,7 +9,12 @@
    sizes under T and S, S with in-window speculation, and S on the
    ideal memory model.  The expected strings were recorded from the
    pipeline whose stages walked the whole ROB every cycle; the
-   state-indexed ROB must land on exactly the same results. *)
+   state-indexed ROB must land on exactly the same results.  The
+   digests were re-derived when the CPI table lost its four
+   never-charged fence leaves: the pipeline just before that change,
+   made to assert that those leaves were 0 and to hash only the other
+   11, produced the strings below with unchanged cycles and committed
+   counts. *)
 
 module Config = Fscope_machine.Config
 module Machine = Fscope_machine.Machine
@@ -62,77 +67,77 @@ let program name params =
 let expected =
   [
     ("dekker/T",
-     "cycles=3896 timed_out=false committed=6265,7579 digest=bd9f984b97c1221928775343d3ad173d");
+     "cycles=3896 timed_out=false committed=6265,7579 digest=fb1270fc90b13c7ca0ea75e3d8234c7e");
     ("dekker/S",
-     "cycles=3386 timed_out=false committed=6265,7603 digest=99a83a8e5468693aececbc6b72be0d69");
+     "cycles=3386 timed_out=false committed=6265,7603 digest=a740fccd2c60f7250ef182779fffc42e");
     ("dekker/S+",
-     "cycles=3096 timed_out=false committed=6265,7615 digest=03912c209a451ce232f5fac33e411be5");
+     "cycles=3096 timed_out=false committed=6265,7615 digest=1010a8e8da1ef5084d20f591220aafe9");
     ("dekker/S-ideal",
-     "cycles=2777 timed_out=false committed=6265,7615 digest=ce8a83e98be3877bd7ae83435054ba3c");
+     "cycles=2777 timed_out=false committed=6265,7615 digest=da9ff1dd9466556172cb9f1a672613b0");
     ("wsq/T",
-     "cycles=3605 timed_out=false committed=4786,6280,6280,6286,6280,6280,6280,6280 digest=571dc824bd435835377c0612dbfe2f74");
+     "cycles=3605 timed_out=false committed=4786,6280,6280,6286,6280,6280,6280,6280 digest=6f75c6febe961b15f0ab7a517abb9e83");
     ("wsq/S",
-     "cycles=3779 timed_out=false committed=4760,8361,8371,8361,8371,8377,8371,8371 digest=b0e51bc180287cd6d734585efa4fd3a3");
+     "cycles=3779 timed_out=false committed=4760,8361,8371,8361,8371,8377,8371,8371 digest=f749168054048664fd4a8ce2d35256be");
     ("wsq/S+",
-     "cycles=3466 timed_out=false committed=4773,6286,8355,8361,8355,8355,8355,8355 digest=a58a39abbf613eaad227573a5e81a141");
+     "cycles=3466 timed_out=false committed=4773,6286,8355,8361,8355,8355,8355,8355 digest=d092cfb522f23ace26602f2b40c643b6");
     ("wsq/S-ideal",
-     "cycles=2380 timed_out=false committed=4786,6286,6280,6280,6280,6280,6280,6280 digest=a673dcc8f098d47e637a26e6a99ca2bc");
+     "cycles=2380 timed_out=false committed=4786,6286,6280,6280,6280,6280,6280,6280 digest=ae07280d0c4641a92ecf59f91d08627b");
     ("msn/T",
-     "cycles=3089 timed_out=false committed=4260,4285,4260,4299,4544,4476,4513,4529 digest=15cc6f2946404991cd9c8e248ece196e");
+     "cycles=3089 timed_out=false committed=4260,4285,4260,4299,4544,4476,4513,4529 digest=375b2fb7f3eb7faea1d2dbd45b0c801e");
     ("msn/S",
-     "cycles=2709 timed_out=false committed=4274,4285,4260,4260,4641,4638,4638,4569 digest=fd902b7a1e742dd02bf83760bb4cdefd");
+     "cycles=2709 timed_out=false committed=4274,4285,4260,4260,4641,4638,4638,4569 digest=2fe1e28147193f034d15fe737511aec0");
     ("msn/S+",
-     "cycles=2642 timed_out=false committed=4271,4296,4260,4317,4669,4833,4796,4706 digest=7022b394fa5a6875f7589b5709f0e95f");
+     "cycles=2642 timed_out=false committed=4271,4296,4260,4317,4669,4833,4796,4706 digest=805df897a0d0cd15e6e4d35529853cad");
     ("msn/S-ideal",
-     "cycles=1808 timed_out=false committed=4260,4285,4331,4377,4569,4481,4546,4611 digest=9cfff8dff9ad200f1cfab8ab5cae590d");
+     "cycles=1808 timed_out=false committed=4260,4285,4331,4377,4569,4481,4546,4611 digest=f129f23b888ba63461456afa950406a3");
     ("harris/T",
-     "cycles=3787 timed_out=false committed=6546,6895,6604,6888,6807,7224,7263,7046 digest=476c79e4071ccb812fe5a72d7654a311");
+     "cycles=3787 timed_out=false committed=6546,6895,6604,6888,6807,7224,7263,7046 digest=9f26926127df49f4847a3130ebc4eedf");
     ("harris/S",
-     "cycles=3577 timed_out=false committed=6546,6794,6604,6888,6775,7046,7167,7014 digest=0733428ba1d28acbda7d147964d75c56");
+     "cycles=3577 timed_out=false committed=6546,6794,6604,6888,6775,7046,7167,7014 digest=ccaf9faf652f980dc77db75dd931a737");
     ("harris/S+",
-     "cycles=3642 timed_out=false committed=6546,6794,6604,6884,6775,6890,7163,7014 digest=bcd13e907657f3e993285e3aa61909f6");
+     "cycles=3642 timed_out=false committed=6546,6794,6604,6884,6775,6890,7163,7014 digest=31fee20d40e1bc97405c8b5b0aa2b699");
     ("harris/S-ideal",
-     "cycles=3223 timed_out=false committed=6532,6667,6838,7045,7288,7567,7882,8233 digest=05cea4ccfc843beeb80b988f14182e1b");
+     "cycles=3223 timed_out=false committed=6532,6667,6838,7045,7288,7567,7882,8233 digest=2ecc16c1361854d9471a1d6134188b9b");
     ("pst/T",
-     "cycles=5552 timed_out=false committed=1181,4247,4438,4421,3294,4418,2315,3306 digest=a23abe08ce5c0c65e4a991f18f5e14a7");
+     "cycles=5552 timed_out=false committed=1181,4247,4438,4421,3294,4418,2315,3306 digest=3503513fc804e4e99536bcbff1197105");
     ("pst/S",
-     "cycles=5416 timed_out=false committed=2389,2742,2165,3973,3672,3838,3444,3965 digest=adf1a12e4a8e066abd011e41395e983f");
+     "cycles=5416 timed_out=false committed=2389,2742,2165,3973,3672,3838,3444,3965 digest=4014e9f2a529ed36fe62b2a58a04081e");
     ("pst/S+",
-     "cycles=5127 timed_out=false committed=2070,6313,8530,7608,8820,7688,8348,5450 digest=23a2805a81e9145209e089b708b14881");
+     "cycles=5127 timed_out=false committed=2070,6313,8530,7608,8820,7688,8348,5450 digest=6526287ff6169f625625318e9d31eb81");
     ("pst/S-ideal",
-     "cycles=797 timed_out=false committed=1237,1463,1331,1650,1458,1574,1429,1389 digest=5cbd3d4d5b5d7507e5c77253d9d20bbe");
+     "cycles=797 timed_out=false committed=1237,1463,1331,1650,1458,1574,1429,1389 digest=0bcc90a2512ba37562a6c5b2821bacc3");
     ("ptc/T",
-     "cycles=4534 timed_out=false committed=2075,1389,981,3468,2656,3508,3280,2406 digest=249b4089f261811f9259b5ca6a05ab35");
+     "cycles=4534 timed_out=false committed=2075,1389,981,3468,2656,3508,3280,2406 digest=9362843f64928fbf40fefbf9a13ecccd");
     ("ptc/S",
-     "cycles=4145 timed_out=false committed=1778,1856,1670,2863,2419,3317,2794,2423 digest=f0bb799cb673d0a7518dc4303e747158");
+     "cycles=4145 timed_out=false committed=1778,1856,1670,2863,2419,3317,2794,2423 digest=0d901197201f3521cbcc3329b438e6fb");
     ("ptc/S+",
-     "cycles=3513 timed_out=false committed=1707,1200,1286,4288,5285,4887,4217,5006 digest=e84f65d08ce1ad70af430f72c22cb85f");
+     "cycles=3513 timed_out=false committed=1707,1200,1286,4288,5285,4887,4217,5006 digest=07684fdd96929094dec7a57a9ef25438");
     ("ptc/S-ideal",
-     "cycles=987 timed_out=false committed=1692,1622,1940,1755,1778,1971,1808,2038 digest=46c07eea5ee5fcd3dbc35ad477288dda");
+     "cycles=987 timed_out=false committed=1692,1622,1940,1755,1778,1971,1808,2038 digest=4852ce6ed60c264eccc5d2ff52b30463");
     ("barnes/T",
-     "cycles=1766 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=e5ea7bfeb87af88d4a5edd280b110e6b");
+     "cycles=1766 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=4ff83d5f9e6becdcc1966e0c0ec194ac");
     ("barnes/S",
-     "cycles=1432 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=027dbe82ef61790d75d523814c985b7e");
+     "cycles=1432 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=2202e4b224ae06cbbab92a4c25c9bb15");
     ("barnes/S+",
-     "cycles=1431 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=fc4004e1b76dc2c5bb18ec54f6839295");
+     "cycles=1431 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=6e68d31c248db1a89a32fcb23347507f");
     ("barnes/S-ideal",
-     "cycles=836 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=3fd7b9a1cac57f09b0fa98ebc892ab24");
+     "cycles=836 timed_out=false committed=2252,2252,2252,2252,2252,2252,2252,2252 digest=c47d4941e190b1eda8b2f98fa7460915");
     ("radiosity/T",
-     "cycles=2100 timed_out=false committed=2780,2780,2799,2818,2818,2837,2837,2799 digest=58c802ef26ae17e51398af96f5f1f0d6");
+     "cycles=2100 timed_out=false committed=2780,2780,2799,2818,2818,2837,2837,2799 digest=7d675e6d78b7a9152e6d298960ff8332");
     ("radiosity/S",
-     "cycles=1765 timed_out=false committed=2780,2780,2799,2818,2818,2837,2837,2799 digest=3c36c06e14b41ff4cb42bd7921f7ea20");
+     "cycles=1765 timed_out=false committed=2780,2780,2799,2818,2818,2837,2837,2799 digest=d3e024181e8d455cfb378b6385c691be");
     ("radiosity/S+",
-     "cycles=1736 timed_out=false committed=2780,2780,2799,2818,2818,2837,2837,2799 digest=2e65b10b28a78fd9974bad73a98f2f58");
+     "cycles=1736 timed_out=false committed=2780,2780,2799,2818,2818,2837,2837,2799 digest=9e5e162ab098770e8436cacedf7b9db8");
     ("radiosity/S-ideal",
-     "cycles=1139 timed_out=false committed=2780,2799,2818,2837,2856,2875,2894,2913 digest=515712705455364e6eb39386fadd6bc3");
+     "cycles=1139 timed_out=false committed=2780,2799,2818,2837,2856,2875,2894,2913 digest=d1acf8dff0a76824f7b4a1a812bc9831");
     ("spin-barrier/T",
-     "cycles=7393 timed_out=false committed=21751,17233,17383,18133 digest=01393a5ce48ff48340a87cdd709d0b2d");
+     "cycles=7393 timed_out=false committed=21751,17233,17383,18133 digest=7c410677c407803fab8f04784eb8ec55");
     ("spin-barrier/S",
-     "cycles=7393 timed_out=false committed=21751,17233,17383,18133 digest=e5a33bb06f7a80499a5d50ab08ab0495");
+     "cycles=7393 timed_out=false committed=21751,17233,17383,18133 digest=fd058b4a748ad487f81601ce62452a77");
     ("spin-barrier/S+",
-     "cycles=7392 timed_out=false committed=21751,17463,18303,18303 digest=80484777c93def92ffdb0953e47271d2");
+     "cycles=7392 timed_out=false committed=21751,17463,18303,18303 digest=9e98a83ad226f863a74db55c20563562");
     ("spin-barrier/S-ideal",
-     "cycles=7306 timed_out=false committed=21751,29118,29118,29118 digest=bbd28be91fe5253c3c25afc2d5f4e74a");
+     "cycles=7306 timed_out=false committed=21751,29118,29118,29118 digest=3360ba076c3b4c8acb7160c60ef3fdad");
   ]
 
 let test_pinned () =

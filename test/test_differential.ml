@@ -317,9 +317,6 @@ let explain_mismatch label seed (a : Machine.result) (b : Machine.result) =
       let c name va vb = acc := check (Printf.sprintf "core%d/%s" i name) va vb !acc in
       c "committed" sa.committed sb.committed;
       c "fence_stall_cycles" sa.fence_stall_cycles sb.fence_stall_cycles;
-      c "stall_rob_load" sa.stall_rob_load sb.stall_rob_load;
-      c "stall_rob_store" sa.stall_rob_store sb.stall_rob_store;
-      c "stall_sb" sa.stall_sb sb.stall_sb;
       c "sb_stall_cycles" sa.sb_stall_cycles sb.sb_stall_cycles;
       c "active_cycles" sa.active_cycles sb.active_cycles;
       c "rob_occupancy_sum" sa.rob_occupancy_sum sb.rob_occupancy_sum)

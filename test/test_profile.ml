@@ -167,7 +167,7 @@ let test_profile_json_shape () =
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true (contains ~needle json))
     [
-      "\"schema\":\"fence-scoping/profile/v1\"";
+      "\"schema\":\"fence-scoping/profile/v2\"";
       "\"label\":\"dekker\"";
       "\"config\":\"sfence\"";
       "\"cpi_sums_to_active\":true";

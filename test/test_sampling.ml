@@ -161,7 +161,11 @@ let test_sharded_checkpoint_sequential_resume () =
    are stepped cannot move the estimate unnoticed.  The expected
    strings were recorded from the engine whose windows stepped every
    core every cycle; the event-horizon stepper must land every window
-   on exactly the same state. *)
+   on exactly the same state.  The digests were re-derived when the CPI
+   table lost its four never-charged fence leaves, from the engine just
+   before that change made to assert those leaves were 0 and to hash
+   only the other 11; cycles, windows and committed counts did not
+   change. *)
 let pinned_summary (r : Machine.result) =
   let b = Buffer.create 4096 in
   let add v = Buffer.add_string b (string_of_int v ^ ",") in
@@ -188,19 +192,19 @@ let test_sampled_pinned () =
       ( "default schedule, hierarchy",
         Config.Hierarchy,
         Config.sampling_default,
-        "cycles=11708 windows=0-999 committed=19093,14278,18790,18844,19193,18957,18962,19013 digest=8e40dbd8006d3e0dd0e29109d1f8f55c" );
+        "cycles=11708 windows=0-999 committed=19093,14278,18790,18844,19193,18957,18962,19013 digest=b24237436fc44dcd57182456c1876309" );
       ( "default schedule, ideal",
         Config.Ideal,
         Config.sampling_default,
-        "cycles=8375 windows=0-999 committed=19093,14303,18872,18471,18525,18540,18470,18469 digest=a8a1c78f3798dafecf7f3d8350b14498" );
+        "cycles=8375 windows=0-999 committed=19093,14303,18872,18471,18525,18540,18470,18469 digest=2e4566f6bfe3acaa00e43102f24044ec" );
       ( "short windows, hierarchy",
         Config.Hierarchy,
         schedule,
-        "cycles=10946 windows=0-499;600-1099;1200-1699;1976-2475;2576-3075;3176-3675;3776-4275;4376-4875;4976-5475 committed=19093,14278,18078,16798,16963,18607,16703,17288 digest=a6bae56aa73fa3aee642690ed0ff0bfe" );
+        "cycles=10946 windows=0-499;600-1099;1200-1699;1976-2475;2576-3075;3176-3675;3776-4275;4376-4875;4976-5475 committed=19093,14278,18078,16798,16963,18607,16703,17288 digest=5225f7f2e454ad23cde9b303dcbd8669" );
       ( "short windows, ideal",
         Config.Ideal,
         schedule,
-        "cycles=7687 windows=0-499;600-1099;1200-1699;1800-2299;2400-2899;3000-3499;3600-4099;4200-4526 committed=19093,14278,17899,17610,17559,17395,17879,17936 digest=46580a74cc245bc338c7b8ee4b915e3d" );
+        "cycles=7687 windows=0-499;600-1099;1200-1699;1800-2299;2400-2899;3000-3499;3600-4099;4200-4526 committed=19093,14278,17899,17610,17559,17395,17879,17936 digest=53ca595629edfca3b81b8f2a59d4834e" );
     ]
 
 let tests =
