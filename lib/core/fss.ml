@@ -17,14 +17,8 @@ let push t col =
   t.slots.(t.depth) <- col;
   t.depth <- t.depth + 1
 
-let pop t =
-  if t.depth = 0 then None
-  else begin
-    t.depth <- t.depth - 1;
-    Some t.slots.(t.depth)
-  end
-
-let top t = if t.depth = 0 then None else Some t.slots.(t.depth - 1)
+let pop t = if t.depth > 0 then t.depth <- t.depth - 1
+let top t = if t.depth = 0 then -1 else t.slots.(t.depth - 1)
 
 let mask t =
   let m = ref Fsb.empty in
@@ -33,9 +27,9 @@ let mask t =
   done;
   !m
 
-let contains t col =
-  let rec go i = i < t.depth && (t.slots.(i) = col || go (i + 1)) in
-  go 0
+let rec contains_from t col i =
+  i < t.depth && (t.slots.(i) = col || contains_from t col (i + 1))
+let contains t col = contains_from t col 0
 
 let copy_from dst src =
   if capacity dst <> capacity src then invalid_arg "Fss.copy_from: capacity mismatch";

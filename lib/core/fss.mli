@@ -18,10 +18,11 @@ val depth : t -> int
 val push : t -> int -> unit
 (** Push a column index.  Raises [Invalid_argument] when full. *)
 
-val pop : t -> int option
-(** Pop the top column; [None] when empty. *)
+val pop : t -> unit
+(** Drop the top column, if any. *)
 
-val top : t -> int option
+val top : t -> int
+(** The top column, or -1 when empty. *)
 
 val mask : t -> Fsb.mask
 (** Union of all columns on the stack — the FSB bits a newly decoded

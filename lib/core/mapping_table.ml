@@ -9,42 +9,43 @@ let create ~entries ~class_columns =
   if class_columns < 0 then invalid_arg "Mapping_table.create: negative class_columns";
   { entries; class_columns; map = [] }
 
-let lookup t ~cid = List.assoc_opt cid t.map
+let rec assoc cid = function
+  | [] -> -1
+  | (c, col) :: rest -> if c = cid then col else assoc cid rest
 
-let column_mapped t col = List.exists (fun (_, c) -> c = col) t.map
+let lookup t ~cid = assoc cid t.map
 
-let gc t ~column_busy =
-  t.map <- List.filter (fun (_, col) -> column_busy col) t.map
+let rec mapped col = function
+  | [] -> false
+  | (_, c) :: rest -> c = col || mapped col rest
 
-let free_column t ~column_busy =
-  let rec go col =
-    if col >= t.class_columns then None
-    else if (not (column_mapped t col)) && not (column_busy col) then Some col
-    else go (col + 1)
-  in
-  go 0
+let gc t ~column_busy x = t.map <- List.filter (fun (_, col) -> column_busy x col) t.map
 
-let lookup_or_allocate t ~cid ~column_busy =
-  match lookup t ~cid with
-  | Some col -> Some col
-  | None ->
-    if t.class_columns = 0 then None
+let rec free_from t column_busy x col =
+  if col >= t.class_columns then -1
+  else if (not (mapped col t.map)) && not (column_busy x col) then col
+  else free_from t column_busy x (col + 1)
+
+let lookup_or_allocate t ~cid ~column_busy x =
+  let col = lookup t ~cid in
+  if col >= 0 || t.class_columns = 0 then col
+  else begin
+    if List.length t.map >= t.entries then gc t ~column_busy x;
+    if List.length t.map >= t.entries then -1
     else begin
-      if List.length t.map >= t.entries then gc t ~column_busy;
-      if List.length t.map >= t.entries then None
-      else begin
-        let col =
-          match free_column t ~column_busy with
-          | Some col -> col
-          | None -> t.class_columns - 1 (* designated shared overflow column *)
-        in
-        t.map <- (cid, col) :: t.map;
-        Some col
-      end
+      let free = free_from t column_busy x 0 in
+      (* no free column: the designated shared overflow column *)
+      let col = if free >= 0 then free else t.class_columns - 1 in
+      t.map <- (cid, col) :: t.map;
+      col
     end
+  end
 
-let cid_of_column t ~column =
-  List.find_map (fun (cid, col) -> if col = column then Some cid else None) t.map
+let rec cid_of col = function
+  | [] -> -1
+  | (cid, c) :: rest -> if c = col then cid else cid_of col rest
+
+let cid_of_column t ~column = cid_of column t.map
 
 let occupancy t = List.length t.map
 let mappings t = t.map

@@ -18,24 +18,26 @@ val create : entries:int -> class_columns:int -> t
     scopes (the set-scope column is not managed here).  Both must be
     non-negative and [entries >= 1]. *)
 
-val lookup : t -> cid:int -> int option
-(** The column currently mapped to [cid], if any. *)
+val lookup : t -> cid:int -> int
+(** The column currently mapped to [cid], or -1. *)
 
-val lookup_or_allocate : t -> cid:int -> column_busy:(int -> bool) -> int option
+val lookup_or_allocate : t -> cid:int -> column_busy:('a -> int -> bool) -> 'a -> int
 (** Resolve [cid] to a column, allocating if needed:
     - already mapped: that column;
     - otherwise, a column with no current mapping and not
       [column_busy];
     - otherwise the overflow column (shared);
-    - [None] if the table itself is full after garbage collection
+    - -1 if the table itself is full after garbage collection
       (the caller then falls back to counter / full-fence mode), or if
-      there are no class columns at all. *)
+      there are no class columns at all.
+    [column_busy x col] says whether [col] is busy; a hit allocates
+    nothing. *)
 
-val gc : t -> column_busy:(int -> bool) -> unit
+val gc : t -> column_busy:('a -> int -> bool) -> 'a -> unit
 (** Drop every mapping whose column is quiescent. *)
 
-val cid_of_column : t -> column:int -> int option
-(** The newest cid mapped to [column], if any — the reverse lookup the
+val cid_of_column : t -> column:int -> int
+(** The newest cid mapped to [column], or -1 — the reverse lookup the
     profiler uses to attribute a fence's stall to the scope it was
     decoded under (columns can be shared under overflow, so "newest"
     is the decode-time answer). *)

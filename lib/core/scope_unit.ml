@@ -14,13 +14,24 @@ type state = {
   mutable counter : int;
 }
 
-type scope_op =
-  | Push of int option (* Some column | None: counter-mode push *)
-  | Pop
+(* The decode-order event FIFO, oldest first: a ring of parallel int
+   arrays (an event kind and its argument — a branch id or an FSB
+   column), grown by doubling when full, so buffering an event
+   allocates nothing once the ring has reached the window's depth.
+   Scope micro-ops are [Push] of a column, counter-mode [Pushn] and
+   [Pop]. *)
+let ev_branch = 0 (* an unresolved branch; arg = its id *)
+let ev_resolved = 1 (* a branch that resolved correctly *)
+let ev_push = 2 (* arg = the column *)
+let ev_pushn = 3
+let ev_pop = 4
 
-type event =
-  | Ev_branch of { id : int; mutable resolved : bool }
-  | Ev_op of scope_op
+type fifo = {
+  mutable kind : int array;
+  mutable arg : int array;
+  mutable head : int;
+  mutable len : int;
+}
 
 type t = {
   config : config;
@@ -28,7 +39,7 @@ type t = {
   confirmed : state;
   mt : Mapping_table.t;
   outstanding : int array;
-  mutable events : event list; (* decode order, oldest first *)
+  events : fifo;
   trace : Fscope_obs.Trace.t;
   core : int;
 }
@@ -49,7 +60,7 @@ let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) config =
       Mapping_table.create ~entries:config.mt_entries
         ~class_columns:(config.fsb_entries - 1);
     outstanding = Array.make config.fsb_entries 0;
-    events = [];
+    events = { kind = Array.make 16 0; arg = Array.make 16 0; head = 0; len = 0 };
     trace;
     core;
   }
@@ -58,102 +69,120 @@ let config t = t.config
 let enabled t = t.config.enabled
 let set_column t = t.config.fsb_entries - 1
 
-let apply st op =
-  match op with
-  | Push (Some col) ->
+let apply st kind arg =
+  if kind = ev_push then
     if st.counter > 0 || Fss.is_full st.stack then st.counter <- st.counter + 1
-    else Fss.push st.stack col
-  | Push None -> st.counter <- st.counter + 1
-  | Pop ->
-    if st.counter > 0 then st.counter <- st.counter - 1
-    else ignore (Fss.pop st.stack)
+    else Fss.push st.stack arg
+  else if kind = ev_pushn then st.counter <- st.counter + 1
+  else if st.counter > 0 then st.counter <- st.counter - 1
+  else Fss.pop st.stack
+
+let is_op kind = kind >= ev_push
+
+(* Index of the [i]-th buffered event, oldest first. *)
+let ix f i = (f.head + i) land (Array.length f.kind - 1)
+
+let grow f =
+  let n = Array.length f.kind in
+  let kind = Array.make (2 * n) 0 and arg = Array.make (2 * n) 0 in
+  for i = 0 to f.len - 1 do
+    kind.(i) <- f.kind.(ix f i);
+    arg.(i) <- f.arg.(ix f i)
+  done;
+  f.kind <- kind;
+  f.arg <- arg;
+  f.head <- 0
+
+let enqueue f kind arg =
+  if f.len = Array.length f.kind then grow f;
+  let i = ix f f.len in
+  f.kind.(i) <- kind;
+  f.arg.(i) <- arg;
+  f.len <- f.len + 1
 
 (* Apply every event that is no longer speculative to the confirmed
    state: stop at the first unresolved branch. *)
-let drain t =
-  let rec go = function
-    | Ev_op op :: rest ->
-      apply t.confirmed op;
-      go rest
-    | Ev_branch b :: rest when b.resolved -> go rest
-    | events -> events
-  in
-  t.events <- go t.events
+let rec drain t =
+  let f = t.events in
+  if f.len > 0 then begin
+    let k = f.kind.(f.head) in
+    if k <> ev_branch then begin
+      if is_op k then apply t.confirmed k f.arg.(f.head);
+      f.head <- ix f 1;
+      f.len <- f.len - 1;
+      drain t
+    end
+  end
 
-let record t op =
-  apply t.live op;
-  t.events <- t.events @ [ Ev_op op ];
+let record t kind arg =
+  apply t.live kind arg;
+  enqueue t.events kind arg;
   drain t
 
-let fifo_pushes_contain t col =
-  List.exists
-    (function Ev_op (Push (Some c)) -> c = col | Ev_op (Push None | Pop) | Ev_branch _ -> false)
-    t.events
+let rec pushes_from f col i =
+  i < f.len && ((f.kind.(ix f i) = ev_push && f.arg.(ix f i) = col) || pushes_from f col (i + 1))
 
 let column_busy t col =
   t.outstanding.(col) > 0
   || Fss.contains t.live.stack col
   || Fss.contains t.confirmed.stack col
-  || fifo_pushes_contain t col
+  || pushes_from t.events col 0
 
-let on_branch t ~id =
-  if t.config.enabled then t.events <- t.events @ [ Ev_branch { id; resolved = false } ]
+let on_branch t ~id = if t.config.enabled then enqueue t.events ev_branch id
 
 let on_branch_correct t ~id =
   if t.config.enabled then begin
-    List.iter
-      (function Ev_branch b when b.id = id -> b.resolved <- true | Ev_branch _ | Ev_op _ -> ())
-      t.events;
+    let f = t.events in
+    for i = 0 to f.len - 1 do
+      let j = ix f i in
+      if f.kind.(j) = ev_branch && f.arg.(j) = id then f.kind.(j) <- ev_resolved
+    done;
     drain t
   end
+
+let is_branch kind = kind = ev_branch || kind = ev_resolved
+
+let rec find_branch f id i =
+  if i >= f.len then -1
+  else if is_branch f.kind.(ix f i) && f.arg.(ix f i) = id then i
+  else find_branch f id (i + 1)
 
 let on_branch_mispredict t ~id =
   if t.config.enabled then begin
     (* The correct-path state is: confirmed state plus every buffered
-       micro-op older than the mispredicted branch. *)
-    let rec split prefix = function
-      | Ev_branch b :: _ when b.id = id -> Some (List.rev prefix)
-      | ev :: rest -> split (ev :: prefix) rest
-      | [] -> None
-    in
-    match split [] t.events with
-    | None ->
-      (* The branch carried no scope events after it and none before:
-         it may never have been recorded (only possible if it was
-         dispatched before any scope activity and drained).  Restoring
-         to confirmed state is still correct because every older event
-         has, by definition, drained into it. *)
-      Fss.copy_from t.live.stack t.confirmed.stack;
-      t.live.counter <- t.confirmed.counter;
-      t.events <- []
-    | Some older ->
-      Fss.copy_from t.live.stack t.confirmed.stack;
-      t.live.counter <- t.confirmed.counter;
-      List.iter (function Ev_op op -> apply t.live op | Ev_branch _ -> ()) older;
-      t.events <- older
+       micro-op older than the mispredicted branch.  When the branch
+       is not buffered at all (it may never have been recorded: only
+       possible if it was dispatched before any scope activity and
+       drained), every older event has, by definition, drained into
+       the confirmed state, and the FIFO empties. *)
+    let f = t.events in
+    let keep = Int.max 0 (find_branch f id 0) in
+    Fss.copy_from t.live.stack t.confirmed.stack;
+    t.live.counter <- t.confirmed.counter;
+    for i = 0 to keep - 1 do
+      let j = ix f i in
+      if is_op f.kind.(j) then apply t.live f.kind.(j) f.arg.(j)
+    done;
+    f.len <- keep
   end
 
 let on_fs_start t ~cid =
   if t.config.enabled then begin
-    let op =
-      if t.live.counter > 0 then Push None
-      else
-        match Mapping_table.lookup_or_allocate t.mt ~cid ~column_busy:(column_busy t) with
-        | Some col -> Push (Some col)
-        | None -> Push None
+    let col =
+      if t.live.counter > 0 then -1
+      else Mapping_table.lookup_or_allocate t.mt ~cid ~column_busy t
     in
     if Fscope_obs.Trace.on t.trace then
       Fscope_obs.Trace.emit t.trace ~core:t.core
-        (Fscope_obs.Event.Scope_push
-           { column = (match op with Push col -> col | Pop -> None) });
-    record t op
+        (Fscope_obs.Event.Scope_push { column = (if col >= 0 then Some col else None) });
+    if col >= 0 then record t ev_push col else record t ev_pushn 0
   end
 
 let on_fs_end t ~cid:_ =
   if t.config.enabled then begin
     if Fscope_obs.Trace.on t.trace then
       Fscope_obs.Trace.emit t.trace ~core:t.core Fscope_obs.Event.Scope_pop;
-    record t Pop
+    record t ev_pop 0
   end
 
 (* While the overflow counter is non-zero the FSS under-represents the
@@ -178,31 +207,40 @@ let decode_mask t ~flagged =
     in
     if flagged then Fsb.union class_bits (Fsb.column (set_column t)) else class_bits
 
-let on_bits_set t mask =
-  List.iter (fun col -> t.outstanding.(col) <- t.outstanding.(col) + 1) (Fsb.columns mask)
+let rec bits_set t mask col =
+  if mask <> 0 then begin
+    if mask land 1 <> 0 then t.outstanding.(col) <- t.outstanding.(col) + 1;
+    bits_set t (mask lsr 1) (col + 1)
+  end
 
-let on_bits_cleared t mask =
-  List.iter
-    (fun col ->
+let rec bits_cleared t mask col =
+  if mask <> 0 then begin
+    if mask land 1 <> 0 then begin
       assert (t.outstanding.(col) > 0);
-      t.outstanding.(col) <- t.outstanding.(col) - 1)
-    (Fsb.columns mask)
+      t.outstanding.(col) <- t.outstanding.(col) - 1
+    end;
+    bits_cleared t (mask lsr 1) (col + 1)
+  end
+
+let on_bits_set t mask = bits_set t mask 0
+let on_bits_cleared t mask = bits_cleared t mask 0
 
 let outstanding t col = t.outstanding.(col)
 
+let wait_global = -1
+
 let fence_scope t kind =
-  if not t.config.enabled then `Global
+  if not t.config.enabled then wait_global
   else
     match Fscope_isa.Fence_kind.scope_of kind with
-    | Fscope_isa.Fence_kind.Global -> `Global
+    | Fscope_isa.Fence_kind.Global -> wait_global
     | Fscope_isa.Fence_kind.Class_scope ->
-      if t.live.counter > 0 then `Global
-      else (
-        match Fss.top t.live.stack with
-        | Some col -> `Mask (Fsb.column col)
-        | None -> `Global (* class fence outside any scope: be conservative *))
+      if t.live.counter > 0 then wait_global
+      else if Fss.is_empty t.live.stack then
+        wait_global (* class fence outside any scope: be conservative *)
+      else Fsb.column (Fss.top t.live.stack)
     | Fscope_isa.Fence_kind.Set_scope ->
-      if t.live.counter > 0 then `Global else `Mask (Fsb.column (set_column t))
+      if t.live.counter > 0 then wait_global else Fsb.column (set_column t)
 
 let in_overflow t = t.live.counter > 0
 let live_stack t = Fss.to_list t.live.stack
@@ -211,41 +249,38 @@ let confirmed_stack t = Fss.to_list t.confirmed.stack
 (* Relativized fingerprint of the decode-order event FIFO, for the
    spin-stability probe: branch ids (ROB seqs) are expressed relative
    to [base] so two snapshots of the same in-flight shape compare
-   equal.  [None] if any scope micro-op is still buffered — the probe
-   treats that as unstable. *)
-let spin_fingerprint t ~base =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | Ev_branch b :: rest -> go ((base - b.id, b.resolved) :: acc) rest
-    | Ev_op _ :: _ -> None
-  in
-  go [] t.events
+   equal; a buffered scope micro-op has no fingerprint (the probe
+   treats it as unstable). *)
+let fingerprint_length t = t.events.len
+
+let fingerprint t ~base i =
+  let f = t.events in
+  let k = f.kind.(ix f i) in
+  if is_op k then min_int else (2 * (base - f.arg.(ix f i))) + if k = ev_resolved then 1 else 0
 
 let current_cid t =
-  if (not t.config.enabled) || t.live.counter > 0 then None
-  else
-    match Fss.top t.live.stack with
-    | None -> None
-    | Some col -> Mapping_table.cid_of_column t.mt ~column:col
+  if (not t.config.enabled) || t.live.counter > 0 || Fss.is_empty t.live.stack then -1
+  else Mapping_table.cid_of_column t.mt ~column:(Fss.top t.live.stack)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing and sampled-mode reseeding. *)
 
 module Json = Fscope_util.Json
 
-let event_to_json = function
-  | Ev_branch b -> Json.Arr [ Json.Str "branch"; Json.Int b.id; Json.Bool b.resolved ]
-  | Ev_op (Push (Some col)) -> Json.Arr [ Json.Str "push"; Json.Int col ]
-  | Ev_op (Push None) -> Json.Arr [ Json.Str "pushn" ]
-  | Ev_op Pop -> Json.Arr [ Json.Str "pop" ]
+let event_to_json kind arg =
+  if is_branch kind then
+    Json.Arr [ Json.Str "branch"; Json.Int arg; Json.Bool (kind = ev_resolved) ]
+  else if kind = ev_push then Json.Arr [ Json.Str "push"; Json.Int arg ]
+  else if kind = ev_pushn then Json.Arr [ Json.Str "pushn" ]
+  else Json.Arr [ Json.Str "pop" ]
 
-let event_of_json j =
+let event_restore f j =
   match Json.list_exn j with
   | [ Json.Str "branch"; id; resolved ] ->
-    Ev_branch { id = Json.int_exn id; resolved = Json.bool_exn resolved }
-  | [ Json.Str "push"; col ] -> Ev_op (Push (Some (Json.int_exn col)))
-  | [ Json.Str "pushn" ] -> Ev_op (Push None)
-  | [ Json.Str "pop" ] -> Ev_op Pop
+    enqueue f (if Json.bool_exn resolved then ev_resolved else ev_branch) (Json.int_exn id)
+  | [ Json.Str "push"; col ] -> enqueue f ev_push (Json.int_exn col)
+  | [ Json.Str "pushn" ] -> enqueue f ev_pushn 0
+  | [ Json.Str "pop" ] -> enqueue f ev_pop 0
   | _ -> failwith "checkpoint: malformed scope event"
 
 let state_to_json (st : state) =
@@ -270,7 +305,10 @@ let to_json t =
              (fun (cid, col) -> Json.Arr [ Json.Int cid; Json.Int col ])
              (Mapping_table.mappings t.mt)) );
       ("outstanding", Json.of_int_array t.outstanding);
-      ("events", Json.Arr (List.map event_to_json t.events));
+      ( "events",
+        Json.Arr
+          (List.init t.events.len (fun i ->
+               event_to_json t.events.kind.(ix t.events i) t.events.arg.(ix t.events i))) );
     ]
 
 let restore t j =
@@ -287,7 +325,8 @@ let restore t j =
   if Array.length out <> Array.length t.outstanding then
     failwith "checkpoint: FSB column-count mismatch";
   Array.blit out 0 t.outstanding 0 (Array.length out);
-  t.events <- List.map event_of_json (Json.list_exn (Json.get "events" j))
+  t.events.len <- 0;
+  List.iter (event_restore t.events) (Json.list_exn (Json.get "events" j))
 
 (* Forget everything — stacks, counters, the MT, outstanding bits and
    buffered events.  The sampled engine resets the unit when it
@@ -300,4 +339,4 @@ let reset t =
   t.confirmed.counter <- 0;
   Mapping_table.set_mappings t.mt [];
   Array.fill t.outstanding 0 (Array.length t.outstanding) 0;
-  t.events <- []
+  t.events.len <- 0

@@ -94,19 +94,25 @@ val on_bits_cleared : t -> Fsb.mask -> unit
 val outstanding : t -> int -> int
 (** Outstanding bit count of a column (tests / MT reclamation). *)
 
-val fence_scope : t -> Fscope_isa.Fence_kind.t -> [ `Global | `Mask of Fsb.mask ]
-(** The wait condition for a fence dispatched now.  [`Global] = wait
-    for every earlier memory access (traditional fence); [`Mask m] =
-    wait only for accesses whose FSB bits intersect [m].  Must be
-    called at dispatch and captured in the ROB entry: it depends on
-    the FSS top at decode time. *)
+val wait_global : int
+(** The wait condition of a traditional fence (-1: no scope mask is
+    negative). *)
+
+val fence_scope : t -> Fscope_isa.Fence_kind.t -> int
+(** The wait condition for a fence dispatched now: {!wait_global} =
+    wait for every earlier memory access (traditional fence); a mask
+    [m] (never empty) = wait only for accesses whose FSB bits
+    intersect [m].  Must be called at dispatch and captured in the ROB
+    entry: it depends on the FSS top at decode time.  Allocates
+    nothing. *)
 
 val in_overflow : t -> bool
 (** Is the live overflow counter non-zero? *)
 
-val current_cid : t -> int option
+val current_cid : t -> int
 (** The class id of the innermost live scope, if the unit is enabled,
-    not in overflow, and the FSS top column still has an MT mapping.
+    not in overflow, and the FSS top column still has an MT mapping;
+    -1 otherwise.
     Captured at fence dispatch for per-scope stall attribution. *)
 
 val live_stack : t -> int list
@@ -131,10 +137,14 @@ val reset : t -> unit
     transition and replays the architectural nesting via
     {!on_fs_start}. *)
 
-val spin_fingerprint : t -> base:int -> (int * bool) list option
-(** The decode-order event FIFO as comparable data: one
-    [(base - branch_id, resolved)] pair per buffered branch event, or
-    [None] if any scope micro-op is buffered.  The core's
-    spin-stability probe compares fingerprints taken at two loop
-    boundaries (with [base] the ROB's next sequence number) to decide
-    whether the unit's speculative state is periodic. *)
+val fingerprint_length : t -> int
+(** The number of events buffered in the decode-order FIFO. *)
+
+val fingerprint : t -> base:int -> int -> int
+(** [fingerprint t ~base i]: the [i]-th buffered event (oldest first)
+    as comparable data — [2 * (base - branch_id) + resolved] for a
+    branch, [min_int] for a scope micro-op.  The core's spin-stability
+    probe compares fingerprints taken at two loop boundaries (with
+    [base] the ROB's next sequence number) to decide whether the
+    unit's speculative state is periodic; a buffered micro-op makes it
+    unstable.  Allocates nothing. *)

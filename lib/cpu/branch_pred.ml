@@ -11,6 +11,8 @@ let create ~entries =
 let predict t ~pc = t.counters.(pc land t.mask) >= 2
 
 let snapshot t = Array.copy t.counters
+let entries t = Array.length t.counters
+let counter t i = t.counters.(i)
 
 let restore t counters =
   if Array.length counters <> Array.length t.counters then
@@ -20,4 +22,4 @@ let restore t counters =
 let update t ~pc ~taken =
   let i = pc land t.mask in
   let c = t.counters.(i) in
-  t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1))
+  t.counters.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1))

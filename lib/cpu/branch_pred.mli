@@ -17,6 +17,12 @@ val snapshot : t -> int array
     predictor would behave identically.  Used by the spin-stability
     probe. *)
 
+val entries : t -> int
+
+val counter : t -> int -> int
+(** One counter of the table: with {!entries}, {!snapshot} without the
+    copy. *)
+
 val restore : t -> int array -> unit
 (** Overwrite the counter table from a {!snapshot} (checkpoint
     restore); raises [Invalid_argument] on a size mismatch. *)

@@ -56,7 +56,7 @@ let create ?(trace = Fscope_obs.Trace.null) ~id ~code ~port ~scope_config ~exec_
     sb = Store_buffer.create ~trace ~core:id ~capacity:exec_config.sb_size ();
     bpred = Branch_pred.create ~entries:exec_config.bpred_entries;
     arf = Array.make Reg.count 0;
-    rename = Array.make Reg.count Rob.Arch;
+    rename = Array.make Reg.count (-1);
     fetch_pc = 0;
     fetch_resume = 0;
     fetch_stopped = false;
@@ -168,15 +168,16 @@ let spin_replay (t : t) ~stable ~k = Core_spin.replay t ~stable ~k
    entry drains this cycle or a CAS reaches its completion point.
    Exact at the time the engine asks (phase-1 start): phase 1 never
    creates new completions. *)
+let rec cas_due_from (t : t) cycle slot =
+  slot >= 0
+  &&
+  let e = Rob.slot_entry t.rob slot in
+  (match e.instr with Fscope_isa.Instr.Cas _ -> e.done_at <= cycle | _ -> false)
+  || cas_due_from t cycle (Rob.queue_next t.rob Rob.executing_q slot (Rob.queue_prev t.rob slot))
+
 let writes_pending (t : t) ~cycle =
-  let pending = ref false in
-  Store_buffer.iter t.sb (fun en -> if en.done_at <= cycle then pending := true);
-  if not !pending then
-    Rob.iter_exec t.rob (fun e ->
-        match (e.instr, e.state) with
-        | Fscope_isa.Instr.Cas _, Rob.Executing d -> if d <= cycle then pending := true
-        | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-  !pending
+  Store_buffer.any_due t.sb ~cycle
+  || cas_due_from t cycle (Rob.queue_first t.rob Rob.executing_q)
 
 (* Phase 3 (pipeline) reaches the memory port — and under the cache
    hierarchy model, shared directory/stats state even on an L1 hit —
@@ -185,24 +186,22 @@ let writes_pending (t : t) ~cycle =
    state; loads and CAS issue only out of [Waiting].  Dispatch runs
    after issue within the step, so entries appearing this cycle cannot
    also issue this cycle and the phase-start answer is sound. *)
+let touches_mem () (e : Rob.entry) =
+  match e.instr with
+  | Fscope_isa.Instr.Store _ -> true
+  | Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Cas _ -> e.state = Rob.Waiting
+  | _ -> false
+
 let may_touch_mem (t : t) =
-  (not t.halted)
-  &&
-  let touch = ref false in
-  Rob.iter t.rob (fun e ->
-      match (e.instr, e.state) with
-      | Fscope_isa.Instr.Store _, _ -> touch := true
-      | (Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Cas _), Rob.Waiting -> touch := true
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-  !touch
+  (not t.halted) && Rob.exists_older t.rob (Rob.next_seq t.rob) touches_mem ()
 
 (* Can this phase-3 step end with an armed spin-stability certificate
    (and therefore a sleep transition, which registers shared watches)?
    Arming inside [Core_spin.on_boundary] compares against a snapshot
-   taken at a PREVIOUS boundary, so [pr_snap = None] at phase start
+   taken at a PREVIOUS boundary, so no previous snapshot at phase start
    guarantees {!spin_poll} returns [None] this cycle. *)
 let spin_may_arm (t : t) =
-  t.spin_probe.pr_enabled && t.spin_probe.pr_snap <> None
+  t.spin_probe.pr_enabled && t.spin_probe.pr_snap_len >= 0
 
 (* Whole-cycle FREE horizon for barrier elision.  [quiet_until t ~from
    ~cap ~hier] returns the largest cycle X in [from-1, cap] such that
@@ -233,71 +232,85 @@ let spin_may_arm (t : t) =
    span, never unsounds it. *)
 let stream_walk_slots = 1024
 
+(* An in-flight entry that can act on shared state at an unpredictable
+   cycle. *)
+let acts_shared hier (e : Rob.entry) =
+  match e.instr with
+  | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ | Fscope_isa.Instr.Branch _
+  | Fscope_isa.Instr.Halt ->
+    true
+  | Fscope_isa.Instr.Load _ -> hier
+  | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
+  | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Jump _ | Fscope_isa.Instr.Fence _
+  | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ ->
+    false
+
+(* The fetch-stream bound: walk the code from [pc], the [slots]-th
+   fetch slot from [first] at [width] per cycle, to the first
+   instruction that can act on shared state (or the walk cap); [bound]
+   lowered to the cycle before it is fetched. *)
+let rec stream_bound (t : t) ~hier ~first ~width ~bound pc slots =
+  let fetch_cycle = first + (slots / width) in
+  if pc < 0 || pc >= Array.length t.code then bound (* fetch runs dry *)
+  else if fetch_cycle > bound then bound
+  else if slots >= stream_walk_slots then Int.min bound (fetch_cycle - 1)
+  else
+    match t.code.(pc) with
+    | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ | Fscope_isa.Instr.Branch _
+    | Fscope_isa.Instr.Halt ->
+      Int.min bound (fetch_cycle - 1)
+    | Fscope_isa.Instr.Load _ when hier -> Int.min bound (fetch_cycle - 1)
+    | Fscope_isa.Instr.Jump target ->
+      stream_bound t ~hier ~first ~width ~bound target (slots + 1)
+    | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
+    | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Fence _
+    | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ ->
+      stream_bound t ~hier ~first ~width ~bound (pc + 1) (slots + 1)
+
 let quiet_until (t : t) ~from ~cap ~hier =
-  let bound = ref cap in
-  let cut c = if c < !bound then bound := c in
-  Store_buffer.iter t.sb (fun en -> cut (en.done_at - 1));
-  if not t.halted then begin
-    if spin_may_arm t then cut (from - 1);
-    Rob.iter t.rob (fun e ->
-        match e.instr with
-        | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ | Fscope_isa.Instr.Branch _
-        | Fscope_isa.Instr.Halt -> cut (from - 1)
-        | Fscope_isa.Instr.Load _ -> if hier then cut (from - 1)
-        | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
-        | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Jump _ | Fscope_isa.Instr.Fence _
-        | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ -> ());
-    if (not t.fetch_stopped) && !bound >= from then begin
-      let width = max 1 t.cfg.Exec_config.fetch_width in
-      let first = max from t.fetch_resume in
-      let len = Array.length t.code in
-      let pc = ref t.fetch_pc in
-      let slots = ref 0 in
-      let scanning = ref true in
-      while !scanning do
-        let fetch_cycle = first + (!slots / width) in
-        if !pc < 0 || !pc >= len then scanning := false (* fetch runs dry *)
-        else if fetch_cycle > !bound then scanning := false
-        else if !slots >= stream_walk_slots then begin
-          cut (fetch_cycle - 1);
-          scanning := false
-        end
-        else
-          match t.code.(!pc) with
-          | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _
-          | Fscope_isa.Instr.Branch _ | Fscope_isa.Instr.Halt ->
-            cut (fetch_cycle - 1);
-            scanning := false
-          | Fscope_isa.Instr.Load _ when hier ->
-            cut (fetch_cycle - 1);
-            scanning := false
-          | Fscope_isa.Instr.Jump target ->
-            incr slots;
-            pc := target
-          | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
-          | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Fence _
-          | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ ->
-            incr slots;
-            incr pc
-      done
-    end
-  end;
-  max (from - 1) !bound
+  (* [min_due] is [max_int] for an empty store buffer *)
+  let bound = Int.min cap (Store_buffer.min_due t.sb - 1) in
+  let bound =
+    if t.halted then bound
+    else if spin_may_arm t || Rob.exists_older t.rob (Rob.next_seq t.rob) acts_shared hier
+    then Int.min bound (from - 1)
+    else if (not t.fetch_stopped) && bound >= from then
+      stream_bound t ~hier
+        ~first:(Int.max from t.fetch_resume)
+        ~width:(Int.max 1 t.cfg.Exec_config.fetch_width)
+        ~bound t.fetch_pc 0
+    else bound
+  in
+  Int.max (from - 1) bound
+
+(* The earliest of [m] and the completion cycles after [cycle] of the
+   executing queue from [slot]. *)
+let rec exec_wake_from (t : t) cycle slot m =
+  if slot < 0 then m
+  else
+    let d = (Rob.slot_entry t.rob slot).done_at in
+    exec_wake_from t cycle
+      (Rob.queue_next t.rob Rob.executing_q slot (Rob.queue_prev t.rob slot))
+      (if d > cycle && d < m then d else m)
+
+let rec sb_wake_from (t : t) cycle i m =
+  if i >= Store_buffer.count t.sb then m
+  else
+    let d = Store_buffer.due_at t.sb i in
+    sb_wake_from t cycle (i + 1) (if d > cycle && d < m then d else m)
 
 let next_wake (t : t) ~cycle =
-  let m = ref max_int in
-  let consider d = if d > cycle && d < !m then m := d in
-  if not t.halted then begin
-    Rob.iter_exec t.rob (fun e ->
-        match e.state with
-        | Rob.Executing d -> consider d
-        | Rob.Waiting | Rob.Done -> ());
-    if (not t.fetch_stopped) && t.fetch_resume > cycle then consider t.fetch_resume
-  end;
+  let m =
+    if t.halted then max_int
+    else
+      let m = exec_wake_from t cycle (Rob.queue_first t.rob Rob.executing_q) max_int in
+      if (not t.fetch_stopped) && t.fetch_resume > cycle && t.fetch_resume < m then
+        t.fetch_resume
+      else m
+  in
   (* Even a halted core's store buffer keeps draining — those
      completions write memory and gate [drained]. *)
-  Store_buffer.iter t.sb (fun en -> consider en.done_at);
-  if !m = max_int then None else Some !m
+  sb_wake_from t cycle 0 m
 
 (* ------------------------------------------------------------------ *)
 (* Whole-core checkpointing and sampled-mode support (Core_ckpt,

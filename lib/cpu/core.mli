@@ -114,13 +114,13 @@ val step_pipeline : t -> cycle:int -> bool
     changed beyond that accounting — [false] means the cycle was a
     pure stall and the core is frozen until {!next_wake}. *)
 
-val next_wake : t -> cycle:int -> int option
+val next_wake : t -> cycle:int -> int
 (** The earliest cycle strictly after [cycle] at which this core's
     state can change: the minimum over in-flight execution completion
     cycles, store-buffer completion times and a pending
-    mispredict-resume point.  [None] means nothing is scheduled — the
-    core cannot change state again on its own (it is drained, or stuck
-    until [max_cycles]).  Sound for fast-forwarding only from a frozen
+    mispredict-resume point.  [max_int] means nothing is scheduled —
+    the core cannot change state again on its own (it is drained, or
+    stuck until [max_cycles]).  Sound for fast-forwarding only from a frozen
     state, i.e. after a cycle in which every step reported no
     progress. *)
 

@@ -26,43 +26,43 @@ open Core_state
 (* ------------------------------------------------------------------ *)
 (* Field codecs                                                        *)
 
-let producer_to_int = function Rob.Arch -> -1 | Rob.Rob s -> s
-let producer_of_int s = if s < 0 then Rob.Arch else Rob.Rob s
-
-let state_to_json = function
+let state_to_json (e : Rob.entry) =
+  match e.state with
   | Rob.Waiting -> Json.Arr [ Json.Int 0 ]
-  | Rob.Executing d -> Json.Arr [ Json.Int 1; Json.Int d ]
+  | Rob.Executing -> Json.Arr [ Json.Int 1; Json.Int e.done_at ]
   | Rob.Done -> Json.Arr [ Json.Int 2 ]
 
+(* The state and its completion cycle ([done_at], 0 unless
+   [Executing]). *)
 let state_of_json j =
   match Json.list_exn j with
-  | [ Json.Int 0 ] -> Rob.Waiting
-  | [ Json.Int 1; d ] -> Rob.Executing (Json.int_exn d)
-  | [ Json.Int 2 ] -> Rob.Done
+  | [ Json.Int 0 ] -> (Rob.Waiting, 0)
+  | [ Json.Int 1; d ] -> (Rob.Executing, Json.int_exn d)
+  | [ Json.Int 2 ] -> (Rob.Done, 0)
   | _ -> failwith "checkpoint: malformed exec state"
 
-let fence_wait_to_json = function
-  | None -> Json.Null
-  | Some `Global -> Json.Str "g"
-  | Some (`Mask m) -> Json.Int m
+let fence_wait_to_json w =
+  if w = Rob.wait_none then Json.Null
+  else if w = Scope_unit.wait_global then Json.Str "g"
+  else Json.Int w
 
 let fence_wait_of_json = function
-  | Json.Null -> None
-  | Json.Str "g" -> Some `Global
-  | Json.Int m -> Some (`Mask m)
+  | Json.Null -> Rob.wait_none
+  | Json.Str "g" -> Scope_unit.wait_global
+  | Json.Int m when m >= 0 -> m
   | _ -> failwith "checkpoint: malformed fence wait"
 
 let mem_level_to_int = function
-  | None -> -1
-  | Some Fscope_obs.Event.L1_hit -> 0
-  | Some Fscope_obs.Event.L2_hit -> 1
-  | Some Fscope_obs.Event.L2_miss -> 2
+  | Rob.Unserved -> -1
+  | Rob.L1 -> 0
+  | Rob.L2 -> 1
+  | Rob.Main -> 2
 
 let mem_level_of_int = function
-  | -1 -> None
-  | 0 -> Some Fscope_obs.Event.L1_hit
-  | 1 -> Some Fscope_obs.Event.L2_hit
-  | 2 -> Some Fscope_obs.Event.L2_miss
+  | -1 -> Rob.Unserved
+  | 0 -> Rob.L1
+  | 1 -> Rob.L2
+  | 2 -> Rob.Main
   | _ -> failwith "checkpoint: malformed mem level"
 
 let entry_to_json (e : Rob.entry) =
@@ -70,8 +70,8 @@ let entry_to_json (e : Rob.entry) =
     [
       ("seq", Json.Int e.seq);
       ("pc", Json.Int e.pc);
-      ("srcs", Json.of_int_list (List.map (fun (s : Rob.src) -> producer_to_int s.producer) (Array.to_list e.srcs)));
-      ("state", state_to_json e.state);
+      ("srcs", Json.of_int_list (List.init e.n_srcs (Rob.src_producer e)));
+      ("state", state_to_json e);
       ("result", Json.Int e.result);
       ("addr", Json.Int e.addr);
       ("data", Json.Int e.data);
@@ -83,17 +83,16 @@ let entry_to_json (e : Rob.entry) =
       ("ml", Json.Int (mem_level_to_int e.mem_level));
       ("pt", Json.Bool e.predicted_taken);
       ( "cp",
-        match e.checkpoint with
-        | None -> Json.Null
-        | Some cp -> Json.of_int_list (List.map producer_to_int (Array.to_list cp)) );
+        if e.has_cp then Json.of_int_list (List.init Reg.count (Rob.rename_producer e))
+        else Json.Null );
     ]
 
-(* Rebuild an entry exactly as dispatch would have: the instruction is
-   re-read from the code image and the positional source registers
-   from the core's per-pc [src_regs] — duplicates and order preserved —
-   with the serialized producers zipped back in.  The entry is not in
-   flight yet, so its address is set by building it, not through
-   [Rob.set_addr]. *)
+(* Rebuild an entry exactly as dispatch would have, in the ROB's next
+   slot: the instruction is re-read from the code image and the
+   positional source registers from the core's per-pc [src_regs] —
+   duplicates and order preserved — with the serialized producers
+   zipped back in.  The entry is not in flight yet, so its address is
+   set by {!Rob.fresh}, not through [Rob.set_addr]. *)
 let entry_of_json (t : t) j =
   let pc = Json.int_exn (Json.get "pc" j) in
   if pc < 0 || pc >= Array.length t.code then failwith "checkpoint: entry pc out of range";
@@ -102,20 +101,12 @@ let entry_of_json (t : t) j =
   let regs = t.src_regs.(pc) in
   if List.length producers <> Array.length regs then
     failwith "checkpoint: source arity mismatch (program changed?)";
-  let srcs =
-    Array.of_list
-      (List.mapi (fun i p -> { Rob.producer = producer_of_int p; reg = regs.(i) }) producers)
-  in
-  let e =
-    {
-      (Rob.make_entry
-         ~state:(state_of_json (Json.get "state" j))
-         ~seq:(Json.int_exn (Json.get "seq" j))
-         ~pc ~instr ~srcs)
-      with
-      addr = Json.int_exn (Json.get "addr" j);
-    }
-  in
+  let seq = Json.int_exn (Json.get "seq" j) in
+  if seq <> Rob.next_seq t.rob then failwith "checkpoint: non-consecutive ROB seq";
+  let state, done_at = state_of_json (Json.get "state" j) in
+  let addr = Json.int_exn (Json.get "addr" j) in
+  let e = Rob.fresh t.rob ~seq ~state ~done_at ~addr ~pc ~instr in
+  List.iteri (fun i p -> Rob.add_src e ~reg:regs.(i) ~producer:(max (-1) p)) producers;
   e.result <- Json.int_exn (Json.get "result" j);
   e.data <- Json.int_exn (Json.get "data" j);
   e.data2 <- Json.int_exn (Json.get "data2" j);
@@ -125,10 +116,12 @@ let entry_of_json (t : t) j =
   e.fence_cid <- Json.int_exn (Json.get "fcid" j);
   e.mem_level <- mem_level_of_int (Json.int_exn (Json.get "ml" j));
   e.predicted_taken <- Json.bool_exn (Json.get "pt" j);
-  (e.checkpoint <-
-     (match Json.get "cp" j with
-     | Json.Null -> None
-     | cp -> Some (Array.of_list (List.map producer_of_int (Json.int_list_exn cp)))));
+  (match Json.get "cp" j with
+  | Json.Null -> ()
+  | cp ->
+    let cp = Json.int_array_exn cp in
+    if Array.length cp <> Reg.count then failwith "checkpoint: rename checkpoint size mismatch";
+    Rob.save_rename e (Array.map (max (-1)) cp));
   e
 
 (* ------------------------------------------------------------------ *)
@@ -149,7 +142,7 @@ let snapshot (t : t) =
       ("halted", Json.Bool t.halted);
       ("arch_nest", Json.of_int_list t.arch_nest);
       ("arf", Json.of_int_array t.arf);
-      ("rename", Json.of_int_list (List.map producer_to_int (Array.to_list t.rename)));
+      ("rename", Json.of_int_array t.rename);
       ("rob_head", Json.Int (Rob.head_seq t.rob));
       ("rob", Json.Arr (List.rev !rob_entries));
       ("sb", Json.Arr (List.rev !sb_entries));
@@ -162,8 +155,23 @@ let snapshot (t : t) =
       ("scope", Scope_unit.to_json t.scope);
     ]
 
+(* A committed store waiting in the store buffer has passed commit's
+   bounds check, so its address lies in memory; draining one that does
+   not would fail mid-run.  (A ROB entry's address is not checked: a
+   wrong-path access may hold a garbage one.) *)
+let sb_entry_of_json (t : t) en =
+  match Json.int_list_exn en with
+  | [ addr; value; mask; done_at ] ->
+    if not (in_bounds t addr) then failwith "checkpoint: store-buffer address out of range";
+    { Store_buffer.addr; value; mask; done_at }
+  | _ -> failwith "checkpoint: malformed store-buffer entry"
+
 let restore_fields (t : t) j =
-  t.fetch_pc <- Json.int_exn (Json.get "fetch_pc" j);
+  let fetch_pc = Json.int_exn (Json.get "fetch_pc" j) in
+  (* fetch stops at the end of the code, so one past it is a valid pc *)
+  if fetch_pc < 0 || fetch_pc > Array.length t.code then
+    failwith "checkpoint: fetch_pc out of range";
+  t.fetch_pc <- fetch_pc;
   t.fetch_resume <- Json.int_exn (Json.get "fetch_resume" j);
   t.fetch_stopped <- Json.bool_exn (Json.get "fetch_stopped" j);
   t.halted <- Json.bool_exn (Json.get "halted" j);
@@ -171,20 +179,15 @@ let restore_fields (t : t) j =
   let arf = Json.int_array_exn (Json.get "arf" j) in
   if Array.length arf <> Array.length t.arf then failwith "checkpoint: ARF size mismatch";
   Array.blit arf 0 t.arf 0 (Array.length arf);
-  let rename = Json.int_list_exn (Json.get "rename" j) in
-  if List.length rename <> Array.length t.rename then
+  let rename = Json.int_array_exn (Json.get "rename" j) in
+  if Array.length rename <> Array.length t.rename then
     failwith "checkpoint: rename size mismatch";
-  List.iteri (fun i p -> t.rename.(i) <- producer_of_int p) rename;
+  Array.iteri (fun i p -> t.rename.(i) <- max (-1) p) rename;
   Rob.restore t.rob
     ~head_seq:(Json.int_exn (Json.get "rob_head" j))
-    (List.map (entry_of_json t) (Json.list_exn (Json.get "rob" j)));
-  Store_buffer.restore t.sb
-    (List.map
-       (fun en ->
-         match Json.int_list_exn en with
-         | [ addr; value; mask; done_at ] -> { Store_buffer.addr; value; mask; done_at }
-         | _ -> failwith "checkpoint: malformed store-buffer entry")
-       (Json.list_exn (Json.get "sb" j)));
+    (Json.list_exn (Json.get "rob" j))
+    (entry_of_json t);
+  Store_buffer.restore t.sb (List.map (sb_entry_of_json t) (Json.list_exn (Json.get "sb" j)));
   Branch_pred.restore t.bpred (Json.int_array_exn (Json.get "bpred" j));
   counts_restore t.counts (Json.int_array_exn (Json.get "counts" j));
   Cpi.restore t.cpi (Json.int_array_exn (Json.get "cpi" j));
@@ -231,7 +234,7 @@ let flushable (t : t) =
   Rob.iter t.rob (fun e ->
       match (e.Rob.instr, e.Rob.state) with
       | Instr.Cas _, Rob.Done -> ok := false
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
+      | _, (Rob.Waiting | Rob.Executing | Rob.Done) -> ());
   !ok
 
 (* Fetch suppression for a flushed core while the other cores settle
@@ -242,12 +245,12 @@ let park (t : t) = t.fetch_resume <- max_int
 let unpark (t : t) = if t.fetch_resume = max_int then t.fetch_resume <- 0
 
 let flush_arch (t : t) =
-  let pc = match Rob.head t.rob with Some e -> e.Rob.pc | None -> t.fetch_pc in
+  let pc = if Rob.is_empty t.rob then t.fetch_pc else (Rob.head t.rob).Rob.pc in
   Store_buffer.iter t.sb (fun (en : Store_buffer.entry) ->
       Mem_port.store t.port ~addr:en.addr ~value:en.value);
   Store_buffer.restore t.sb [];
-  Rob.restore t.rob ~head_seq:(Rob.next_seq t.rob) [];
-  Array.fill t.rename 0 (Array.length t.rename) Rob.Arch;
+  Rob.restore t.rob ~head_seq:(Rob.next_seq t.rob) [] Fun.id;
+  Array.fill t.rename 0 (Array.length t.rename) (-1);
   t.fetch_pc <- pc;
   t.fetch_resume <- 0;
   t.fetch_stopped <- t.halted;

@@ -6,7 +6,12 @@
 module Instr = Fscope_isa.Instr
 module Reg = Fscope_isa.Reg
 module Cpi = Fscope_obs.Cpi
+module Scope_unit = Fscope_core.Scope_unit
 open Core_state
+
+(* Does the fence wait on an S-Fence scope mask (rather than
+   globally)? *)
+let scoped (e : Rob.entry) = e.fence_wait >= 0
 
 (* May the head fence [e] retire?  Without in-window speculation it
    already waited at issue.  With it, the fence retires when the
@@ -21,10 +26,10 @@ let fence_may_retire t (e : Rob.entry) =
     let k = match e.instr with Instr.Fence k -> k | _ -> assert false in
     (not k.Fscope_isa.Fence_kind.wait_stores)
     ||
-    match e.fence_wait with
-    | None -> assert false
-    | Some `Global -> Store_buffer.is_empty t.sb
-    | Some (`Mask m) -> not (Store_buffer.mask_overlaps t.sb m)
+    let w = e.fence_wait in
+    assert (w <> Rob.wait_none);
+    if w = Scope_unit.wait_global then Store_buffer.is_empty t.sb
+    else not (Store_buffer.mask_overlaps t.sb w)
 
 (* Spin detection over the commit stream: a backward control transfer
    that repeats at the same PC with no store, CAS or fence committed in
@@ -60,9 +65,8 @@ let spin_note t (e : Rob.entry) =
   | _ -> ()
 
 let commit_effects t (e : Rob.entry) =
-  (match Instr.writes_reg e.instr with
-  | Some r -> t.arf.(Reg.index r) <- e.result
-  | None -> ());
+  let d = Instr.dst_index e.instr in
+  if d >= 0 then t.arf.(d) <- e.result;
   t.counts.committed <- t.counts.committed + 1;
   spin_note t e;
   match e.instr with
@@ -90,12 +94,8 @@ let commit_effects t (e : Rob.entry) =
    whether it waits on an S-Fence scope mask or globally.  [times] lets
    the engine charge a whole frozen span at once. *)
 let charge_fence_stall t (e : Rob.entry) ~times =
-  let scope =
-    match e.fence_wait with
-    | Some (`Mask _) -> Cpi.Scoped
-    | Some `Global | None -> Cpi.Unscoped
-  in
-  Cpi.charge_n t.cpi (Cpi.Fence_wait scope) ~times
+  if scoped e then Cpi.charge_n t.cpi (Cpi.Fence_wait Cpi.Scoped) ~times
+  else Cpi.charge_n t.cpi (Cpi.Fence_wait Cpi.Unscoped) ~times
 
 (* Per-static-fence-site and per-scope attribution, on traced runs
    only: a commit counter per (core, fence PC), a scoped-commit
@@ -112,9 +112,7 @@ let note_fence_commit t (e : Rob.entry) ~stalled =
     let h name = Fscope_obs.Metrics.histogram m name in
     let site suffix = Printf.sprintf "core%d/fence_pc%d/%s" t.id e.pc suffix in
     Fscope_obs.Metrics.incr (c (site "commits"));
-    (match e.fence_wait with
-    | Some (`Mask _) -> Fscope_obs.Metrics.incr (c (site "scoped_commits"))
-    | Some `Global | None -> ());
+    if scoped e then Fscope_obs.Metrics.incr (c (site "scoped_commits"));
     (match stalled with
     | Some cycles -> Fscope_obs.Metrics.observe (h (site "stall_cycles")) cycles
     | None -> ());
@@ -133,9 +131,9 @@ let commit t ~cycle =
   let budget = ref t.cfg.commit_width in
   let blocked = ref false in
   while (not !blocked) && !budget > 0 && not t.halted do
-    match Rob.head t.rob with
-    | None -> blocked := true
-    | Some e -> (
+    if Rob.is_empty t.rob then blocked := true
+    else
+      let e = Rob.head t.rob in
       match e.instr with
       | Instr.Halt ->
         ignore (Rob.pop_head t.rob);
@@ -160,16 +158,9 @@ let commit t ~cycle =
           (* Same-address stores must become visible in program order
              (per-location coherence), so a later store may not
              overtake an in-flight one to the same address. *)
-          let floor = ref 0 in
-          Store_buffer.iter t.sb (fun en ->
-              if en.addr = e.addr then floor := max !floor en.done_at);
-          Store_buffer.push t.sb
-            {
-              Store_buffer.addr = e.addr;
-              value = e.data;
-              mask = e.scope_mask;
-              done_at = max completes (!floor + 1);
-            };
+          let floor = Store_buffer.last_due_to t.sb ~addr:e.addr in
+          Store_buffer.push t.sb ~addr:e.addr ~value:e.data ~mask:e.scope_mask
+            ~done_at:(Int.max completes (floor + 1));
           ignore (Rob.pop_head t.rob);
           commit_effects t e;
           progress := true;
@@ -203,10 +194,7 @@ let commit t ~cycle =
               (Fscope_obs.Event.Fence_stall_begin
                  {
                    pc = e.pc;
-                   global =
-                     (match e.fence_wait with
-                     | Some (`Mask _) -> false
-                     | Some `Global | None -> true);
+                   global = not (scoped e);
                  })
           | Some _ | None -> ());
           blocked := true
@@ -219,7 +207,7 @@ let commit t ~cycle =
           progress := true;
           decr budget
         end
-        else blocked := true)
+        else blocked := true
   done;
   !progress
 
@@ -234,21 +222,20 @@ let classify_waiting_head (e : Rob.entry) =
   match e.instr with
   | (Instr.Load _ | Instr.Cas _) when e.state <> Rob.Done -> (
     match e.mem_level with
-    | Some Fscope_obs.Event.L1_hit -> Cpi.Mem_l1
-    | Some Fscope_obs.Event.L2_hit -> Cpi.Mem_l2
-    | Some Fscope_obs.Event.L2_miss -> Cpi.Mem_main
-    | None -> Cpi.Exec_dep)
+    | Rob.L1 -> Cpi.Mem_l1
+    | Rob.L2 -> Cpi.Mem_l2
+    | Rob.Main -> Cpi.Mem_main
+    | Rob.Unserved -> Cpi.Exec_dep)
   | _ -> Cpi.Exec_dep
 
 let classify_blocked t ~cycle =
-  match Rob.head t.rob with
-  | None ->
+  if Rob.is_empty t.rob then
     (* An empty ROB while the front end waits out a mispredict penalty
        is the flush shadow; empty with nothing pending is a starved
        front end (e.g. the tail of the program). *)
     if (not t.fetch_stopped) && t.fetch_resume > cycle then Cpi.Branch_flush
     else Cpi.Frontend_empty
-  | Some e -> classify_waiting_head e
+  else classify_waiting_head (Rob.head t.rob)
 
 (* Replay the per-cycle accounting of the [n] pure-stall cycles
    following [cycle] in O(1).
@@ -270,19 +257,21 @@ let account_stall_span t ~cycle ~cycles:n =
       Fscope_obs.Metrics.gauge_observe_n o.rob_gauge (Rob.count t.rob) ~times:n;
       Fscope_obs.Metrics.gauge_observe_n o.sb_gauge (Store_buffer.count t.sb) ~times:n
     | None -> ());
-    match Rob.head t.rob with
-    | Some e -> (
+    if not (Rob.is_empty t.rob) then begin
+      let e = Rob.head t.rob in
       match e.instr with
       | Instr.Store _ when e.state = Rob.Done && Store_buffer.is_full t.sb ->
         Cpi.charge_n t.cpi Cpi.Sb_full ~times:n
       | Instr.Fence _ when not (fence_may_retire t e) -> charge_fence_stall t e ~times:n
-      | _ -> Cpi.charge_n t.cpi (classify_waiting_head e) ~times:n)
-    | None ->
+      | _ -> Cpi.charge_n t.cpi (classify_waiting_head e) ~times:n
+    end
+    else begin
       (* Cycles [cycle+1 .. cycle+n]: Branch_flush while the cycle is
          still below [fetch_resume], Frontend_empty after. *)
       let flush =
-        if t.fetch_stopped then 0 else max 0 (min n (t.fetch_resume - (cycle + 1)))
+        if t.fetch_stopped then 0 else Int.max 0 (Int.min n (t.fetch_resume - (cycle + 1)))
       in
       Cpi.charge_n t.cpi Cpi.Branch_flush ~times:flush;
       Cpi.charge_n t.cpi Cpi.Frontend_empty ~times:(n - flush)
+    end
   end

@@ -13,48 +13,64 @@ module Instr = Fscope_isa.Instr
 module Scope_unit = Fscope_core.Scope_unit
 open Core_state
 
+(* A drained store-buffer entry reaches memory. *)
+let write_drained t ~addr ~value ~mask =
+  Mem_port.store t.port ~addr ~value;
+  Scope_unit.on_bits_cleared t.scope mask
+
+(* The RMW performs atomically at its completion point. *)
+let complete_cas t (e : Rob.entry) =
+  let old = read_mem t e.addr in
+  let success = old = e.data2 in
+  if success && in_bounds t e.addr then Mem_port.store t.port ~addr:e.addr ~value:e.data;
+  e.result <- (if success then 1 else 0);
+  Rob.set_state t.rob e Rob.Done;
+  Scope_unit.on_bits_cleared t.scope e.scope_mask;
+  match t.obs with
+  | Some o ->
+    Fscope_obs.Trace.emit o.trace ~core:t.id
+      (Fscope_obs.Event.Cas_result { addr = e.addr; success })
+  | None -> ()
+
+let rec complete_cas_from t cycle slot progress =
+  if slot < 0 then progress
+  else begin
+    let e = Rob.slot_entry t.rob slot and prev = Rob.queue_prev t.rob slot in
+    let due =
+      match e.instr with
+      | Instr.Cas _ -> e.done_at <= cycle
+      | _ -> false
+    in
+    if due then complete_cas t e;
+    complete_cas_from t cycle (Rob.queue_next t.rob Rob.executing_q slot prev) (due || progress)
+  end
+
 let step_complete_writes t ~cycle =
-  let progress = ref false in
-  List.iter
-    (fun (en : Store_buffer.entry) ->
-      progress := true;
-      Mem_port.store t.port ~addr:en.addr ~value:en.value;
-      Scope_unit.on_bits_cleared t.scope en.mask)
-    (Store_buffer.take_completed t.sb ~cycle);
-  Rob.iter_exec t.rob (fun e ->
-      match (e.instr, e.state) with
-      | Instr.Cas _, Rob.Executing d when d <= cycle ->
-        (* The RMW performs atomically at its completion point. *)
-        progress := true;
-        let old = read_mem t e.addr in
-        let success = old = e.data2 in
-        if success && in_bounds t e.addr then
-          Mem_port.store t.port ~addr:e.addr ~value:e.data;
-        e.result <- (if success then 1 else 0);
-        Rob.set_state t.rob e Rob.Done;
-        Scope_unit.on_bits_cleared t.scope e.scope_mask;
-        (match t.obs with
-        | Some o ->
-          Fscope_obs.Trace.emit o.trace ~core:t.id
-            (Fscope_obs.Event.Cas_result { addr = e.addr; success })
-        | None -> ())
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-  !progress
+  let drained = Store_buffer.drain_due t.sb ~cycle write_drained t in
+  complete_cas_from t cycle (Rob.queue_first t.rob Rob.executing_q) drained
+
+(* data2 = 1 marks a forwarded load whose value was captured at issue;
+   otherwise the value is sampled from memory now, at the access's
+   completion point. *)
+let rec complete_reads_from t cycle slot progress =
+  if slot < 0 then progress
+  else begin
+    let e = Rob.slot_entry t.rob slot and prev = Rob.queue_prev t.rob slot in
+    let due =
+      match e.instr with
+      | Instr.Load _ -> e.done_at <= cycle
+      | _ -> false
+    in
+    if due then begin
+      if e.data2 = 0 then e.result <- read_mem t e.addr;
+      Rob.set_state t.rob e Rob.Done;
+      Scope_unit.on_bits_cleared t.scope e.scope_mask
+    end;
+    complete_reads_from t cycle (Rob.queue_next t.rob Rob.executing_q slot prev) (due || progress)
+  end
 
 let step_complete_reads t ~cycle =
-  let progress = ref false in
-  Rob.iter_exec t.rob (fun e ->
-      match (e.instr, e.state) with
-      | Instr.Load _, Rob.Executing d when d <= cycle ->
-        (* data2 = 1 marks a forwarded load whose value was captured at
-           issue; otherwise the value is sampled from memory now, at
-           the access's completion point. *)
-        progress := true;
-        if e.data2 = 0 then e.result <- read_mem t e.addr;
-        Rob.set_state t.rob e Rob.Done;
-        Scope_unit.on_bits_cleared t.scope e.scope_mask
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-  !progress
+  complete_reads_from t cycle (Rob.queue_first t.rob Rob.executing_q) false
 
 (* ------------------------------------------------------------------ *)
 (* Branch resolution and squash                                        *)
@@ -70,11 +86,8 @@ let release_squashed t (e : Rob.entry) =
     ()
 
 let squash t (e : Rob.entry) ~actual_target ~cycle =
-  let removed = Rob.squash_after t.rob e.seq in
-  List.iter (release_squashed t) removed;
-  (match e.checkpoint with
-  | Some cp -> Array.blit cp 0 t.rename 0 (Array.length cp)
-  | None -> assert false);
+  Rob.squash_after t.rob e.seq release_squashed t;
+  Rob.load_rename e t.rename;
   Scope_unit.on_branch_mispredict t.scope ~id:e.seq;
   t.fetch_pc <- actual_target;
   t.fetch_resume <- cycle + t.cfg.mispredict_penalty;
@@ -93,18 +106,24 @@ let resolve_branch t (e : Rob.entry) ~cycle =
   else squash t e ~actual_target:target ~cycle
 
 (* Convert due executions to Done and resolve branches, oldest first
-   (a misprediction squashes the younger ones before they resolve). *)
-let finalize t ~cycle =
-  let progress = ref false in
-  Rob.iter_exec t.rob (fun e ->
-      match (e.instr, e.state) with
-      | (Instr.Load _ | Instr.Cas _), _ -> () (* completion phases own these *)
-      | Instr.Branch _, Rob.Executing d when d <= cycle ->
-        progress := true;
-        Rob.set_state t.rob e Rob.Done;
-        resolve_branch t e ~cycle
-      | _, Rob.Executing d when d <= cycle ->
-        progress := true;
-        Rob.set_state t.rob e Rob.Done
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-  !progress
+   (a misprediction squashes the younger ones before they resolve).
+   Loads and CAS belong to the completion phases. *)
+let rec finalize_from t cycle slot progress =
+  if slot < 0 then progress
+  else begin
+    let e = Rob.slot_entry t.rob slot and prev = Rob.queue_prev t.rob slot in
+    let due =
+      match e.instr with
+      | Instr.Load _ | Instr.Cas _ -> false
+      | _ -> e.done_at <= cycle
+    in
+    if due then begin
+      Rob.set_state t.rob e Rob.Done;
+      match e.instr with
+      | Instr.Branch _ -> resolve_branch t e ~cycle
+      | _ -> ()
+    end;
+    finalize_from t cycle (Rob.queue_next t.rob Rob.executing_q slot prev) (due || progress)
+  end
+
+let finalize t ~cycle = finalize_from t cycle (Rob.queue_first t.rob Rob.executing_q) false

@@ -15,80 +15,78 @@ let dispatch_state t = function
   | Instr.Cas _ | Instr.Branch _ ->
     Rob.Waiting
 
-(* The entry's sources: [regs] read through the current rename map.
-   Allocates only the array and its records. *)
-let renamed t r = { Rob.producer = t.rename.(Reg.index r); reg = r }
-
-let rename_srcs t regs =
-  let n = Array.length regs in
-  if n = 0 then [||]
-  else begin
-    let srcs = Array.make n (renamed t regs.(0)) in
-    for i = 1 to n - 1 do
-      srcs.(i) <- renamed t regs.(i)
-    done;
-    srcs
+(* The entry's sources: the registers of [pc], each read through the
+   current rename map. *)
+let rec add_srcs t (e : Rob.entry) regs i =
+  if i < Array.length regs then begin
+    let r = regs.(i) in
+    Rob.add_src e ~reg:r ~producer:t.rename.(Reg.index r);
+    add_srcs t e regs (i + 1)
   end
 
-let dispatch t ~cycle =
-  let progress = ref false in
-  if cycle >= t.fetch_resume && not t.fetch_stopped then begin
-    let budget = ref t.cfg.fetch_width in
-    let halt_fetch = ref false in
-    while
-      (not !halt_fetch)
-      && !budget > 0
-      && (not (Rob.is_full t.rob))
-      && t.fetch_pc >= 0
-      && t.fetch_pc < Array.length t.code
-    do
-      progress := true;
-      let pc = t.fetch_pc in
-      let instr = t.code.(pc) in
-      let seq = Rob.next_seq t.rob in
-      let srcs = rename_srcs t t.src_regs.(pc) in
-      let e = Rob.make_entry ~state:(dispatch_state t instr) ~seq ~pc ~instr ~srcs in
-      (match instr with
-      | Instr.Nop -> ()
+(* Fetch up to [budget] more instructions into the ROB.  Returns
+   whether anything was dispatched. *)
+let rec fetch t budget progress =
+  if
+    budget > 0
+    && (not (Rob.is_full t.rob))
+    && t.fetch_pc >= 0
+    && t.fetch_pc < Array.length t.code
+  then begin
+    let pc = t.fetch_pc in
+    let instr = t.code.(pc) in
+    let seq = Rob.next_seq t.rob in
+    let state = dispatch_state t instr in
+    let e = Rob.fresh t.rob ~seq ~state ~done_at:0 ~addr:(-1) ~pc ~instr in
+    add_srcs t e t.src_regs.(pc) 0;
+    let halt_fetch =
+      match instr with
+      | Instr.Nop -> false
       | Instr.Fs_start cid ->
         Scope_unit.on_fs_start t.scope ~cid;
         (* scope micro-ops mutate the scope unit at dispatch — the
            closed-form spin replay cannot reproduce that *)
-        Core_spin.note_dirty t
+        Core_spin.note_dirty t;
+        false
       | Instr.Fs_end cid ->
         Scope_unit.on_fs_end t.scope ~cid;
-        Core_spin.note_dirty t
-      | Instr.Jump target -> t.fetch_pc <- target
+        Core_spin.note_dirty t;
+        false
+      | Instr.Jump target ->
+        t.fetch_pc <- target;
+        false
       | Instr.Halt ->
         t.fetch_stopped <- true;
-        halt_fetch := true
+        true
       | Instr.Fence kind ->
-        e.fence_wait <- Some (Scope_unit.fence_scope t.scope kind);
-        (match Scope_unit.current_cid t.scope with
-        | Some cid -> e.fence_cid <- cid
-        | None -> ());
-        if e.state = Rob.Done then e.fence_issued <- true
-      | Instr.Load { flagged; _ } | Instr.Store { flagged; _ } | Instr.Cas { flagged; _ }
-        ->
+        e.fence_wait <- Scope_unit.fence_scope t.scope kind;
+        e.fence_cid <- Scope_unit.current_cid t.scope;
+        if state = Rob.Done then e.fence_issued <- true;
+        false
+      | Instr.Load { flagged; _ } | Instr.Store { flagged; _ } | Instr.Cas { flagged; _ } ->
         let mask = Scope_unit.decode_mask t.scope ~flagged in
         e.scope_mask <- mask;
-        Scope_unit.on_bits_set t.scope mask
+        Scope_unit.on_bits_set t.scope mask;
+        false
       | Instr.Branch { target; _ } ->
         let predicted = Branch_pred.predict t.bpred ~pc in
         e.predicted_taken <- predicted;
-        e.checkpoint <- Some (Array.copy t.rename);
+        Rob.save_rename e t.rename;
         Scope_unit.on_branch t.scope ~id:seq;
         t.counts.branches <- t.counts.branches + 1;
-        t.fetch_pc <- (if predicted then target else pc + 1)
-      | Instr.Li _ | Instr.Alu _ | Instr.Tid _ -> ());
-      (match instr with
-      | Instr.Jump _ | Instr.Branch _ | Instr.Halt -> ()
-      | _ -> t.fetch_pc <- pc + 1);
-      (match Instr.writes_reg instr with
-      | Some r -> t.rename.(Reg.index r) <- Rob.Rob seq
-      | None -> ());
-      Rob.dispatch t.rob e;
-      decr budget
-    done
-  end;
-  !progress
+        t.fetch_pc <- (if predicted then target else pc + 1);
+        false
+      | Instr.Li _ | Instr.Alu _ | Instr.Tid _ -> false
+    in
+    (match instr with
+    | Instr.Jump _ | Instr.Branch _ | Instr.Halt -> ()
+    | _ -> t.fetch_pc <- pc + 1);
+    let d = Instr.dst_index instr in
+    if d >= 0 then t.rename.(d) <- seq;
+    Rob.dispatch t.rob e;
+    if halt_fetch then true else fetch t (budget - 1) true
+  end
+  else progress
+
+let dispatch t ~cycle =
+  cycle >= t.fetch_resume && (not t.fetch_stopped) && fetch t t.cfg.fetch_width false

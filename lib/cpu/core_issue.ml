@@ -7,6 +7,7 @@
    so it must count as progress for the fast-forwarding engine. *)
 
 module Instr = Fscope_isa.Instr
+module Scope_unit = Fscope_core.Scope_unit
 open Core_state
 
 let fence_kind (e : Rob.entry) =
@@ -33,81 +34,89 @@ let rec columns_clear t k ~seq m col =
 
 let fence_issue_ok t (e : Rob.entry) =
   let k = fence_kind e in
+  let w = e.fence_wait in
+  assert (w <> Rob.wait_none);
+  let scoped = w <> Scope_unit.wait_global in
   let sb_ok =
     (not k.Fscope_isa.Fence_kind.wait_stores)
-    ||
-    match e.fence_wait with
-    | Some (`Mask m) -> not (Store_buffer.mask_overlaps t.sb m)
-    | Some `Global | None -> Store_buffer.is_empty t.sb
+    || if scoped then not (Store_buffer.mask_overlaps t.sb w) else Store_buffer.is_empty t.sb
   in
-  match e.fence_wait with
-  | None -> assert false
-  | Some `Global -> (not (older_access t k ~seq:e.seq Rob.all_columns)) && sb_ok
-  | Some (`Mask m) -> columns_clear t k ~seq:e.seq m 0 && sb_ok
+  (if scoped then columns_clear t k ~seq:e.seq w 0
+   else not (older_access t k ~seq:e.seq Rob.all_columns))
+  && sb_ok
 
 (* What should an issuing load do about the youngest older same-address
-   memory operation? *)
+   memory operation?  A forward leaves the value in the load's
+   [result]. *)
 type load_source =
   | From_memory
-  | Forward of int
+  | Forward
   | Must_wait
+
+(* An older same-address load still in flight: same-address load-load
+   order is coherence. *)
+let same_addr_load (e : Rob.entry) (o : Rob.entry) =
+  match o.instr with
+  | Instr.Load _ -> o.addr = e.addr && o.state <> Rob.Done
+  | _ -> false
+
+let same_addr_writer (e : Rob.entry) (o : Rob.entry) =
+  match o.instr with
+  | Instr.Store _ | Instr.Cas _ -> o.addr = e.addr
+  | _ -> false
 
 let load_disambiguate t (e : Rob.entry) =
   (* Any older store/CAS with an unknown address, or older same-address
      load still in flight, blocks the load (conservative
-     disambiguation; same-address load-load order is coherence). *)
-  if
-    Rob.oldest_unknown_addr t.rob < e.seq
-    || Rob.exists_older t.rob e.seq (fun o ->
-           match o.instr with
-           | Instr.Load _ -> o.addr = e.addr && o.state <> Rob.Done
-           | _ -> false)
+     disambiguation). *)
+  if Rob.oldest_unknown_addr t.rob < e.seq || Rob.exists_older t.rob e.seq same_addr_load e
   then Must_wait
   else begin
     (* Youngest older same-address writer in the ROB decides. *)
-    let matching =
-      Rob.fold_older t.rob e.seq
-        (fun acc o ->
-          match o.instr with
-          | (Instr.Store _ | Instr.Cas _) when o.addr = e.addr -> Some o
-          | _ -> acc)
-        None
-    in
-    match matching with
-    | Some ({ instr = Instr.Store _; _ } as o) ->
-      if o.state = Rob.Done then Forward o.data else Must_wait
-    | Some ({ instr = Instr.Cas _; _ } as o) ->
-      (* A completed CAS has already written memory; the load can read
-         it there.  (No younger committed store can sit in the store
-         buffer while the CAS is still in the ROB: commit is in
-         order, and the CAS's own issue condition drained older
-         same-address entries.) *)
-      if o.state = Rob.Done then From_memory else Must_wait
-    | Some _ | None -> (
-      match Store_buffer.forward t.sb ~addr:e.addr with
-      | Some v -> Forward v
-      | None -> From_memory)
+    let w = Rob.youngest_older t.rob e.seq same_addr_writer e in
+    if w >= 0 then begin
+      let o = Rob.get t.rob w in
+      match o.instr with
+      | Instr.Store _ ->
+        if o.state = Rob.Done then begin
+          e.result <- o.data;
+          Forward
+        end
+        else Must_wait
+      | _ ->
+        (* A completed CAS has already written memory; the load can
+           read it there.  (No younger committed store can sit in the
+           store buffer while the CAS is still in the ROB: commit is
+           in order, and the CAS's own issue condition drained older
+           same-address entries.) *)
+        if o.state = Rob.Done then From_memory else Must_wait
+    end
+    else begin
+      let i = Store_buffer.youngest_to t.sb ~addr:e.addr in
+      if i >= 0 then begin
+        e.result <- Store_buffer.value_at t.sb i;
+        Forward
+      end
+      else From_memory
+    end
   end
 
 let try_issue_load t (e : Rob.entry) ~cycle =
   match load_disambiguate t e with
   | Must_wait -> false
-  | Forward v ->
-    e.result <- v;
+  | Forward ->
     e.data2 <- 1;
-    Rob.set_state t.rob e (Rob.Executing (cycle + 1));
+    Rob.set_executing t.rob e ~done_at:(cycle + 1);
     (* a forward implies a store in flight — not a stable spin *)
     Core_spin.note_dirty t;
     true
   | From_memory ->
     if in_bounds t e.addr then begin
-      let completes, level =
-        Mem_port.issue_classified t.port ~core:t.id Mem_port.Read ~addr:e.addr
-          ~now:cycle
-      in
+      let completes = Mem_port.issue t.port ~core:t.id Mem_port.Read ~addr:e.addr ~now:cycle in
+      let level = Mem_port.last_level t.port in
       e.data2 <- 0;
-      e.mem_level <- Some level;
-      Rob.set_state t.rob e (Rob.Executing completes);
+      e.mem_level <- Rob.served level;
+      Rob.set_executing t.rob e ~done_at:completes;
       Core_spin.note_load t ~addr:e.addr ~level
     end
     else begin
@@ -115,54 +124,56 @@ let try_issue_load t (e : Rob.entry) ~cycle =
          with 0 and leave the caches untouched. *)
       e.result <- 0;
       e.data2 <- 1;
-      Rob.set_state t.rob e (Rob.Executing (cycle + 1));
+      Rob.set_executing t.rob e ~done_at:(cycle + 1);
       Core_spin.note_dirty t
     end;
     true
 
+(* CAS performs a memory write at completion, which cannot be undone:
+   it must be non-speculative (no unresolved older branch, no older
+   uncommitted fence) and ordered after every older same-address
+   access. *)
+let blocks_cas t (e : Rob.entry) (o : Rob.entry) =
+  match o.instr with
+  | Instr.Branch _ -> o.state <> Rob.Done
+  | Instr.Fence _ -> not t.cfg.nop_fences
+  | Instr.Store _ -> o.addr < 0 || o.addr = e.addr
+  | Instr.Cas _ -> o.addr < 0 || (o.addr = e.addr && o.state <> Rob.Done)
+  | Instr.Load _ -> o.addr = e.addr && o.state <> Rob.Done
+  | _ -> false
+
+let rec blocked_cas_from t (e : Rob.entry) s =
+  s < e.seq && (blocks_cas t e (Rob.get t.rob s) || blocked_cas_from t e (s + 1))
+
 let cas_issue_ok t (e : Rob.entry) =
-  (* CAS performs a memory write at completion, which cannot be undone:
-     it must be non-speculative (no unresolved older branch, no older
-     uncommitted fence) and ordered after every older same-address
-     access. *)
-  (not
-     (Rob.exists_older t.rob e.seq (fun o ->
-          match o.instr with
-          | Instr.Branch _ -> o.state <> Rob.Done
-          | Instr.Fence _ -> not t.cfg.nop_fences
-          | Instr.Store _ -> o.addr < 0 || o.addr = e.addr
-          | Instr.Cas _ -> o.addr < 0 || (o.addr = e.addr && o.state <> Rob.Done)
-          | Instr.Load _ -> o.addr = e.addr && o.state <> Rob.Done
-          | _ -> false)))
+  (not (blocked_cas_from t e (Rob.head_seq t.rob)))
   && not (Store_buffer.has_addr t.sb ~addr:e.addr)
 
-(* The seq of the in-flight producer of [s] that has not issued yet,
-   or -1: an entry reading [s] cannot issue before that producer does. *)
-let waiting_producer t (s : Rob.src) =
-  if Reg.equal s.reg Reg.zero then -1
+(* The seq of the in-flight producer of source [i] of [e] that has not
+   issued yet, or -1: [e] cannot issue before that producer does. *)
+let waiting_producer t (e : Rob.entry) i =
+  if Reg.equal (Rob.src_reg e i) Reg.zero then -1
   else
-    match s.producer with
-    | Rob.Arch -> -1
-    | Rob.Rob seq -> (
-      if not (Rob.contains t.rob seq) then -1
-      else
-        match (Rob.get t.rob seq).state with
-        | Rob.Waiting -> seq
-        | Rob.Executing _ | Rob.Done -> -1)
+    let seq = Rob.src_producer e i in
+    if seq < 0 || not (Rob.contains t.rob seq) then -1
+    else
+      match (Rob.get t.rob seq).state with
+      | Rob.Waiting -> seq
+      | Rob.Executing | Rob.Done -> -1
 
 (* Park [e] on the first of its sources whose producer has not issued;
    leave it in the walk when every missing operand is already on its
    way. *)
 let rec park_on_srcs_from t (e : Rob.entry) i =
-  if i < Array.length e.srcs then begin
-    let p = waiting_producer t e.srcs.(i) in
+  if i < e.n_srcs then begin
+    let p = waiting_producer t e i in
     if p >= 0 then Rob.park t.rob e ~blocker:p else park_on_srcs_from t e (i + 1)
   end
 
 let park_on_srcs t e = park_on_srcs_from t e 0
 
 let park_on_src t (e : Rob.entry) i =
-  let p = waiting_producer t e.srcs.(i) in
+  let p = waiting_producer t e i in
   if p >= 0 then Rob.park t.rob e ~blocker:p
 
 (* Only [Waiting] entries can issue, so the walk covers the waiting
@@ -179,119 +190,149 @@ let park_on_src t (e : Rob.entry) i =
    blocks loads.  Visiting it meanwhile would change nothing, so
    parking is invisible in the results.  When the blocker issues it
    wakes the entry back into the queue, and this same walk reaches it
-   (a load behind a fence issues in the cycle the fence does). *)
+   (a load behind a fence issues in the cycle the fence does).
+
+   The walk's state travels in its arguments: the issue slots left
+   ([budget]) and, in the non-speculative pipeline, whether an
+   unissued fence was passed ([pending_fence]: it blocks younger CAS
+   and keeps younger fences from issuing — fences issue oldest-first)
+   and the seq of the oldest unissued fence whose flavour has
+   [block_loads] ([blocking_fence], -1 = none: it blocks the issue of
+   every younger load).  A visit returns the slots it used, or -1 for
+   none but progress (an address computed), 0 for neither. *)
+
+let start t (e : Rob.entry) ~done_at =
+  Rob.set_executing t.rob e ~done_at;
+  1
+
+(* Address generation does not wait for the data: younger loads
+   disambiguate against a store's address as soon as its base
+   register is ready.  Returns whether the address was computed. *)
+let agen t (e : Rob.entry) ~cycle ~base ~off =
+  e.addr < 0
+  && src_ready t cycle e base
+  && begin
+       Rob.set_addr t.rob e (src_get t e base + off);
+       true
+     end
+
+let visit t (e : Rob.entry) ~cycle ~pending_fence ~blocking_fence =
+  match e.instr with
+  | Instr.Fence _ -> assert false (* the walk handles fences *)
+  | Instr.Li (_, v) ->
+    e.result <- v;
+    start t e ~done_at:(cycle + 1)
+  | Instr.Tid _ ->
+    e.result <- t.id;
+    start t e ~done_at:(cycle + 1)
+  | Instr.Alu (op, _, _, operand) ->
+    if srcs_ready t cycle e then begin
+      let a = src_get t e 0 in
+      let b = match operand with Instr.Reg _ -> src_get t e 1 | Instr.Imm i -> i in
+      e.result <- eval_alu op a b;
+      start t e ~done_at:(cycle + 1)
+    end
+    else begin
+      park_on_srcs t e;
+      0
+    end
+  | Instr.Branch { cond; _ } ->
+    if src_ready t cycle e 0 then begin
+      let v = src_get t e 0 in
+      let taken = match cond with Instr.Eqz -> v = 0 | Instr.Nez -> v <> 0 in
+      e.result <- (if taken then 1 else 0);
+      start t e ~done_at:(cycle + 1)
+    end
+    else begin
+      park_on_src t e 0;
+      0
+    end
+  | Instr.Store { off; _ } ->
+    let computed = agen t e ~cycle ~base:1 ~off in
+    if e.addr < 0 then begin
+      park_on_src t e 1;
+      0
+    end
+    else if src_ready t cycle e 0 then begin
+      e.data <- src_get t e 0;
+      start t e ~done_at:(cycle + 1)
+    end
+    else begin
+      park_on_src t e 0;
+      if computed then -1 else 0
+    end
+  | Instr.Load { off; _ } ->
+    (* Address generation is free as soon as the base is ready; the
+       issue slot is only spent on the actual access. *)
+    let computed = agen t e ~cycle ~base:0 ~off in
+    if e.addr < 0 then begin
+      park_on_src t e 0;
+      0
+    end
+    else if blocking_fence >= 0 && not t.cfg.in_window_speculation then begin
+      Rob.park t.rob e ~blocker:blocking_fence;
+      if computed then -1 else 0
+    end
+    else if try_issue_load t e ~cycle then 1
+    else if computed then -1
+    else 0
+  | Instr.Cas { off; _ } ->
+    let computed =
+      e.addr < 0
+      &&
+      if srcs_ready t cycle e then begin
+        Rob.set_addr t.rob e (src_get t e 0 + off);
+        e.data2 <- src_get t e 1;
+        e.data <- src_get t e 2;
+        true
+      end
+      else begin
+        park_on_srcs t e;
+        false
+      end
+    in
+    if e.addr >= 0 && (not pending_fence) (* CAS never passes a fence speculatively *)
+       && cas_issue_ok t e
+    then begin
+      if not (in_bounds t e.addr) then
+        invalid_arg
+          (Printf.sprintf "core %d: CAS on out-of-bounds address %d (pc %d)" t.id e.addr e.pc);
+      let completes = Mem_port.issue t.port ~core:t.id Mem_port.Rmw ~addr:e.addr ~now:cycle in
+      e.mem_level <- Rob.served (Mem_port.last_level t.port);
+      start t e ~done_at:completes
+    end
+    else if computed then -1
+    else 0
+  | Instr.Nop | Instr.Jump _ | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt -> 0
+
+let rec issue_from t cycle slot ~budget ~pending_fence ~blocking_fence progress =
+  if slot < 0 || budget <= 0 then progress
+  else begin
+    let e = Rob.slot_entry t.rob slot and prev = Rob.queue_prev t.rob slot in
+    match e.instr with
+    | Instr.Fence k ->
+      if (not t.cfg.in_window_speculation) && (not pending_fence) && fence_issue_ok t e then begin
+        e.fence_issued <- true;
+        Rob.set_state t.rob e Rob.Done;
+        issue_from t cycle
+          (Rob.queue_next t.rob Rob.waiting_q slot prev)
+          ~budget:(budget - 1) ~pending_fence ~blocking_fence true
+      end
+      else
+        let blocking_fence =
+          if k.Fscope_isa.Fence_kind.block_loads && blocking_fence < 0 then e.seq
+          else blocking_fence
+        in
+        issue_from t cycle
+          (Rob.queue_next t.rob Rob.waiting_q slot prev)
+          ~budget ~pending_fence:true ~blocking_fence progress
+    | _ ->
+      let used = visit t e ~cycle ~pending_fence ~blocking_fence in
+      issue_from t cycle
+        (Rob.queue_next t.rob Rob.waiting_q slot prev)
+        ~budget:(budget - Int.max 0 used) ~pending_fence ~blocking_fence (progress || used <> 0)
+  end
+
 let issue t ~cycle =
-  let progress = ref false in
-  let budget = ref t.cfg.issue_width in
-  let start e d =
-    Rob.set_state t.rob e (Rob.Executing d);
-    progress := true;
-    decr budget
-  in
-  (* In the non-speculative pipeline, an unissued fence whose flavour
-     has [block_loads] blocks the issue of every younger load; any
-     unissued fence blocks younger CAS and keeps younger fences from
-     issuing (fences issue oldest-first).  [blocking_fence] is the
-     seq of the oldest unissued fence that blocks loads, or -1. *)
-  let pending_fence = ref false in
-  let blocking_fence = ref (-1) in
-  Rob.iter_waiting t.rob (fun e ->
-      if !budget > 0 then begin
-        match e.instr with
-        | Instr.Fence k ->
-          if
-            (not t.cfg.in_window_speculation)
-            && (not !pending_fence)
-            && fence_issue_ok t e
-          then begin
-            e.fence_issued <- true;
-            Rob.set_state t.rob e Rob.Done;
-            progress := true;
-            decr budget
-          end
-          else begin
-            pending_fence := true;
-            if k.Fscope_isa.Fence_kind.block_loads && !blocking_fence < 0 then
-              blocking_fence := e.seq
-          end
-        | Instr.Li (_, v) ->
-          e.result <- v;
-          start e (cycle + 1)
-        | Instr.Tid _ ->
-          e.result <- t.id;
-          start e (cycle + 1)
-        | Instr.Alu (op, _, _, operand) ->
-          if srcs_ready t cycle e then begin
-            let a = src_get t e.srcs.(0) in
-            let b =
-              match operand with Instr.Reg _ -> src_get t e.srcs.(1) | Instr.Imm i -> i
-            in
-            e.result <- eval_alu op a b;
-            start e (cycle + 1)
-          end
-          else park_on_srcs t e
-        | Instr.Branch { cond; _ } ->
-          if src_ready t cycle e.srcs.(0) then begin
-            let v = src_get t e.srcs.(0) in
-            let taken = match cond with Instr.Eqz -> v = 0 | Instr.Nez -> v <> 0 in
-            e.result <- (if taken then 1 else 0);
-            start e (cycle + 1)
-          end
-          else park_on_src t e 0
-        | Instr.Store { off; _ } ->
-          (* Address generation does not wait for the data: younger
-             loads disambiguate against the address as soon as the
-             base register is ready. *)
-          if e.addr < 0 then
-            if src_ready t cycle e.srcs.(1) then begin
-              Rob.set_addr t.rob e (src_get t e.srcs.(1) + off);
-              progress := true
-            end;
-          if e.addr < 0 then park_on_src t e 1
-          else if src_ready t cycle e.srcs.(0) then begin
-            e.data <- src_get t e.srcs.(0);
-            start e (cycle + 1)
-          end
-          else park_on_src t e 0
-        | Instr.Load { off; _ } ->
-          (* Address generation is free as soon as the base is ready;
-             the issue slot is only spent on the actual access. *)
-          if e.addr < 0 then
-            if src_ready t cycle e.srcs.(0) then begin
-              Rob.set_addr t.rob e (src_get t e.srcs.(0) + off);
-              progress := true
-            end;
-          if e.addr < 0 then park_on_src t e 0
-          else if !blocking_fence >= 0 && not t.cfg.in_window_speculation then
-            Rob.park t.rob e ~blocker:!blocking_fence
-          else if try_issue_load t e ~cycle then begin
-            progress := true;
-            decr budget
-          end
-        | Instr.Cas { off; _ } ->
-          if e.addr < 0 then
-            if srcs_ready t cycle e then begin
-              Rob.set_addr t.rob e (src_get t e.srcs.(0) + off);
-              e.data2 <- src_get t e.srcs.(1);
-              e.data <- src_get t e.srcs.(2);
-              progress := true
-            end
-            else park_on_srcs t e;
-          if e.addr >= 0
-             && (not !pending_fence) (* CAS never passes a fence speculatively *)
-             && cas_issue_ok t e
-          then begin
-            if not (in_bounds t e.addr) then
-              invalid_arg
-                (Printf.sprintf "core %d: CAS on out-of-bounds address %d (pc %d)" t.id
-                   e.addr e.pc);
-            let completes, level =
-              Mem_port.issue_classified t.port ~core:t.id Mem_port.Rmw ~addr:e.addr
-                ~now:cycle
-            in
-            e.mem_level <- Some level;
-            start e completes
-          end
-        | Instr.Nop | Instr.Jump _ | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt -> ()
-      end);
-  !progress
+  issue_from t cycle (Rob.queue_first t.rob Rob.waiting_q) ~budget:t.cfg.issue_width
+    ~pending_fence:false ~blocking_fence:(-1) false

@@ -41,19 +41,24 @@ let fresh_counts () =
 
 (* The one fixed order of the counters as an int array, shared by the
    checkpoint format and the spin fast-forward's per-period deltas. *)
+let counts_length = 10
+
+let counts_blit c a =
+  a.(0) <- c.committed;
+  a.(1) <- c.committed_mem;
+  a.(2) <- c.committed_fences;
+  a.(3) <- c.branches;
+  a.(4) <- c.mispredicts;
+  a.(5) <- c.loads;
+  a.(6) <- c.stores;
+  a.(7) <- c.cas_ops;
+  a.(8) <- c.rob_occupancy_sum;
+  a.(9) <- c.active_cycles
+
 let counts_to_array c =
-  [|
-    c.committed;
-    c.committed_mem;
-    c.committed_fences;
-    c.branches;
-    c.mispredicts;
-    c.loads;
-    c.stores;
-    c.cas_ops;
-    c.rob_occupancy_sum;
-    c.active_cycles;
-  |]
+  let a = Array.make counts_length 0 in
+  counts_blit c a;
+  a
 
 let counts_restore c = function
   | [| a0; a1; a2; a3; a4; a5; a6; a7; a8; a9 |] ->
@@ -87,42 +92,11 @@ type obs = {
    periodic: the commit stream re-takes the same backward edge, and
    the complete pipeline state at two consecutive loop boundaries is
    identical up to a uniform shift of every cycle- and seq-valued
-   field.  The snapshot below captures exactly the state the core's
-   evolution depends on, relativized so that equality of two snapshots
-   implies the shifted-state equality. *)
-
-(* One ROB entry, with seqs expressed relative to the ROB's next seq
-   (dead producers — entries that already committed — map to the Arch
-   sentinel, which is behaviorally identical) and completion cycles
-   relative to the snapshot cycle. *)
-type entry_snap = {
-  s_seq : int;
-  s_pc : int;
-  s_instr : Instr.t;
-  s_srcs : (int * int) array;  (* (relative producer; -1 = Arch, reg index) *)
-  s_state : int * int;  (* (0,_) Waiting, (1,rel) Executing, (2,_) Done *)
-  s_result : int;
-  s_addr : int;
-  s_data : int;
-  s_data2 : int;
-  s_mask : Fscope_core.Fsb.mask;
-  s_mem_level : Fscope_obs.Event.mem_outcome option;
-  s_predicted : bool;
-  s_checkpoint : int array option;
-}
-
-type snapshot = {
-  sn_pc : int;  (* fetch_pc *)
-  sn_stopped : bool;
-  sn_resume : int;  (* fetch_resume - cycle when pending, else min_int *)
-  sn_arf : int array;
-  sn_rename : int array;  (* relative producers *)
-  sn_rob : entry_snap array;
-  sn_bpred : int array;
-  sn_outstanding : int array;  (* per-FSB-column outstanding counts *)
-  sn_scope : (int * bool) list;  (* scope unit event-FIFO fingerprint *)
-  sn_spin_pc : int;  (* spin_last_pc *)
-}
+   field.  A snapshot captures exactly the state the core's evolution
+   depends on, relativized so that equality of two snapshots implies
+   the shifted-state equality.  It is a flat int array (see
+   Core_spin.build_snapshot for the layout), written into a buffer the
+   probe owns, so taking and comparing one allocates nothing. *)
 
 (* A proven-stable spin loop, as handed to the engine: everything
    needed to account [k] skipped periods in closed form and to watch
@@ -136,17 +110,23 @@ type stable = {
   footprint : int list;  (* word addresses the loop reads *)
 }
 
+let footprint_cap = 32
+
 type probe = {
   mutable pr_enabled : bool;  (* engine opt-in; off in the naive loop *)
   mutable pr_boundary : bool;  (* a spinning backward edge committed this cycle *)
   mutable pr_last_cycle : int;  (* previous boundary cycle; -1 = none *)
   mutable pr_dirty : bool;  (* disqualifying event since the last boundary *)
-  mutable pr_footprint : int list;  (* load addresses since the last boundary *)
+  pr_footprint : int array;  (* distinct load addresses since the last boundary... *)
+  mutable pr_footprint_n : int;  (* ...in its first [pr_footprint_n] slots *)
   mutable pr_loads : int;
-  mutable pr_arf : int array option;  (* ARF at the chain's boundaries (tier-1 gate) *)
-  mutable pr_snap : snapshot option;  (* full snapshot at the previous boundary *)
-  mutable pr_counts : int array;  (* commit counters at the previous boundary *)
-  mutable pr_cpi : int array;  (* CPI leaves at the previous boundary *)
+  pr_arf : int array;  (* ARF at the chain's boundaries (tier-1 gate)... *)
+  mutable pr_arf_valid : bool;  (* ...once the chain has an anchor *)
+  mutable pr_snap : int array;  (* full snapshot at the previous boundary... *)
+  mutable pr_snap_len : int;  (* ...of this length; -1 = none *)
+  mutable pr_next : int array;  (* the spare buffer the next snapshot is taken into *)
+  pr_counts : int array;  (* commit counters at the previous boundary *)
+  pr_cpi : int array;  (* CPI leaves at the previous boundary *)
   mutable pr_armed : stable option;
 }
 
@@ -156,12 +136,16 @@ let fresh_probe () =
     pr_boundary = false;
     pr_last_cycle = -1;
     pr_dirty = false;
-    pr_footprint = [];
+    pr_footprint = Array.make footprint_cap 0;
+    pr_footprint_n = 0;
     pr_loads = 0;
-    pr_arf = None;
-    pr_snap = None;
-    pr_counts = [||];
-    pr_cpi = [||];
+    pr_arf = Array.make Reg.count 0;
+    pr_arf_valid = false;
+    pr_snap = [||];
+    pr_snap_len = -1;
+    pr_next = [||];
+    pr_counts = Array.make counts_length 0;
+    pr_cpi = Array.make Fscope_obs.Cpi.leaf_count 0;
     pr_armed = None;
   }
 
@@ -176,7 +160,7 @@ type t = {
   sb : Store_buffer.t;
   bpred : Branch_pred.t;
   arf : int array;
-  rename : Rob.producer array;
+  rename : int array;  (* per register index: producer seq, -1 = architectural *)
   mutable fetch_pc : int;
   mutable fetch_resume : int;
   mutable fetch_stopped : bool;
@@ -207,7 +191,7 @@ type t = {
 }
 
 (* Positional source registers, in the order execution reads them
-   (duplicates kept): the registers behind a ROB entry's [srcs]. *)
+   (duplicates kept): the registers behind a ROB entry's sources. *)
 let operand_regs = function
   | Instr.Nop | Instr.Li _ | Instr.Tid _ | Instr.Jump _ | Instr.Fence _
   | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt ->
@@ -238,31 +222,32 @@ let src_regs_table code =
    the architectural file holds it: in-order commit guarantees no
    younger same-register producer has overwritten it yet) or has
    finished executing.  [src_ready] and [src_get] split the test from
-   the read so that issue allocates nothing per operand. *)
-let src_ready t cycle (s : Rob.src) =
-  Reg.equal s.reg Reg.zero
+   the read so that issue allocates nothing per operand; [i] is the
+   source's position in the entry. *)
+let src_ready t cycle (e : Rob.entry) i =
+  Reg.equal (Rob.src_reg e i) Reg.zero
   ||
-  match s.producer with
-  | Rob.Arch -> true
-  | Rob.Rob seq -> (
-    (not (Rob.contains t.rob seq))
-    ||
-    match (Rob.get t.rob seq).state with
-    | Rob.Done -> true
-    | Rob.Executing d -> d <= cycle
-    | Rob.Waiting -> false)
+  let seq = Rob.src_producer e i in
+  seq < 0
+  || (not (Rob.contains t.rob seq))
+  ||
+  let p = Rob.get t.rob seq in
+  match p.state with
+  | Rob.Done -> true
+  | Rob.Executing -> p.done_at <= cycle
+  | Rob.Waiting -> false
 
 (* The value of a source [src_ready] accepted. *)
-let src_get t (s : Rob.src) =
-  if Reg.equal s.reg Reg.zero then 0
+let src_get t (e : Rob.entry) i =
+  let r = Rob.src_reg e i in
+  if Reg.equal r Reg.zero then 0
   else
-    match s.producer with
-    | Rob.Rob seq when Rob.contains t.rob seq -> (Rob.get t.rob seq).result
-    | Rob.Rob _ | Rob.Arch -> t.arf.(Reg.index s.reg)
+    let seq = Rob.src_producer e i in
+    if seq >= 0 && Rob.contains t.rob seq then (Rob.get t.rob seq).result
+    else t.arf.(Reg.index r)
 
 let rec srcs_ready_from t cycle (e : Rob.entry) i =
-  i >= Array.length e.srcs
-  || (src_ready t cycle e.srcs.(i) && srcs_ready_from t cycle e (i + 1))
+  i >= e.n_srcs || (src_ready t cycle e i && srcs_ready_from t cycle e (i + 1))
 
 let srcs_ready t cycle e = srcs_ready_from t cycle e 0
 

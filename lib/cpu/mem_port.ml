@@ -5,15 +5,26 @@ type kind =
 
 type t = {
   size : int;
-  issue : core:int -> kind -> addr:int -> now:int -> int * Fscope_obs.Event.mem_outcome;
+  issue : core:int -> kind -> addr:int -> now:int -> int;
+  level : unit -> Fscope_obs.Event.mem_outcome;
   load : addr:int -> int;
   store : addr:int -> value:int -> unit;
 }
 
-let make ~size ~issue ~load ~store = { size; issue; load; store }
+let create ~size ~issue ~level ~load ~store = { size; issue; level; load; store }
 
-let issue_classified t ~core kind ~addr ~now = t.issue ~core kind ~addr ~now
-let issue t ~core kind ~addr ~now = fst (t.issue ~core kind ~addr ~now)
+let make ~size ~issue ~load ~store =
+  let last = ref Fscope_obs.Event.L1_hit in
+  create ~size
+    ~issue:(fun ~core kind ~addr ~now ->
+      let completes, level = issue ~core kind ~addr ~now in
+      last := level;
+      completes)
+    ~level:(fun () -> !last)
+    ~load ~store
+
+let issue t ~core kind ~addr ~now = t.issue ~core kind ~addr ~now
+let last_level t = t.level ()
 let load t ~addr = t.load ~addr
 let store t ~addr ~value = t.store ~addr ~value
 let size t = t.size

@@ -28,6 +28,20 @@ type kind =
 
 type t
 
+val create :
+  size:int ->
+  issue:(core:int -> kind -> addr:int -> now:int -> int) ->
+  level:(unit -> Fscope_obs.Event.mem_outcome) ->
+  load:(addr:int -> int) ->
+  store:(addr:int -> value:int -> unit) ->
+  t
+(** [size] is the word count of the backing store (bounds checks);
+    [issue ~core kind ~addr ~now] simulates one access issued at cycle
+    [now] and returns its completion cycle, and [level ()] the level
+    that served the last access issued (L1 hit / L2 hit / L2 miss — the
+    cycle-accounting profiler charges head-of-ROB memory stalls to
+    that level).  Split this way, an access allocates nothing. *)
+
 val make :
   size:int ->
   issue:
@@ -35,17 +49,16 @@ val make :
   load:(addr:int -> int) ->
   store:(addr:int -> value:int -> unit) ->
   t
-(** [size] is the word count of the backing store (bounds checks);
-    [issue ~core kind ~addr ~now] simulates one access issued at cycle
-    [now] and returns its completion cycle plus the level that served
-    it (L1 hit / L2 hit / L2 miss — the cycle-accounting profiler
-    charges head-of-ROB memory stalls to that level). *)
+(** {!create} from an [issue] that answers completion cycle and level
+    together: a convenience for test doubles and drivers outside the
+    machine, which pay a tuple per access. *)
 
 val issue : t -> core:int -> kind -> addr:int -> now:int -> int
-(** Completion cycle only. *)
+(** Simulate an access; its completion cycle. *)
 
-val issue_classified :
-  t -> core:int -> kind -> addr:int -> now:int -> int * Fscope_obs.Event.mem_outcome
+val last_level : t -> Fscope_obs.Event.mem_outcome
+(** The level that served the last access {!issue}d. *)
+
 val load : t -> addr:int -> int
 val store : t -> addr:int -> value:int -> unit
 val size : t -> int

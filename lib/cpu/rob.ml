@@ -1,63 +1,86 @@
-type producer =
-  | Arch
-  | Rob of int
-
-type src = {
-  producer : producer;
-  reg : Fscope_isa.Reg.t;
-}
+module Instr = Fscope_isa.Instr
+module Reg = Fscope_isa.Reg
 
 type exec_state =
   | Waiting
-  | Executing of int
+  | Executing
   | Done
 
+type mem_level =
+  | Unserved
+  | L1
+  | L2
+  | Main
+
+let served : Fscope_obs.Event.mem_outcome -> mem_level = function
+  | Fscope_obs.Event.L1_hit -> L1
+  | Fscope_obs.Event.L2_hit -> L2
+  | Fscope_obs.Event.L2_miss -> Main
+
+let max_srcs = 3
+let wait_none = -2
+
 type entry = {
-  seq : int;
-  pc : int;
-  instr : Fscope_isa.Instr.t;
-  srcs : src array;
+  slot : int;
+  mutable seq : int;
+  mutable pc : int;
+  mutable instr : Instr.t;
   mutable state : exec_state;
+  mutable done_at : int;
+  mutable n_srcs : int;
+  slot_src_seq : int array;
+  slot_src_reg : Reg.t array;
   mutable result : int;
   mutable addr : int;
   mutable data : int;
   mutable data2 : int;
   mutable scope_mask : Fscope_core.Fsb.mask;
-  mutable fence_wait : [ `Global | `Mask of Fscope_core.Fsb.mask ] option;
+  mutable fence_wait : int;
   mutable fence_issued : bool;
   mutable fence_cid : int;
-  mutable mem_level : Fscope_obs.Event.mem_outcome option;
+  mutable mem_level : mem_level;
   mutable predicted_taken : bool;
-  mutable checkpoint : producer array option;
+  mutable has_cp : bool;
+  slot_rename : int array;
 }
 
-let make_entry ~state ~seq ~pc ~instr ~srcs =
+(* A slot's record before its first dispatch: seq -1 is never in
+   flight (restore refuses a negative head seq). *)
+let blank slot =
   {
-    seq;
-    pc;
-    instr;
-    srcs;
-    state;
+    slot;
+    seq = -1;
+    pc = 0;
+    instr = Instr.Nop;
+    state = Done;
+    done_at = 0;
+    n_srcs = 0;
+    slot_src_seq = Array.make max_srcs (-1);
+    slot_src_reg = Array.make max_srcs Reg.zero;
     result = 0;
     addr = -1;
     data = 0;
     data2 = 0;
     scope_mask = Fscope_core.Fsb.empty;
-    fence_wait = None;
+    fence_wait = wait_none;
     fence_issued = false;
     fence_cid = -1;
-    mem_level = None;
+    mem_level = Unserved;
     predicted_taken = false;
-    checkpoint = None;
+    has_cp = false;
+    slot_rename = Array.make Reg.count (-1);
   }
 
-(* The window is a circular buffer of slots ([seq mod size]).  Beside
-   it, the [Waiting] entries that are not parked and the [Executing]
-   entries each form an oldest-first doubly linked queue threaded
-   through the per-slot [next]/[prev] arrays; [first.(q)]/[last.(q)]
-   are the ends of queue [q] (slot indices, -1 = none).  An entry's
-   [state] (and whether it is parked) alone says which queue holds it,
-   which is why only [set_state] may change it.
+(* The window is a circular buffer of slots ([seq mod size]), each
+   holding one preallocated entry record that every dispatch into the
+   slot resets and reuses; the head's slot is kept beside its seq, so
+   no lookup divides.  Beside it, the [Waiting] entries that are
+   not parked and the [Executing] entries each form an oldest-first
+   doubly linked queue threaded through the per-slot [next]/[prev]
+   arrays; [first.(q)]/[last.(q)] are the ends of queue [q] (slot
+   indices, -1 = none).  An entry's [state] (and whether it is parked)
+   alone says which queue holds it, which is why only [set_state] may
+   change it.
 
    A [Waiting] entry may instead be parked on an older [Waiting] entry
    it cannot issue before: [wait_on.(slot)] is then the blocker's slot
@@ -80,8 +103,9 @@ let make_entry ~state ~seq ~pc ~instr ~srcs =
 type t = {
   size : int;
   columns : int;
-  slots : entry option array;
+  entries : entry array;
   mutable head_seq : int;
+  mutable head_slot : int;
   mutable tail_seq : int;
   next : int array;
   prev : int array;
@@ -99,7 +123,7 @@ let executing_q = 1
 
 let queue_of = function
   | Waiting -> waiting_q
-  | Executing _ -> executing_q
+  | Executing -> executing_q
   | Done -> -1
 
 (* Access sets: [unknown_a], then per column [col] (or every entry for
@@ -115,8 +139,9 @@ let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~size ~columns () =
   {
     size;
     columns;
-    slots = Array.make size None;
+    entries = Array.init size blank;
     head_seq = 0;
+    head_slot = 0;
     tail_seq = 0;
     next = Array.make size (-1);
     prev = Array.make size (-1);
@@ -129,10 +154,12 @@ let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~size ~columns () =
     core;
   }
 
-let at t slot =
-  match t.slots.(slot) with
-  | Some e -> e
-  | None -> assert false
+let at t slot = Array.unsafe_get t.entries slot
+
+(* The slot of [seq], for a seq no more than [size] past the head. *)
+let slot_of t seq =
+  let s = t.head_slot + (seq - t.head_seq) in
+  if s >= t.size then s - t.size else s
 
 (* Insert [slot] into queue [q] in seq order, searching back from
    [from]: a slot of [q] with every entry after it younger than
@@ -183,38 +210,33 @@ let unpark t slot =
 (* Move [e] out of its state queue (or off its blocker's list), waking
    what is parked on it when it was [Waiting]. *)
 let dequeue t e =
-  let slot = e.seq mod t.size in
+  let slot = e.slot in
   match e.state with
   | Waiting ->
     if t.wait_on.(slot) >= 0 then unpark t slot else unlink t waiting_q slot;
     wake t slot
-  | Executing _ -> unlink t executing_q slot
+  | Executing -> unlink t executing_q slot
   | Done -> ()
 
 let enqueue t e =
   let q = queue_of e.state in
-  if q >= 0 then link t q (e.seq mod t.size)
-
-let not_done e =
-  match e.state with
-  | Waiting | Executing _ -> true
-  | Done -> false
+  if q >= 0 then link t q e.slot
 
 (* Is [e] in access set [a]?  Reads sets have odd indices, stores sets
    even ones. *)
 let member a e =
   if a = unknown_a then
     match e.instr with
-    | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ -> e.addr < 0
+    | Instr.Store _ | Instr.Cas _ -> e.addr < 0
     | _ -> false
   else
     let col = ((a - 1) / 2) - 1 in
     (col < 0 || e.scope_mask land (1 lsl col) <> 0)
     &&
     match e.instr with
-    | Fscope_isa.Instr.Load _ -> a land 1 = 1 && not_done e
-    | Fscope_isa.Instr.Store _ -> a land 1 = 0
-    | Fscope_isa.Instr.Cas _ -> not_done e
+    | Instr.Load _ -> a land 1 = 1 && e.state <> Done
+    | Instr.Store _ -> a land 1 = 0
+    | Instr.Cas _ -> e.state <> Done
     | _ -> false
 
 (* Some entry may have (re)joined an access set at [seq]. *)
@@ -223,19 +245,16 @@ let lower t seq =
     if t.low.(a) > seq then t.low.(a) <- seq
   done
 
-let instr_class (i : Fscope_isa.Instr.t) : Fscope_obs.Event.instr_class =
+let instr_class (i : Instr.t) : Fscope_obs.Event.instr_class =
   match i with
-  | Fscope_isa.Instr.Load _ -> Fscope_obs.Event.Load
-  | Fscope_isa.Instr.Store _ -> Fscope_obs.Event.Store
-  | Fscope_isa.Instr.Cas _ -> Fscope_obs.Event.Cas
-  | Fscope_isa.Instr.Fence _ -> Fscope_obs.Event.Fence
-  | Fscope_isa.Instr.Branch _ -> Fscope_obs.Event.Branch
-  | Fscope_isa.Instr.Jump _ -> Fscope_obs.Event.Jump
-  | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _ | Fscope_isa.Instr.Tid _ ->
-    Fscope_obs.Event.Alu
-  | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _
-  | Fscope_isa.Instr.Halt ->
-    Fscope_obs.Event.Other
+  | Instr.Load _ -> Fscope_obs.Event.Load
+  | Instr.Store _ -> Fscope_obs.Event.Store
+  | Instr.Cas _ -> Fscope_obs.Event.Cas
+  | Instr.Fence _ -> Fscope_obs.Event.Fence
+  | Instr.Branch _ -> Fscope_obs.Event.Branch
+  | Instr.Jump _ -> Fscope_obs.Event.Jump
+  | Instr.Li _ | Instr.Alu _ | Instr.Tid _ -> Fscope_obs.Event.Alu
+  | Instr.Nop | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt -> Fscope_obs.Event.Other
 
 let size t = t.size
 let count t = t.tail_seq - t.head_seq
@@ -243,91 +262,132 @@ let is_full t = count t >= t.size
 let is_empty t = count t = 0
 let next_seq t = t.tail_seq
 
-let dispatch t entry =
-  if is_full t then invalid_arg "Rob.dispatch: full";
-  if entry.seq <> t.tail_seq then invalid_arg "Rob.dispatch: wrong seq";
-  if entry.scope_mask lsr t.columns <> 0 then invalid_arg "Rob.dispatch: scope bit out of range";
-  t.slots.(entry.seq mod t.size) <- Some entry;
+let fresh t ~seq ~state ~done_at ~addr ~pc ~instr =
+  if is_full t then invalid_arg "Rob.fresh: full";
+  if seq <> t.tail_seq then invalid_arg "Rob.fresh: wrong seq";
+  let e = at t (slot_of t seq) in
+  e.seq <- seq;
+  e.pc <- pc;
+  e.instr <- instr;
+  e.state <- state;
+  e.done_at <- done_at;
+  e.n_srcs <- 0;
+  e.result <- 0;
+  e.addr <- addr;
+  e.data <- 0;
+  e.data2 <- 0;
+  e.scope_mask <- Fscope_core.Fsb.empty;
+  e.fence_wait <- wait_none;
+  e.fence_issued <- false;
+  e.fence_cid <- -1;
+  e.mem_level <- Unserved;
+  e.predicted_taken <- false;
+  e.has_cp <- false;
+  e
+
+let add_src e ~reg ~producer =
+  if e.n_srcs >= max_srcs then invalid_arg "Rob.add_src: too many sources";
+  e.slot_src_reg.(e.n_srcs) <- reg;
+  e.slot_src_seq.(e.n_srcs) <- producer;
+  e.n_srcs <- e.n_srcs + 1
+
+let src_reg e i = e.slot_src_reg.(i)
+let src_producer e i = e.slot_src_seq.(i)
+
+let save_rename e rename =
+  Array.blit rename 0 e.slot_rename 0 (Array.length e.slot_rename);
+  e.has_cp <- true
+
+let load_rename e rename =
+  if not e.has_cp then invalid_arg "Rob.load_rename: no checkpoint";
+  Array.blit e.slot_rename 0 rename 0 (Array.length e.slot_rename)
+
+let rename_producer e r = e.slot_rename.(r)
+
+(* Append the fresh tail entry to the window and its queue. *)
+let append t e =
+  if e.seq <> t.tail_seq || is_full t || at t (slot_of t e.seq) != e then
+    invalid_arg "Rob.dispatch: not the fresh tail entry";
+  if e.scope_mask lsr t.columns <> 0 then invalid_arg "Rob.dispatch: scope bit out of range";
   t.tail_seq <- t.tail_seq + 1;
-  enqueue t entry;
+  enqueue t e
+
+let dispatch t e =
+  append t e;
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
-      (Fscope_obs.Event.Rob_dispatch { pc = entry.pc; cls = instr_class entry.instr })
+      (Fscope_obs.Event.Rob_dispatch { pc = e.pc; cls = instr_class e.instr })
 
 let contains t seq = seq >= t.head_seq && seq < t.tail_seq
 
 let get t seq =
   if not (contains t seq) then invalid_arg "Rob.get: seq not in flight";
-  match t.slots.(seq mod t.size) with
-  | Some e -> e
-  | None -> assert false
+  at t (slot_of t seq)
 
-let head t = if is_empty t then None else Some (get t t.head_seq)
+let head_seq t = t.head_seq
+let head t = at t t.head_slot
 
 let pop_head t =
   if is_empty t then invalid_arg "Rob.pop_head: empty";
-  let e = get t t.head_seq in
+  let e = head t in
   dequeue t e;
-  t.slots.(t.head_seq mod t.size) <- None;
   t.head_seq <- t.head_seq + 1;
+  t.head_slot <- (if t.head_slot + 1 = t.size then 0 else t.head_slot + 1);
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
       (Fscope_obs.Event.Rob_commit { pc = e.pc; cls = instr_class e.instr });
   e
 
-let squash_after t seq =
-  let removed = ref [] in
-  for s = t.tail_seq - 1 downto max (seq + 1) t.head_seq do
-    let e = get t s in
-    dequeue t e;
-    removed := e :: !removed;
-    t.slots.(s mod t.size) <- None
+let squash_after t seq release x =
+  let stop = Int.max (seq + 1) t.head_seq in
+  for s = t.tail_seq - 1 downto stop do
+    dequeue t (get t s)
   done;
-  if seq + 1 < t.tail_seq then t.tail_seq <- max (seq + 1) t.head_seq;
+  (* release oldest first, once the window no longer holds them *)
+  let old_tail = t.tail_seq in
+  if stop < t.tail_seq then t.tail_seq <- stop;
   lower t t.tail_seq;
-  !removed
-
-let iter t f =
-  for s = t.head_seq to t.tail_seq - 1 do
-    f (get t s)
+  for s = stop to old_tail - 1 do
+    release x (at t (slot_of t s))
   done
 
-let in_flight t e =
-  contains t e.seq
-  &&
-  match t.slots.(e.seq mod t.size) with
-  | Some x -> x == e
-  | None -> false
+let in_flight t e seq = e.seq = seq && contains t seq && at t (slot_of t seq) == e
 
 let set_state t e state =
-  if not (in_flight t e) then invalid_arg "Rob.set_state: entry not in flight";
+  if not (in_flight t e e.seq) then invalid_arg "Rob.set_state: entry not in flight";
+  if state = Executing then invalid_arg "Rob.set_state: use set_executing";
   let moves = queue_of e.state <> queue_of state in
-  let rejoins =
-    match (e.state, state) with
-    | Done, (Waiting | Executing _) -> true
-    | _, (Waiting | Executing _ | Done) -> false
-  in
+  let rejoins = e.state = Done && state = Waiting in
   if moves then dequeue t e;
   e.state <- state;
   if moves then enqueue t e;
   if rejoins then lower t e.seq
 
+let set_executing t e ~done_at =
+  if not (in_flight t e e.seq) then invalid_arg "Rob.set_executing: entry not in flight";
+  let moves = e.state <> Executing in
+  let rejoins = e.state = Done in
+  if moves then dequeue t e;
+  e.state <- Executing;
+  e.done_at <- done_at;
+  if moves then enqueue t e;
+  if rejoins then lower t e.seq
+
 let set_addr t e addr =
-  if not (in_flight t e) then invalid_arg "Rob.set_addr: entry not in flight";
+  if not (in_flight t e e.seq) then invalid_arg "Rob.set_addr: entry not in flight";
   let rejoins = e.addr >= 0 && addr < 0 in
   e.addr <- addr;
   if rejoins then lower t e.seq
 
 let park t e ~blocker =
-  if not (in_flight t e) then invalid_arg "Rob.park: entry not in flight";
-  let slot = e.seq mod t.size and b = blocker mod t.size in
+  if not (in_flight t e e.seq) then invalid_arg "Rob.park: entry not in flight";
+  let slot = e.slot and b = slot_of t blocker in
   if
     blocker >= e.seq
     || (not (contains t blocker))
     || t.wait_on.(slot) >= 0
-    || (match (e.state, (at t b).state) with
-       | Waiting, Waiting -> false
-       | _, (Waiting | Executing _ | Done) -> true)
+    || e.state <> Waiting
+    || (at t b).state <> Waiting
   then invalid_arg "Rob.park: needs a Waiting entry and an older Waiting blocker";
   unlink t waiting_q slot;
   t.wait_on.(slot) <- b;
@@ -338,47 +398,48 @@ let park t e ~blocker =
   t.wait_first.(b) <- slot
 
 let parked_on t e =
-  if not (in_flight t e) then invalid_arg "Rob.parked_on: entry not in flight";
-  let b = t.wait_on.(e.seq mod t.size) in
+  if not (in_flight t e e.seq) then invalid_arg "Rob.parked_on: entry not in flight";
+  let b = t.wait_on.(e.slot) in
   if b < 0 then -1 else (at t b).seq
 
-(* Walk queue [q] oldest first.  [f] may move the visited entry out of
-   [q] (waking younger entries into it), and may truncate the window
-   behind it ([squash_after]).  The walk goes on at the oldest entry
-   of [q] younger than the visited one, found from the visited
-   entry's queue predecessor when the visited entry left, so an entry
-   woken during the walk is still visited. *)
-let iter_queue t q f =
-  let rec go slot =
-    if slot >= 0 then begin
-      let e = at t slot in
-      let p = t.prev.(slot) in
-      f e;
-      if queue_of e.state = q && t.wait_on.(slot) < 0 then go t.next.(slot)
-      else go (if p < 0 then t.first.(q) else t.next.(p))
-    end
-  in
-  go t.first.(q)
+(* Queue walks.  A walk visits queue [q] oldest first by slot; the
+   visit may move the visited entry out of [q] (waking younger entries
+   into it) and may truncate the window behind it ([squash_after]).
+   The walk goes on at the oldest entry of [q] younger than the visited
+   one: the visited entry's queue successor when it stayed, else the
+   successor of its queue predecessor from before the visit, so an
+   entry woken during the visit is still visited. *)
+let queue_first t q = t.first.(q)
+let slot_entry = at
+let queue_prev t slot = t.prev.(slot)
 
-let iter_waiting t f = iter_queue t waiting_q f
-let iter_exec t f = iter_queue t executing_q f
+let queue_next t q slot prev =
+  let e = at t slot in
+  if queue_of e.state = q && t.wait_on.(slot) < 0 then t.next.(slot)
+  else if prev < 0 then t.first.(q)
+  else t.next.(prev)
 
-let shift_executing t ~by =
-  iter_exec t (fun e ->
-      match e.state with
-      | Executing d -> e.state <- Executing (d + by)
-      | Waiting | Done -> ())
+let rec shift_from t by slot =
+  if slot >= 0 then begin
+    let e = at t slot in
+    e.done_at <- e.done_at + by;
+    shift_from t by t.next.(slot)
+  end
 
-let exists_older t seq p =
-  let rec go s = s < min seq t.tail_seq && s >= t.head_seq && (p (get t s) || go (s + 1)) in
-  go t.head_seq
+let shift_executing t ~by = shift_from t by t.first.(executing_q)
 
-let fold_older t seq f init =
-  let acc = ref init in
-  for s = t.head_seq to min seq t.tail_seq - 1 do
-    if s < seq then acc := f !acc (get t s)
-  done;
-  !acc
+let rec iter_from t f s = if s < t.tail_seq then (f (at t (slot_of t s)); iter_from t f (s + 1))
+let iter t f = iter_from t f t.head_seq
+
+let rec exists_from t stop p x s =
+  s < stop && (p x (at t (slot_of t s)) || exists_from t stop p x (s + 1))
+
+let exists_older t seq p x = exists_from t (Int.min seq t.tail_seq) p x t.head_seq
+
+let rec youngest_from t p x s =
+  if s < t.head_seq then -1 else if p x (at t (slot_of t s)) then s else youngest_from t p x (s - 1)
+
+let youngest_older t seq p x = youngest_from t p x (Int.min seq t.tail_seq - 1)
 
 (* The oldest member of access set [a], advancing its mark past the
    entries that are not (or no longer) members. *)
@@ -387,13 +448,13 @@ let rec oldest_from t a s =
     t.low.(a) <- s;
     max_int
   end
-  else if member a (at t (s mod t.size)) then begin
+  else if member a (at t (slot_of t s)) then begin
     t.low.(a) <- s;
     s
   end
   else oldest_from t a (s + 1)
 
-let oldest t a = oldest_from t a (max t.low.(a) t.head_seq)
+let oldest t a = oldest_from t a (Int.max t.low.(a) t.head_seq)
 
 let check_column t col =
   if col < all_columns || col >= t.columns then invalid_arg "Rob: column out of range"
@@ -407,29 +468,21 @@ let oldest_store t col =
   oldest t (stores_a col)
 
 let oldest_unknown_addr t = oldest t unknown_a
-let head_seq t = t.head_seq
 
-(* Checkpoint restore: overwrite the whole window.  Entries must be
-   consecutive by seq starting at [head_seq] (the caller rebuilt them
-   from a serialized snapshot); emits nothing — checkpointing is an
-   untraced-run facility.  Nothing is parked afterwards: parking is a
-   cache the next issue walk rebuilds. *)
-let restore t ~head_seq entries =
-  if List.length entries > t.size then invalid_arg "Rob.restore: too many entries";
-  Array.fill t.slots 0 t.size None;
+(* Checkpoint restore: empty the window at [head_seq], then append the
+   entries [build] fills in, one per item, oldest first (each from
+   {!fresh}); emits nothing — checkpointing is an untraced-run
+   facility.  Nothing is parked afterwards: parking is a cache the
+   next issue walk rebuilds. *)
+let restore t ~head_seq items build =
+  if head_seq < 0 then invalid_arg "Rob.restore: negative head seq";
+  if List.length items > t.size then invalid_arg "Rob.restore: too many entries";
   Array.fill t.first 0 2 (-1);
   Array.fill t.last 0 2 (-1);
   Array.fill t.wait_on 0 t.size (-1);
   Array.fill t.wait_first 0 t.size (-1);
   Array.fill t.low 0 (Array.length t.low) head_seq;
   t.head_seq <- head_seq;
+  t.head_slot <- head_seq mod t.size;
   t.tail_seq <- head_seq;
-  List.iter
-    (fun e ->
-      if e.seq <> t.tail_seq then invalid_arg "Rob.restore: non-consecutive seq";
-      if e.scope_mask lsr t.columns <> 0 then
-        invalid_arg "Rob.restore: scope bit out of range";
-      t.slots.(e.seq mod t.size) <- Some e;
-      t.tail_seq <- t.tail_seq + 1;
-      enqueue t e)
-    entries
+  List.iter (fun x -> append t (build x)) items

@@ -6,14 +6,22 @@
     from the head.  A branch misprediction squashes every entry
     younger than the branch.
 
+    Nothing in the ROB allocates after {!create}: each slot holds one
+    preallocated entry record, with fixed-size arrays for its sources
+    and its branch rename checkpoint, and every dispatch into the slot
+    resets and reuses it.  Execution state, fence wait conditions and
+    memory levels are immediates, and the walks below are loops over
+    slot indices, so an untraced simulated cycle allocates nothing
+    here.
+
     Beside the window, the ROB keeps state up to date so that no
     per-cycle stage has to rescan it:
 
     - {b State queues.}  Oldest-first queues of the [Waiting] and of
       the [Executing] entries.  A full ROB behind a fence or a long
       miss is mostly [Done] entries that no stage can act on, so issue
-      walks {!iter_waiting} and the completion phases and branch
-      resolution walk {!iter_exec}.
+      walks the waiting queue and the completion phases and branch
+      resolution walk the executing queue (see {!section-walks}).
     - {b Wait links.}  Issue may {!park} a [Waiting] entry that cannot
       issue before one specific older [Waiting] entry does (an operand
       producer, or a fence that blocks loads).  A parked entry leaves
@@ -35,35 +43,59 @@
 
     Queue and set membership is a function of an entry's [instr],
     [state], [addr] and [scope_mask], so the rule is: after an entry is
-    dispatched, only {!set_state} (and {!shift_executing}) may change
-    its [state], only {!set_addr} its [addr], and nothing its
-    [scope_mask].  {!dispatch}, {!pop_head}, {!squash_after} and
+    dispatched, only {!set_state} and {!set_executing} may change its
+    [state] (and, with {!shift_executing}, its [done_at]), only
+    {!set_addr} its [addr], and nothing its [scope_mask].  {!dispatch}, {!pop_head}, {!squash_after} and
     {!restore} keep every queue and set in step with the window.
 
     Each entry carries the paper's per-entry fence scope bits
     ([scope_mask]) and, for fences, the wait condition captured from
     the {!Fscope_core.Scope_unit} at dispatch. *)
 
-type producer =
-  | Arch  (** value lives in the architectural register file *)
-  | Rob of int  (** produced by the in-flight entry with this seq *)
+(** {1 Entries}
 
-type src = {
-  producer : producer;
-  reg : Fscope_isa.Reg.t;
-}
+    Every slot holds one entry record, allocated with the ROB and
+    reused by every dispatch into the slot ({!fresh}): a record
+    handle names a slot, and the entry's [seq] says which instruction
+    the slot holds now.  Code that keeps a handle across a dispatch
+    must keep the seq beside it and ask {!in_flight}. *)
 
 type exec_state =
   | Waiting  (** operands not ready or structural/ordering hazard *)
-  | Executing of int  (** issued; completes at the given cycle *)
+  | Executing  (** issued; completes at [done_at] *)
   | Done
 
+type mem_level =
+  | Unserved  (** forwarded, or not issued to the memory port *)
+  | L1  (** an L1 hit *)
+  | L2  (** an L2 hit *)
+  | Main  (** an L2 miss *)
+
+val served : Fscope_obs.Event.mem_outcome -> mem_level
+(** The level that served an access the memory port answered. *)
+
+val max_srcs : int
+(** Source operands per entry (3: a CAS reads base, expected and
+    desired). *)
+
+val wait_none : int
+(** The [fence_wait] of an entry that is not a fence. *)
+
 type entry = {
-  seq : int;
-  pc : int;
-  instr : Fscope_isa.Instr.t;
-  srcs : src array;  (** positional: the operands in the order execution reads them *)
-  mutable state : exec_state;  (** write through {!set_state} only *)
+  slot : int;  (** the slot this record belongs to *)
+  mutable seq : int;  (** set by {!fresh} *)
+  mutable pc : int;  (** set by {!fresh} *)
+  mutable instr : Fscope_isa.Instr.t;  (** set by {!fresh} *)
+  mutable state : exec_state;  (** write through {!set_state} / {!set_executing} only *)
+  mutable done_at : int;
+      (** [Executing]: the completion cycle.  Written by {!fresh},
+          {!set_executing} and {!shift_executing} only. *)
+  mutable n_srcs : int;  (** write through {!add_src} only *)
+  slot_src_seq : int array;
+      (** [max_srcs] slots: per source, in the order execution reads
+          them, the producer's seq or -1 (the architectural file).
+          Write through {!add_src} only; read with {!src_producer}. *)
+  slot_src_reg : Fscope_isa.Reg.t array;  (** the sources' registers; read with {!src_reg} *)
   mutable result : int;  (** dst value: load data, ALU result, CAS success bit *)
   mutable addr : int;
       (** memory address once computed; -1 = unknown.  Write through
@@ -71,37 +103,34 @@ type entry = {
   mutable data : int;  (** store data / CAS desired value *)
   mutable data2 : int;  (** CAS expected value *)
   mutable scope_mask : Fscope_core.Fsb.mask;  (** fixed before {!dispatch} *)
-  mutable fence_wait : [ `Global | `Mask of Fscope_core.Fsb.mask ] option;
+  mutable fence_wait : int;
+      (** fences: the wait condition from
+          {!Fscope_core.Scope_unit.fence_scope} — a scope mask, or
+          {!Fscope_core.Scope_unit.wait_global}; {!wait_none} for every
+          other entry *)
   mutable fence_issued : bool;
   mutable fence_cid : int;
       (** fences: the class id the fence was decoded under, or -1 —
           per-scope stall attribution *)
-  mutable mem_level : Fscope_obs.Event.mem_outcome option;
+  mutable mem_level : mem_level;
       (** loads/CAS: the level serving the in-flight access (set at
-          issue); [None] = forwarded or not issued *)
+          issue) *)
   mutable predicted_taken : bool;
-  mutable checkpoint : producer array option;  (** rename snapshot, branches only *)
+  mutable has_cp : bool;  (** branches: a rename checkpoint is held; write through {!save_rename} *)
+  slot_rename : int array;
+      (** the rename snapshot ([Reg.count] producers); touch only
+          through {!save_rename}, {!load_rename}, {!rename_producer} *)
 }
-
-val make_entry :
-  state:exec_state ->
-  seq:int ->
-  pc:int ->
-  instr:Fscope_isa.Instr.t ->
-  srcs:src array ->
-  entry
-(** A fresh entry in its dispatch-time [state], with an unknown
-    [addr]. *)
 
 type t
 
 val create :
   ?trace:Fscope_obs.Trace.t -> ?core:int -> size:int -> columns:int -> unit -> t
 (** [columns] is the number of FSB columns (0..62); every dispatched
-    entry's [scope_mask] must lie within them.  When [trace] is live,
-    [dispatch] and [pop_head] emit [Rob_dispatch] / [Rob_commit]
-    events for [core].  Defaults to the disabled
-    {!Fscope_obs.Trace.null}. *)
+    entry's [scope_mask] must lie within them.  Allocates every slot's
+    entry.  When [trace] is live, [dispatch] and [pop_head] emit
+    [Rob_dispatch] / [Rob_commit] events for [core].  Defaults to the
+    disabled {!Fscope_obs.Trace.null}. *)
 
 val size : t -> int
 val count : t -> int
@@ -111,15 +140,58 @@ val is_empty : t -> bool
 val next_seq : t -> int
 (** The seq the next dispatched entry must carry. *)
 
+val fresh :
+  t ->
+  seq:int ->
+  state:exec_state ->
+  done_at:int ->
+  addr:int ->
+  pc:int ->
+  instr:Fscope_isa.Instr.t ->
+  entry
+(** The tail slot's entry, reset for [seq] in [state] (and [done_at])
+    with [addr] (-1 = unknown), no sources and every other field at
+    its default.  It is not in flight until {!dispatch}.  Allocates
+    nothing.  Raises [Invalid_argument] if the ROB is full or [seq] is
+    not [next_seq]. *)
+
+val add_src : entry -> reg:Fscope_isa.Reg.t -> producer:int -> unit
+(** Append a source (before {!dispatch}): its register and its
+    producer's seq, -1 for the architectural file.  Raises
+    [Invalid_argument] beyond [max_srcs]. *)
+
+val src_reg : entry -> int -> Fscope_isa.Reg.t
+val src_producer : entry -> int -> int
+
+val save_rename : entry -> int array -> unit
+(** Take the branch's rename checkpoint: copy the map (producer seq per
+    register index, -1 = architectural) into the entry. *)
+
+val load_rename : entry -> int array -> unit
+(** Copy the entry's checkpoint back into a rename map.  Raises
+    [Invalid_argument] if it holds none. *)
+
+val rename_producer : entry -> int -> int
+(** One register's producer in the checkpoint. *)
+
 val dispatch : t -> entry -> unit
-(** Append at the tail (and to the queues it belongs to).  Raises
-    [Invalid_argument] if full, if the entry's seq is not [next_seq]
+(** Append the {!fresh} entry at the tail (and to the queue it belongs
+    to).  Raises [Invalid_argument] if it is not the fresh tail entry
     or if its [scope_mask] has a bit beyond [columns]. *)
 
+val in_flight : t -> entry -> int -> bool
+(** [in_flight t e seq]: is [e] in flight as the entry with seq [seq]?
+    A popped or squashed record is reused for a younger seq, so the
+    record alone does not say. *)
+
 val set_state : t -> entry -> exec_state -> unit
-(** Change an in-flight entry's state, moving it between the
+(** Move an in-flight entry to [Waiting] or [Done], between the
     queues.  An entry leaving [Waiting] wakes every entry parked on
-    it.  Raises [Invalid_argument] if the entry is not in flight. *)
+    it.  Raises [Invalid_argument] if the entry is not in flight, and
+    for [Executing] (use {!set_executing}). *)
+
+val set_executing : t -> entry -> done_at:int -> unit
+(** Issue an in-flight entry: it is [Executing] until [done_at]. *)
 
 val set_addr : t -> entry -> int -> unit
 (** Set an in-flight entry's [addr].  Raises [Invalid_argument] if the
@@ -143,42 +215,72 @@ val contains : t -> int -> bool
 val get : t -> int -> entry
 (** Entry by seq.  Raises [Invalid_argument] if not in flight. *)
 
-val head : t -> entry option
+val head : t -> entry
+(** The oldest in-flight entry, when not {!is_empty}. *)
+
+val head_seq : t -> int
+(** The seq of the oldest in-flight entry (= the next to commit). *)
 
 val pop_head : t -> entry
-(** Commit the head.  Raises [Invalid_argument] if empty. *)
+(** Commit the head.  Raises [Invalid_argument] if empty.  The record
+    stays readable until the next {!fresh} reuses its slot. *)
 
-val squash_after : t -> int -> entry list
-(** [squash_after t seq] removes every entry with a seq strictly
-    greater than [seq] and returns them (oldest first) so the caller
-    can release their side state. *)
+val squash_after : t -> int -> ('a -> entry -> unit) -> 'a -> unit
+(** [squash_after t seq release x] removes every entry with a seq
+    strictly greater than [seq], then calls [release x e] on each,
+    oldest first, so the caller can release their side state. *)
 
 val iter : t -> (entry -> unit) -> unit
 (** All in-flight entries, oldest first. *)
 
-val iter_waiting : t -> (entry -> unit) -> unit
-(** The [Waiting] entries that are not parked, oldest first. *)
+(** {1:walks Queue walks}
 
-val iter_exec : t -> (entry -> unit) -> unit
-(** The [Executing] entries, oldest first.
+    The [Waiting] entries that are not parked, and the [Executing]
+    entries, each form an oldest-first queue of slots.  A walk is a
+    loop over slots, with no closure:
+    {[
+      let rec walk t slot =
+        if slot >= 0 then begin
+          let e = Rob.slot_entry t slot and prev = Rob.queue_prev t slot in
+          visit e;
+          walk t (Rob.queue_next t q slot prev)
+        end
+      in
+      walk t (Rob.queue_first t q)
+    ]}
+    The visit may move the visited entry to another state, may
+    {!park} it and may call {!squash_after} on it; it must change no
+    other entry's state and must not dispatch.  Entries removed by a
+    squash are not visited; entries woken into the waiting queue by
+    the visited entry (all younger than it) are. *)
 
-    In both walks the callback may move the visited entry to another
-    state, may {!park} it and may call {!squash_after} on it; it must
-    change no other entry's state and must not dispatch.  Entries
-    removed by a squash are not visited; entries woken into the
-    waiting queue by the visited entry (all younger than it) are. *)
+val waiting_q : int
+val executing_q : int
+
+val queue_first : t -> int -> int
+(** The slot of the queue's oldest entry, or -1. *)
+
+val slot_entry : t -> int -> entry
+
+val queue_prev : t -> int -> int
+(** The slot before [slot] in its queue; read it before the visit. *)
+
+val queue_next : t -> int -> int -> int -> int
+(** [queue_next t q slot prev]: the slot to visit after [slot], or -1. *)
 
 val shift_executing : t -> by:int -> unit
 (** Add [by] to the completion cycle of every [Executing] entry (the
     closed-form spin replay's time shift).  Leaves every queue and
     wait link as it is. *)
 
-val exists_older : t -> int -> (entry -> bool) -> bool
-(** [exists_older t seq p]: does any in-flight entry older than [seq]
-    satisfy [p]? *)
+val exists_older : t -> int -> ('a -> entry -> bool) -> 'a -> bool
+(** [exists_older t seq p x]: does any in-flight entry [e] older than
+    [seq] satisfy [p x e]?  Oldest first; allocates nothing when [p]
+    is a top-level function. *)
 
-val fold_older : t -> int -> ('a -> entry -> 'a) -> 'a -> 'a
-(** Fold over entries older than [seq], oldest first. *)
+val youngest_older : t -> int -> ('a -> entry -> bool) -> 'a -> int
+(** [youngest_older t seq p x]: the seq of the youngest in-flight
+    entry older than [seq] that satisfies [p x], or -1. *)
 
 val all_columns : int
 (** The column argument that selects every entry, whatever its scope
@@ -198,10 +300,10 @@ val oldest_unknown_addr : t -> int
 (** The seq of the oldest in-flight store or CAS whose [addr] is still
     unknown; [max_int] if there is none.  Amortized O(1). *)
 
-val head_seq : t -> int
-(** The seq of the oldest in-flight entry (= the next to commit). *)
-
-val restore : t -> head_seq:int -> entry list -> unit
-(** Checkpoint restore: replace the whole window with [entries], which
-    must carry consecutive seqs starting at [head_seq] (oldest first).
-    Nothing is parked afterwards.  Emits no events. *)
+val restore : t -> head_seq:int -> 'a list -> ('a -> entry) -> unit
+(** Checkpoint restore: empty the window at [head_seq], then for each
+    item, oldest first, append the entry [build item] returns — a
+    {!fresh} entry for the next seq, filled in.  Nothing is parked
+    afterwards.  Emits no events.  Raises [Invalid_argument] for a
+    negative [head_seq], more items than slots, or an entry
+    {!dispatch} would refuse. *)

@@ -56,12 +56,10 @@ let is_store_like = function
   | Fs_end _ | Halt ->
     false
 
-let non_zero r = if Reg.equal r Reg.zero then None else Some r
-
-let writes_reg = function
-  | Li (dst, _) | Alu (_, dst, _, _) | Tid dst -> non_zero dst
-  | Load { dst; _ } | Cas { dst; _ } -> non_zero dst
-  | Nop | Store _ | Branch _ | Jump _ | Fence _ | Fs_start _ | Fs_end _ | Halt -> None
+let dst_index = function
+  | Li (dst, _) | Alu (_, dst, _, _) | Tid dst | Load { dst; _ } | Cas { dst; _ } ->
+    if Reg.equal dst Reg.zero then -1 else Reg.index dst
+  | Nop | Store _ | Branch _ | Jump _ | Fence _ | Fs_start _ | Fs_end _ | Halt -> -1
 
 let reads_regs instr =
   let srcs =

@@ -59,9 +59,9 @@ val is_memory : t -> bool
 val is_store_like : t -> bool
 (** Stores and CAS — instructions that write memory. *)
 
-val writes_reg : t -> Reg.t option
-(** The destination register, if any (never [Reg.zero]; writes to r0
-    are reported as [None]). *)
+val dst_index : t -> int
+(** The index of the destination register, or -1 if there is none
+    (writes to [Reg.zero] are discarded, so they report -1 too). *)
 
 val reads_regs : t -> Reg.t list
 (** Source registers, duplicates removed, [Reg.zero] included (it reads

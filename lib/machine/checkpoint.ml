@@ -70,8 +70,10 @@ let of_json j =
     | Json.Str s when String.equal s schema_compact -> Json.unpack_arrays j
     | _ -> failwith "checkpoint: unknown schema"
   in
+  let cycle = Json.int_exn (Json.get "cycle" j) in
+  if cycle < 0 then failwith "checkpoint: negative cycle";
   {
-    cycle = Json.int_exn (Json.get "cycle" j);
+    cycle;
     digest = Json.str_exn (Json.get "digest" j);
     cores = Array.of_list (Json.list_exn (Json.get "cores" j));
     mem = Json.int_array_exn (Json.get "mem" j);

@@ -116,21 +116,19 @@ let build ~obs (config : Config.t) program =
   let mem = Program.initial_memory program in
   let hierarchy = Hierarchy.create ~trace:obs ~cores:cores_n config.Config.mem in
   let on_store = ref (fun (_ : int) -> ()) in
-  let issue =
+  let issue, level =
     match config.Config.mem_model with
     | Config.Hierarchy ->
-      fun ~core kind ~addr ~now ->
-        let latency, level =
-          Hierarchy.access_classified hierarchy ~core (hierarchy_kind kind) ~addr
-        in
-        (now + latency, level)
+      ( (fun ~core kind ~addr ~now ->
+          now + Hierarchy.access hierarchy ~core (hierarchy_kind kind) ~addr),
+        fun () -> Hierarchy.last_outcome hierarchy )
     | Config.Ideal ->
       (* every access is a 1-cycle hit; the hierarchy above stays idle
          (its stats remain zero) but still anchors [result.cache] *)
-      fun ~core:_ _kind ~addr:_ ~now -> (now + 1, Obs.Event.L1_hit)
+      ((fun ~core:_ _kind ~addr:_ ~now -> now + 1), fun () -> Obs.Event.L1_hit)
   in
   let port =
-    Mem_port.make ~size:(Array.length mem) ~issue
+    Mem_port.create ~size:(Array.length mem) ~issue ~level
       ~load:(fun ~addr -> mem.(addr))
       ~store:(fun ~addr ~value ->
         !on_store addr;
@@ -278,6 +276,15 @@ let catch_up t i (st : Core.spin_stable) ~through =
   done;
   Core.spin_cancel t.cores.(i)
 
+(* A spin certificate stands only while every line its loop reads is
+   still in the core's L1.  The probe saw each load of the period hit,
+   but another core's write may have invalidated the line after the
+   period's last load and before the arming boundary; sleeping then
+   would replay L1 hits the naive loop does not make. *)
+let footprint_cached t i (st : Core.spin_stable) =
+  (not t.hier_mem)
+  || List.for_all (fun addr -> Hierarchy.l1_resident t.hierarchy ~core:i ~addr) st.Core.footprint
+
 (* Phase-3 body of the stepper, factored so a phase-3 wake can run it
    for the sleeper at its original position in core order. *)
 let rec step3 t i c =
@@ -292,14 +299,14 @@ let rec step3 t i c =
       t.wake.(i) <- c + 1;
       if t.spin_on then
         match Core.spin_poll t.cores.(i) ~cycle:c with
-        | Some st ->
+        | Some st when footprint_cached t i st ->
           (* proven stable: sleep until a watched line is written or
              invalidated (or the stop catches it up) *)
           t.sleeping.(i) <- Some st;
           register_watches t i st;
           t.wake.(i) <- never;
           t.spin_sleeps <- t.spin_sleeps + 1
-        | None -> ()
+        | Some _ | None -> ()
     end
   end
   else begin
@@ -308,11 +315,7 @@ let rec step3 t i c =
        timeout), charging the skipped span's per-cycle accounting up
        front.  The charge is exact: the run cannot end before this
        core's wake-up, because a sleeping core is never drained. *)
-    let w =
-      match Core.next_wake t.cores.(i) ~cycle:c with
-      | Some w -> min w t.stop
-      | None -> t.stop
-    in
+    let w = Int.min (Core.next_wake t.cores.(i) ~cycle:c) t.stop in
     Core.account_stall_span t.cores.(i) ~cycle:c ~cycles:(w - c - 1);
     t.wake.(i) <- w
   end
@@ -580,9 +583,9 @@ let compute_quiet t me c =
   iter_owned t me (fun core ->
       if t.wake.(core) <> never then
         b :=
-          min !b
+          Int.min !b
             (Core.quiet_until t.cores.(core)
-               ~from:(max t.wake.(core) (c + 1))
+               ~from:(Int.max t.wake.(core) (c + 1))
                ~cap:(t.stop - 1) ~hier:t.hier_mem));
   t.quiet.(me) <- !b
 
@@ -599,7 +602,7 @@ let publish t me c =
     t.finished <- Atomic.get t.drained_count = t.n;
     t.cycle <-
       (if t.finished then c + 1
-       else min t.stop (max (Array.fold_left min max_int t.wake) (c + 1)));
+       else Int.min t.stop (Int.max (Array.fold_left Int.min max_int t.wake) (c + 1)));
     if (not t.finished) && t.cycle < t.stop then Obs.Trace.set_now t.obs t.cycle
   end;
   barrier t
@@ -612,7 +615,7 @@ let shard_body t me =
   while (not t.finished) && t.cycle < t.stop do
     let c = t.cycle in
     (* same inputs on every shard, hence the same answer *)
-    let span_end = if t.elide_on then Array.fold_left min (t.stop - 1) t.quiet else c - 1 in
+    let span_end = if t.elide_on then Array.fold_left Int.min (t.stop - 1) t.quiet else c - 1 in
     if span_end >= c then begin
       t.phase <- 0;
       if me = 0 then t.elided_cycles <- t.elided_cycles + (span_end - c + 1);

@@ -54,6 +54,7 @@ type t = {
   l1 : l1_state Cache.t array;
   l2 : dir_entry Cache.t;
   stats : stats;
+  mutable last_outcome : Fscope_obs.Event.mem_outcome;  (* of the last access *)
   trace : Fscope_obs.Trace.t;
   (* Called just BEFORE another core's activity mutates [core]'s L1
      state (invalidation, recall, Modified->Shared downgrade).  The
@@ -61,6 +62,10 @@ type t = {
      anything it cached changes; the default is free. *)
   mutable on_remote_victim : core:int -> unit;
 }
+
+(* The payload of an invalid L2 slot; never read as a directory
+   entry. *)
+let no_dir = { sharers = Bitset.create ~bits:0; owner = -1 }
 
 let create ?(trace = Fscope_obs.Trace.null) ~cores config =
   if cores <= 0 then invalid_arg "Hierarchy.create: bad core count";
@@ -70,11 +75,14 @@ let create ?(trace = Fscope_obs.Trace.null) ~cores config =
     l1 =
       Array.init cores (fun _ ->
           Cache.create ~sets:config.l1_sets ~ways:config.l1_ways
-            ~line_words:config.line_words);
-    l2 = Cache.create ~sets:config.l2_sets ~ways:config.l2_ways ~line_words:config.line_words;
+            ~line_words:config.line_words ~empty:Shared);
+    l2 =
+      Cache.create ~sets:config.l2_sets ~ways:config.l2_ways ~line_words:config.line_words
+        ~empty:no_dir;
     stats =
       { l1_hits = 0; l1_misses = 0; l2_hits = 0; l2_misses = 0; invalidations = 0;
         c2c_transfers = 0 };
+    last_outcome = Fscope_obs.Event.L1_hit;
     trace;
     on_remote_victim = (fun ~core:_ -> ());
   }
@@ -94,16 +102,20 @@ let l1_resident t ~core ~addr = Cache.resident t.l1.(core) addr
 (* An L1 eviction silently drops a Shared line and writes back a
    Modified one; either way the directory stops tracking that core. *)
 let on_l1_eviction t ~core line state =
-  match Cache.peek t.l2 line with
-  | None -> () (* the L2 line was recalled first; nothing to update *)
-  | Some dir ->
+  let s = Cache.peek t.l2 line in
+  (* the L2 line may have been recalled first; nothing to update then *)
+  if s >= 0 then begin
+    let dir = Cache.payload t.l2 s in
     Bitset.remove dir.sharers core;
     if state = Modified && dir.owner = core then dir.owner <- -1
+  end
 
 let insert_l1 t ~core line state =
-  match Cache.insert t.l1.(core) line state with
-  | None -> ()
-  | Some (evicted_line, evicted_state) -> on_l1_eviction t ~core evicted_line evicted_state
+  let l1 = t.l1.(core) in
+  let s = Cache.victim l1 line in
+  let evicted = Cache.line l1 s and evicted_state = Cache.payload l1 s in
+  Cache.fill l1 s line state;
+  if evicted >= 0 then on_l1_eviction t ~core evicted evicted_state
 
 (* Inclusive L2: evicting an L2 line recalls every L1 copy. *)
 let on_l2_eviction t line dir =
@@ -115,9 +127,10 @@ let on_l2_eviction t line dir =
   done
 
 let insert_l2 t line dir =
-  match Cache.insert t.l2 line dir with
-  | None -> ()
-  | Some (evicted_line, evicted_dir) -> on_l2_eviction t evicted_line evicted_dir
+  let s = Cache.victim t.l2 line in
+  let evicted = Cache.line t.l2 s and evicted_dir = Cache.payload t.l2 s in
+  Cache.fill t.l2 s line dir;
+  if evicted >= 0 then on_l2_eviction t evicted evicted_dir
 
 (* Kill every remote copy of [line]; returns true if the dirty data had
    to come from a remote L1 (cache-to-cache transfer). *)
@@ -138,15 +151,17 @@ let invalidate_remotes t ~core dir line =
 let read t ~core addr =
   let cfg = t.config in
   let line = Cache.line_addr t.l2 addr in
-  match Cache.find t.l1.(core) addr with
-  | Some (Shared | Modified) ->
+  if Cache.find t.l1.(core) addr >= 0 then begin
     t.stats.l1_hits <- t.stats.l1_hits + 1;
     emit_access t ~core ~addr ~write:false Fscope_obs.Event.L1_hit;
-    (cfg.l1_latency, Fscope_obs.Event.L1_hit)
-  | None ->
+    t.last_outcome <- Fscope_obs.Event.L1_hit;
+    cfg.l1_latency
+  end
+  else begin
     t.stats.l1_misses <- t.stats.l1_misses + 1;
-    (match Cache.find t.l2 addr with
-    | Some dir ->
+    let s = Cache.find t.l2 addr in
+    if s >= 0 then begin
+      let dir = Cache.payload t.l2 s in
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       emit_access t ~core ~addr ~write:false Fscope_obs.Event.L2_hit;
       let c2c =
@@ -162,38 +177,49 @@ let read t ~core addr =
       in
       Bitset.add dir.sharers core;
       insert_l1 t ~core line Shared;
-      (cfg.l1_latency + cfg.l2_latency + c2c, Fscope_obs.Event.L2_hit)
-    | None ->
+      t.last_outcome <- Fscope_obs.Event.L2_hit;
+      cfg.l1_latency + cfg.l2_latency + c2c
+    end
+    else begin
       t.stats.l2_misses <- t.stats.l2_misses + 1;
       emit_access t ~core ~addr ~write:false Fscope_obs.Event.L2_miss;
       insert_l2 t line { sharers = Bitset.singleton ~bits:t.cores core; owner = -1 };
       insert_l1 t ~core line Shared;
-      (cfg.l1_latency + cfg.l2_latency + cfg.mem_latency, Fscope_obs.Event.L2_miss))
+      t.last_outcome <- Fscope_obs.Event.L2_miss;
+      cfg.l1_latency + cfg.l2_latency + cfg.mem_latency
+    end
+  end
 
 let write t ~core addr =
   let cfg = t.config in
   let line = Cache.line_addr t.l2 addr in
-  match Cache.find t.l1.(core) addr with
-  | Some Modified ->
+  let s = Cache.find t.l1.(core) addr in
+  if s >= 0 then begin
     t.stats.l1_hits <- t.stats.l1_hits + 1;
-    emit_access t ~core ~addr ~write:true Fscope_obs.Event.L1_hit;
-    (cfg.l1_latency, Fscope_obs.Event.L1_hit)
-  | Some Shared ->
-    (* Upgrade: a directory round trip to invalidate other sharers. *)
-    t.stats.l1_hits <- t.stats.l1_hits + 1;
-    emit_access t ~core ~addr ~write:true Fscope_obs.Event.L1_hit;
-    (match Cache.peek t.l2 addr with
-    | Some dir -> ignore (invalidate_remotes t ~core dir line)
-    | None -> () (* inclusivity violation is impossible; defensive *));
-    (match Cache.peek t.l2 addr with
-    | Some dir -> dir.owner <- core
-    | None -> ());
-    Cache.update t.l1.(core) line Modified;
-    (cfg.l1_latency + cfg.l2_latency, Fscope_obs.Event.L1_hit)
-  | None ->
+    match Cache.payload t.l1.(core) s with
+    | Modified ->
+      emit_access t ~core ~addr ~write:true Fscope_obs.Event.L1_hit;
+      t.last_outcome <- Fscope_obs.Event.L1_hit;
+      cfg.l1_latency
+    | Shared ->
+      (* Upgrade: a directory round trip to invalidate other sharers. *)
+      emit_access t ~core ~addr ~write:true Fscope_obs.Event.L1_hit;
+      let d = Cache.peek t.l2 addr in
+      (* an L1 line is always in the inclusive L2 *)
+      if d >= 0 then begin
+        let dir = Cache.payload t.l2 d in
+        ignore (invalidate_remotes t ~core dir line);
+        dir.owner <- core
+      end;
+      Cache.update t.l1.(core) line Modified;
+      t.last_outcome <- Fscope_obs.Event.L1_hit;
+      cfg.l1_latency + cfg.l2_latency
+  end
+  else begin
     t.stats.l1_misses <- t.stats.l1_misses + 1;
-    (match Cache.find t.l2 addr with
-    | Some dir ->
+    let s = Cache.find t.l2 addr in
+    if s >= 0 then begin
+      let dir = Cache.payload t.l2 s in
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       emit_access t ~core ~addr ~write:true Fscope_obs.Event.L2_hit;
       let dirty_remote = invalidate_remotes t ~core dir line in
@@ -201,22 +227,30 @@ let write t ~core addr =
       Bitset.add dir.sharers core;
       dir.owner <- core;
       insert_l1 t ~core line Modified;
-      ( cfg.l1_latency + cfg.l2_latency + (if dirty_remote then cfg.c2c_latency else 0),
-        Fscope_obs.Event.L2_hit )
-    | None ->
+      t.last_outcome <- Fscope_obs.Event.L2_hit;
+      cfg.l1_latency + cfg.l2_latency + if dirty_remote then cfg.c2c_latency else 0
+    end
+    else begin
       t.stats.l2_misses <- t.stats.l2_misses + 1;
       emit_access t ~core ~addr ~write:true Fscope_obs.Event.L2_miss;
       insert_l2 t line { sharers = Bitset.singleton ~bits:t.cores core; owner = core };
       insert_l1 t ~core line Modified;
-      (cfg.l1_latency + cfg.l2_latency + cfg.mem_latency, Fscope_obs.Event.L2_miss))
+      t.last_outcome <- Fscope_obs.Event.L2_miss;
+      cfg.l1_latency + cfg.l2_latency + cfg.mem_latency
+    end
+  end
 
-let access_classified t ~core kind ~addr =
+let access t ~core kind ~addr =
   if addr < 0 then invalid_arg "Hierarchy.access: negative address";
   match kind with
   | Read -> read t ~core addr
   | Write | Rmw -> write t ~core addr
 
-let access t ~core kind ~addr = fst (access_classified t ~core kind ~addr)
+let last_outcome t = t.last_outcome
+
+let access_classified t ~core kind ~addr =
+  let latency = access t ~core kind ~addr in
+  (latency, t.last_outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing.  The dump is positional down to (set, way) slots and
@@ -268,7 +302,8 @@ let cache_restore ~payload cache j =
                 (Json.list_exn set)))
          (Json.list_exn (Json.get "slots" j)))
   in
-  Cache.restore cache ~payload (clock, slots)
+  try Cache.restore cache ~payload (clock, slots)
+  with Invalid_argument msg -> failwith ("checkpoint: " ^ msg)
 
 let l1_payload = function Shared -> Json.Int 0 | Modified -> Json.Int 1
 
@@ -334,26 +369,22 @@ let check_invariants t =
     (fun core l1 ->
       Cache.iter l1 (fun line state ->
           (* Inclusivity. *)
-          (match Cache.peek t.l2 line with
-          | None ->
-            fail (Printf.sprintf "line %d in L1 of core %d but not in L2" line core)
-          | Some dir ->
-            if not (Bitset.mem dir.sharers core) then
-              fail
-                (Printf.sprintf "line %d in L1 of core %d but not in directory sharers"
-                   line core));
+          let d = Cache.peek t.l2 line in
+          if d < 0 then fail (Printf.sprintf "line %d in L1 of core %d but not in L2" line core)
+          else if not (Bitset.mem (Cache.payload t.l2 d).sharers core) then
+            fail
+              (Printf.sprintf "line %d in L1 of core %d but not in directory sharers" line core);
           if state = Modified then begin
             (match Hashtbl.find_opt modified line with
             | Some other ->
               fail
                 (Printf.sprintf "line %d Modified in cores %d and %d" line other core)
             | None -> Hashtbl.add modified line core);
-            match Cache.peek t.l2 line with
-            | Some dir when dir.owner <> core ->
+            let d = Cache.peek t.l2 line in
+            if d >= 0 && (Cache.payload t.l2 d).owner <> core then
               fail
                 (Printf.sprintf "line %d Modified in core %d but owner is %d" line core
-                   dir.owner)
-            | Some _ | None -> ()
+                   (Cache.payload t.l2 d).owner)
           end))
     t.l1;
   (* 2. Directory sharers only name cores that actually hold the line. *)

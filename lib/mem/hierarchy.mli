@@ -53,13 +53,17 @@ val create : ?trace:Fscope_obs.Trace.t -> cores:int -> config -> t
 val access : t -> core:int -> kind -> addr:int -> int
 (** [access t ~core kind ~addr] simulates one access and returns its
     latency in cycles.  [addr] is a word address; any non-negative
-    value is accepted (the cache indexes by line). *)
+    value is accepted (the cache indexes by line).  Allocates nothing
+    unless the access misses the L2 (a new directory entry). *)
+
+val last_outcome : t -> Fscope_obs.Event.mem_outcome
+(** The level that served the last {!access} (the same outcome the
+    [Mem_access] event carries); the profiler charges head-of-ROB
+    memory stalls to that level. *)
 
 val access_classified :
   t -> core:int -> kind -> addr:int -> int * Fscope_obs.Event.mem_outcome
-(** Like {!access}, additionally naming the level that served the
-    access (the same outcome the [Mem_access] event carries); the
-    profiler charges head-of-ROB memory stalls to that level. *)
+(** {!access} and then {!last_outcome}, as a pair. *)
 
 val stats : t -> stats
 (** The live (mutable) counter record of this hierarchy. *)

@@ -82,6 +82,7 @@ let accumulate ~into (t : t) =
 let equal (a : t) (b : t) = a = b
 
 let to_array (t : t) = Array.copy t
+let blit (t : t) a = Array.blit t 0 a 0 leaf_count
 
 let restore (t : t) (src : int array) =
   if Array.length src <> leaf_count then invalid_arg "Cpi.restore: wrong arity";

@@ -76,6 +76,10 @@ val equal : t -> t -> bool
 val to_array : t -> int array
 (** The per-leaf cycle counts in {!leaves} order (checkpointing). *)
 
+val blit : t -> int array -> unit
+(** [blit t a]: {!to_array} into [a], of length {!leaf_count}, without
+    allocating. *)
+
 val restore : t -> int array -> unit
 (** Overwrite the table from an array in {!leaves} order; raises
     [Invalid_argument] on an arity mismatch. *)

@@ -90,8 +90,8 @@ let test_checkpoint_exits () =
         (expect_exit 2 [ "checkpoint"; "resume"; "msn"; "--from"; ck; "--max-cycles"; "3000" ]))
 
 (* A saved checkpoint is input from outside the program: each edit
-   below makes one core component refuse its restore, and every one
-   must be reported as bad input (1), not crash (125).  So must a
+   below makes the restore refuse one field, and every one must be
+   reported as bad input (1) — not crash (125), not run on.  So must a
    document of the previous schema, whose CPI arrays had 15 leaves. *)
 let test_tampered_checkpoint () =
   let ck = Filename.temp_file "fscope" ".ckpt.json" in
@@ -124,6 +124,21 @@ let test_tampered_checkpoint () =
           core0 (set "bpred" (arr drop_last));
           core0 (set "rob" (first (obj (set "mask" (fun _ -> Json.Int (1 lsl 40))))));
           core0 (set "sb" (fun _ -> Json.Arr (List.init 40 (fun _ -> Json.of_int_list [ 0; 0; 0; 0 ]))));
+          (* a store-buffer entry outside memory would fail as it drains *)
+          core0 (set "sb" (fun _ -> Json.Arr [ Json.of_int_list [ 1_000_000_000_000; 1; 0; 2001 ] ]));
+          (* a fetch pc far past the code would stall the core until the
+             cycle budget runs out *)
+          core0 (set "fetch_pc" (fun _ -> Json.Int 1_000_000_000));
+          obj (set "cycle" (fun _ -> Json.Int (-5)));
+          (* a resident L1 line without its coherence state *)
+          obj
+            (set "hierarchy"
+               (obj
+                  (set "l1"
+                     (first
+                        (obj
+                           (set "slots"
+                              (first (first (fun _ -> Json.Arr [ Json.Int 0; Json.Int 1; Json.Null ])))))))));
         ];
       let v2 = obj (set "schema" (fun _ -> Json.Str "fscope-checkpoint/v2")) saved in
       Alcotest.(check string)

@@ -9,70 +9,119 @@ module Reg = Fscope_isa.Reg
 module Fsb = Fscope_core.Fsb
 module Fk = Fscope_isa.Fence_kind
 
-let entry seq = Rob.make_entry ~state:Rob.Waiting ~seq ~pc:seq ~instr:Instr.Nop ~srcs:[||]
+(* Dispatch a nop with seq [seq] (which must be the next seq). *)
+let dispatch_nop rob seq =
+  Rob.dispatch rob (Rob.fresh rob ~seq ~state:Rob.Waiting ~done_at:0 ~addr:(-1) ~pc:seq ~instr:Instr.Nop)
 
 let test_rob_fifo () =
   let rob = Rob.create ~size:4 ~columns:0 () in
   Alcotest.(check bool) "empty" true (Rob.is_empty rob);
   for s = 0 to 3 do
-    Rob.dispatch rob (entry s)
+    dispatch_nop rob s
   done;
   Alcotest.(check bool) "full" true (Rob.is_full rob);
   Alcotest.(check int) "head is 0" 0 (Rob.pop_head rob).Rob.seq;
-  Rob.dispatch rob (entry 4);
+  dispatch_nop rob 4;
   Alcotest.(check int) "count" 4 (Rob.count rob);
   Alcotest.(check int) "head is 1" 1 (Rob.pop_head rob).Rob.seq
 
 let test_rob_wrong_seq () =
   let rob = Rob.create ~size:4 ~columns:0 () in
-  Alcotest.check_raises "wrong seq" (Invalid_argument "Rob.dispatch: wrong seq") (fun () ->
-      Rob.dispatch rob (entry 5))
+  Alcotest.check_raises "wrong seq" (Invalid_argument "Rob.fresh: wrong seq") (fun () ->
+      dispatch_nop rob 5)
 
 let test_rob_squash () =
   let rob = Rob.create ~size:8 ~columns:0 () in
   for s = 0 to 5 do
-    Rob.dispatch rob (entry s)
+    dispatch_nop rob s
   done;
-  let removed = Rob.squash_after rob 2 in
-  Alcotest.(check (list int)) "removed 3,4,5" [ 3; 4; 5 ]
-    (List.map (fun (e : Rob.entry) -> e.Rob.seq) removed);
+  let removed = ref [] in
+  Rob.squash_after rob 2 (fun acc (e : Rob.entry) -> acc := e.Rob.seq :: !acc) removed;
+  Alcotest.(check (list int)) "removed 3,4,5, released oldest first" [ 3; 4; 5 ]
+    (List.rev !removed);
   Alcotest.(check int) "count" 3 (Rob.count rob);
   Alcotest.(check int) "next seq" 3 (Rob.next_seq rob);
-  Rob.dispatch rob (entry 3);
+  dispatch_nop rob 3;
   Alcotest.(check bool) "re-dispatch ok" true (Rob.contains rob 3)
 
 let test_rob_iteration_helpers () =
   let rob = Rob.create ~size:8 ~columns:0 () in
   for s = 0 to 4 do
-    Rob.dispatch rob (entry s)
+    dispatch_nop rob s
   done;
-  Alcotest.(check bool) "exists_older finds" true
-    (Rob.exists_older rob 3 (fun e -> e.Rob.seq = 2));
-  Alcotest.(check bool) "exists_older bounded" false
-    (Rob.exists_older rob 3 (fun e -> e.Rob.seq = 3));
-  let seen = Rob.fold_older rob 4 (fun acc e -> e.Rob.seq :: acc) [] in
-  Alcotest.(check (list int)) "fold_older oldest-first" [ 3; 2; 1; 0 ] seen
+  let has_seq s (e : Rob.entry) = e.Rob.seq = s in
+  Alcotest.(check bool) "exists_older finds" true (Rob.exists_older rob 3 has_seq 2);
+  Alcotest.(check bool) "exists_older bounded" false (Rob.exists_older rob 3 has_seq 3);
+  let even () (e : Rob.entry) = e.Rob.seq mod 2 = 0 in
+  Alcotest.(check int) "youngest_older finds the youngest" 2 (Rob.youngest_older rob 4 even ());
+  Alcotest.(check int) "youngest_older bounded" 0 (Rob.youngest_older rob 2 even ());
+  Alcotest.(check int) "youngest_older none" (-1) (Rob.youngest_older rob 0 even ())
+
+(* Slots are recycled: the record a pop returns is the one the slot
+   hands to the next dispatch into it, so whether a handle is in flight
+   depends on the seq it was taken for, not on the record alone. *)
+let test_rob_recycled_slot () =
+  let rob = Rob.create ~size:4 ~columns:0 () in
+  for s = 0 to 3 do
+    dispatch_nop rob s
+  done;
+  let e = Rob.pop_head rob in
+  Alcotest.(check bool) "popped entry is not in flight" false (Rob.in_flight rob e 0);
+  dispatch_nop rob 4;
+  Alcotest.(check bool) "the slot now holds seq 4" true (Rob.get rob 4 == e);
+  Alcotest.(check bool) "a handle to seq 0 is still not in flight" false (Rob.in_flight rob e 0);
+  Alcotest.(check bool) "the record is in flight as seq 4" true (Rob.in_flight rob e 4);
+  Alcotest.check_raises "setting a popped entry's state"
+    (Invalid_argument "Rob.set_state: entry not in flight") (fun () ->
+      ignore (Rob.pop_head rob);
+      let popped = Rob.get rob 2 in
+      ignore (Rob.pop_head rob);
+      ignore (Rob.pop_head rob);
+      Rob.set_state rob popped Rob.Done)
 
 (* The ROB's state queues, wait links and access queues, and the store
    buffer's column counts, must always agree with a recount over the
    window and the buffer, whatever sequence of dispatches, state and
    address changes, parks, squashes, commits, restores, mutating walks,
-   pushes and drains built them.  Op codes are decoded from random int
-   triples so shrinking stays meaningful. *)
+   pushes and drains built them.  Commit-and-refill bursts wrap the
+   8-slot ROB about six times per case, so every slot's record is
+   reused again and again; a popped or squashed handle must then be
+   in flight under its old seq only if that seq was dispatched again.
+   Op codes are decoded from random int triples so shrinking stays
+   meaningful. *)
 let columns = 3
 
-let state_of_int k =
+(* Move [e] to the state coded by [k]: Waiting, Executing (until
+   [k / 3]) or Done. *)
+let set_state_code rob e k =
   match k mod 3 with
-  | 0 -> Rob.Waiting
-  | 1 -> Rob.Executing (k / 3)
-  | _ -> Rob.Done
+  | 0 -> Rob.set_state rob e Rob.Waiting
+  | 1 -> Rob.set_executing rob e ~done_at:(k / 3)
+  | _ -> Rob.set_state rob e Rob.Done
 
-let is_waiting = function Rob.Waiting -> true | Rob.Executing _ | Rob.Done -> false
-let is_executing = function Rob.Executing _ -> true | Rob.Waiting | Rob.Done -> false
+let state_of_code k =
+  match k mod 3 with
+  | 0 -> (Rob.Waiting, 0)
+  | 1 -> (Rob.Executing, k / 3)
+  | _ -> (Rob.Done, 0)
 
-let walk_seqs walk rob =
+let is_waiting = function Rob.Waiting -> true | Rob.Executing | Rob.Done -> false
+let is_executing = function Rob.Executing -> true | Rob.Waiting | Rob.Done -> false
+
+(* The queue walk of the pipeline stages, with [f] as the visit. *)
+let walk q rob f =
+  let rec go slot =
+    if slot >= 0 then begin
+      let e = Rob.slot_entry rob slot and prev = Rob.queue_prev rob slot in
+      f e;
+      go (Rob.queue_next rob q slot prev)
+    end
+  in
+  go (Rob.queue_first rob q)
+
+let walk_seqs q rob =
   let acc = ref [] in
-  walk rob (fun (e : Rob.entry) -> acc := e.Rob.seq :: !acc);
+  walk q rob (fun (e : Rob.entry) -> acc := e.Rob.seq :: !acc);
   List.rev !acc
 
 let window rob =
@@ -82,9 +131,10 @@ let window rob =
 
 let seqs = List.map (fun (e : Rob.entry) -> e.Rob.seq)
 
-(* An entry of kind [k mod 4] (nop, load, store, CAS) with scope bits
-   and, for [k / 4] odd, a known address. *)
-let mem_entry ~state ~k seq =
+(* The fresh entry for [seq], of kind [k mod 4] (nop, load, store,
+   CAS) with state code [sk], scope bits and, for [k / 4] odd, a known
+   address. *)
+let mem_entry rob ~sk ~k seq =
   let r = Reg.zero in
   let instr =
     match k mod 4 with
@@ -93,9 +143,11 @@ let mem_entry ~state ~k seq =
     | 2 -> Instr.Store { src = r; base = r; off = 0; flagged = false }
     | _ -> Instr.Cas { dst = r; base = r; off = 0; expected = r; desired = r; flagged = false }
   in
-  let e = Rob.make_entry ~state ~seq ~pc:seq ~instr ~srcs:[||] in
+  let state, done_at = state_of_code sk in
+  let addr = if (k / 4) mod 2 = 1 then k else -1 in
+  let e = Rob.fresh rob ~seq ~state ~done_at ~addr ~pc:seq ~instr in
   e.Rob.scope_mask <- (k / 8) mod (1 lsl columns);
-  { e with Rob.addr = (if (k / 4) mod 2 = 1 then k else -1) }
+  e
 
 let is_read (e : Rob.entry) =
   match e.Rob.instr with
@@ -116,21 +168,30 @@ let oldest p es =
 
 let in_col col (e : Rob.entry) = col = Rob.all_columns || Fsb.mem col e.Rob.scope_mask
 
+(* Handles (record, seq) of the entries that last left the window:
+   popped, squashed or overwritten by a restore. *)
+let gone : (Rob.entry * int) list ref = ref []
+
+let note_gone (e : Rob.entry) = gone := (e, e.Rob.seq) :: List.filteri (fun i _ -> i < 32) !gone
+
 let invariants rob sb =
   let es = window rob in
   let waiting = List.filter (fun (e : Rob.entry) -> is_waiting e.Rob.state) es in
   let parked = List.filter (fun e -> Rob.parked_on rob e >= 0) es in
-  let queued = walk_seqs Rob.iter_waiting rob in
+  let queued = walk_seqs Rob.waiting_q rob in
   let blocker_ok e =
     let b = Rob.parked_on rob e in
     is_waiting e.Rob.state && b < e.Rob.seq && Rob.contains rob b
     && is_waiting (Rob.get rob b).Rob.state
   in
   let cols = Rob.all_columns :: List.init columns Fun.id in
-  List.for_all blocker_ok parked
+  List.for_all (fun (e : Rob.entry) -> Rob.in_flight rob e e.Rob.seq) es
+  (* a handle is in flight again only if its seq was dispatched again *)
+  && List.for_all (fun (e, seq) -> Rob.in_flight rob e seq = Rob.contains rob seq) !gone
+  && List.for_all blocker_ok parked
   && List.for_all (fun s -> not (List.mem s (seqs parked))) queued
   && List.sort compare (queued @ seqs parked) = seqs waiting
-  && walk_seqs Rob.iter_exec rob
+  && walk_seqs Rob.executing_q rob
      = seqs (List.filter (fun (e : Rob.entry) -> is_executing e.Rob.state) es)
   && List.for_all
        (fun col ->
@@ -158,6 +219,8 @@ let try_park rob (e : Rob.entry) =
     | Some o -> Rob.park rob e ~blocker:o.Rob.seq
     | None -> ()
 
+let squash rob seq = Rob.squash_after rob seq (fun () e -> note_gone e) ()
+
 (* Walk one queue, acting on the i-th visited entry by 2-bit code i of
    [codes]: 1 moves it out of the queue (waking what is parked on it),
    2 moves it out and squashes everything younger, 3 parks it (waiting
@@ -167,14 +230,13 @@ let try_park rob (e : Rob.entry) =
    queue at its end: entries woken during the walk are younger than
    the entry that woke them, so the walk reaches them. *)
 let walk_and_check rob ~waiting ~codes =
-  let walk, out =
-    if waiting then (Rob.iter_waiting, Rob.Executing 0) else (Rob.iter_exec, Rob.Done)
-  in
-  let before = walk_seqs walk rob in
+  let q = if waiting then Rob.waiting_q else Rob.executing_q in
+  let leave e = if waiting then Rob.set_executing rob e ~done_at:0 else Rob.set_state rob e Rob.Done in
+  let before = walk_seqs q rob in
   let visited = ref [] in
   let squashed_at = ref max_int in
   let queued = ref true in
-  walk rob (fun e ->
+  walk q rob (fun e ->
       let code = (codes lsr (2 * (List.length !visited mod 30))) land 3 in
       visited := e.Rob.seq :: !visited;
       (queued :=
@@ -182,10 +244,10 @@ let walk_and_check rob ~waiting ~codes =
          &&
          if waiting then is_waiting e.Rob.state && Rob.parked_on rob e < 0
          else is_executing e.Rob.state);
-      if code = 1 || code = 2 then Rob.set_state rob e out;
+      if code = 1 || code = 2 then leave e;
       if code = 2 then begin
         squashed_at := e.Rob.seq;
-        ignore (Rob.squash_after rob e.Rob.seq)
+        squash rob e.Rob.seq
       end;
       if code = 3 && waiting then try_park rob e);
   let visited = List.rev !visited in
@@ -193,31 +255,33 @@ let walk_and_check rob ~waiting ~codes =
   !queued && increasing visited
   && List.for_all (fun s -> s <= !squashed_at) visited
   && List.for_all (fun s -> s > !squashed_at || List.mem s visited) before
-  && List.for_all (fun s -> List.mem s visited) (walk_seqs walk rob)
+  && List.for_all (fun s -> List.mem s visited) (walk_seqs q rob)
+
+let dispatch_mem rob ~sk ~k =
+  if not (Rob.is_full rob) then Rob.dispatch rob (mem_entry rob ~sk ~k (Rob.next_seq rob))
 
 let apply rob sb (op, a, b) =
   let n = Rob.count rob in
   let pick i = Rob.get rob (Rob.head_seq rob + (i mod n)) in
-  match op mod 10 with
+  match op mod 11 with
   | 0 ->
-    if not (Rob.is_full rob) then
-      Rob.dispatch rob (mem_entry ~state:(state_of_int a) ~k:b (Rob.next_seq rob));
+    dispatch_mem rob ~sk:a ~k:b;
     true
   | 1 ->
-    if n > 0 then Rob.set_state rob (pick a) (state_of_int b);
+    if n > 0 then set_state_code rob (pick a) b;
     true
   | 2 ->
-    ignore (Rob.squash_after rob (Rob.head_seq rob - 1 + (a mod (n + 1))));
+    squash rob (Rob.head_seq rob - 1 + (a mod (n + 1)));
     true
   | 3 ->
-    if n > 0 then ignore (Rob.pop_head rob);
+    if n > 0 then note_gone (Rob.pop_head rob);
     true
   | 4 ->
     let head_seq = Rob.head_seq rob + (a mod 3) in
+    Rob.iter rob note_gone;
     Rob.restore rob ~head_seq
-      (List.init
-         (b mod (Rob.size rob + 1))
-         (fun i -> mem_entry ~state:(state_of_int (a + (7 * i))) ~k:(b + i) (head_seq + i)));
+      (List.init (b mod (Rob.size rob + 1)) Fun.id)
+      (fun i -> mem_entry rob ~sk:(a + (7 * i)) ~k:(b + i) (head_seq + i));
     true
   | 5 -> walk_and_check rob ~waiting:(a mod 2 = 0) ~codes:b
   | 6 ->
@@ -228,53 +292,78 @@ let apply rob sb (op, a, b) =
     true
   | 8 ->
     if not (Sb.is_full sb) then
-      Sb.push sb { Sb.addr = a; value = 0; mask = b mod (1 lsl columns); done_at = a mod 16 };
+      Sb.push sb ~addr:a ~value:0 ~mask:(b mod (1 lsl columns)) ~done_at:(a mod 16);
+    true
+  | 9 ->
+    ignore (Sb.drain_due sb ~cycle:(a mod 16) (fun () ~addr:_ ~value:_ ~mask:_ -> ()) ());
     true
   | _ ->
-    ignore (Sb.take_completed sb ~cycle:(a mod 16));
+    (* commit-and-refill burst: retire up to [a mod 8] entries, then
+       dispatch up to [b mod 9], each parked behind the oldest waiting
+       entry when it can be *)
+    for _ = 1 to min (a mod 8) (Rob.count rob) do
+      note_gone (Rob.pop_head rob)
+    done;
+    for i = 1 to b mod 9 do
+      dispatch_mem rob ~sk:(a + i) ~k:(b + (3 * i));
+      if (a + i) mod 2 = 0 && not (Rob.is_empty rob) then
+        try_park rob (Rob.get rob (Rob.next_seq rob - 1))
+    done;
     true
 
 let prop_rob_queues =
   QCheck2.Test.make ~count:300 ~name:"rob state queues match the window"
     ~print:QCheck2.Print.(list (triple int int int))
-    QCheck2.Gen.(list_size (int_range 0 80) (triple (int_bound 9) nat nat))
+    QCheck2.Gen.(list_size (int_range 0 300) (triple (int_bound 10) nat nat))
     (fun ops ->
       let rob = Rob.create ~size:8 ~columns () in
       let sb = Sb.create ~capacity:4 () in
+      gone := [];
       List.for_all (fun op -> apply rob sb op && invariants rob sb) ops)
 
-let sb_entry ?(mask = Fsb.empty) ~addr ~done_at () =
-  { Sb.addr; value = 7; mask; done_at }
+let sb_push ?(mask = Fsb.empty) sb ~addr ~done_at = Sb.push sb ~addr ~value:7 ~mask ~done_at
+
+(* The addresses of the entries drained at [cycle], oldest first. *)
+let drain sb ~cycle =
+  let acc = ref [] in
+  ignore (Sb.drain_due sb ~cycle (fun acc ~addr ~value:_ ~mask:_ -> acc := addr :: !acc) acc);
+  List.rev !acc
+
+let forward sb ~addr =
+  let i = Sb.youngest_to sb ~addr in
+  if i < 0 then None else Some (Sb.value_at sb i)
 
 let test_sb_fifo_and_completion () =
   let sb = Sb.create ~capacity:4 () in
-  Sb.push sb (sb_entry ~addr:0 ~done_at:10 ());
-  Sb.push sb (sb_entry ~addr:8 ~done_at:5 ());
-  Alcotest.(check int) "count" 2 (Sb.count sb);
-  let done_ = Sb.take_completed sb ~cycle:6 in
-  Alcotest.(check (list int)) "early entry drains out of order" [ 8 ]
-    (List.map (fun (e : Sb.entry) -> e.Sb.addr) done_);
-  Alcotest.(check int) "one left" 1 (Sb.count sb)
+  sb_push sb ~addr:0 ~done_at:10;
+  sb_push sb ~addr:8 ~done_at:5;
+  sb_push sb ~addr:16 ~done_at:12;
+  Alcotest.(check int) "count" 3 (Sb.count sb);
+  Alcotest.(check (list int)) "early entry drains out of order" [ 8 ] (drain sb ~cycle:6);
+  Alcotest.(check int) "two left" 2 (Sb.count sb);
+  Alcotest.(check int) "the rest keep their order" 10 (Sb.due_at sb 0);
+  Alcotest.(check (list int)) "then oldest first" [ 0; 16 ] (drain sb ~cycle:20);
+  Alcotest.(check (list int)) "nothing due" [] (drain sb ~cycle:20)
 
 let test_sb_forward_youngest () =
   let sb = Sb.create ~capacity:4 () in
-  Sb.push sb { Sb.addr = 3; value = 1; mask = Fsb.empty; done_at = 100 };
-  Sb.push sb { Sb.addr = 3; value = 2; mask = Fsb.empty; done_at = 100 };
-  Alcotest.(check (option int)) "youngest wins" (Some 2) (Sb.forward sb ~addr:3);
-  Alcotest.(check (option int)) "miss" None (Sb.forward sb ~addr:4)
+  Sb.push sb ~addr:3 ~value:1 ~mask:Fsb.empty ~done_at:100;
+  Sb.push sb ~addr:3 ~value:2 ~mask:Fsb.empty ~done_at:100;
+  Alcotest.(check (option int)) "youngest wins" (Some 2) (forward sb ~addr:3);
+  Alcotest.(check (option int)) "miss" None (forward sb ~addr:4)
 
 let test_sb_mask_overlap () =
   let sb = Sb.create ~capacity:4 () in
-  Sb.push sb (sb_entry ~mask:(Fsb.column 1) ~addr:0 ~done_at:10 ());
+  sb_push ~mask:(Fsb.column 1) sb ~addr:0 ~done_at:10;
   Alcotest.(check bool) "overlap" true (Sb.mask_overlaps sb (Fsb.column 1));
   Alcotest.(check bool) "no overlap" false (Sb.mask_overlaps sb (Fsb.column 2))
 
 let test_sb_capacity () =
   let sb = Sb.create ~capacity:1 () in
-  Sb.push sb (sb_entry ~addr:0 ~done_at:1 ());
+  sb_push sb ~addr:0 ~done_at:1;
   Alcotest.(check bool) "full" true (Sb.is_full sb);
   Alcotest.check_raises "push full" (Invalid_argument "Store_buffer.push: full") (fun () ->
-      Sb.push sb (sb_entry ~addr:1 ~done_at:1 ()))
+      sb_push sb ~addr:1 ~done_at:1)
 
 let test_bpred_learns () =
   let bp = Bp.create ~entries:16 in
@@ -373,6 +462,7 @@ let tests =
     Alcotest.test_case "rob wrong seq" `Quick test_rob_wrong_seq;
     Alcotest.test_case "rob squash" `Quick test_rob_squash;
     Alcotest.test_case "rob iteration" `Quick test_rob_iteration_helpers;
+    Alcotest.test_case "rob recycled slot" `Quick test_rob_recycled_slot;
     QCheck_alcotest.to_alcotest prop_rob_queues;
     Alcotest.test_case "sb completion order" `Quick test_sb_fifo_and_completion;
     Alcotest.test_case "sb forwarding" `Quick test_sb_forward_youngest;

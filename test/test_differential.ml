@@ -487,6 +487,24 @@ let prop_spin_ff_identity =
         QCheck2.Test.fail_report "FF off must not skip cycles"
       else true)
 
+(* A case the property above once drew: in handshake seed 589 the
+   bounded spinner's store upgrades the shared flag line, invalidating
+   the plain spinner's copy, in the cycle after that spinner's last
+   load and before the boundary at which its probe arms.  The engine
+   must not put the spinner to sleep then (its next load misses), on
+   every configuration the seed failed under. *)
+let test_spin_line_invalidated_before_arming () =
+  let seed = 589 in
+  let program = handshake_program (Rng.create seed) in
+  List.iter
+    (fun label ->
+      let config = List.assoc label configs in
+      let engine = Machine.run config program in
+      let reference = Machine.run_reference config program in
+      if not (Machine.same_outcome engine reference) then
+        Alcotest.fail (explain_mismatch label seed engine reference))
+    [ "scoped"; "traditional"; "scoped+spec" ]
+
 (* ------------------------------------------------------------------ *)
 (* Shard-count invariance: splitting one machine's cores across OCaml
    domains must be invisible in the results.  Sweeps shard counts over
@@ -656,6 +674,8 @@ let tests =
     Alcotest.test_case "4-core disjoint programs 41-100" `Slow (test_disjoint_batch 41 100);
     QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     QCheck_alcotest.to_alcotest prop_spin_ff_identity;
+    Alcotest.test_case "spin line invalidated before arming" `Quick
+      test_spin_line_invalidated_before_arming;
     QCheck_alcotest.to_alcotest prop_shard_invariance;
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
     Alcotest.test_case "compact checkpoint: >=5x smaller, identical resume" `Quick

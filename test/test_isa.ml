@@ -24,13 +24,11 @@ let test_instr_regs () =
   let cas =
     Instr.Cas { dst = r 1; base = r 2; off = 4; expected = r 3; desired = r 4; flagged = false }
   in
-  Alcotest.(check (option int)) "cas writes dst" (Some 1)
-    (Option.map Reg.index (Instr.writes_reg cas));
+  Alcotest.(check int) "cas writes dst" 1 (Instr.dst_index cas);
   Alcotest.(check (list int)) "cas reads" [ 2; 3; 4 ]
     (List.map Reg.index (Instr.reads_regs cas));
   (* writes to r0 are discarded *)
-  Alcotest.(check (option int)) "write to r0 hidden" None
-    (Option.map Reg.index (Instr.writes_reg (Instr.Li (Reg.zero, 3))))
+  Alcotest.(check int) "write to r0 hidden" (-1) (Instr.dst_index (Instr.Li (Reg.zero, 3)))
 
 let test_asm_labels () =
   let asm = Asm.create () in

@@ -6,6 +6,12 @@ module Reg = Fscope_isa.Reg
 module Fk = Fscope_isa.Fence_kind
 
 let r = Reg.r
+
+(* The unit's wait condition as a variant: [`Global] for
+   {!Su.wait_global}, else the scope mask. *)
+let fence_scope u kind =
+  let w = Su.fence_scope u kind in
+  if w = Su.wait_global then `Global else `Mask w
 let ld ?(flagged = false) () = Instr.Load { dst = r 1; base = r 2; off = 0; flagged }
 let st ?(flagged = false) () = Instr.Store { src = r 1; base = r 2; off = 0; flagged }
 
@@ -160,7 +166,7 @@ let hardware_wait_sets config stream =
           | _ -> false
         in
         let waits =
-          match Su.fence_scope u kind with
+          match fence_scope u kind with
           | `Global -> List.rev_map fst !mem_masks
           | `Mask m ->
             List.rev

@@ -4,6 +4,12 @@ module Fk = Fscope_isa.Fence_kind
 
 let cfg = Su.default_config
 
+(* The unit's wait condition as a variant: [`Global] for
+   {!Su.wait_global}, else the scope mask. *)
+let fence_scope u kind =
+  let w = Su.fence_scope u kind in
+  if w = Su.wait_global then `Global else `Mask w
+
 let mask_of_cols cols = List.fold_left (fun m c -> Fsb.union m (Fsb.column c)) Fsb.empty cols
 
 let test_fig9_nested_scopes () =
@@ -38,7 +44,7 @@ let test_set_column () =
   let m = Su.decode_mask u ~flagged:true in
   Alcotest.(check int) "flagged op sets the set column"
     (Fsb.column (Su.set_column u)) m;
-  match Su.fence_scope u Fk.set_scoped with
+  match fence_scope u Fk.set_scoped with
   | `Mask m' -> Alcotest.(check int) "set fence checks set column" m m'
   | `Global -> Alcotest.fail "set fence should be scoped"
 
@@ -46,24 +52,24 @@ let test_class_fence_scope_is_top () =
   let u = Su.create cfg in
   Su.on_fs_start u ~cid:1;
   Su.on_fs_start u ~cid:2;
-  (match Su.fence_scope u Fk.class_scoped with
+  (match fence_scope u Fk.class_scoped with
   | `Mask m -> Alcotest.(check int) "inner fence checks top column" (Fsb.column 1) m
   | `Global -> Alcotest.fail "expected scoped");
   Su.on_fs_end u ~cid:2;
-  match Su.fence_scope u Fk.class_scoped with
+  match fence_scope u Fk.class_scoped with
   | `Mask m -> Alcotest.(check int) "outer fence checks bottom column" (Fsb.column 0) m
   | `Global -> Alcotest.fail "expected scoped"
 
 let test_full_fence_always_global () =
   let u = Su.create cfg in
   Su.on_fs_start u ~cid:1;
-  match Su.fence_scope u Fk.full with
+  match fence_scope u Fk.full with
   | `Global -> ()
   | `Mask _ -> Alcotest.fail "full fence must be global"
 
 let test_class_fence_outside_scope_is_global () =
   let u = Su.create cfg in
-  match Su.fence_scope u Fk.class_scoped with
+  match fence_scope u Fk.class_scoped with
   | `Global -> ()
   | `Mask _ -> Alcotest.fail "unscoped class fence must degrade to global"
 
@@ -71,7 +77,7 @@ let test_disabled_unit () =
   let u = Su.create { cfg with enabled = false } in
   Su.on_fs_start u ~cid:1;
   Alcotest.(check int) "no flags when disabled" Fsb.empty (Su.decode_mask u ~flagged:true);
-  match Su.fence_scope u Fk.class_scoped with
+  match fence_scope u Fk.class_scoped with
   | `Global -> ()
   | `Mask _ -> Alcotest.fail "disabled unit must be global"
 
@@ -85,12 +91,12 @@ let test_fss_overflow_counter () =
   Alcotest.(check bool) "not yet overflowing" false (Su.in_overflow u);
   Su.on_fs_start u ~cid:3;
   Alcotest.(check bool) "overflowing" true (Su.in_overflow u);
-  (match Su.fence_scope u Fk.class_scoped with
+  (match fence_scope u Fk.class_scoped with
   | `Global -> ()
   | `Mask _ -> Alcotest.fail "fence during overflow must be global");
   Su.on_fs_end u ~cid:3;
   Alcotest.(check bool) "recovered" false (Su.in_overflow u);
-  match Su.fence_scope u Fk.class_scoped with
+  match fence_scope u Fk.class_scoped with
   | `Mask _ -> ()
   | `Global -> Alcotest.fail "fence after recovery should be scoped"
 
@@ -122,7 +128,7 @@ let test_overflow_ops_conservatively_flagged () =
   let m_ov = Su.decode_mask u ~flagged:false in
   Su.on_fs_end u ~cid:1;
   Su.on_fs_start u ~cid:2 (* re-enter scope 2: same column *);
-  match Su.fence_scope u Fk.class_scoped with
+  match fence_scope u Fk.class_scoped with
   | `Mask fence_mask ->
     Alcotest.(check bool) "fence sees the overflow-time op" false
       (Fsb.is_empty (Fsb.inter fence_mask m_ov))
