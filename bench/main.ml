@@ -21,11 +21,24 @@ module Machine = Fscope_machine.Machine
 module Registry = Fscope_workloads.Registry
 module W = Fscope_workloads
 module E = Fscope_experiments
+module Json = Fscope_util.Json
 
 let workload name params = E.Exp_run.workload ~params name
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 let now_s () = Unix.gettimeofday ()
+
+(* BENCH_engine.json sections recorded by the artefacts that ran, by
+   key; [write_bench_json] places them in the schema's fixed order.
+   The engine rows are always present, empty unless [engine] ran. *)
+let sections = ref [ ("engine_vs_naive", Json.Arr []) ]
+let record key v = sections := (key, v) :: List.remove_assoc key !sections
+
+let write_json path doc =
+  let oc = open_out path in
+  output_string oc (Json.render_pretty doc ^ "\n");
+  close_out oc;
+  say "wrote %s" path
 
 let run_table3 () = Table.print (E.Tables.table3 Config.default)
 let run_table4 () = Table.print (E.Tables.table4 ())
@@ -83,8 +96,6 @@ let timed f =
   let r = f () in
   (r, now_s () -. t0)
 
-let engine_rows = ref ([] : engine_row list)
-
 let run_engine ~quick () =
   (* Fig13's app set plus the spin-heavy points: dekker's busy-wait
      entry protocol, and spin-barrier — whose workers spend most of
@@ -140,7 +151,6 @@ let run_engine ~quick () =
         })
       points
   in
-  engine_rows := rows;
   let t =
     Table.create ~title:"Engine — fast-forward vs naive cycle loop"
       ~header:
@@ -165,10 +175,28 @@ let run_engine ~quick () =
     rows;
   Table.print t;
   let tot f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-  say "engine total %.2fs, naive total %.2fs — %.2fx overall"
-    (tot (fun r -> r.er_engine_s))
-    (tot (fun r -> r.er_naive_s))
-    (tot (fun r -> r.er_naive_s) /. tot (fun r -> r.er_engine_s))
+  let e = tot (fun r -> r.er_engine_s) and nv = tot (fun r -> r.er_naive_s) in
+  say "engine total %.2fs, naive total %.2fs — %.2fx overall" e nv (nv /. e);
+  let row r =
+    let per_sec s = Json.fixed 0 (float_of_int r.er_cycles /. s) in
+    Json.Obj
+      [
+        ("workload", Json.Str r.er_workload);
+        ("config", Json.Str r.er_config);
+        ("sim_cycles", Json.Int r.er_cycles);
+        ("engine_seconds", Json.fixed 3 r.er_engine_s);
+        ("naive_seconds", Json.fixed 3 r.er_naive_s);
+        ("speedup", Json.fixed 2 (r.er_naive_s /. r.er_engine_s));
+        ("engine_cycles_per_sec", per_sec r.er_engine_s);
+        ("naive_cycles_per_sec", per_sec r.er_naive_s);
+        ("spin_cycles_skipped", Json.Int r.er_spin_skipped);
+        ("spin_sleeps", Json.Int r.er_spin_sleeps);
+      ]
+  in
+  record "engine_vs_naive" (Json.Arr (List.map row rows));
+  record "engine_total_seconds" (Json.fixed 3 e);
+  record "naive_total_seconds" (Json.fixed 3 nv);
+  record "overall_speedup" (Json.fixed 2 (nv /. e))
 
 (* ------------------------------------------------------------------ *)
 (* Profile artefact: cycle-accounting profiles of the eight paper
@@ -254,21 +282,13 @@ let run_profile ~quick () =
   Table.print t
 
 let write_profile_json ~quick path =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\n  \"schema\": \"fence-scoping/bench-profile/v2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf "  \"profiles\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    ";
-      Buffer.add_string buf (Obs.Profile.json p))
-    !profile_inputs;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  say "wrote %s" path
+  write_json path
+    (Json.Obj
+       [
+         ("schema", Json.Str "fence-scoping/bench-profile/v2");
+         ("quick", Json.Bool quick);
+         ("profiles", Json.Arr (List.map Obs.Profile.json !profile_inputs));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Server artefact: the high-traffic suite (MPMC dispatch, cache with
@@ -314,10 +334,7 @@ let run_server ~quick ~shard_domains () =
   if cpus < 2 then say "server: cross-jobs determinism check skipped (host reports %d CPU)" cpus
 
 let write_server_json ~quick ~jobs path =
-  let oc = open_out path in
-  output_string oc (E.Server.json ~quick ~jobs !server_rows);
-  close_out oc;
-  say "wrote %s" path
+  write_json path (E.Server.json ~quick ~jobs !server_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Jobs-scaling artefact: the same experiment points measured with one
@@ -325,16 +342,6 @@ let write_server_json ~quick ~jobs path =
    hosts with enough CPUs to make it meaningful) a wall-clock win.
    Skips cleanly on single-CPU runners.                                *)
 (* ------------------------------------------------------------------ *)
-
-type jobs_scaling = {
-  js_cpus : int;
-  js_points : int;
-  js_jobs : int;
-  js_seq_s : float;
-  js_par_s : float;
-}
-
-let jobs_scaling_row = ref (None : jobs_scaling option)
 
 let run_jobs_scaling ~quick () =
   let cpus = Domain.recommended_domain_count () in
@@ -370,15 +377,16 @@ let run_jobs_scaling ~quick () =
         (Printf.sprintf
            "jobs-scaling: %.2fx with %d jobs on a %d-CPU host — domains buy nothing" sp j
            cpus);
-    jobs_scaling_row :=
-      Some
-        {
-          js_cpus = cpus;
-          js_points = List.length specs;
-          js_jobs = j;
-          js_seq_s = seq_s;
-          js_par_s = par_s;
-        }
+    record "jobs_scaling"
+      (Json.Obj
+         [
+           ("cpus", Json.Int cpus);
+           ("points", Json.Int (List.length specs));
+           ("jobs", Json.Int j);
+           ("seq_seconds", Json.fixed 3 seq_s);
+           ("par_seconds", Json.fixed 3 par_s);
+           ("speedup", Json.fixed 2 sp);
+         ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -389,17 +397,17 @@ let run_jobs_scaling ~quick () =
    legitimately loses time to barrier traffic.                         *)
 (* ------------------------------------------------------------------ *)
 
-type shard_scaling = {
-  ss_cpus : int;
-  ss_cores : int;
-  ss_shards : int;
-  ss_seq_s : float;
-  ss_shard_s : float;
-  ss_barriers : int;
-  ss_elided : int;  (* lockstep-traffic counters of the sharded run *)
-}
-
-let shard_scaling_row = ref (None : shard_scaling option)
+(* The fields the shard-scaling and sharded-sampled records share. *)
+let shard_fields ~cpus ~cores ~shards ~seq_s ~shard_s ~barriers =
+  [
+    ("cpus", Json.Int cpus);
+    ("cores", Json.Int cores);
+    ("shards", Json.Int shards);
+    ("seq_seconds", Json.fixed 3 seq_s);
+    ("shard_seconds", Json.fixed 3 shard_s);
+    ("shard_speedup", Json.fixed 2 (seq_s /. shard_s));
+    ("barriers_total", Json.Int barriers);
+  ]
 
 let run_shard_scaling ~quick () =
   let cpus = Domain.recommended_domain_count () in
@@ -438,11 +446,14 @@ let run_shard_scaling ~quick () =
     threads seq_s shards shard_s (seq_s /. shard_s) cpus
     shard_r.Machine.shard.Machine.barriers shard_r.Machine.shard.Machine.elided_cycles
     lockstep_r.Machine.shard.Machine.barriers;
-  shard_scaling_row :=
-    Some
-      { ss_cpus = cpus; ss_cores = threads; ss_shards = shards; ss_seq_s = seq_s;
-        ss_shard_s = shard_s; ss_barriers = shard_r.Machine.shard.Machine.barriers;
-        ss_elided = shard_r.Machine.shard.Machine.elided_cycles }
+  record "shard_scaling"
+    (Json.Obj
+       (shard_fields ~cpus ~cores:threads ~shards ~seq_s ~shard_s
+          ~barriers:shard_r.Machine.shard.Machine.barriers
+       @ [
+           ("elided_cycles", Json.Int shard_r.Machine.shard.Machine.elided_cycles);
+           ("bit_identical", Json.Bool true);
+         ]))
 
 (* ------------------------------------------------------------------ *)
 (* Sharded-sampled artefact: the tentpole composition — the 256-core
@@ -452,19 +463,6 @@ let run_shard_scaling ~quick () =
    the >=2x wall-clock gate holds only on runners with >= 4 CPUs at
    full size, where the window work dwarfs the barrier cost.           *)
 (* ------------------------------------------------------------------ *)
-
-type sharded_sampled = {
-  hs_cpus : int;
-  hs_cores : int;
-  hs_shards : int;
-  hs_seq_s : float;
-  hs_shard_s : float;
-  hs_barriers : int;
-  hs_windows : int;
-  hs_gated : bool;  (* the >=2x wall-clock gate was enforced *)
-}
-
-let sharded_sampled_row = ref (None : sharded_sampled option)
 
 let run_sharded_sampled ~quick () =
   let cpus = Domain.recommended_domain_count () in
@@ -508,18 +506,15 @@ let run_sharded_sampled ~quick () =
           windows buys less than the promised 2x"
          speedup shards cpus);
   if not gated then mark_skipped "sharded-sampled";
-  sharded_sampled_row :=
-    Some
-      {
-        hs_cpus = cpus;
-        hs_cores = threads;
-        hs_shards = shards;
-        hs_seq_s = seq_s;
-        hs_shard_s = shard_s;
-        hs_barriers = shard_r.Machine.shard.Machine.barriers;
-        hs_windows = List.length shard_r.Machine.sample_windows;
-        hs_gated = gated;
-      }
+  record "sharded_sampled"
+    (Json.Obj
+       (shard_fields ~cpus ~cores:threads ~shards ~seq_s ~shard_s
+          ~barriers:shard_r.Machine.shard.Machine.barriers
+       @ [
+           ("measured_windows", Json.Int (List.length shard_r.Machine.sample_windows));
+           ("wallclock_gated", Json.Bool gated);
+           ("bit_identical", Json.Bool true);
+         ]))
 
 (* ------------------------------------------------------------------ *)
 (* Sampled-simulation artefact: the SMARTS-style interval estimator
@@ -530,19 +525,6 @@ let run_sharded_sampled ~quick () =
    are appended to the server artefact's, so BENCH_server.json carries
    both generations of the scale point.                                *)
 (* ------------------------------------------------------------------ *)
-
-type sampled_cmp = {
-  sm_workload : string;
-  sm_detailed_cycles : int;
-  sm_sampled_cycles : int;
-  sm_cycles_err_pct : float;
-  sm_fence_err_pp : float;  (* |fence share delta| in percentage points *)
-  sm_detailed_s : float;
-  sm_sampled_s : float;
-  sm_speedup : float;
-}
-
-let sampled_cmp_row = ref (None : sampled_cmp option)
 
 (* The tested error contract (DESIGN §15): estimated cycles within 25%
    of the detailed run, fence share within 10 percentage points.  CI
@@ -609,18 +591,18 @@ let run_sampled_sim ~quick ~shard_domains () =
          "sampled-sim: %.2fx wall-clock over detailed at full size — sampling buys \
           less than the promised 10x"
          speedup);
-  sampled_cmp_row :=
-    Some
-      {
-        sm_workload = "server-mpmc-64";
-        sm_detailed_cycles = detailed_r.Machine.cycles;
-        sm_sampled_cycles = sampled_r.Machine.cycles;
-        sm_cycles_err_pct = cycles_err;
-        sm_fence_err_pp = fence_err;
-        sm_detailed_s = detailed_s;
-        sm_sampled_s = sampled_s;
-        sm_speedup = speedup;
-      };
+  record "sampled_sim"
+    (Json.Obj
+       [
+         ("workload", Json.Str "server-mpmc-64");
+         ("detailed_cycles", Json.Int detailed_r.Machine.cycles);
+         ("sampled_cycles", Json.Int sampled_r.Machine.cycles);
+         ("cycles_err_pct", Json.fixed 2 cycles_err);
+         ("fence_err_pp", Json.fixed 2 fence_err);
+         ("detailed_seconds", Json.fixed 3 detailed_s);
+         ("sampled_seconds", Json.fixed 3 sampled_s);
+         ("speedup", Json.fixed 2 speedup);
+       ]);
   let rows = E.Server.run_sampled ~quick ~shard_domains () in
   server_rows := !server_rows @ rows;
   Table.print (E.Server.table rows)
@@ -634,94 +616,34 @@ let run_sampled_sim ~quick ~shard_domains () =
 let artefact_times = ref ([] : (string * float) list)
 
 let write_bench_json ~quick ~jobs ~shard_domains path =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"fence-scoping/bench-engine/v4\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add "  \"jobs\": %d,\n" jobs;
-  add "  \"shard_domains\": %d,\n" shard_domains;
-  add "  \"artefacts\": [";
-  List.iteri
-    (fun i (name, s) ->
-      add "%s\n    {\"name\": %S, \"seconds\": %.3f%s}"
-        (if i = 0 then "" else ",")
-        name s
-        (if List.mem name !skipped_artefacts then ", \"skipped\": true" else ""))
-    (List.rev !artefact_times);
-  add "\n  ],\n";
-  add "  \"engine_vs_naive\": [";
-  List.iteri
-    (fun i r ->
-      add
-        "%s\n    {\"workload\": %S, \"config\": %S, \"sim_cycles\": %d, \
-         \"engine_seconds\": %.3f, \"naive_seconds\": %.3f, \"speedup\": %.2f, \
-         \"engine_cycles_per_sec\": %.0f, \"naive_cycles_per_sec\": %.0f, \
-         \"spin_cycles_skipped\": %d, \"spin_sleeps\": %d}"
-        (if i = 0 then "" else ",")
-        r.er_workload r.er_config r.er_cycles r.er_engine_s r.er_naive_s
-        (r.er_naive_s /. r.er_engine_s)
-        (float_of_int r.er_cycles /. r.er_engine_s)
-        (float_of_int r.er_cycles /. r.er_naive_s)
-        r.er_spin_skipped r.er_spin_sleeps)
-    !engine_rows;
-  add "\n  ]";
-  (match !jobs_scaling_row with
-  | None -> ()
-  | Some js ->
-    add ",\n";
-    add
-      "  \"jobs_scaling\": {\"cpus\": %d, \"points\": %d, \"jobs\": %d, \
-       \"seq_seconds\": %.3f, \"par_seconds\": %.3f, \"speedup\": %.2f}"
-      js.js_cpus js.js_points js.js_jobs js.js_seq_s js.js_par_s
-      (js.js_seq_s /. js.js_par_s));
-  (match !shard_scaling_row with
-  | None -> ()
-  | Some ss ->
-    add ",\n";
-    add
-      "  \"shard_scaling\": {\"cpus\": %d, \"cores\": %d, \"shards\": %d, \
-       \"seq_seconds\": %.3f, \"shard_seconds\": %.3f, \"shard_speedup\": %.2f, \
-       \"barriers_total\": %d, \"elided_cycles\": %d, \"bit_identical\": true}"
-      ss.ss_cpus ss.ss_cores ss.ss_shards ss.ss_seq_s ss.ss_shard_s
-      (ss.ss_seq_s /. ss.ss_shard_s)
-      ss.ss_barriers ss.ss_elided);
-  (match !sharded_sampled_row with
-  | None -> ()
-  | Some hs ->
-    add ",\n";
-    add
-      "  \"sharded_sampled\": {\"cpus\": %d, \"cores\": %d, \"shards\": %d, \
-       \"seq_seconds\": %.3f, \"shard_seconds\": %.3f, \"shard_speedup\": %.2f, \
-       \"barriers_total\": %d, \"measured_windows\": %d, \"wallclock_gated\": %b, \
-       \"bit_identical\": true}"
-      hs.hs_cpus hs.hs_cores hs.hs_shards hs.hs_seq_s hs.hs_shard_s
-      (hs.hs_seq_s /. hs.hs_shard_s)
-      hs.hs_barriers hs.hs_windows hs.hs_gated);
-  (match !sampled_cmp_row with
-  | None -> ()
-  | Some sm ->
-    add ",\n";
-    add
-      "  \"sampled_sim\": {\"workload\": %S, \"detailed_cycles\": %d, \
-       \"sampled_cycles\": %d, \"cycles_err_pct\": %.2f, \"fence_err_pp\": %.2f, \
-       \"detailed_seconds\": %.3f, \"sampled_seconds\": %.3f, \"speedup\": %.2f}"
-      sm.sm_workload sm.sm_detailed_cycles sm.sm_sampled_cycles sm.sm_cycles_err_pct
-      sm.sm_fence_err_pp sm.sm_detailed_s sm.sm_sampled_s sm.sm_speedup);
-  (match !engine_rows with
-  | [] -> add "\n"
-  | rows ->
-    let tot f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-    let e = tot (fun r -> r.er_engine_s) and nv = tot (fun r -> r.er_naive_s) in
-    add ",\n";
-    add "  \"engine_total_seconds\": %.3f,\n" e;
-    add "  \"naive_total_seconds\": %.3f,\n" nv;
-    add "  \"overall_speedup\": %.2f\n" (nv /. e));
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  say "wrote %s" path
+  let artefact (name, s) =
+    Json.Obj
+      ([ ("name", Json.Str name); ("seconds", Json.fixed 3 s) ]
+      @ if List.mem name !skipped_artefacts then [ ("skipped", Json.Bool true) ] else [])
+  in
+  let section key =
+    Option.to_list (Option.map (fun v -> (key, v)) (List.assoc_opt key !sections))
+  in
+  write_json path
+    (Json.Obj
+       ([
+          ("schema", Json.Str "fence-scoping/bench-engine/v4");
+          ("quick", Json.Bool quick);
+          ("jobs", Json.Int jobs);
+          ("shard_domains", Json.Int shard_domains);
+          ("artefacts", Json.Arr (List.rev_map artefact !artefact_times));
+        ]
+       @ List.concat_map section
+           [
+             "engine_vs_naive";
+             "jobs_scaling";
+             "shard_scaling";
+             "sharded_sampled";
+             "sampled_sim";
+             "engine_total_seconds";
+             "naive_total_seconds";
+             "overall_speedup";
+           ]))
 
 let artefacts ~quick ~shard_domains =
   [

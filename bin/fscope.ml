@@ -214,7 +214,7 @@ let cmd_profile workload machine no_fence max_cycles format output =
   emit output
     (match format with
     | `Text -> Obs.Profile.text input
-    | `Json -> Obs.Profile.json input ^ "\n");
+    | `Json -> Json.render (Obs.Profile.json input) ^ "\n");
   0
 
 let cmd_advise workload machine jobs max_cycles format output =
@@ -227,7 +227,7 @@ let cmd_advise workload machine jobs max_cycles format output =
   emit output
     (match format with
     | `Text -> Obs.Advisor.text advice
-    | `Json -> Obs.Advisor.json advice ^ "\n");
+    | `Json -> Json.render (Obs.Advisor.json advice) ^ "\n");
   0
 
 (* Compare the current BENCH_* artefacts against a baseline generation:

@@ -105,8 +105,12 @@ let profile ?label (config : Config.t) (workload : Workload.t) =
 (* The advisor wants the same workload profiled under traditional and
    scoped fences: the first is the subject, the second the residual
    model.  Both runs are independent, so they fan across the global
-   --jobs domains like any experiment sweep. *)
+   --jobs domains like any experiment sweep.  The advisor never reads
+   the spin fast-forward counters, so the profiles run with the
+   optimisation off and skip [profile]'s extra untraced run; the
+   traced runs are unchanged, since tracing turns it off anyway. *)
 let advise_inputs (config : Config.t) (workload : Workload.t) =
+  let config = Config.v ~base:config ~spin_fastforward:false () in
   let t = Exp_run.t_config config and s = Exp_run.s_config config in
   let inputs =
     Exp_run.parmap

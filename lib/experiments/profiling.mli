@@ -40,5 +40,7 @@ val advise_inputs :
 (** [(traditional, sfence)] profiles of the workload, derived from the
     given base config with {!Exp_run.t_config} / {!Exp_run.s_config}
     and fanned across {!Exp_run.jobs} domains — the pair
-    {!Fscope_obs.Advisor.analyze} consumes.  Deterministic: the pair
-    is bit-identical for any job count or shard count. *)
+    {!Fscope_obs.Advisor.analyze} consumes.  Both are profiled with
+    spin fast-forward off, so each costs one traced run and carries
+    [spin_ff = None].  Deterministic: the pair is bit-identical for any
+    job count or shard count. *)

@@ -352,44 +352,55 @@ let gains rows =
         |> Option.map (fun b -> (r.sv_workload, r.sv_config, r.sv_rpk /. b.sv_rpk)))
     rows
 
+module Json = Fscope_util.Json
+
+let row_json r =
+  let gauge g =
+    Json.Obj
+      [
+        ("name", Json.Str g.gv_name);
+        ("samples", Json.Int g.gv_samples);
+        ("p50", Json.Int g.gv_p50);
+        ("p90", Json.Int g.gv_p90);
+        ("p99", Json.Int g.gv_p99);
+        ("max", Json.Int g.gv_max);
+      ]
+  in
+  Json.Obj
+    ([
+       ("workload", Json.Str r.sv_workload);
+       ("config", Json.Str r.sv_config);
+       ("sim_cycles", Json.Int r.sv_cycles);
+       ("requests", Json.Int r.sv_requests);
+       ("requests_per_kcycle", Json.fixed 4 r.sv_rpk);
+       ("fence_share_pct", Json.fixed 2 r.sv_fence_share);
+       ("stall_episodes", Json.Int r.sv_stall_episodes);
+       ("stall_cycles", Json.Int r.sv_stall_cycles);
+       ("stall_mean", Json.fixed 2 r.sv_stall_mean);
+       ("stall_p50", Json.Int r.sv_stall_p50);
+       ("stall_p90", Json.Int r.sv_stall_p90);
+       ("stall_p99", Json.Int r.sv_stall_p99);
+       ("stall_max", Json.Int r.sv_stall_max);
+       ("latency_samples", Json.Int r.sv_lat_samples);
+       ("latency_p50", Json.Int r.sv_lat_p50);
+       ("latency_p90", Json.Int r.sv_lat_p90);
+       ("latency_p99", Json.Int r.sv_lat_p99);
+       ("latency_max", Json.Int r.sv_lat_max);
+       ("sampled", Json.Bool r.sv_sampled);
+       ("latency_sampled", Json.Bool r.sv_lat_sampled);
+     ]
+    @ Option.fold ~none:[] ~some:(fun g -> [ ("gauge", gauge g) ]) r.sv_gauge)
+
 let json ~quick ~jobs rows =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"fence-scoping/bench-server/v5\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add "  \"jobs\": %d,\n" jobs;
-  add "  \"rows\": [";
-  List.iteri
-    (fun i r ->
-      add
-        "%s\n    {\"workload\": %S, \"config\": %S, \"sim_cycles\": %d, \
-         \"requests\": %d, \"requests_per_kcycle\": %.4f, \"fence_share_pct\": %.2f, \
-         \"stall_episodes\": %d, \"stall_cycles\": %d, \"stall_mean\": %.2f, \
-         \"stall_p50\": %d, \"stall_p90\": %d, \"stall_p99\": %d, \"stall_max\": %d, \
-         \"latency_samples\": %d, \"latency_p50\": %d, \"latency_p90\": %d, \
-         \"latency_p99\": %d, \"latency_max\": %d, \"sampled\": %b, \
-         \"latency_sampled\": %b%s}"
-        (if i = 0 then "" else ",")
-        r.sv_workload r.sv_config r.sv_cycles r.sv_requests r.sv_rpk r.sv_fence_share
-        r.sv_stall_episodes r.sv_stall_cycles r.sv_stall_mean r.sv_stall_p50
-        r.sv_stall_p90 r.sv_stall_p99 r.sv_stall_max r.sv_lat_samples r.sv_lat_p50
-        r.sv_lat_p90 r.sv_lat_p99 r.sv_lat_max r.sv_sampled r.sv_lat_sampled
-        (match r.sv_gauge with
-        | None -> ""
-        | Some g ->
-          Printf.sprintf
-            ", \"gauge\": {\"name\": %S, \"samples\": %d, \"p50\": %d, \"p90\": %d, \
-             \"p99\": %d, \"max\": %d}"
-            g.gv_name g.gv_samples g.gv_p50 g.gv_p90 g.gv_p99 g.gv_max))
-    rows;
-  add "\n  ],\n";
-  add "  \"throughput_gain_over_T\": [";
-  List.iteri
-    (fun i (w, c, g) ->
-      add "%s\n    {\"workload\": %S, \"config\": %S, \"gain\": %.4f}"
-        (if i = 0 then "" else ",")
-        w c g)
-    (gains rows);
-  add "\n  ]\n}\n";
-  Buffer.contents buf
+  let gain (w, c, g) =
+    Json.Obj
+      [ ("workload", Json.Str w); ("config", Json.Str c); ("gain", Json.fixed 4 g) ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "fence-scoping/bench-server/v5");
+      ("quick", Json.Bool quick);
+      ("jobs", Json.Int jobs);
+      ("rows", Json.Arr (List.map row_json rows));
+      ("throughput_gain_over_T", Json.Arr (List.map gain (gains rows)));
+    ]

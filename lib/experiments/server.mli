@@ -101,7 +101,7 @@ val gains : row list -> (string * string * float) list
 (** [(workload, config, throughput gain over that workload's T row)]
     for the scoped configs. *)
 
-val json : quick:bool -> jobs:int -> row list -> string
+val json : quick:bool -> jobs:int -> row list -> Fscope_util.Json.t
 (** The BENCH_server.json document
     (schema ["fence-scoping/bench-server/v5"] — v4 plus a per-row
     ["latency_sampled"] flag marking rows whose latency columns come

@@ -128,8 +128,8 @@ let analyze ?scoped (input : Profile.input) =
   let advice =
     List.stable_sort
       (fun a b ->
-        match compare b.recovery a.recovery with
-        | 0 -> compare (a.core, a.pc) (b.core, b.pc)
+        match Float.compare b.recovery a.recovery with
+        | 0 -> ( match Int.compare a.core b.core with 0 -> Int.compare a.pc b.pc | n -> n)
         | n -> n)
       advice
   in
@@ -250,23 +250,33 @@ let text t =
 module Json = Fscope_util.Json
 
 let json t =
-  let b = Buffer.create 2048 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "{\"schema\":\"fence-scoping/advice/v1\"";
-  p ",\"label\":\"%s\",\"config\":\"%s\",\"cores\":%d,\"cycles\":%d" (Json.escape t.label)
-    (Json.escape t.config) t.cores t.cycles;
-  p ",\"modeled_residuals\":%b" t.modeled_residuals;
-  p ",\"total_unscoped\":%d,\"total_recovery\":%.2f,\"predicted_speedup\":%.4f"
-    t.total_unscoped t.total_recovery t.predicted_speedup;
-  p ",\"advice\":[%s]"
-    (String.concat ","
-       (List.mapi
-          (fun i a ->
-            Printf.sprintf
-              "{\"rank\":%d,\"core\":%d,\"pc\":%d,\"kind\":\"%s\",\"commits\":%d,\"stalls\":%d,\"stall_cycles\":%d,\"stall_share\":%.4f,\"attributed\":%.2f,\"residual\":%.2f,\"recovery\":%.2f,\"confidence\":\"%s\"}"
-              (i + 1) a.core a.pc (Json.escape a.kind) a.commits a.episodes a.site_stall
-              a.stall_share a.attributed a.residual a.recovery
-              (confidence_name a.confidence))
-          t.advice));
-  p "}";
-  Buffer.contents b
+  let advice i a =
+    Json.Obj
+      [
+        ("rank", Json.Int (i + 1));
+        ("core", Json.Int a.core);
+        ("pc", Json.Int a.pc);
+        ("kind", Json.Str a.kind);
+        ("commits", Json.Int a.commits);
+        ("stalls", Json.Int a.episodes);
+        ("stall_cycles", Json.Int a.site_stall);
+        ("stall_share", Json.fixed 4 a.stall_share);
+        ("attributed", Json.fixed 2 a.attributed);
+        ("residual", Json.fixed 2 a.residual);
+        ("recovery", Json.fixed 2 a.recovery);
+        ("confidence", Json.Str (confidence_name a.confidence));
+      ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "fence-scoping/advice/v1");
+      ("label", Json.Str t.label);
+      ("config", Json.Str t.config);
+      ("cores", Json.Int t.cores);
+      ("cycles", Json.Int t.cycles);
+      ("modeled_residuals", Json.Bool t.modeled_residuals);
+      ("total_unscoped", Json.Int t.total_unscoped);
+      ("total_recovery", Json.fixed 2 t.total_recovery);
+      ("predicted_speedup", Json.fixed 4 t.predicted_speedup);
+      ("advice", Json.Arr (List.mapi advice t.advice));
+    ]

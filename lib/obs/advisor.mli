@@ -66,6 +66,6 @@ val ordering_violations :
 val text : t -> string
 (** Ranked advice table with the prediction headline. *)
 
-val json : t -> string
+val json : t -> Fscope_util.Json.t
 (** The same data as one JSON object
     (schema ["fence-scoping/advice/v1"]). *)

@@ -73,27 +73,24 @@ let phase = function
   | Scope_pop | Mem_access _ | Cas_result _ ->
     `Instant
 
-let quoted s = "\"" ^ s ^ "\""
-let bool b = if b then "true" else "false"
+module Json = Fscope_util.Json
 
 let args = function
   | Fence_stall_begin { pc; global } ->
-    [ ("pc", string_of_int pc); ("global", bool global) ]
-  | Fence_stall_end { pc; cycles } ->
-    [ ("pc", string_of_int pc); ("cycles", string_of_int cycles) ]
+    [ ("pc", Json.Int pc); ("global", Json.Bool global) ]
+  | Fence_stall_end { pc; cycles } -> [ ("pc", Json.Int pc); ("cycles", Json.Int cycles) ]
   | Rob_dispatch { pc; cls } | Rob_commit { pc; cls } ->
-    [ ("pc", string_of_int pc); ("cls", quoted (instr_class_name cls)) ]
-  | Sb_insert { addr } -> [ ("addr", string_of_int addr) ]
-  | Sb_drain { addr; value } ->
-    [ ("addr", string_of_int addr); ("value", string_of_int value) ]
+    [ ("pc", Json.Int pc); ("cls", Json.Str (instr_class_name cls)) ]
+  | Sb_insert { addr } -> [ ("addr", Json.Int addr) ]
+  | Sb_drain { addr; value } -> [ ("addr", Json.Int addr); ("value", Json.Int value) ]
   | Scope_push { column } ->
-    [ ("column", match column with Some c -> string_of_int c | None -> "null") ]
+    [ ("column", match column with Some c -> Json.Int c | None -> Json.Null) ]
   | Scope_pop -> []
   | Mem_access { addr; write; outcome } ->
     [
-      ("addr", string_of_int addr);
-      ("write", bool write);
-      ("outcome", quoted (mem_outcome_name outcome));
+      ("addr", Json.Int addr);
+      ("write", Json.Bool write);
+      ("outcome", Json.Str (mem_outcome_name outcome));
     ]
   | Cas_result { addr; success } ->
-    [ ("addr", string_of_int addr); ("success", bool success) ]
+    [ ("addr", Json.Int addr); ("success", Json.Bool success) ]

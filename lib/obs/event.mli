@@ -60,9 +60,9 @@ val phase : t -> [ `Begin | `End | `Instant ]
 (** How the Chrome sink renders it: a duration-begin, duration-end, or
     instant event. *)
 
-val args : t -> (string * string) list
-(** Payload fields with values pre-rendered as JSON atoms (numbers,
-    [true]/[false], [null]), so sinks can splice them verbatim. *)
+val args : t -> (string * Fscope_util.Json.t) list
+(** Payload fields, in wire order, as JSON atoms (numbers, booleans,
+    strings, [null]) for the sinks to place in their objects. *)
 
 val instr_class_name : instr_class -> string
 val mem_outcome_name : mem_outcome -> string

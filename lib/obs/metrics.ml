@@ -72,8 +72,8 @@ let bucket_floor i = if i = 0 then 0 else 1 lsl (i - 1)
 let observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
-  h.buckets.(min (bucket_index v) (bucket_count - 1)) <-
-    h.buckets.(min (bucket_index v) (bucket_count - 1)) + 1
+  let i = Int.min (bucket_index v) (bucket_count - 1) in
+  h.buckets.(i) <- h.buckets.(i) + 1
 
 let gauge t name =
   register t name
@@ -107,7 +107,7 @@ type hist_snapshot = {
 (* Nearest-rank percentile, reported as the bucket lower bound (the
    histogram's native resolution). *)
 let hist_percentile (h : hist_snapshot) q =
-  let rank = max 1 (int_of_float (ceil (q *. float_of_int h.count))) in
+  let rank = Int.max 1 (int_of_float (ceil (q *. float_of_int h.count))) in
   let rec go seen = function
     | [] -> 0
     | (floor, n) :: rest ->
@@ -117,7 +117,7 @@ let hist_percentile (h : hist_snapshot) q =
   go 0 h.buckets
 
 let hist_max_floor (h : hist_snapshot) =
-  List.fold_left (fun acc (floor, _) -> max acc floor) 0 h.buckets
+  List.fold_left (fun acc (floor, _) -> Int.max acc floor) 0 h.buckets
 
 type gauge_snapshot = {
   count : int;

@@ -196,58 +196,73 @@ let text input =
 module Json = Fscope_util.Json
 
 let cpi_json t =
-  String.concat ","
-    (List.map (fun leaf -> Printf.sprintf "\"%s\":%d" (Cpi.name leaf) (Cpi.get t leaf)) Cpi.leaves)
+  Json.Obj (List.map (fun leaf -> (Cpi.name leaf, Json.Int (Cpi.get t leaf))) Cpi.leaves)
+
+let stall_fields (s : stall_summary) =
+  [
+    ("stalls", Json.Int s.episodes);
+    ("stall_cycles", Json.Int s.stall_cycles);
+    ("mean", Json.fixed 2 s.mean);
+  ]
 
 let json input =
-  let b = Buffer.create 4096 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let agg = aggregate input in
-  p "{\"schema\":\"fence-scoping/profile/v2\"";
-  p ",\"label\":\"%s\",\"config\":\"%s\"" (Json.escape input.label) (Json.escape input.config);
-  p ",\"cores\":%d,\"cycles\":%d,\"timed_out\":%b,\"active_cycles\":%d"
-    (Array.length input.cpi) input.cycles input.timed_out (active_cycles input);
-  p ",\"cpi\":{%s}" (cpi_json agg);
-  p ",\"cpi_sums_to_active\":%b" (Cpi.total agg = active_cycles input);
-  p ",\"per_core\":[%s]"
-    (String.concat ","
-       (Array.to_list
-          (Array.mapi
-             (fun i t ->
-               let active_i =
-                 if i < Array.length input.core_active then input.core_active.(i) else 0
-               in
-               Printf.sprintf "{\"core\":%d,\"active\":%d,\"leaf_sum\":%d,\"cpi\":{%s}}" i
-                 active_i (Cpi.total t) (cpi_json t))
-             input.cpi)));
-  p ",\"fence_sites\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "{\"core\":%d,\"pc\":%d,\"kind\":\"%s\",\"commits\":%d,\"scoped_commits\":%d,\"stalls\":%d,\"stall_cycles\":%d,\"mean\":%.2f,\"max_floor\":%d}"
-              r.site.core r.site.pc (Json.escape r.site.kind) r.commits r.scoped_commits
-              r.stall.episodes r.stall.stall_cycles r.stall.mean r.stall.max_floor)
-          (site_rows input)));
-  p ",\"scopes\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "{\"cid\":%d,\"commits\":%d,\"stalls\":%d,\"stall_cycles\":%d,\"mean\":%.2f}"
-              r.cid r.cid_commits r.cid_stall.episodes r.cid_stall.stall_cycles
-              r.cid_stall.mean)
-          (cid_rows input)));
-  p ",\"spin_sites\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (core, pc, n) ->
-            Printf.sprintf "{\"core\":%d,\"pc\":%d,\"iterations\":%d}" core pc n)
-          (spin_rows input)));
-  (match input.spin_ff with
-  | None -> p ",\"spin_ff\":null"
-  | Some (sleeps, skipped, wakes) ->
-    p ",\"spin_ff\":{\"sleeps\":%d,\"cycles_skipped\":%d,\"wakes\":%d}" sleeps skipped
-      wakes);
-  p "}";
-  Buffer.contents b
+  let active_of i =
+    if i < Array.length input.core_active then input.core_active.(i) else 0
+  in
+  let per_core i t =
+    Json.Obj
+      [
+        ("core", Json.Int i);
+        ("active", Json.Int (active_of i));
+        ("leaf_sum", Json.Int (Cpi.total t));
+        ("cpi", cpi_json t);
+      ]
+  in
+  let site r =
+    Json.Obj
+      ([
+         ("core", Json.Int r.site.core);
+         ("pc", Json.Int r.site.pc);
+         ("kind", Json.Str r.site.kind);
+         ("commits", Json.Int r.commits);
+         ("scoped_commits", Json.Int r.scoped_commits);
+       ]
+      @ stall_fields r.stall
+      @ [ ("max_floor", Json.Int r.stall.max_floor) ])
+  in
+  let scope r =
+    Json.Obj
+      (("cid", Json.Int r.cid)
+      :: ("commits", Json.Int r.cid_commits)
+      :: stall_fields r.cid_stall)
+  in
+  let spin (core, pc, n) =
+    Json.Obj [ ("core", Json.Int core); ("pc", Json.Int pc); ("iterations", Json.Int n) ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "fence-scoping/profile/v2");
+      ("label", Json.Str input.label);
+      ("config", Json.Str input.config);
+      ("cores", Json.Int (Array.length input.cpi));
+      ("cycles", Json.Int input.cycles);
+      ("timed_out", Json.Bool input.timed_out);
+      ("active_cycles", Json.Int (active_cycles input));
+      ("cpi", cpi_json agg);
+      ("cpi_sums_to_active", Json.Bool (Cpi.total agg = active_cycles input));
+      ("per_core", Json.Arr (List.mapi per_core (Array.to_list input.cpi)));
+      ("fence_sites", Json.Arr (List.map site (site_rows input)));
+      ("scopes", Json.Arr (List.map scope (cid_rows input)));
+      ("spin_sites", Json.Arr (List.map spin (spin_rows input)));
+      ( "spin_ff",
+        match input.spin_ff with
+        | None -> Json.Null
+        | Some (sleeps, skipped, wakes) ->
+          Json.Obj
+            [
+              ("sleeps", Json.Int sleeps);
+              ("cycles_skipped", Json.Int skipped);
+              ("wakes", Json.Int wakes);
+            ] );
+    ]

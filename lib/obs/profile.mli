@@ -67,6 +67,6 @@ val text : input -> string
 (** Human-readable profile: aggregate CPI stack with shares and a
     sum check, per-core sums, fence-site / scope / spin tables. *)
 
-val json : input -> string
-(** The same data as a single-line JSON object
-    (schema ["fence-scoping/profile/v2"]). *)
+val json : input -> Fscope_util.Json.t
+(** The same data as one JSON object (schema
+    ["fence-scoping/profile/v2"]); means keep two decimals. *)

@@ -1,38 +1,57 @@
-let add_args buf args =
-  List.iter (fun (k, v) -> Printf.bprintf buf ",\"%s\":%s" k v) args
+module Json = Fscope_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let metric_line buf name (s : Metrics.snapshot) =
+let metric_fields name (s : Metrics.snapshot) =
+  let typed kind fields =
+    ("metric", Json.Str name) :: ("type", Json.Str kind) :: fields
+  in
   match s with
-  | Metrics.Counter_v v ->
-    Printf.bprintf buf "{\"metric\":\"%s\",\"type\":\"counter\",\"value\":%d}\n" name v
+  | Metrics.Counter_v v -> typed "counter" [ ("value", Json.Int v) ]
   | Metrics.Histogram_v { count; sum; buckets } ->
-    Printf.bprintf buf
-      "{\"metric\":\"%s\",\"type\":\"histogram\",\"count\":%d,\"sum\":%d,\"buckets\":[%s]}\n"
-      name count sum
-      (String.concat ","
-         (List.map (fun (floor, n) -> Printf.sprintf "[%d,%d]" floor n) buckets))
+    let bucket (floor, n) = Json.Arr [ Json.Int floor; Json.Int n ] in
+    typed "histogram"
+      [
+        ("count", Json.Int count);
+        ("sum", Json.Int sum);
+        ("buckets", Json.Arr (List.map bucket buckets));
+      ]
   | Metrics.Gauge_v { count; sum; min; max; last } ->
-    Printf.bprintf buf
-      "{\"metric\":\"%s\",\"type\":\"gauge\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"last\":%d}\n"
-      name count sum min max last
+    typed "gauge"
+      [
+        ("count", Json.Int count);
+        ("sum", Json.Int sum);
+        ("min", Json.Int min);
+        ("max", Json.Int max);
+        ("last", Json.Int last);
+      ]
 
 let jsonl (r : Report.t) =
   let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"trace\":\"fscope\",\"cycles\":%d,\"cores\":%d,\"events\":%d,\"dropped\":%d,\"timed_out\":%b}\n"
-    r.cycles r.cores (Report.events_count r) r.dropped r.timed_out;
+  let line fields =
+    Buffer.add_string buf (Json.render (Json.Obj fields));
+    Buffer.add_char buf '\n'
+  in
+  line
+    [
+      ("trace", Json.Str "fscope");
+      ("cycles", Json.Int r.cycles);
+      ("cores", Json.Int r.cores);
+      ("events", Json.Int (Report.events_count r));
+      ("dropped", Json.Int r.dropped);
+      ("timed_out", Json.Bool r.timed_out);
+    ];
   List.iter
     (fun (te : Event.timed) ->
-      Printf.bprintf buf "{\"cycle\":%d,\"core\":%d,\"event\":\"%s\"" te.cycle te.core
-        (Event.name te.event);
-      add_args buf (Event.args te.event);
-      Buffer.add_string buf "}\n")
+      line
+        (("cycle", Json.Int te.cycle)
+        :: ("core", Json.Int te.core)
+        :: ("event", Json.Str (Event.name te.event))
+        :: Event.args te.event))
     r.events;
-  List.iter (fun (name, s) -> metric_line buf name s) (Metrics.snapshot r.metrics);
+  List.iter (fun (name, s) -> line (metric_fields name s)) (Metrics.snapshot r.metrics);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -43,26 +62,32 @@ let jsonl (r : Report.t) =
    (core mod N); giving every shard its own chrome process lays the
    trace out as one track per domain, which is how the sharded engine
    actually interleaves the work.  N = 1 keeps the legacy single
-   "fscope" process byte-for-byte. *)
+   "fscope" process byte-for-byte.  One array element per line. *)
 let chrome (r : Report.t) =
-  let shards = max 1 r.shard_domains in
+  let shards = Int.max 1 r.shard_domains in
   let pid_of core = if shards = 1 then 0 else core mod shards in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  if shards = 1 then
-    Printf.bprintf buf
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"fscope\"}}"
+  let element fields =
+    Buffer.add_string buf (if Buffer.length buf = 0 then "[\n" else ",\n");
+    Buffer.add_string buf (Json.render (Json.Obj fields))
+  in
+  let meta name pid tid label =
+    element
+      [
+        ("name", Json.Str name);
+        ("ph", Json.Str "M");
+        ("pid", Json.Int pid);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.Str label) ]);
+      ]
+  in
+  if shards = 1 then meta "process_name" 0 0 "fscope"
   else
     for k = 0 to shards - 1 do
-      Printf.bprintf buf
-        "%s{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"fscope shard %d\"}}"
-        (if k = 0 then "" else ",\n")
-        k k
+      meta "process_name" k 0 (Printf.sprintf "fscope shard %d" k)
     done;
   for core = 0 to r.cores - 1 do
-    Printf.bprintf buf
-      ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"core %d\"}}"
-      (pid_of core) core core
+    meta "thread_name" (pid_of core) core (Printf.sprintf "core %d" core)
   done;
   List.iter
     (fun (te : Event.timed) ->
@@ -72,18 +97,19 @@ let chrome (r : Report.t) =
         | `End -> ("fence_stall", "E")
         | `Instant -> (Event.name te.event, "i")
       in
-      Printf.bprintf buf ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\"%s,\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{"
-        name
-        (Event.category te.event)
-        ph
-        (if ph = "i" then ",\"s\":\"t\"" else "")
-        te.cycle (pid_of te.core) te.core;
-      (match Event.args te.event with
-      | [] -> ()
-      | (k, v) :: rest ->
-        Printf.bprintf buf "\"%s\":%s" k v;
-        List.iter (fun (k, v) -> Printf.bprintf buf ",\"%s\":%s" k v) rest);
-      Buffer.add_string buf "}}")
+      element
+        ([
+           ("name", Json.Str name);
+           ("cat", Json.Str (Event.category te.event));
+           ("ph", Json.Str ph);
+         ]
+        @ (if ph = "i" then [ ("s", Json.Str "t") ] else [])
+        @ [
+            ("ts", Json.Int te.cycle);
+            ("pid", Json.Int (pid_of te.core));
+            ("tid", Json.Int te.core);
+            ("args", Json.Obj (Event.args te.event));
+          ]))
     r.events;
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf

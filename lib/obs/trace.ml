@@ -45,7 +45,7 @@ let events t =
      emission order. *)
   List.stable_sort
     (fun (a : Event.timed) (b : Event.timed) ->
-      match compare a.cycle b.cycle with 0 -> compare a.core b.core | c -> c)
+      match Int.compare a.cycle b.cycle with 0 -> Int.compare a.core b.core | c -> c)
     per_core
 
 let dropped t = Array.fold_left (fun acc r -> acc + Ring.dropped r) 0 t.rings

@@ -1,12 +1,12 @@
-(* A minimal JSON reader/writer for the bench-trajectory tooling.
+(* A minimal JSON reader/writer, and the repo's only JSON writer:
+   every document it emits — BENCH_* artefacts, profiles, advice,
+   traces, checkpoints — is built as a [t] and rendered here.
 
-   The repo's dependency set has no JSON library, and the BENCH_*
-   artefacts the trend differ consumes are all written by our own
-   printf-style emitters, so a small recursive-descent parser over the
-   full JSON grammar is all that's needed.  Numbers keep their textual
-   class: an integer literal parses to [Int], anything with a fraction
-   or exponent to [Float] — so [render] round-trips every artefact the
-   repo emits ([parse (render v) = v]). *)
+   The repo's dependency set has no JSON library, so a small
+   recursive-descent parser over the full JSON grammar is all that's
+   needed.  Numbers keep their textual class: an integer literal
+   parses to [Int], anything with a fraction or exponent to [Float] —
+   so [parse (render v) = v] for every finite value. *)
 
 type t =
   | Null
@@ -191,8 +191,7 @@ let of_file path =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -202,12 +201,26 @@ let escape s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+    s
 
+(* An integral float below 1e15 prints as "%.1f"; anything else as the
+   shortest "%.Ng" text that reads back as the same float, with ".0"
+   appended when that text would otherwise read back as an [Int]. *)
 let float_text f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  else begin
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    let s = shortest 1 in
+    if String.exists (function '.' | 'e' | 'n' | 'i' -> true | _ -> false) s then s
+    else s ^ ".0"
+  end
+
+let fixed n x =
+  let s = Printf.sprintf "%.*f" n x in
+  match (n, int_of_string_opt s) with 0, Some i -> Int i | _ -> Float (float_of_string s)
 
 let rec render_into buf = function
   | Null -> Buffer.add_string buf "null"
@@ -216,7 +229,7 @@ let rec render_into buf = function
   | Float f -> Buffer.add_string buf (float_text f)
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    add_escaped buf s;
     Buffer.add_char buf '"'
   | Arr items ->
     Buffer.add_char buf '[';
@@ -232,7 +245,7 @@ let rec render_into buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        add_escaped buf k;
         Buffer.add_string buf "\":";
         render_into buf v)
       fields;
@@ -270,7 +283,7 @@ let rec render_pretty_into buf ~indent v =
         if i > 0 then Buffer.add_string buf ",\n";
         pad (indent + 2);
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        add_escaped buf k;
         Buffer.add_string buf "\": ";
         render_pretty_into buf ~indent:(indent + 2) v)
       fields;

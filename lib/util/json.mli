@@ -1,11 +1,17 @@
-(** A minimal JSON reader/writer.
+(** A minimal JSON reader/writer, and the repo's one JSON writer.
+
+    Every document the repo emits — BENCH_* artefacts, profiles,
+    advice, jsonl and Chrome traces, checkpoints — is built as a {!t}
+    and rendered by {!render} or {!render_pretty}; nothing else prints
+    JSON text.
 
     Covers the full JSON grammar with one deliberate refinement:
     numbers keep their textual class, so an integer literal parses to
     {!Int} and anything with a fraction or exponent to {!Float}.
-    Because of that, [parse (render v) = v] holds structurally for
-    every value this module produces — the property the trend differ's
-    artefact round-trip tests rely on. *)
+    Because of that, [parse (render v) = v] and
+    [parse (render_pretty v) = v] hold structurally for every value
+    whose floats are finite — the property the trend differ's artefact
+    round-trip tests rely on. *)
 
 type t =
   | Null
@@ -27,17 +33,21 @@ val of_file : string -> t
 (** [parse] the entire contents of a file. *)
 
 val render : t -> string
-(** Compact (single-line) rendering. *)
-
-val escape : string -> string
-(** The body of a JSON string literal for [s] (no surrounding quotes):
-    quote, backslash and control characters escaped.  For writers that
-    print JSON text directly instead of building a {!t}. *)
+(** Compact (single-line) rendering.  A finite float prints as the
+    shortest text that reads back as the same float (an integral one
+    below 1e15 as ["%.1f"]), so it parses back to the same {!Float};
+    a NaN or infinity prints as ["nan"] / ["inf"], which is not
+    JSON. *)
 
 val render_pretty : t -> string
 (** Two-space-indented multi-line rendering, for artefacts meant to be
-    read or diffed by humans (plain checkpoints).  Same grammar as
-    {!render}: [parse] round-trips both identically. *)
+    read or diffed by humans (BENCH_* files, plain checkpoints).  Same
+    grammar as {!render}: [parse] round-trips both identically. *)
+
+val fixed : int -> float -> t
+(** [fixed n x] is the number [Printf.sprintf "%.*f" n x] denotes: [x]
+    rounded to [n] decimals as a {!Float}, or an {!Int} when [n = 0].
+    Writers use it to keep a value's published precision. *)
 
 val member : string -> t -> t option
 (** Field of an object; [None] on a missing key or a non-object. *)

@@ -93,7 +93,8 @@ let test_determinism_across_jobs_and_shards () =
     let config = Config.v ~base:base_config ~shard_domains:shards () in
     let t_input, s_input = E.Profiling.advise_inputs config (quick "dekker" ~attempts:10) in
     E.Exp_run.set_jobs saved;
-    Obs.Advisor.json (Obs.Advisor.analyze ~scoped:s_input t_input)
+    Fscope_util.Json.render
+      (Obs.Advisor.json (Obs.Advisor.analyze ~scoped:s_input t_input))
   in
   let reference = advise ~jobs:1 ~shards:1 in
   List.iter

@@ -332,6 +332,44 @@ let test_chrome_shard_lanes () =
     (List.length (String.split_on_char '\n' plain))
     (List.length (String.split_on_char '\n' sharded) - 1)
 
+(* Every emitted document is JSON: each jsonl line and the whole Chrome
+   trace (at one and two shards) parse, and the profile and advice
+   documents read back unchanged from either rendering. *)
+let test_documents_parse () =
+  let module Json = Fscope_util.Json in
+  let module E = Fscope_experiments in
+  let w = tiny_dekker () in
+  let _, report = traced_run w in
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Obs.Sink.jsonl report))
+  in
+  Alcotest.(check int) "one jsonl line per header, event and metric"
+    (1 + Obs.Report.events_count report
+    + List.length (Obs.Metrics.snapshot report.Obs.Report.metrics))
+    (List.length lines);
+  List.iter (fun l -> ignore (Json.parse l)) lines;
+  List.iter
+    (fun shards ->
+      let _, report = traced_run ~config:(Config.v ~shard_domains:shards ()) w in
+      match Json.parse (Obs.Sink.chrome report) with
+      | Json.Arr items ->
+        Alcotest.(check int)
+          (Printf.sprintf "chrome elements at %d shard(s)" shards)
+          (shards + report.Obs.Report.cores + Obs.Report.events_count report)
+          (List.length items)
+      | _ -> Alcotest.fail "chrome trace is not an array")
+    [ 1; 2 ];
+  let t_input, s_input = E.Profiling.advise_inputs Config.default w in
+  List.iter
+    (fun (what, doc) ->
+      Alcotest.(check bool) (what ^ " reads back") true
+        (Json.parse (Json.render doc) = doc && Json.parse (Json.render_pretty doc) = doc))
+    [
+      ("profile", Obs.Profile.json t_input);
+      ("scoped profile", Obs.Profile.json s_input);
+      ("advice", Obs.Advisor.json (Obs.Advisor.analyze ~scoped:s_input t_input));
+    ]
+
 (* Gauge samplers: a traced server run's drain stream must replay into
    non-empty occupancy histograms, deterministically. *)
 let test_gauge_fold_deterministic () =
@@ -382,6 +420,7 @@ let tests =
     Alcotest.test_case "summary quotes legacy total" `Quick test_summary_totals;
     Alcotest.test_case "summary drop warning" `Quick test_summary_drop_warning;
     Alcotest.test_case "chrome shard lanes" `Quick test_chrome_shard_lanes;
+    Alcotest.test_case "emitted documents parse" `Quick test_documents_parse;
     Alcotest.test_case "gauge fold deterministic" `Quick test_gauge_fold_deterministic;
     Alcotest.test_case "registry round-trip" `Slow test_registry_round_trip;
     Alcotest.test_case "registry lookup" `Quick test_registry_lookup;

@@ -162,7 +162,7 @@ let test_profile_text_names_sites () =
 let test_profile_json_shape () =
   let w = small "dekker" in
   let input = E.Profiling.profile (E.Exp_run.s_config Config.default) w in
-  let json = Obs.Profile.json input in
+  let json = Fscope_util.Json.render (Obs.Profile.json input) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true (contains ~needle json))

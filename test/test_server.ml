@@ -155,13 +155,70 @@ let prop_mpmc_exactly_once =
           (Printf.sprintf "threads=%d per_producer=%d seed=%d closed=%b: %s"
              threads per_producer seed closed msg))
 
+(* -- the server document reads back ----------------------------------- *)
+
+(* Synthetic rows, one with a gauge and names carrying a quote, a
+   backslash, a control byte and a non-ASCII byte: the rendered
+   document, compact or pretty, must parse back to itself. *)
+let test_server_json_parses () =
+  let module Server = Fscope_experiments.Server in
+  let module Json = Fscope_util.Json in
+  let row workload config gauge =
+    {
+      Server.sv_workload = workload;
+      sv_config = config;
+      sv_cycles = 1234;
+      sv_requests = 32;
+      sv_rpk = 25.931928687196;
+      sv_fence_share = 12.345678;
+      sv_stall_episodes = 7;
+      sv_stall_cycles = 91;
+      sv_stall_mean = 13.0;
+      sv_stall_p50 = 8;
+      sv_stall_p90 = 16;
+      sv_stall_p99 = 16;
+      sv_stall_max = 32;
+      sv_lat_samples = 0;
+      sv_lat_p50 = 0;
+      sv_lat_p90 = 0;
+      sv_lat_p99 = 0;
+      sv_lat_max = 0;
+      sv_gauge = gauge;
+      sv_sampled = false;
+      sv_lat_sampled = false;
+    }
+  in
+  let gauge =
+    {
+      Server.gv_name = "queue_depth";
+      gv_samples = 9;
+      gv_p50 = 1;
+      gv_p90 = 2;
+      gv_p99 = 4;
+      gv_max = 4;
+    }
+  in
+  let odd = "q\"uo\\te\001\233" in
+  let doc =
+    Server.json ~quick:true ~jobs:2 [ row odd "T" (Some gauge); row odd "S" None ]
+  in
+  Alcotest.(check bool) "compact reads back" true (Json.parse (Json.render doc) = doc);
+  Alcotest.(check bool) "pretty reads back" true
+    (Json.parse (Json.render_pretty doc) = doc);
+  Alcotest.(check (option string)) "workload keeps its bytes" (Some odd)
+    (Option.bind (Json.member "rows" doc) (function
+      | Json.Arr (r :: _) -> Option.bind (Json.member "workload" r) Json.to_string
+      | _ -> None))
+
 (* -- the quick server artefact, pinned byte for byte ------------------ *)
 
 (* The rows are deterministic (every point self-asserts engine ==
    reference, validation and trace neutrality), so the quick
-   BENCH_server.json document has one digest.  It does not depend on
-   the job count: the exact half fans across 2 domains here. *)
-let server_json_md5 = "15e1abb1d16c879f0a8ef6cba89bf6c4"
+   BENCH_server.json document has one digest, taken over its compact
+   rendering so that layout changes to the file do not move it.  It
+   does not depend on the job count: the exact half fans across 2
+   domains here. *)
+let server_json_md5 = "66abca92cc78bd12f84378f5b881b8b4"
 
 let test_server_rows_pinned () =
   let module Server = Fscope_experiments.Server in
@@ -174,7 +231,8 @@ let test_server_rows_pinned () =
   in
   let rows = exact @ Server.run_sampled ~quick:true () in
   Alcotest.(check string) "quick BENCH_server.json md5" server_json_md5
-    (Digest.to_hex (Digest.string (Server.json ~quick:true ~jobs:1 rows)))
+    (Digest.to_hex
+       (Digest.string (Fscope_util.Json.render (Server.json ~quick:true ~jobs:1 rows))))
 
 let tests =
   [
@@ -190,5 +248,6 @@ let tests =
     Alcotest.test_case "cache validates on T and S" `Quick test_cache_validates;
     Alcotest.test_case "steal validates on T and S" `Quick test_steal_validates;
     QCheck_alcotest.to_alcotest prop_mpmc_exactly_once;
+    Alcotest.test_case "server document parses" `Quick test_server_json_parses;
     Alcotest.test_case "quick server rows pinned" `Slow test_server_rows_pinned;
   ]

@@ -61,6 +61,89 @@ let test_json_roundtrip () =
       | _ -> Alcotest.fail (Printf.sprintf "accepted malformed %S" bad))
     [ ""; "{"; "[1,]"; "tru"; "\"unterminated"; "1 2" ]
 
+(* Random documents for the writer: floats from arbitrary finite bit
+   patterns and integral floats around 2^40..2^70 (where "%.17g"
+   prints no exponent and no point), and strings (keys too) leaning on
+   the bytes a writer must escape or pass through — quotes,
+   backslashes, control bytes and raw non-ASCII bytes. *)
+let gen_json =
+  let open QCheck2.Gen in
+  let str =
+    string_size
+      ~gen:
+        (oneof
+           [
+             oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031'; '\127'; '\200'; '\255' ];
+             char;
+           ])
+      (int_bound 10)
+  in
+  let finite =
+    map
+      (fun bits ->
+        let f = Int64.float_of_bits bits in
+        if Float.is_finite f then f else Int64.to_float bits)
+      int64
+  in
+  let integral =
+    map
+      (fun (m, e) -> Float.round (Float.ldexp m e))
+      (pair (float_range (-1.) 1.) (int_range 40 70))
+  in
+  let atom =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Int n) int;
+        map (fun f -> Json.Float f) (oneof [ finite; integral; float_range (-1e6) 1e6 ]);
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then atom
+         else
+           frequency
+             [
+               (2, atom);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+(* Structural equality, except that floats must match bit for bit:
+   [=] would let -0.0 stand for 0.0. *)
+let rec same a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys ->
+    List.length xs = List.length ys && List.for_all2 same xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> String.equal k l && same x y) xs ys
+  | _ -> a = b
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~count:500 ~name:"json parse inverts render and render_pretty"
+    ~print:Json.render gen_json (fun v ->
+      same (Json.parse (Json.render v)) v && same (Json.parse (Json.render_pretty v)) v)
+
+(* [Json.fixed n x] is what a reader got from the text "%.nf" prints,
+   and it survives rendering: a writer that moves from printf to
+   [fixed] keeps the values its documents parse to. *)
+let prop_fixed_matches_printf =
+  QCheck2.Test.make ~count:1000 ~name:"json fixed reads as printf's %.nf"
+    ~print:QCheck2.Print.(pair int float)
+    QCheck2.Gen.(
+      pair (int_range 0 6) (oneof [ float_range (-1e6) 1e6; float_range (-1e14) 1e14 ]))
+    (fun (n, x) ->
+      let v = Json.fixed n x in
+      Json.parse (Printf.sprintf "%.*f" n x) = v && same (Json.parse (Json.render v)) v)
+
 let test_committed_artefacts_roundtrip () =
   let files = baseline_files () in
   Alcotest.(check (list string))
@@ -235,6 +318,8 @@ let test_unknown_schema_rejected () =
 let tests =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_fixed_matches_printf;
     Alcotest.test_case "committed artefacts round-trip" `Quick
       test_committed_artefacts_roundtrip;
     Alcotest.test_case "self-diff clean" `Quick test_self_diff_clean;
