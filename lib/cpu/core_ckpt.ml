@@ -106,7 +106,7 @@ let entry_of_json (t : t) j =
   let state, done_at = state_of_json (Json.get "state" j) in
   let addr = Json.int_exn (Json.get "addr" j) in
   let e = Rob.fresh t.rob ~seq ~state ~done_at ~addr ~pc ~instr in
-  List.iteri (fun i p -> Rob.add_src e ~reg:regs.(i) ~producer:(max (-1) p)) producers;
+  List.iteri (fun i p -> Rob.add_src e ~reg:regs.(i) ~producer:(Int.max (-1) p)) producers;
   e.result <- Json.int_exn (Json.get "result" j);
   e.data <- Json.int_exn (Json.get "data" j);
   e.data2 <- Json.int_exn (Json.get "data2" j);
@@ -121,7 +121,7 @@ let entry_of_json (t : t) j =
   | cp ->
     let cp = Json.int_array_exn cp in
     if Array.length cp <> Reg.count then failwith "checkpoint: rename checkpoint size mismatch";
-    Rob.save_rename e (Array.map (max (-1)) cp));
+    Rob.save_rename e (Array.map (Int.max (-1)) cp));
   e
 
 (* ------------------------------------------------------------------ *)
@@ -182,7 +182,7 @@ let restore_fields (t : t) j =
   let rename = Json.int_array_exn (Json.get "rename" j) in
   if Array.length rename <> Array.length t.rename then
     failwith "checkpoint: rename size mismatch";
-  Array.iteri (fun i p -> t.rename.(i) <- max (-1) p) rename;
+  Array.iteri (fun i p -> t.rename.(i) <- Int.max (-1) p) rename;
   Rob.restore t.rob
     ~head_seq:(Json.int_exn (Json.get "rob_head" j))
     (Json.list_exn (Json.get "rob" j))

@@ -238,7 +238,7 @@ let register_watches t i (st : Core.spin_stable) =
   List.iter
     (fun addr ->
       let cur = Option.value (Hashtbl.find_opt t.watches addr) ~default:[] in
-      Hashtbl.replace t.watches addr (List.sort_uniq compare (i :: cur)))
+      Hashtbl.replace t.watches addr (List.sort_uniq Int.compare (i :: cur)))
     st.Core.footprint
 
 let unregister_watches t i (st : Core.spin_stable) =
@@ -361,7 +361,7 @@ and wake_core t i =
 let create ~obs ~spin_on ~domains ~elide (config : Config.t) program =
   let cores, mem, hierarchy, on_store = build ~obs config program in
   let n = Array.length cores in
-  let d = max 1 (min domains n) in
+  let d = Int.max 1 (Int.min domains n) in
   let t =
     {
       cores;
@@ -533,7 +533,7 @@ let next_owned_ordered t i =
   while !k < t.n && not t.ordered.(!k) do
     k := !k + t.d
   done;
-  min !k t.n
+  Int.min !k t.n
 
 let run_phase t me p c =
   t.phase <- p;
@@ -735,7 +735,7 @@ let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
   let every, sink = Option.value checkpoint ~default:(max_cycles, ignore) in
   let digest = lazy (Checkpoint.digest config program) in
   let rec legs () =
-    advance t ~stop:(t.cycle + min every (max_cycles - t.cycle));
+    advance t ~stop:(t.cycle + Int.min every (max_cycles - t.cycle));
     if (not t.finished) && t.cycle < max_cycles then begin
       sink
         {
@@ -806,7 +806,7 @@ let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
   let sampled_any = ref false in
   let worst f =
     let w = ref 0 in
-    Array.iteri (fun i c -> w := max !w (f i (Core.stats c))) cores;
+    Array.iteri (fun i c -> w := Int.max !w (f i (Core.stats c))) cores;
     !w
   in
   (* Estimated whole-run cycle count: cores run concurrently from
@@ -923,7 +923,7 @@ let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
      the whole run, so the machine estimate is now a plain max. *)
   let cycles =
     if !sampled_any then
-      min max_cycles (max t.cycle (worst (fun _ st -> st.Core.active_cycles)))
+      Int.min max_cycles (Int.max t.cycle (worst (fun _ st -> st.Core.active_cycles)))
     else t.cycle
   in
   finish t config ~cycles ~windows:(List.rev !windows)

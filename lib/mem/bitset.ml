@@ -9,7 +9,7 @@ let words bits = (bits + bits_per_word - 1) / bits_per_word
 
 let create ~bits =
   if bits < 0 then invalid_arg "Bitset.create: negative capacity";
-  Array.make (max 1 (words bits)) 0
+  Array.make (Int.max 1 (words bits)) 0
 
 let capacity t = Array.length t * bits_per_word
 
