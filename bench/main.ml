@@ -397,18 +397,6 @@ let run_jobs_scaling ~quick () =
    legitimately loses time to barrier traffic.                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The fields the shard-scaling and sharded-sampled records share. *)
-let shard_fields ~cpus ~cores ~shards ~seq_s ~shard_s ~barriers =
-  [
-    ("cpus", Json.Int cpus);
-    ("cores", Json.Int cores);
-    ("shards", Json.Int shards);
-    ("seq_seconds", Json.fixed 3 seq_s);
-    ("shard_seconds", Json.fixed 3 shard_s);
-    ("shard_speedup", Json.fixed 2 (seq_s /. shard_s));
-    ("barriers_total", Json.Int barriers);
-  ]
-
 let run_shard_scaling ~quick () =
   let cpus = Domain.recommended_domain_count () in
   let threads = if quick then 16 else 32 in
@@ -448,73 +436,17 @@ let run_shard_scaling ~quick () =
     lockstep_r.Machine.shard.Machine.barriers;
   record "shard_scaling"
     (Json.Obj
-       (shard_fields ~cpus ~cores:threads ~shards ~seq_s ~shard_s
-          ~barriers:shard_r.Machine.shard.Machine.barriers
-       @ [
-           ("elided_cycles", Json.Int shard_r.Machine.shard.Machine.elided_cycles);
-           ("bit_identical", Json.Bool true);
-         ]))
-
-(* ------------------------------------------------------------------ *)
-(* Sharded-sampled artefact: the tentpole composition — the 256-core
-   sampled MPMC machine with its detailed windows split across shard
-   domains, against the same sampled run on one domain.  Bit-identity
-   (including the recorded window ranges) is asserted on every host;
-   the >=2x wall-clock gate holds only on runners with >= 4 CPUs at
-   full size, where the window work dwarfs the barrier cost.           *)
-(* ------------------------------------------------------------------ *)
-
-let run_sharded_sampled ~quick () =
-  let cpus = Domain.recommended_domain_count () in
-  let threads = 256 in
-  let per = if quick then 1 else 156 in
-  let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
-  let base =
-    Config.v
-      ~base:(E.Exp_run.s_config Config.default)
-      ~sampling:(Some (E.Server.sampled_sampling ~quick))
-      ()
-  in
-  let run d =
-    timed (fun () ->
-        Machine.run (Config.v ~base ~shard_domains:d ()) w.W.Workload.program)
-  in
-  let seq_r, seq_s = run 1 in
-  let shards = max 2 (min 4 cpus) in
-  let shard_r, shard_s = run shards in
-  if not (Machine.same_outcome seq_r shard_r) then
-    failwith
-      (Printf.sprintf
-         "sharded-sampled: %d-shard sampled run diverged from the sequential one"
-         shards);
-  if seq_r.Machine.sample_windows <> shard_r.Machine.sample_windows then
-    failwith "sharded-sampled: sharding moved the measured windows";
-  if shard_r.Machine.shard.Machine.barriers = 0 then
-    failwith "sharded-sampled: the window team never crossed a barrier";
-  let speedup = seq_s /. shard_s in
-  let gated = (not quick) && cpus >= 4 in
-  say
-    "sharded-sampled: %d cores sampled — 1 shard %.2fs, %d shards %.2fs, %.2fx (host \
-     CPUs: %d, bit-identical, %d barriers, %d measured windows%s)"
-    threads seq_s shards shard_s speedup cpus shard_r.Machine.shard.Machine.barriers
-    (List.length shard_r.Machine.sample_windows)
-    (if gated then "" else "; wall-clock gate skipped");
-  if gated && speedup < 2.0 then
-    failwith
-      (Printf.sprintf
-         "sharded-sampled: %.2fx with %d shards on a %d-CPU host — sharding the \
-          windows buys less than the promised 2x"
-         speedup shards cpus);
-  if not gated then mark_skipped "sharded-sampled";
-  record "sharded_sampled"
-    (Json.Obj
-       (shard_fields ~cpus ~cores:threads ~shards ~seq_s ~shard_s
-          ~barriers:shard_r.Machine.shard.Machine.barriers
-       @ [
-           ("measured_windows", Json.Int (List.length shard_r.Machine.sample_windows));
-           ("wallclock_gated", Json.Bool gated);
-           ("bit_identical", Json.Bool true);
-         ]))
+       [
+         ("cpus", Json.Int cpus);
+         ("cores", Json.Int threads);
+         ("shards", Json.Int shards);
+         ("seq_seconds", Json.fixed 3 seq_s);
+         ("shard_seconds", Json.fixed 3 shard_s);
+         ("shard_speedup", Json.fixed 2 (seq_s /. shard_s));
+         ("barriers_total", Json.Int shard_r.Machine.shard.Machine.barriers);
+         ("elided_cycles", Json.Int shard_r.Machine.shard.Machine.elided_cycles);
+         ("bit_identical", Json.Bool true);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Sampled-simulation artefact: the SMARTS-style interval estimator
@@ -533,7 +465,7 @@ let run_sharded_sampled ~quick () =
 let sampled_cycles_err_bound = 25.0
 let sampled_fence_err_bound = 10.0
 
-let run_sampled_sim ~quick ~shard_domains () =
+let run_sampled_sim ~quick () =
   let threads = 64 in
   let per = if quick then 4 else 625 in
   let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
@@ -603,7 +535,7 @@ let run_sampled_sim ~quick ~shard_domains () =
          ("sampled_seconds", Json.fixed 3 sampled_s);
          ("speedup", Json.fixed 2 speedup);
        ]);
-  let rows = E.Server.run_sampled ~quick ~shard_domains () in
+  let rows = E.Server.run_sampled ~quick () in
   server_rows := !server_rows @ rows;
   Table.print (E.Server.table rows)
 
@@ -638,7 +570,6 @@ let write_bench_json ~quick ~jobs ~shard_domains path =
              "engine_vs_naive";
              "jobs_scaling";
              "shard_scaling";
-             "sharded_sampled";
              "sampled_sim";
              "engine_total_seconds";
              "naive_total_seconds";
@@ -659,10 +590,9 @@ let artefacts ~quick ~shard_domains =
     ("engine", run_engine ~quick);
     ("profile", run_profile ~quick);
     ("server", run_server ~quick ~shard_domains);
-    ("sampled", run_sampled_sim ~quick ~shard_domains);
+    ("sampled", run_sampled_sim ~quick);
     ("jobs-scaling", run_jobs_scaling ~quick);
     ("shard-scaling", run_shard_scaling ~quick);
-    ("sharded-sampled", run_sharded_sampled ~quick);
   ]
 
 let run_artefact (name, f) =

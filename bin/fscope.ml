@@ -402,9 +402,11 @@ let machine =
       & info [ "shard-domains" ] ~docv:"N"
           ~doc:
             "Split the simulated machine's cores across $(docv) OCaml domains (default 1: \
-             the sequential engine loop).  Timing-neutral: the sharded engine is \
-             bit-identical to the sequential one — this only trades simulator \
-             wall-clock on multi-core hosts.")
+             the sequential engine loop).  Affects untraced exact runs only, \
+             checkpoint legs included: traced runs (as in $(b,trace), $(b,profile) and \
+             $(b,advise)) and $(b,--sample) runs always step on one domain.  Timing-neutral: the \
+             sharded engine is bit-identical to the sequential one — this only trades \
+             simulator wall-clock on multi-core hosts.")
   in
   let make mem_latency rob_size fsb_entries mem_model no_spin_ff shard_domains () =
     of_flags @@ fun () ->

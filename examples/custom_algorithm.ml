@@ -123,8 +123,8 @@ let () =
     if result.Machine.timed_out then failwith "timed out";
     result
   in
-  let t = run (Config.traditional Config.default) in
-  let s = run (Config.scoped Config.default) in
+  let t = run (Config.v ~sfence:false ()) in
+  let s = run (Config.v ~sfence:true ()) in
   (* Validate: every pushed value popped at most once, and values not
      popped must still be on the stack. *)
   let mem = s.Machine.mem in

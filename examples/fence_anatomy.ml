@@ -27,8 +27,8 @@ let () =
         (sum (fun c -> Cpi.fence_scope_cycles c Cpi.Scoped))
         (sum (fun c -> Cpi.fence_scope_cycles c Cpi.Unscoped)))
     [
-      ("T", Config.traditional Config.default);
-      ("S", Config.scoped Config.default);
+      ("T", Config.v ~sfence:false ());
+      ("S", Config.v ~sfence:true ());
     ];
   Printf.printf
     "\nthe scoped fences drain only the flagged (in-scope) store-buffer\n\

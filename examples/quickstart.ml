@@ -38,11 +38,11 @@ let program ~kind =
 
 let () =
   let traditional =
-    Machine.run (Config.traditional Config.default)
+    Machine.run (Config.v ~sfence:false ())
       (program ~kind:Fscope_isa.Fence_kind.full)
   in
   let scoped =
-    Machine.run (Config.scoped Config.default)
+    Machine.run (Config.v ~sfence:true ())
       (program ~kind:Fscope_isa.Fence_kind.class_scoped)
   in
   Printf.printf "Fig. 10 quickstart (one core, one scope, one fence)\n";

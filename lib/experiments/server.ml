@@ -90,9 +90,7 @@ let hist_of metrics name =
    filter retains exactly the workload's drain markers: the inject /
    retire markers of the latency extraction and the gauge sampler's
    occupancy markers.  That trace must reproduce the untraced cycle
-   count (tracing is timing-neutral; on a sampled point the traced run
-   is sequential, so this doubles as a sharded/sequential sampled
-   bit-identity check) and must drop nothing.  The keep filter does
+   count (tracing is timing-neutral) and must drop nothing.  The keep filter does
    not touch the metrics registry, so the [fence/stall_cycles]
    histogram still counts every stall episode.
 
@@ -277,17 +275,9 @@ let sampled_sampling ~quick =
    against the detailed row above), and the 256-core machine — which
    only exists sampled; a detailed 256-core run is what the estimator
    is for. *)
-let sampled_points ~quick ~shard_domains =
-  (* Sampled points shard too: the untraced run then shards its
-     detailed windows, while the traced run stays sequential —
-     [eval]'s timing-neutrality assertion doubles as a
-     sharded/sequential sampled bit-identity check. *)
+let sampled_points ~quick =
   let s =
-    Config.v
-      ~base:(Exp_run.s_config Config.default)
-      ~shard_domains
-      ~sampling:(Some (sampled_sampling ~quick))
-      ()
+    Config.v ~base:(Exp_run.s_config Config.default) ~sampling:(Some (sampled_sampling ~quick)) ()
   in
   let point threads per =
     {
@@ -301,8 +291,7 @@ let sampled_points ~quick ~shard_domains =
   in
   [ point 64 (if quick then 4 else 625); point 256 (if quick then 1 else 156) ]
 
-let run_sampled ?(quick = false) ?(shard_domains = 1) () =
-  List.map eval (sampled_points ~quick ~shard_domains)
+let run_sampled ?(quick = false) () = List.map eval (sampled_points ~quick)
 
 let table rows =
   let t =

@@ -73,9 +73,9 @@ val run : ?quick:bool -> ?shard_domains:int -> unit -> row list
     point), fanned across {!Exp_run.jobs} domains; results are in
     point order and independent of the job count.  Every machine
     config carries [shard_domains] (default 1), so with [N > 1] every
-    point runs the domain-sharded engine and the per-point
-    engine-vs-reference check asserts sharded/sequential
-    bit-identity. *)
+    point's untraced run uses the domain-sharded engine and the
+    per-point engine-vs-reference check asserts sharded/sequential
+    bit-identity (the traced run steps on one domain). *)
 
 val sampled_sampling : quick:bool -> Fscope_machine.Config.sampling
 (** The sampling schedule the sampled points run under:
@@ -84,16 +84,16 @@ val sampled_sampling : quick:bool -> Fscope_machine.Config.sampling
     detailed window, so the estimator would otherwise never leave its
     first window). *)
 
-val run_sampled : ?quick:bool -> ?shard_domains:int -> unit -> row list
+val run_sampled : ?quick:bool -> unit -> row list
 (** The interval-sampled scale points: the 64-core MPMC machine again
     (sampled, so the bench harness can quote the error and wall-clock
     win against the detailed row) and the 256-core MPMC machine, which
     only exists sampled.  Rows carry [sv_sampled = true], validate
     functionally like every other point, and fill the latency columns
-    from the measured-window extraction ([sv_lat_sampled]).  Machine
-    configs carry [shard_domains] (default 1): the untraced run
-    shards its detailed windows, and the sequential traced run's
-    cycle estimate must reproduce it exactly. *)
+    from the measured-window extraction ([sv_lat_sampled]).  Sampled
+    runs step on one domain, so these points take no shard count;
+    the traced run's cycle estimate must reproduce the untraced
+    one exactly. *)
 
 val table : row list -> Fscope_util.Table.t
 

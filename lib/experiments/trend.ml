@@ -117,18 +117,18 @@ let load_engine ~file j =
         };
       ]
   in
-  (* The shard objects: wall-clock compares only across equal
+  (* The shard-scaling object: wall-clock compares only across equal
      hosts, so speedup/seconds stay Gate_wall; the barrier and elision
      counters are engine diagnostics — a rewrite legitimately moves
      them, so they are context (Gate_never), never a gate. *)
-  let shard_point ~obj ~key extras =
-    match Json.member obj j with
+  let shard_points =
+    match Json.member "shard_scaling" j with
     | None -> []
     | Some ss ->
-      let ctx = obj in
+      let ctx = "shard_scaling" in
       [
         {
-          p_key = key;
+          p_key = "engine/shard-scaling";
           p_metrics =
             [
               metric ~gate:Gate_wall ~dir:Lower_better "seq_seconds"
@@ -143,15 +143,9 @@ let load_engine ~file j =
                   Option.map
                     (fun v -> metric ~gate:Gate_never ~dir:Lower_better name v)
                     (num_opt ss name))
-                extras;
+                [ "barriers_total"; "elided_cycles" ];
         };
       ]
-  in
-  let shard_points =
-    shard_point ~obj:"shard_scaling" ~key:"engine/shard-scaling"
-      [ "barriers_total"; "elided_cycles" ]
-    @ shard_point ~obj:"sharded_sampled" ~key:"engine/sharded-sampled"
-        [ "barriers_total"; "measured_windows" ]
   in
   let engine_points =
     List.map

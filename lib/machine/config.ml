@@ -94,6 +94,3 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
   check "max_cycles" t.max_cycles;
   check "shard_domains" t.shard_domains;
   t
-
-let traditional t = v ~base:t ~sfence:false ()
-let scoped t = v ~base:t ~sfence:true ()

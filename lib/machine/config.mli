@@ -43,18 +43,20 @@ type t = {
   max_cycles : int;  (** runaway guard; a run reaching it is reported as timed out *)
   shard_domains : int;
       (** partition the machine's cores across this many OCaml domains
-          (default 1 = the sequential engine).  Results are
+          (default 1 = the sequential engine).  Applies to untraced
+          exact runs only, checkpoint legs included; traced runs and
+          sampled runs always step on one domain.  Results are
           bit-identical for any value — this only trades simulator
           wall-clock; see DESIGN.md §13. *)
   elide_barriers : bool;
       (** let the sharded engine collapse provably non-interacting
-          cycle spans to a single barrier (default [true]).
+          cycle spans to a single barrier (default [true]), so like
+          [shard_domains] it only affects untraced exact runs.
           Bit-identical either way — wall-clock and barrier-count
           only; see DESIGN.md §16. *)
   sampling : sampling option;
-      (** [Some _] selects the sampled engine (untraced runs shard
-          their detailed windows across [shard_domains]); [None] (the
-          default) is exact detailed simulation. *)
+      (** [Some _] selects the sampled engine, which steps on one
+          domain; [None] (the default) is exact detailed simulation. *)
 }
 
 val mem_model_name : mem_model -> string
@@ -108,10 +110,3 @@ val v :
     scope knobs per {!Fscope_core.Scope_unit.validate}, a
     non-positive memory latency, cycle cap or shard count, or a
     non-positive sampling window. *)
-
-val traditional : t -> t
-(** The same machine with the S-Fence hardware disabled: every fence
-    behaves as a traditional full fence (baseline T). *)
-
-val scoped : t -> t
-(** With the S-Fence hardware enabled (S). *)

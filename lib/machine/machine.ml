@@ -93,11 +93,6 @@ let snapshot_stats trace r =
   set "mem/l2_misses" r.cache.Hierarchy.l2_misses;
   set "mem/invalidations" r.cache.Hierarchy.invalidations;
   set "mem/c2c_transfers" r.cache.Hierarchy.c2c_transfers;
-  set "engine/spin_ff_sleeps" r.spin.sleeps;
-  set "engine/spin_ff_cycles_skipped" r.spin.cycles_skipped;
-  set "engine/spin_ff_wakes" r.spin.wakes;
-  set "shard/barriers_total" r.shard.barriers;
-  set "shard/elided_cycles" r.shard.elided_cycles;
   set "machine/cycles" r.cycles
 
 let hierarchy_kind = function
@@ -358,7 +353,7 @@ and wake_core t i =
       end
     end
 
-let create ~obs ~spin_on ~domains ~elide (config : Config.t) program =
+let create ~obs ~spin_on ~domains (config : Config.t) program =
   let cores, mem, hierarchy, on_store = build ~obs config program in
   let n = Array.length cores in
   let d = Int.max 1 (Int.min domains n) in
@@ -372,7 +367,7 @@ let create ~obs ~spin_on ~domains ~elide (config : Config.t) program =
       hier_mem = config.Config.mem_model = Config.Hierarchy;
       spin_on;
       d;
-      elide_on = elide && d > 1 && not (Obs.Trace.on obs);
+      elide_on = config.Config.elide_barriers && d > 1;
       sync = Shard_sync.create ~domains:d ~cores:n;
       wake = Array.make n 0;
       progress = Array.make n false;
@@ -423,7 +418,7 @@ let create ~obs ~spin_on ~domains ~elide (config : Config.t) program =
    published once from the stepper's counters, and a traced run also
    snapshots every stats record into the registry and carries its
    report. *)
-let finish t (config : Config.t) ~cycles ~timed_out ~windows =
+let finish t ~cycles ~timed_out ~windows =
   let r : result =
     {
       cycles;
@@ -440,13 +435,7 @@ let finish t (config : Config.t) ~cycles ~timed_out ~windows =
   in
   if Obs.Trace.on t.obs then begin
     snapshot_stats t.obs r;
-    {
-      r with
-      obs =
-        Some
-          (Obs.Report.of_trace ~cycles ~timed_out
-             ~shard_domains:config.Config.shard_domains t.obs);
-    }
+    { r with obs = Some (Obs.Report.of_trace ~cycles ~timed_out t.obs) }
   end
   else r
 
@@ -456,19 +445,22 @@ let finish t (config : Config.t) ~cycles ~timed_out ~windows =
 
 (* With [d > 1] the machine's cores split cyclically across [d] OCaml
    domains (core i belongs to shard [i mod d]), each running the same
-   three-phase protocol with a barrier at every phase boundary.
-   Within a phase, each shard classifies its owned cores' steps as
-   ORDERED — may touch state shared between cores (memory writes, the
-   cache directory and its stats, wakes, traced events) — or FREE
-   (provably commutes with every other step of the phase).  Ordered
-   steps execute at their exact global ascending-core-order turn,
-   serialised by the {!Shard_sync} cursor token; free steps run
-   immediately on their owner.  Since every shared-state interaction
-   happens at the same global position as with [d = 1], and free steps
-   depend only on their own core's state (plus phase-2 memory reads,
-   which no phase-2 step can change), the whole run — cycles, every
-   CPI leaf, final memory, traces — is bit-identical to the naive
-   loop.  [d = 1] skips all of it: no classification, no barriers.
+   three-phase protocol with a barrier at every phase boundary.  Only
+   untraced exact runs shard: a traced run or a sampled one steps on
+   one domain whatever [Config.shard_domains] says.  Phase 2 only
+   completes loads, which read memory no phase-2 step writes, so each
+   shard steps its owned cores there directly.  In phases 1 and 3 each
+   shard classifies its owned cores' steps as ORDERED — may touch
+   state shared between cores (memory writes, the cache directory and
+   its stats, wakes) — or FREE (provably commutes with every other
+   step of the phase).  Ordered steps execute at their exact global
+   ascending-core-order turn, serialised by the {!Shard_sync} cursor
+   token; free steps run immediately on their owner.  Since every
+   shared-state interaction happens at the same global position as
+   with [d = 1], and free steps depend only on their own core's state,
+   the whole run — cycles, every CPI leaf, final memory — is
+   bit-identical to the naive loop.  [d = 1] skips all of it: no
+   classification, no barriers.
 
    Cross-shard spin wakes fire only from inside ordered steps (the
    disturbing store / invalidation is itself shared-state work), so
@@ -506,26 +498,23 @@ let step t p i c =
       t.progress.(i) <- true
   | _ -> if t.wake.(i) <= c then step3 t i c
 
-(* Classification per phase (see DESIGN §13 for the argument):
-   - phase 1: ordered iff traced, or the core was spin-sleeping at
-     cycle start (a cross-shard wake may touch its slots), or
-     {!Core.writes_pending} (a drain or CAS completion writes memory);
-   - phase 2: read-only — everything is free unless traced;
-   - phase 3: ordered iff traced, was sleeping, may arm a spin
-     certificate (a sleep transition registers shared watches), or —
-     under the hierarchy model, where even an L1 hit bumps shared
-     directory stats — {!Core.may_touch_mem}.
+(* Classification of a phase-1 or phase-3 step (see DESIGN §13 for the
+   argument):
+   - phase 1: ordered iff the core was spin-sleeping at cycle start (a
+     cross-shard wake may touch its slots), or {!Core.writes_pending}
+     (a drain or CAS completion writes memory);
+   - phase 3: ordered iff was sleeping, may arm a spin certificate (a
+     sleep transition registers shared watches), or — under the
+     hierarchy model, where even an L1 hit bumps shared directory
+     stats — {!Core.may_touch_mem}.
    [was_sleeping], not [sleeping], because a token-holding waker may
    flip the latter mid-phase. *)
 let is_ordered t p i c =
-  Obs.Trace.on t.obs
+  t.was_sleeping.(i)
   ||
-  match p with
-  | 1 -> t.was_sleeping.(i) || Core.writes_pending t.cores.(i) ~cycle:c
-  | 2 -> false
-  | _ ->
-    t.was_sleeping.(i)
-    || (t.spin_on && Core.spin_may_arm t.cores.(i))
+  if p = 1 then Core.writes_pending t.cores.(i) ~cycle:c
+  else
+    (t.spin_on && Core.spin_may_arm t.cores.(i))
     || (t.hier_mem && Core.may_touch_mem t.cores.(i))
 
 let next_owned_ordered t i =
@@ -542,6 +531,7 @@ let run_phase t me p c =
       t.phase_core <- i;
       step t p i c
     done
+  else if p = 2 then iter_owned t me (fun i -> step t 2 i c)
   else begin
     (* the barrier generation names the phase: every shard reads the
        same value between two barriers, and it grows with each phase *)
@@ -724,11 +714,12 @@ let restore t (config : Config.t) program (ck : Checkpoint.t) =
    publish point: the team is parked and the stop rule has put every
    core, spin sleepers included, in its naive-loop state. *)
 let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
+  let traced = Obs.Trace.on obs in
   let t =
     create ~obs
-      ~spin_on:(config.Config.exec.Exec_config.spin_fastforward && not (Obs.Trace.on obs))
-      ~domains:config.Config.shard_domains ~elide:config.Config.elide_barriers config
-      program
+      ~spin_on:(config.Config.exec.Exec_config.spin_fastforward && not traced)
+      ~domains:(if traced then 1 else config.Config.shard_domains)
+      config program
   in
   Option.iter (restore t config program) resume;
   let max_cycles = config.Config.max_cycles in
@@ -749,7 +740,7 @@ let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
     end
   in
   with_team t legs;
-  finish t config ~cycles:t.cycle ~timed_out:(Atomic.get t.drained_count < t.n) ~windows:[]
+  finish t ~cycles:t.cycle ~timed_out:(Atomic.get t.drained_count < t.n) ~windows:[]
 
 (* ------------------------------------------------------------------ *)
 (* SMARTS-style interval sampling                                      *)
@@ -774,15 +765,11 @@ let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
      cycles (accounting erased)  ->  measured detailed cycles
 
    Every detailed window (warmup and measured alike) is one {!advance}
-   with the window end as the stop.  Spin fast-forward and barrier
-   elision stay off: windows are short and bounded, and sleep
-   transitions would complicate window accounting for no gain. *)
+   with the window end as the stop, on one domain.  Spin fast-forward
+   stays off: windows are short and bounded, and sleep transitions
+   would complicate window accounting for no gain. *)
 let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
-  let t =
-    create ~obs ~spin_on:false
-      ~domains:(if Obs.Trace.on obs then 1 else config.Config.shard_domains)
-      ~elide:false config program
-  in
+  let t = create ~obs ~spin_on:false ~domains:1 config program in
   let cores = t.cores and n = t.n and max_cycles = config.Config.max_cycles in
   let hstats = Hierarchy.stats t.hierarchy in
   let set_hstats f (h : Hierarchy.stats) =
@@ -832,83 +819,80 @@ let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
   in
   (* First window: the cold start is real execution, measure it
      without a warmup bracket. *)
-  let sampled_main () =
-    detailed_cycles s.Config.detailed ~measure:true;
-    while not t.finished do
-      (* detailed -> functional: collapse to architectural state.  A CAS
-         performs its read-modify-write at its completion point, before
-         commit, so a core whose ROB holds a [Done] CAS must not flush:
-         discarding the entry would let the functional leg apply the
-         write a second time.  Settle instead — flush and park each core
-         the moment it is [Core.flushable], and step the stragglers
-         detailed until everyone has flushed.  A completed CAS is
-         non-speculative (issue rules) and commits within bounded
-         cycles, so this converges fast.  Settle commits are real
-         forward progress (the exact counters keep them), but the
-         micro-architectural accounting is erased like warmup: the
-         measured windows already stand for this regime. *)
-      sampled_any := true;
-      let erase = mark () in
-      let flushed = Array.make n false in
-      let settle = ref 0 in
-      let all_flushed = ref false in
-      while not !all_flushed do
-        all_flushed := true;
-        for i = 0 to n - 1 do
-          if not flushed.(i) then
-            if Core.flushable cores.(i) then begin
-              Core.flush_arch cores.(i);
-              Core.park cores.(i);
-              flushed.(i) <- true
-            end
-            else all_flushed := false
-        done;
-        if not !all_flushed then begin
-          Obs.Trace.set_now obs t.cycle;
-          ignore (step_all cores ~cycle:t.cycle);
-          t.cycle <- t.cycle + 1;
-          incr settle;
-          if !settle > 1_000_000 then
-            failwith "Machine.run: sampled flush settle did not converge"
-        end
+  detailed_cycles s.Config.detailed ~measure:true;
+  while not t.finished do
+    (* detailed -> functional: collapse to architectural state.  A CAS
+       performs its read-modify-write at its completion point, before
+       commit, so a core whose ROB holds a [Done] CAS must not flush:
+       discarding the entry would let the functional leg apply the
+       write a second time.  Settle instead — flush and park each core
+       the moment it is [Core.flushable], and step the stragglers
+       detailed until everyone has flushed.  A completed CAS is
+       non-speculative (issue rules) and commits within bounded
+       cycles, so this converges fast.  Settle commits are real
+       forward progress (the exact counters keep them), but the
+       micro-architectural accounting is erased like warmup: the
+       measured windows already stand for this regime. *)
+    sampled_any := true;
+    let erase = mark () in
+    let flushed = Array.make n false in
+    let settle = ref 0 in
+    let all_flushed = ref false in
+    while not !all_flushed do
+      all_flushed := true;
+      for i = 0 to n - 1 do
+        if not flushed.(i) then
+          if Core.flushable cores.(i) then begin
+            Core.flush_arch cores.(i);
+            Core.park cores.(i);
+            flushed.(i) <- true
+          end
+          else all_flushed := false
       done;
-      erase ();
-      Array.iter Core.unpark cores;
-      let budget = Array.make n s.Config.ff_instrs in
-      let live = ref true in
-      while !live do
-        live := false;
-        for i = 0 to n - 1 do
-          if budget.(i) > 0 then
-            if Core.func_step cores.(i) then begin
-              budget.(i) <- budget.(i) - 1;
-              live := true
-            end
-            else budget.(i) <- 0
-        done
-      done;
-      if Array.for_all Core.halted cores then t.finished <- true
-      else if estimate () >= max_cycles then
-        (* stuck or runaway workload: the scaled estimate already blows
-           the cycle budget, so stop — the run reports timed out, like
-           the detailed engine at [max_cycles] *)
-        t.finished <- true
-      else begin
-        (* functional -> detailed: rebuild scope state, re-warm the
-           pipeline with erased accounting, then measure *)
-        Array.iter Core.reseed_scope cores;
-        let erase = mark () in
-        detailed_cycles s.Config.warmup ~measure:false;
-        if not t.finished then begin
-          (* erase warmup accounting (unless the run ended inside the
-             warmup — then those cycles are the true tail and stand) *)
-          erase ();
-          detailed_cycles s.Config.detailed ~measure:true
-        end
+      if not !all_flushed then begin
+        Obs.Trace.set_now obs t.cycle;
+        ignore (step_all cores ~cycle:t.cycle);
+        t.cycle <- t.cycle + 1;
+        incr settle;
+        if !settle > 1_000_000 then
+          failwith "Machine.run: sampled flush settle did not converge"
       end
-    done
-  in
-  with_team t sampled_main;
+    done;
+    erase ();
+    Array.iter Core.unpark cores;
+    let budget = Array.make n s.Config.ff_instrs in
+    let live = ref true in
+    while !live do
+      live := false;
+      for i = 0 to n - 1 do
+        if budget.(i) > 0 then
+          if Core.func_step cores.(i) then begin
+            budget.(i) <- budget.(i) - 1;
+            live := true
+          end
+          else budget.(i) <- 0
+      done
+    done;
+    if Array.for_all Core.halted cores then t.finished <- true
+    else if estimate () >= max_cycles then
+      (* stuck or runaway workload: the scaled estimate already blows
+         the cycle budget, so stop — the run reports timed out, like
+         the detailed engine at [max_cycles] *)
+      t.finished <- true
+    else begin
+      (* functional -> detailed: rebuild scope state, re-warm the
+         pipeline with erased accounting, then measure *)
+      Array.iter Core.reseed_scope cores;
+      let erase = mark () in
+      detailed_cycles s.Config.warmup ~measure:false;
+      if not t.finished then begin
+        (* erase warmup accounting (unless the run ended inside the
+           warmup — then those cycles are the true tail and stand) *)
+        erase ();
+        detailed_cycles s.Config.detailed ~measure:true
+      end
+    end
+  done;
   (* Scale measured micro-architecture to the whole run. *)
   let total_all = ref 0 and measured_all = ref 0 in
   for i = 0 to n - 1 do
@@ -926,7 +910,7 @@ let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
       Int.min max_cycles (Int.max t.cycle (worst (fun _ st -> st.Core.active_cycles)))
     else t.cycle
   in
-  finish t config ~cycles ~windows:(List.rev !windows)
+  finish t ~cycles ~windows:(List.rev !windows)
     ~timed_out:(not (Array.for_all Core.drained cores))
 
 (* Entry point: the sampled driver when the config asks for it,
@@ -948,13 +932,13 @@ let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program 
    this, and the bench harness quotes the wall-clock win over it.  It
    borrows only the stepper's machine instance, never its schedule. *)
 let run_reference ?(obs = Obs.Trace.null) (config : Config.t) program =
-  let t = create ~obs ~spin_on:false ~domains:1 ~elide:false config program in
+  let t = create ~obs ~spin_on:false ~domains:1 config program in
   let all_done () = Array.for_all Core.drained t.cores in
   while (not (all_done ())) && t.cycle < config.Config.max_cycles do
     Obs.Trace.set_now obs t.cycle;
     ignore (step_all t.cores ~cycle:t.cycle);
     t.cycle <- t.cycle + 1
   done;
-  finish t config ~cycles:t.cycle ~timed_out:(not (all_done ())) ~windows:[]
+  finish t ~cycles:t.cycle ~timed_out:(not (all_done ())) ~windows:[]
 
 let same_outcome a b = { a with spin = b.spin; shard = b.shard } = b

@@ -41,8 +41,8 @@ type shard_ctrs = {
       (** cycles run inside elided spans — one meeting barrier per
           span instead of four barriers per cycle (DESIGN §16) *)
 }
-(** Lockstep-traffic counters of a sharded run.  Zero for one-domain
-    and naive runs.  Like {!spin_ff}, engine diagnostics — NOT part of
+(** Lockstep-traffic counters of a sharded run.  Zero for one-domain,
+    traced, sampled and naive runs.  Like {!spin_ff}, engine diagnostics — NOT part of
     the bit-identity contract. *)
 
 type result = {
@@ -66,8 +66,9 @@ type result = {
   obs : Fscope_obs.Report.t option;
       (** present iff the run was traced; carries the event stream and
           the metrics registry (which includes a snapshot of every
-          legacy stat under [core<i>/...], [mem/...], [engine/...],
-          [total/...]) *)
+          legacy stat under [core<i>/...], [mem/...], [total/...]; the
+          [spin] and [shard] counters, always zero on a traced run, are
+          left out) *)
 }
 
 val run :
@@ -94,11 +95,11 @@ val run :
     require an untraced run and are rejected ([Invalid_argument]) when
     [Config.sampling] is set.
 
-    With [Config.shard_domains > 1] (and a multi-core program) the
-    cores are partitioned cyclically across that many OCaml domains,
-    spawned once per run, with barriers at phase boundaries and a
-    global-order token serialising exactly the steps that touch shared
-    state (DESIGN §13).  With [Config.elide_barriers] a sharded exact
+    With [Config.shard_domains > 1] (and a multi-core program) an
+    untraced exact run partitions the cores cyclically across that
+    many OCaml domains, spawned once per run, with barriers at phase
+    boundaries and a global-order token serialising exactly the steps
+    that touch shared state (DESIGN §13).  With [Config.elide_barriers] a sharded exact
     run also collapses spans of provably non-interacting cycles
     ({!Fscope_cpu.Core.quiet_until}) to a single meeting barrier
     (DESIGN §16).
@@ -111,11 +112,11 @@ val run :
     committed-instruction coverage.  The detailed->functional
     transition settles rather than flushing blindly: a core flushes
     only once {!Fscope_cpu.Core.flushable} holds and is parked while
-    stragglers step to their own flush points.  Untraced sampled runs
-    shard their detailed windows across [Config.shard_domains];
-    traced sampled runs use one domain and record [sample_windows]
-    for the latency extraction.  Spin fast-forward and barrier
-    elision stay off inside windows. *)
+    stragglers step to their own flush points.  Sampled runs step on
+    one domain whatever [Config.shard_domains] says, record
+    [sample_windows] for the latency extraction, and keep spin
+    fast-forward off inside windows.  Traced runs step on one domain
+    too. *)
 
 val run_reference : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> result
 (** Same machine, driven by the retained naive per-cycle loop instead

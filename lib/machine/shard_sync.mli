@@ -4,9 +4,8 @@
     across OCaml domains and runs the three-phase step protocol with a
     {!barrier} at every phase boundary.  Within a phase, each shard
     classifies its owned cores' steps as ORDERED (may touch state
-    shared between cores: memory writes, cache directory, wakes,
-    traced events) or FREE (provably commutes with everything else in
-    the phase); ordered steps execute at their exact global
+    shared between cores: memory writes, cache directory, wakes) or
+    FREE (provably commutes with everything else in the phase); ordered steps execute at their exact global
     ascending-core-order turn via the cursor protocol below, free
     steps run immediately.  See DESIGN.md §13 for the classification
     rules and the bit-identity argument.

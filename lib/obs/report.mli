@@ -10,15 +10,12 @@ type t = {
   cycles : int;
   timed_out : bool;
   cores : int;
-  shard_domains : int;
-      (** domain count the run's machine config asked for; sinks use it
-          to lay one chrome track ("process") per shard *)
   events : Event.timed list;  (** merged, (cycle, core)-ordered *)
   dropped : int;  (** events lost to ring-buffer overwrites *)
   metrics : Metrics.t;
 }
 
-val of_trace : cycles:int -> timed_out:bool -> ?shard_domains:int -> Trace.t -> t
+val of_trace : cycles:int -> timed_out:bool -> Trace.t -> t
 
 val events_count : t -> int
 

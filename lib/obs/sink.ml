@@ -58,36 +58,27 @@ let jsonl (r : Report.t) =
 (* Chrome trace_event (JSON array format)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Under --shard-domains N each simulated core belongs to domain
-   (core mod N); giving every shard its own chrome process lays the
-   trace out as one track per domain, which is how the sharded engine
-   actually interleaves the work.  N = 1 keeps the legacy single
-   "fscope" process byte-for-byte.  One array element per line. *)
+(* One "fscope" process with a thread per core; one array element per
+   line. *)
 let chrome (r : Report.t) =
-  let shards = Int.max 1 r.shard_domains in
-  let pid_of core = if shards = 1 then 0 else core mod shards in
   let buf = Buffer.create 4096 in
   let element fields =
     Buffer.add_string buf (if Buffer.length buf = 0 then "[\n" else ",\n");
     Buffer.add_string buf (Json.render (Json.Obj fields))
   in
-  let meta name pid tid label =
+  let meta name tid label =
     element
       [
         ("name", Json.Str name);
         ("ph", Json.Str "M");
-        ("pid", Json.Int pid);
+        ("pid", Json.Int 0);
         ("tid", Json.Int tid);
         ("args", Json.Obj [ ("name", Json.Str label) ]);
       ]
   in
-  if shards = 1 then meta "process_name" 0 0 "fscope"
-  else
-    for k = 0 to shards - 1 do
-      meta "process_name" k 0 (Printf.sprintf "fscope shard %d" k)
-    done;
+  meta "process_name" 0 "fscope";
   for core = 0 to r.cores - 1 do
-    meta "thread_name" (pid_of core) core (Printf.sprintf "core %d" core)
+    meta "thread_name" core (Printf.sprintf "core %d" core)
   done;
   List.iter
     (fun (te : Event.timed) ->
@@ -106,7 +97,7 @@ let chrome (r : Report.t) =
         @ (if ph = "i" then [ ("s", Json.Str "t") ] else [])
         @ [
             ("ts", Json.Int te.cycle);
-            ("pid", Json.Int (pid_of te.core));
+            ("pid", Json.Int 0);
             ("tid", Json.Int te.core);
             ("args", Json.Obj (Event.args te.event));
           ]))

@@ -85,25 +85,19 @@ let test_paper_speedups_shape () =
     s
 
 (* The ranked advice — rendered to its canonical JSON — must be
-   byte-identical across job fan-out and engine sharding. *)
-let test_determinism_across_jobs_and_shards () =
-  let advise ~jobs ~shards =
+   byte-identical across job fan-out. *)
+let test_determinism_across_jobs () =
+  let advise ~jobs =
     let saved = E.Exp_run.jobs () in
     E.Exp_run.set_jobs jobs;
-    let config = Config.v ~base:base_config ~shard_domains:shards () in
-    let t_input, s_input = E.Profiling.advise_inputs config (quick "dekker" ~attempts:10) in
+    let t_input, s_input =
+      E.Profiling.advise_inputs base_config (quick "dekker" ~attempts:10)
+    in
     E.Exp_run.set_jobs saved;
     Fscope_util.Json.render
       (Obs.Advisor.json (Obs.Advisor.analyze ~scoped:s_input t_input))
   in
-  let reference = advise ~jobs:1 ~shards:1 in
-  List.iter
-    (fun (jobs, shards) ->
-      Alcotest.(check string)
-        (Printf.sprintf "advice identical at --jobs %d --shard-domains %d" jobs shards)
-        reference
-        (advise ~jobs ~shards))
-    [ (4, 1); (1, 2); (4, 2) ]
+  Alcotest.(check string) "advice identical at --jobs 4" (advise ~jobs:1) (advise ~jobs:4)
 
 let test_ordering_violations_rule () =
   let a = [ ("x", 1.30); ("y", 1.20); ("z", 1.00) ] in
@@ -135,7 +129,6 @@ let tests =
     Alcotest.test_case "paper speedup table shape" `Quick test_paper_speedups_shape;
     Alcotest.test_case "ordering-violations rule" `Quick test_ordering_violations_rule;
     Alcotest.test_case "analyze requires metrics" `Quick test_analyze_requires_metrics;
-    Alcotest.test_case "deterministic across jobs/shards" `Slow
-      test_determinism_across_jobs_and_shards;
+    Alcotest.test_case "deterministic across jobs" `Slow test_determinism_across_jobs;
     Alcotest.test_case "paper ordering reproduced" `Slow test_paper_ordering;
   ]

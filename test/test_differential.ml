@@ -234,13 +234,13 @@ let gen_program seed =
 
 let configs =
   [
-    ("scoped", Config.scoped Config.default);
-    ("traditional", Config.traditional Config.default);
-    ("scoped+spec", Config.v ~base:(Config.scoped Config.default) ~speculation:true ());
-    ("small-rob", Config.v ~base:(Config.scoped Config.default) ~rob_size:16 ());
+    ("scoped", Config.v ~sfence:true ());
+    ("traditional", Config.v ~sfence:false ());
+    ("scoped+spec", Config.v ~sfence:true ~speculation:true ());
+    ("small-rob", Config.v ~sfence:true ~rob_size:16 ());
     (* the ideal 1-cycle memory backend must preserve functional
        behaviour (only timing changes) and engine/reference identity *)
-    ("ideal-mem", Config.v ~base:(Config.scoped Config.default) ~mem_model:Config.Ideal ());
+    ("ideal-mem", Config.v ~sfence:true ~mem_model:Config.Ideal ());
   ]
 
 let check_seed seed =
@@ -543,7 +543,7 @@ let prop_shard_invariance =
         else fst (Compile.compile (gen_disjoint_program seed ~threads:4))
       in
       let config =
-        Config.v ~base:(Config.scoped Config.default) ~spin_fastforward:spin_ff
+        Config.v ~sfence:true ~spin_fastforward:spin_ff
           ~mem_model:(if ideal then Config.Ideal else Config.Hierarchy)
           ?max_cycles:max_c ~shard_domains:shards ~elide_barriers:elide ()
       in
@@ -596,7 +596,7 @@ let prop_checkpoint_roundtrip =
         else fst (Compile.compile (gen_disjoint_program seed ~threads:4))
       in
       let config =
-        Config.v ~base:(Config.scoped Config.default) ~spin_fastforward:spin_ff
+        Config.v ~sfence:true ~spin_fastforward:spin_ff
           ~mem_model:(if ideal then Config.Ideal else Config.Hierarchy)
           ~shard_domains:shards ()
       in
@@ -642,7 +642,7 @@ let test_compact_checkpoint () =
   let module Workload = Fscope_workloads.Workload in
   let w = Mpmc.make ~threads:64 ~per_producer:4 ~scope:`Class () in
   let program = w.Workload.program in
-  let config = Config.scoped Config.default in
+  let config = Config.v ~sfence:true () in
   let first = ref None in
   let sink ck = if Option.is_none !first then first := Some ck in
   let baseline = Machine.run ~checkpoint:(400, sink) config program in

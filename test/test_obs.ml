@@ -13,10 +13,10 @@ let level1 = W.Privwork.fig12_levels.(0)
 
 (* A traced run with rings large enough that nothing is dropped, so
    event-count invariants are exact. *)
-let traced_run ?(config = Config.default) w =
+let traced_run w =
   let cores = Fscope_isa.Program.thread_count w.W.Workload.program in
   let trace = Obs.Trace.create ~ring_capacity:(1 lsl 20) ~cores () in
-  let result = Machine.run ~obs:trace config w.W.Workload.program in
+  let result = Machine.run ~obs:trace Config.default w.W.Workload.program in
   match result.Machine.obs with
   | Some report -> (result, report)
   | None -> Alcotest.fail "traced run produced no report"
@@ -284,7 +284,7 @@ let test_registry_lookup () =
     (fun () -> ignore (Fscope_experiments.Exp_run.workload "nope"))
 
 (* ------------------------------------------------------------------ *)
-(* Drop warning and shard lanes                                        *)
+(* Drop warning                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let contains ~needle hay =
@@ -308,33 +308,9 @@ let test_summary_drop_warning () =
   Alcotest.(check bool) "clean run has no warning" false
     (contains ~needle:"warning:" (Obs.Sink.summary clean))
 
-let test_chrome_shard_lanes () =
-  let w = tiny_dekker () in
-  let run config =
-    let cores = Fscope_isa.Program.thread_count w.W.Workload.program in
-    let trace = Obs.Trace.create ~ring_capacity:(1 lsl 20) ~cores () in
-    let result = Machine.run ~obs:trace config w.W.Workload.program in
-    Option.get result.Machine.obs
-  in
-  let plain = Obs.Sink.chrome (run Config.default) in
-  Alcotest.(check bool) "one process at --shard-domains 1" true
-    (contains ~needle:"{\"name\":\"fscope\"}" plain
-    && not (contains ~needle:"shard" plain));
-  let sharded = Obs.Sink.chrome (run (Config.v ~shard_domains:2 ())) in
-  Alcotest.(check bool) "one process track per shard" true
-    (contains ~needle:"{\"name\":\"fscope shard 0\"}" sharded
-    && contains ~needle:"{\"name\":\"fscope shard 1\"}" sharded);
-  (* dekker: core 0 -> shard 0, core 1 -> shard 1 *)
-  Alcotest.(check bool) "cores land on their shard's pid" true
-    (contains ~needle:"\"pid\":1,\"tid\":1,\"args\":{\"name\":\"core 1\"}" sharded);
-  (* metadata aside, the two renderings describe the same events *)
-  Alcotest.(check int) "same event count either way"
-    (List.length (String.split_on_char '\n' plain))
-    (List.length (String.split_on_char '\n' sharded) - 1)
-
 (* Every emitted document is JSON: each jsonl line and the whole Chrome
-   trace (at one and two shards) parse, and the profile and advice
-   documents read back unchanged from either rendering. *)
+   trace parse, and the profile and advice documents read back
+   unchanged from either rendering. *)
 let test_documents_parse () =
   let module Json = Fscope_util.Json in
   let module E = Fscope_experiments in
@@ -348,17 +324,12 @@ let test_documents_parse () =
     + List.length (Obs.Metrics.snapshot report.Obs.Report.metrics))
     (List.length lines);
   List.iter (fun l -> ignore (Json.parse l)) lines;
-  List.iter
-    (fun shards ->
-      let _, report = traced_run ~config:(Config.v ~shard_domains:shards ()) w in
-      match Json.parse (Obs.Sink.chrome report) with
-      | Json.Arr items ->
-        Alcotest.(check int)
-          (Printf.sprintf "chrome elements at %d shard(s)" shards)
-          (shards + report.Obs.Report.cores + Obs.Report.events_count report)
-          (List.length items)
-      | _ -> Alcotest.fail "chrome trace is not an array")
-    [ 1; 2 ];
+  (match Json.parse (Obs.Sink.chrome report) with
+  | Json.Arr items ->
+    Alcotest.(check int) "chrome elements"
+      (1 + report.Obs.Report.cores + Obs.Report.events_count report)
+      (List.length items)
+  | _ -> Alcotest.fail "chrome trace is not an array");
   let t_input, s_input = E.Profiling.advise_inputs Config.default w in
   List.iter
     (fun (what, doc) ->
@@ -419,7 +390,6 @@ let tests =
     Alcotest.test_case "chrome trace shape" `Quick test_chrome_shape;
     Alcotest.test_case "summary quotes legacy total" `Quick test_summary_totals;
     Alcotest.test_case "summary drop warning" `Quick test_summary_drop_warning;
-    Alcotest.test_case "chrome shard lanes" `Quick test_chrome_shard_lanes;
     Alcotest.test_case "emitted documents parse" `Quick test_documents_parse;
     Alcotest.test_case "gauge fold deterministic" `Quick test_gauge_fold_deterministic;
     Alcotest.test_case "registry round-trip" `Slow test_registry_round_trip;

@@ -97,7 +97,7 @@ let test_registry_roundtrip () =
         | Some spec -> W.Workload.build spec small_params
         | None -> Alcotest.failf "workload %s missing from registry" name
       in
-      let config = Config.v ~base:(Config.scoped Config.default) ~max_cycles:1000 () in
+      let config = Config.v ~sfence:true ~max_cycles:1000 () in
       let engine = Machine.run config w.W.Workload.program in
       let reference = Machine.run_reference config w.W.Workload.program in
       Alcotest.(check bool)
@@ -109,8 +109,8 @@ let test_registry_roundtrip () =
 (* -- full runs validate under both machines ---------------------------- *)
 
 let check_both name make =
-  ignore (W.Workload.run_validated (Config.traditional Config.default) (make ()));
-  ignore (W.Workload.run_validated (Config.scoped Config.default) (make ()));
+  ignore (W.Workload.run_validated (Config.v ~sfence:false ()) (make ()));
+  ignore (W.Workload.run_validated (Config.v ~sfence:true ()) (make ()));
   ignore name
 
 let test_mpmc_validates () =
@@ -147,7 +147,7 @@ let prop_mpmc_exactly_once =
         W.Mpmc.make ~threads ~per_producer ~seed ~mean_gap:40 ~mode ~window:3
           ~scope:`Class ()
       in
-      let r = Machine.run (Config.scoped Config.default) w.W.Workload.program in
+      let r = Machine.run (Config.v ~sfence:true ()) w.W.Workload.program in
       match w.W.Workload.validate r with
       | Ok () -> true
       | Error msg ->

@@ -321,8 +321,8 @@ let fig10_program ~kind =
   Program.make ~threads:[ Asm.finish asm ] ~mem_words:256 ()
 
 let test_fig10_scoped_faster () =
-  let t = Machine.run (Config.traditional test_config) (fig10_program ~kind:Fk.full) in
-  let s = Machine.run (Config.scoped test_config) (fig10_program ~kind:Fk.class_scoped) in
+  let t = Machine.run (Config.v ~base:test_config ~sfence:false ()) (fig10_program ~kind:Fk.full) in
+  let s = Machine.run (Config.v ~base:test_config ~sfence:true ()) (fig10_program ~kind:Fk.class_scoped) in
   check_finished t;
   check_finished s;
   Alcotest.(check bool)
@@ -333,15 +333,15 @@ let test_fig10_scoped_faster () =
     (t.Machine.cycles - s.Machine.cycles > 100)
 
 let test_fig10_same_result () =
-  let t = Machine.run (Config.traditional test_config) (fig10_program ~kind:Fk.full) in
-  let s = Machine.run (Config.scoped test_config) (fig10_program ~kind:Fk.class_scoped) in
+  let t = Machine.run (Config.v ~base:test_config ~sfence:false ()) (fig10_program ~kind:Fk.full) in
+  let s = Machine.run (Config.v ~base:test_config ~sfence:true ()) (fig10_program ~kind:Fk.class_scoped) in
   Alcotest.(check int) "functional result unchanged" t.Machine.mem.(65) s.Machine.mem.(65)
 
 let test_fence_stall_attribution () =
   (* The traditional run of Fig. 10 must attribute stall cycles to the
      fence; the scoped run should attribute far fewer. *)
-  let t = Machine.run (Config.traditional test_config) (fig10_program ~kind:Fk.full) in
-  let s = Machine.run (Config.scoped test_config) (fig10_program ~kind:Fk.class_scoped) in
+  let t = Machine.run (Config.v ~base:test_config ~sfence:false ()) (fig10_program ~kind:Fk.full) in
+  let s = Machine.run (Config.v ~base:test_config ~sfence:true ()) (fig10_program ~kind:Fk.class_scoped) in
   let t_stalls = Machine.fence_stall_cycles t in
   let s_stalls = Machine.fence_stall_cycles s in
   Alcotest.(check bool)
@@ -349,10 +349,10 @@ let test_fence_stall_attribution () =
     true (s_stalls < t_stalls)
 
 let test_in_window_speculation_helps_traditional () =
-  let t = Machine.run (Config.traditional test_config) (fig10_program ~kind:Fk.full) in
+  let t = Machine.run (Config.v ~base:test_config ~sfence:false ()) (fig10_program ~kind:Fk.full) in
   let t_plus =
     Machine.run
-      (Config.v ~base:(Config.traditional test_config) ~speculation:true ())
+      (Config.v ~base:test_config ~sfence:false ~speculation:true ())
       (fig10_program ~kind:Fk.full)
   in
   check_finished t_plus;

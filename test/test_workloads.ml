@@ -12,8 +12,8 @@ let small_level = { W.Privwork.arith = 8; stores = 1; span = 0; warm = false }
 
 let check_both name make =
   let w = make () in
-  let t = W.Workload.run_validated (Config.traditional Config.default) w in
-  let s = W.Workload.run_validated (Config.scoped Config.default) w in
+  let t = W.Workload.run_validated (Config.v ~sfence:false ()) w in
+  let s = W.Workload.run_validated (Config.v ~sfence:true ()) w in
   Alcotest.(check bool)
     (Printf.sprintf "%s: scoped not slower than 2%% (T=%d S=%d)" name t.Machine.cycles
        s.Machine.cycles)
@@ -59,7 +59,7 @@ let test_pst_seeds () =
   List.iter
     (fun seed ->
       ignore
-        (W.Workload.run_validated (Config.scoped Config.default)
+        (W.Workload.run_validated (Config.v ~sfence:true ())
            (W.Pst.make ~nodes:128 ~seed ~scope:`Class ())))
     [ 1; 2; 3 ]
 
@@ -67,7 +67,7 @@ let test_ptc_seeds () =
   List.iter
     (fun seed ->
       ignore
-        (W.Workload.run_validated (Config.scoped Config.default)
+        (W.Workload.run_validated (Config.v ~sfence:true ())
            (W.Ptc.make ~nodes:64 ~sources:2 ~seed ~scope:`Class ())))
     [ 4; 5; 6 ]
 
@@ -79,10 +79,10 @@ let test_wsq_param_sweep () =
   List.iter
     (fun config -> ignore (W.Workload.run_validated config w))
     [
-      Config.v ~base:(Config.scoped Config.default) ~rob_size:64 ();
-      Config.v ~base:(Config.scoped Config.default) ~rob_size:256 ();
-      Config.v ~base:(Config.scoped Config.default) ~mem_latency:100 ();
-      Config.v ~base:(Config.traditional Config.default) ~mem_latency:500 ();
+      Config.v ~sfence:true ~rob_size:64 ();
+      Config.v ~sfence:true ~rob_size:256 ();
+      Config.v ~sfence:true ~mem_latency:100 ();
+      Config.v ~sfence:false ~mem_latency:500 ();
     ]
 
 let test_msn_param_sweep () =
@@ -90,9 +90,9 @@ let test_msn_param_sweep () =
   List.iter
     (fun config -> ignore (W.Workload.run_validated config w))
     [
-      Config.v ~base:(Config.scoped Config.default) ~rob_size:64 ();
-      Config.v ~base:(Config.scoped Config.default) ~mem_latency:150 ();
-      Config.v ~base:(Config.scoped Config.default) ~fsb_entries:2 ();
+      Config.v ~sfence:true ~rob_size:64 ();
+      Config.v ~sfence:true ~mem_latency:150 ();
+      Config.v ~sfence:true ~fsb_entries:2 ();
     ]
 
 let test_harris_param_sweep () =
@@ -100,9 +100,9 @@ let test_harris_param_sweep () =
   List.iter
     (fun config -> ignore (W.Workload.run_validated config w))
     [
-      Config.v ~base:(Config.scoped Config.default) ~rob_size:64 ();
-      Config.v ~base:(Config.scoped Config.default) ~fsb_entries:1 ();
-      Config.v ~base:(Config.scoped Config.default) ~mem_latency:450 ();
+      Config.v ~sfence:true ~rob_size:64 ();
+      Config.v ~sfence:true ~fsb_entries:1 ();
+      Config.v ~sfence:true ~mem_latency:450 ();
     ]
 
 (* Graph generator properties. *)
@@ -139,8 +139,8 @@ let test_spanning_tree_checker_rejects () =
 (* The nested-scope ablation workload and its FSS sensitivity. *)
 let test_nested_scopes_validate () =
   let w = Fscope_experiments.Ablation.nested_scope_workload ~rounds:8 () in
-  ignore (W.Workload.run_validated (Config.scoped Config.default) w);
-  ignore (W.Workload.run_validated (Config.traditional Config.default) w)
+  ignore (W.Workload.run_validated (Config.v ~sfence:true ()) w);
+  ignore (W.Workload.run_validated (Config.v ~sfence:false ()) w)
 
 let test_nested_scopes_fss_monotone () =
   (* A deeper FSS must not be slower than a unit stack on the deep
@@ -151,7 +151,7 @@ let test_nested_scopes_fss_monotone () =
       { Config.default with
         Config.scope = { Config.default.Config.scope with Fscope_core.Scope_unit.fss_entries = fss } }
     in
-    (W.Workload.run_validated (Config.scoped config) w).Machine.cycles
+    (W.Workload.run_validated (Config.v ~base:config ~sfence:true ()) w).Machine.cycles
   in
   Alcotest.(check bool) "fss=8 <= fss=1" true (cycles 8 <= cycles 1)
 
