@@ -318,7 +318,6 @@ let next_wake (t : t) ~cycle =
 
 let snapshot = Core_ckpt.snapshot
 let restore = Core_ckpt.restore
-let traced (t : t) = t.Core_state.obs <> None
 let flushable = Core_ckpt.flushable
 let park = Core_ckpt.park
 let unpark = Core_ckpt.unpark

@@ -127,24 +127,27 @@ val next_wake : t -> cycle:int -> int
 val writes_pending : t -> cycle:int -> bool
 (** Will [step_complete_writes ~cycle] write shared memory — a
     store-buffer entry completing at or before [cycle], or an
-    in-flight CAS reaching its completion point?  Exact when asked at
-    the start of the writes phase.  The domain-sharded engine runs
-    phase-1 steps for which this holds at their global core-order
-    turn and the rest ungated. *)
+    in-flight CAS reaching its completion point?  Exact when asked
+    before the writes phase, with no step of the core in between.  The
+    domain-sharded engine runs the phase-1 steps for which this holds
+    on one domain in core order, and the rest on their owners in any
+    order. *)
 
 val may_touch_mem : t -> bool
 (** May [step_pipeline] reach the memory port this cycle — a store
     committing into the store buffer, or a load / CAS issuing?
     Conservative (based on the ROB at phase start, any-state stores
-    and waiting loads/CAS); used by the sharded engine to gate
-    phase-3 steps under the cache-hierarchy model, where even an L1
-    hit bumps shared directory state. *)
+    and waiting loads/CAS); under the cache-hierarchy model, where
+    even an L1 hit bumps shared directory state, the sharded engine
+    runs the phase-3 steps for which this holds on one domain in core
+    order. *)
 
 val spin_may_arm : t -> bool
 (** May this cycle's pipeline step arm a spin-stability certificate
     (see below)?  False whenever no boundary snapshot exists yet, which
-    makes it a sound phase-start gate for sleep transitions in the
-    sharded engine. *)
+    makes it a sound phase-start test for sleep transitions: the
+    sharded engine runs the phase-3 steps for which it holds on one
+    domain in core order. *)
 
 val quiet_until : t -> from:int -> cap:int -> hier:bool -> int
 (** Whole-cycle FREE horizon for barrier elision in the sharded
@@ -235,10 +238,6 @@ val restore : t -> Fscope_util.Json.t -> unit
     image and configs; raises [Failure] on malformed or mismatched
     input.  The spin probe comes back clean (re-arming needs fresh
     loop boundaries, which never affects bit-identity). *)
-
-val traced : t -> bool
-(** Was the core created with a live trace?  Checkpointing and sampled
-    mode are untraced-run facilities. *)
 
 (** {2 Interval sampling}
 

@@ -32,13 +32,6 @@ type t = {
   sampling : sampling option;
 }
 
-let mem_model_name = function Hierarchy -> "hierarchy" | Ideal -> "ideal"
-
-let mem_model_of_string = function
-  | "hierarchy" -> Some Hierarchy
-  | "ideal" -> Some Ideal
-  | _ -> None
-
 let default =
   {
     exec = Fscope_cpu.Exec_config.default;

@@ -59,11 +59,6 @@ type t = {
           domain; [None] (the default) is exact detailed simulation. *)
 }
 
-val mem_model_name : mem_model -> string
-(** ["hierarchy"] / ["ideal"] — the [--mem-model] CLI vocabulary. *)
-
-val mem_model_of_string : string -> mem_model option
-
 val default : t
 (** The paper's Table III machine: 8-core runs use this per-core
     configuration — ROB 128, 32 KB L1 (2 cycles), 1 MB shared L2

@@ -204,7 +204,6 @@ type stepper = {
   progress : bool array;
   drained_count : int Atomic.t;
   sleeping : Core.spin_stable option array;
-  was_sleeping : bool array;
   ordered : bool array;
   quiet : int array;
   watches : (int, int list) Hashtbl.t;
@@ -223,7 +222,7 @@ type stepper = {
   mutable quit : bool;  (** tells the parked team to exit *)
   mutable phase : int;
   mutable phase_core : int;
-      (** where in the current cycle the step loops are, so a wake
+      (** the phase (1 or 3) and core shard 0's walk is at, so a wake
           fired from inside another core's step can splice the sleeper
           back into the phase order it would have had in the naive
           loop *)
@@ -368,12 +367,11 @@ let create ~obs ~spin_on ~domains (config : Config.t) program =
       spin_on;
       d;
       elide_on = config.Config.elide_barriers && d > 1;
-      sync = Shard_sync.create ~domains:d ~cores:n;
+      sync = Shard_sync.create ~domains:d;
       wake = Array.make n 0;
       progress = Array.make n false;
       drained_count = Atomic.make 0;
       sleeping = Array.make n None;
-      was_sleeping = Array.make n false;
       ordered = Array.make n false;
       quiet = Array.make d (-1);
       watches = Hashtbl.create 16;
@@ -449,36 +447,34 @@ let finish t ~cycles ~timed_out ~windows =
    untraced exact runs shard: a traced run or a sampled one steps on
    one domain whatever [Config.shard_domains] says.  Phase 2 only
    completes loads, which read memory no phase-2 step writes, so each
-   shard steps its owned cores there directly.  In phases 1 and 3 each
-   shard classifies its owned cores' steps as ORDERED — may touch
-   state shared between cores (memory writes, the cache directory and
-   its stats, wakes) — or FREE (provably commutes with every other
-   step of the phase).  Ordered steps execute at their exact global
-   ascending-core-order turn, serialised by the {!Shard_sync} cursor
-   token; free steps run immediately on their owner.  Since every
-   shared-state interaction happens at the same global position as
-   with [d = 1], and free steps depend only on their own core's state,
-   the whole run — cycles, every CPI leaf, final memory — is
-   bit-identical to the naive loop.  [d = 1] skips all of it: no
-   classification, no barriers.
+   shard steps its owned cores there.  In phases 1 and 3 a core's step
+   is ORDERED — may touch state shared between cores (memory writes,
+   the cache directory and its stats, spin watches and wakes) — or
+   FREE (provably commutes with every other step of the phase).  Each
+   owner classifies its cores before the phase, while no step that
+   could change them runs: phase 1 in the publish window before the
+   cycle, phase 3 after its own phase-2 steps.  Shard 0 then walks
+   cores 0..n-1 and steps every ordered core and its own free ones;
+   the other shards step only their own free cores.  So the ordered
+   steps run on one domain in the naive loop's order, the free ones
+   commute with them, and the whole run — cycles, every CPI leaf,
+   final memory — is bit-identical to the naive loop.  With [d = 1]
+   nothing is classified: shard 0 owns every core and its walk is the
+   naive loop.
 
-   Cross-shard spin wakes fire only from inside ordered steps (the
-   disturbing store / invalidation is itself shared-state work), so
-   [wake_core] runs with the waker holding the global order token at
-   the disturber's position, exactly like the naive loop's program
-   point.  Sleeping cores are always ordered, so their owner's
-   (skipping) turns synchronise with any wake that lands on them.
+   Spin wakes fire only from inside ordered steps (the disturbing
+   store or invalidation is itself shared-state work), and sleeping
+   cores are always ordered, so wakes, sleep transitions and the watch
+   table are shard 0's alone, at the disturber's position in the walk.
 
-   Per-core slots ([wake], [progress], [sleeping]) are written only
-   by their owner or, for sleeping cores, by a token-holding waker —
-   never concurrently, with happens-before through the cursor atomics
-   and the phase barriers.  [phase] is
-   written redundantly by every domain at phase entry (same-value);
-   [phase_core] only by token holders; [cycle] and [finished] only by
-   shard 0 in the publish window between the phase-3 barrier and the
-   cycle barrier; [stop] only by the driver while the team is parked.
-   [drained_count] is an atomic because a core can drain inside a
-   free step. *)
+   Per-core slots ([wake], [progress], [sleeping], [ordered]) are
+   written by their owner, or by shard 0 while it steps the core as
+   ordered; a barrier separates every such write from a read on
+   another domain.  [phase] and [phase_core] are shard 0's; [cycle]
+   and [finished] are written only by shard 0 in the publish window
+   between the phase-3 barrier and the cycle barrier; [stop] only by
+   the driver while the team is parked.  [drained_count] is an atomic
+   because a core can drain inside a free step. *)
 
 let barrier t = if t.d > 1 then Shard_sync.barrier t.sync
 
@@ -500,57 +496,49 @@ let step t p i c =
 
 (* Classification of a phase-1 or phase-3 step (see DESIGN §13 for the
    argument):
-   - phase 1: ordered iff the core was spin-sleeping at cycle start (a
-     cross-shard wake may touch its slots), or {!Core.writes_pending}
-     (a drain or CAS completion writes memory);
-   - phase 3: ordered iff was sleeping, may arm a spin certificate (a
+   - phase 1: ordered iff the core is spin-sleeping (a wake may touch
+     its slots), or {!Core.writes_pending} (a drain or CAS completion
+     writes memory);
+   - phase 3: ordered iff spin-sleeping, may arm a spin certificate (a
      sleep transition registers shared watches), or — under the
      hierarchy model, where even an L1 hit bumps shared directory
-     stats — {!Core.may_touch_mem}.
-   [was_sleeping], not [sleeping], because a token-holding waker may
-   flip the latter mid-phase. *)
+     stats — {!Core.may_touch_mem}. *)
 let is_ordered t p i c =
-  t.was_sleeping.(i)
+  Option.is_some t.sleeping.(i)
   ||
   if p = 1 then Core.writes_pending t.cores.(i) ~cycle:c
   else
     (t.spin_on && Core.spin_may_arm t.cores.(i))
     || (t.hier_mem && Core.may_touch_mem t.cores.(i))
 
-let next_owned_ordered t i =
-  let k = ref (i + t.d) in
-  while !k < t.n && not t.ordered.(!k) do
-    k := !k + t.d
-  done;
-  Int.min !k t.n
+(* Classify phase [p] of cycle [c] for the cores shard [me] owns. *)
+let classify t me p c = iter_owned t me (fun i -> t.ordered.(i) <- is_ordered t p i c)
 
+(* Shard [me]'s steps of phase [p] of cycle [c].  The loops one domain
+   runs are written out, not [iter_owned], so its cycle takes no
+   closure. *)
 let run_phase t me p c =
-  t.phase <- p;
-  if t.d = 1 then
-    for i = 0 to t.n - 1 do
-      t.phase_core <- i;
-      step t p i c
-    done
-  else if p = 2 then iter_owned t me (fun i -> step t 2 i c)
-  else begin
-    (* the barrier generation names the phase: every shard reads the
-       same value between two barriers, and it grows with each phase *)
-    let r = Shard_sync.barriers t.sync in
-    let first = ref t.n in
-    iter_owned t me (fun i ->
-        let o = is_ordered t p i c in
-        t.ordered.(i) <- o;
-        if o && !first = t.n then first := i);
-    Shard_sync.set_cursor t.sync ~shard:me ~round:r !first;
-    iter_owned t me (fun core ->
-        if t.ordered.(core) then begin
-          Shard_sync.await_prefix t.sync ~shard:me ~round:r core;
-          t.phase_core <- core;
-          step t p core c;
-          Shard_sync.set_cursor t.sync ~shard:me ~round:r (next_owned_ordered t core)
-        end
-        else step t p core c)
+  if p = 2 then begin
+    let i = ref me in
+    while !i < t.n do
+      step t 2 !i c;
+      i := !i + t.d
+    done;
+    if t.d > 1 then classify t me 3 c
   end
+  else if me = 0 then begin
+    t.phase <- p;
+    let own = ref 0 in
+    for i = 0 to t.n - 1 do
+      let mine = i = !own in
+      if mine then own := i + t.d;
+      if mine || t.ordered.(i) then begin
+        t.phase_core <- i;
+        step t p i c
+      end
+    done
+  end
+  else iter_owned t me (fun i -> if not t.ordered.(i) then step t p i c)
 
 (* Barrier elision (DESIGN §16).  In the publish window each shard
    computes, over its own non-drained non-sleeping cores (the ones
@@ -579,20 +567,20 @@ let compute_quiet t me c =
                ~cap:(t.stop - 1) ~hier:t.hier_mem));
   t.quiet.(me) <- !b
 
-(* Publish window after the last stepped cycle [c]: no step runs, so
-   owners can snapshot their cores' sleep state and refresh their
-   elision horizon, and shard 0 advances the shared clock — to the
-   next cycle at which anything can happen (awake cores have
-   wake = c+1; if everyone sleeps this jumps the clock), never past
-   the stop.  Ends with the cycle barrier. *)
+(* Publish window after the last stepped cycle [c]: no step runs.  The
+   next cycle is the first at which anything can happen (awake cores
+   have wake = c+1; if everyone sleeps this jumps the clock), never
+   past the stop; every shard derives it from the same [wake] array.
+   Owners classify their cores' phase-1 steps of that cycle and
+   refresh their elision horizon, and shard 0 advances the shared
+   clock.  Ends with the cycle barrier. *)
 let publish t me c =
-  if t.d > 1 then iter_owned t me (fun i -> t.was_sleeping.(i) <- t.sleeping.(i) <> None);
+  let next = Int.min t.stop (Int.max (Array.fold_left Int.min max_int t.wake) (c + 1)) in
+  if t.d > 1 then classify t me 1 next;
   if t.elide_on then compute_quiet t me c;
   if me = 0 then begin
     t.finished <- Atomic.get t.drained_count = t.n;
-    t.cycle <-
-      (if t.finished then c + 1
-       else Int.min t.stop (Int.max (Array.fold_left Int.min max_int t.wake) (c + 1)));
+    t.cycle <- (if t.finished then c + 1 else next);
     if (not t.finished) && t.cycle < t.stop then Obs.Trace.set_now t.obs t.cycle
   end;
   barrier t
@@ -607,7 +595,6 @@ let shard_body t me =
     (* same inputs on every shard, hence the same answer *)
     let span_end = if t.elide_on then Array.fold_left Int.min (t.stop - 1) t.quiet else c - 1 in
     if span_end >= c then begin
-      t.phase <- 0;
       if me = 0 then t.elided_cycles <- t.elided_cycles + (span_end - c + 1);
       (* every step in the span is provably FREE, so per-core
          cycle-major order is observationally identical to the
@@ -628,7 +615,6 @@ let shard_body t me =
       barrier t;
       run_phase t me 3 c;
       barrier t;
-      t.phase <- 0;
       publish t me c
     end
   done;
@@ -637,8 +623,9 @@ let shard_body t me =
 (* Step the machine to the top of [stop], or until every core has
    drained.  Entry re-derives the schedule from the cores (live cores
    awake, drained ones retired): exact at cycle 0, after a restore or
-   a functional leg, and at any stop.  Runs as shard 0; the command
-   barrier releases the parked team. *)
+   a functional leg, and at any stop.  Runs as shard 0: it classifies
+   the first cycle's phase-1 steps for every shard while the team is
+   parked, and the command barrier releases the team. *)
 let advance t ~stop =
   t.stop <- stop;
   Atomic.set t.drained_count 0;
@@ -649,6 +636,10 @@ let advance t ~stop =
   done;
   (* no elision before the first publish: the last horizons are stale *)
   Array.fill t.quiet 0 t.d (-1);
+  if t.d > 1 then
+    for me = 0 to t.d - 1 do
+      classify t me 1 t.cycle
+    done;
   Obs.Trace.set_now t.obs t.cycle;
   barrier t;
   shard_body t 0;

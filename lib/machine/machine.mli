@@ -98,8 +98,9 @@ val run :
     With [Config.shard_domains > 1] (and a multi-core program) an
     untraced exact run partitions the cores cyclically across that
     many OCaml domains, spawned once per run, with barriers at phase
-    boundaries and a global-order token serialising exactly the steps
-    that touch shared state (DESIGN §13).  With [Config.elide_barriers] a sharded exact
+    boundaries; within a phase, the steps that may touch shared state
+    all run on the first domain in core order, and the others on their
+    owners (DESIGN §13).  With [Config.elide_barriers] a sharded exact
     run also collapses spans of provably non-interacting cycles
     ({!Fscope_cpu.Core.quiet_until}) to a single meeting barrier
     (DESIGN §16).

@@ -1,38 +1,24 @@
 (* Synchronisation kernel for the domain-sharded engine (DESIGN §13).
 
-   Three primitives, all over one shared mutex/condition pair plus a
-   handful of sequentially-consistent atomics:
+   Two primitives over one shared mutex/condition pair plus a handful
+   of sequentially-consistent atomics:
 
    - a generation {!barrier} separating the step phases of a cycle;
-   - a per-shard {!set_cursor}/{!await_prefix} token protocol that
-     serialises exactly the ORDERED steps of a phase in ascending
-     global core order while letting provably-commuting FREE steps run
-     ungated (the classification is the engine's job; this module only
-     enforces the order it is told about);
    - a {!poison} flag that propagates the first exception raised inside
-     any domain to every wait loop, so a failing shard cannot strand
-     the others at a barrier.
+     any domain to every waiter, so a failing shard cannot strand the
+     others at a barrier.
 
-   Every wait is a bounded spin (cheap when the host has a hardware
-   thread per shard) followed by a mutex/condition block (mandatory on
+   A wait is a bounded spin (cheap when the host has a hardware thread
+   per shard) followed by a mutex/condition block (mandatory on
    oversubscribed hosts — the test box may have a single CPU).  The
-   lost-wakeup race between a signaller's atomic update and a waiter
-   going to sleep is closed Dekker-style: the waiter publishes itself
-   in [blocked] while holding the mutex before re-checking its
-   predicate, and the signaller reads [blocked] after its update, so
-   one of the two always sees the other.
-
-   Cursor values encode (round, core index) as [round * stride + idx]
-   with [stride = cores + 1]; the per-phase round number makes a
-   freshly-classified cursor unmistakable from a stale one left over
-   from the previous phase, without needing a second barrier between
-   classification and execution.  Index [cores] is the "no ordered
-   step pending" sentinel. *)
+   lost-wakeup race between the last arriver's generation bump and a
+   waiter going to sleep is closed Dekker-style: the waiter publishes
+   itself in [blocked] while holding the mutex before re-checking the
+   generation, and the last arriver reads [blocked] after its bump, so
+   one of the two always sees the other. *)
 
 type t = {
   domains : int;
-  stride : int; (* cores + 1: cursor index space per round *)
-  cursors : int Atomic.t array; (* per shard: round * stride + lowest pending ordered core *)
   arrived : int Atomic.t; (* barrier arrivals in the current generation *)
   generation : int Atomic.t;
   blocked : int Atomic.t; (* waiters inside the condition-variable slow path *)
@@ -41,15 +27,10 @@ type t = {
   poison : exn option Atomic.t;
 }
 
-let create ~domains ~cores =
+let create ~domains =
   if domains <= 0 then invalid_arg "Shard_sync.create: need at least one domain";
-  if cores < 0 then invalid_arg "Shard_sync.create: negative core count";
   {
     domains;
-    stride = cores + 1;
-    (* -1 = "round -1, all done": nothing can be waited out of it, so
-       round 0's classification needs no preceding barrier *)
-    cursors = Array.init domains (fun _ -> Atomic.make (-1));
     arrived = Atomic.make 0;
     generation = Atomic.make 0;
     blocked = Atomic.make 0;
@@ -61,13 +42,6 @@ let create ~domains ~cores =
 let check t =
   match Atomic.get t.poison with None -> () | Some e -> raise e
 
-let signal_blocked t =
-  if Atomic.get t.blocked > 0 then begin
-    Mutex.lock t.mutex;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mutex
-  end
-
 let poison t e =
   ignore (Atomic.compare_and_set t.poison None (Some e));
   (* unconditional broadcast: waiters must notice even if they raced
@@ -78,9 +52,11 @@ let poison t e =
 
 let spin_budget = 200
 
-let wait_until t pred =
+(* Wait until the generation moves past [gen]. *)
+let wait_past t gen =
+  let passed () = Atomic.get t.generation <> gen in
   let rec spin k =
-    if not (pred ()) then begin
+    if not (passed ()) then begin
       check t;
       if k > 0 then begin
         Domain.cpu_relax ();
@@ -91,13 +67,9 @@ let wait_until t pred =
   and block () =
     Mutex.lock t.mutex;
     Atomic.incr t.blocked;
-    let rec loop () =
-      if (not (pred ())) && Atomic.get t.poison = None then begin
-        Condition.wait t.cond t.mutex;
-        loop ()
-      end
-    in
-    loop ();
+    while (not (passed ())) && Atomic.get t.poison = None do
+      Condition.wait t.cond t.mutex
+    done;
     Atomic.decr t.blocked;
     Mutex.unlock t.mutex;
     check t
@@ -112,20 +84,12 @@ let barrier t =
        early arrivals at the NEXT barrier count from zero *)
     Atomic.set t.arrived 0;
     Atomic.incr t.generation;
-    signal_blocked t
+    if Atomic.get t.blocked > 0 then begin
+      Mutex.lock t.mutex;
+      Condition.broadcast t.cond;
+      Mutex.unlock t.mutex
+    end
   end
-  else wait_until t (fun () -> Atomic.get t.generation <> gen)
+  else wait_past t gen
 
 let barriers t = Atomic.get t.generation
-
-let encode t ~round idx = (round * t.stride) + idx
-
-let set_cursor t ~shard ~round idx =
-  Atomic.set t.cursors.(shard) (encode t ~round idx);
-  signal_blocked t
-
-let await_prefix t ~shard ~round core =
-  let need = encode t ~round (core + 1) in
-  for s = 0 to t.domains - 1 do
-    if s <> shard then wait_until t (fun () -> Atomic.get t.cursors.(s) >= need)
-  done

@@ -7,7 +7,8 @@
     {!retain_only}, {!is_empty} and {!iter}, which are O(capacity/63).
 
     Not thread-safe; in the sharded engine every bitset is only touched
-    under the turn token (see DESIGN.md §13). *)
+    by an ORDERED step, and those all run on one domain (see DESIGN.md
+    §13). *)
 
 type t
 

@@ -62,7 +62,6 @@ let cas_fldelem dst instance field idx expected desired =
 let call instance meth args = Call_stmt { instance = Some instance; meth; args }
 let callv dst instance meth args = Call_assign (dst, { instance = Some instance; meth; args })
 let return_ e = Return (Some e)
-let return_unit = Return None
 
 (* A deterministic all-register countdown of [n] iterations ([n] may
    be an expression, e.g. a baked per-request gap).  The loop body

@@ -98,7 +98,6 @@ val callv : string -> string -> string -> expr list -> stmt
 (** [callv dst instance meth args]: dst := instance.meth(args). *)
 
 val return_ : expr -> stmt
-val return_unit : stmt
 
 (** {2 Composite blocks} *)
 

@@ -235,13 +235,3 @@ let for_workload ~name program =
   | "server-steal" -> Some (steal program)
   | "server-cache" -> Some (cache program)
   | _ -> None
-
-let gauge_names metrics =
-  List.filter_map
-    (fun (name, s) ->
-      match s with
-      | Obs.Metrics.Histogram_v _
-        when String.length name > 6 && String.sub name 0 6 = "gauge/" ->
-        Some name
-      | _ -> None)
-    (Obs.Metrics.snapshot metrics)

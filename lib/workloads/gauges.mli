@@ -34,7 +34,3 @@ type t = {
 val for_workload : name:string -> Fscope_isa.Program.t -> t option
 (** The sampler for a server workload's program image, or [None] when
     the workload has no gauge. *)
-
-val gauge_names : Fscope_obs.Metrics.t -> string list
-(** Names of all ["gauge/"]-prefixed histograms in a registry
-    snapshot, in snapshot order. *)

@@ -159,6 +159,49 @@ let test_poisoned_team () =
   Alcotest.(check bool) "sharded run after a poisoned team == sequential" true
     (Machine.same_outcome (Machine.run sharded program) (Machine.run Config.default program))
 
+(* A step that raises inside a worker domain.  Core 1 of a 4-core run
+   split across two domains counts down, then commits a store to word
+   1000 of an 8-word memory.  Under the ideal memory model with spin
+   fast-forward off every phase-3 step is FREE, so core 1's owner —
+   domain 1, not the driver's — steps the faulting commit.  The run
+   must poison the team, join it and hand back the step's own
+   exception, the one a one-domain run raises; a sharded run
+   afterwards must still be bit-identical to the sequential engine. *)
+let test_worker_step_raises () =
+  let open Fscope_isa in
+  let r n = Reg.r n in
+  let faulting =
+    [|
+      Instr.Li (r 1, 50);
+      Instr.Alu (Instr.Sub, r 1, r 1, Instr.Imm 1);
+      Instr.Branch { cond = Instr.Nez; src = r 1; target = 1 };
+      Instr.Li (r 2, 7);
+      Instr.Store { src = r 2; base = Reg.zero; off = 1000; flagged = false };
+      Instr.Halt;
+    |]
+  in
+  let idle = [| Instr.Halt |] in
+  let program = Program.make ~threads:[ idle; faulting; idle; idle ] ~mem_words:8 () in
+  let expected = Invalid_argument "core 1: store to out-of-bounds address 1000 (pc 4)" in
+  List.iter
+    (fun shards ->
+      let config =
+        Config.v ~mem_model:Config.Ideal ~spin_fastforward:false ~shard_domains:shards ()
+      in
+      match Machine.run config program with
+      | _ -> Alcotest.failf "%d shard(s): the run swallowed the out-of-bounds store" shards
+      | exception e ->
+        Alcotest.(check string)
+          (Printf.sprintf "%d shard(s): the step's own exception" shards)
+          (Printexc.to_string expected) (Printexc.to_string e))
+    [ 1; 2 ];
+  let w = Fscope_workloads.Mpmc.make ~threads:4 ~per_producer:8 ~scope:`Class () in
+  let program = w.Fscope_workloads.Workload.program in
+  Alcotest.(check bool) "sharded run after a raising step == sequential" true
+    (Machine.same_outcome
+       (Machine.run (Config.v ~shard_domains:2 ()) program)
+       (Machine.run Config.default program))
+
 (* An untraced simulated cycle allocates nothing: the ROB recycles its
    slots, execution state is unboxed, the pipeline's walks take no
    closures and the caches are arrays.  Two runs of the same exact
@@ -207,4 +250,6 @@ let tests =
       test_poisoned_team;
     Alcotest.test_case "an untraced cycle allocates nothing" `Quick
       test_cycle_allocates_nothing;
+    Alcotest.test_case "a step that raises on a worker domain surfaces its own exception"
+      `Quick test_worker_step_raises;
   ]
