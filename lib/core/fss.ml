@@ -10,7 +10,6 @@ let create ~capacity =
 let capacity t = Array.length t.slots
 let is_full t = t.depth = Array.length t.slots
 let is_empty t = t.depth = 0
-let depth t = t.depth
 
 let push t col =
   if is_full t then invalid_arg "Fss.push: stack full";

@@ -10,10 +10,8 @@
 type t
 
 val create : capacity:int -> t
-val capacity : t -> int
 val is_full : t -> bool
 val is_empty : t -> bool
-val depth : t -> int
 
 val push : t -> int -> unit
 (** Push a column index.  Raises [Invalid_argument] when full. *)

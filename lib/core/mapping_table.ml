@@ -19,6 +19,7 @@ let rec mapped col = function
   | [] -> false
   | (_, c) :: rest -> c = col || mapped col rest
 
+(* drop every mapping whose column is quiescent *)
 let gc t ~column_busy x = t.map <- List.filter (fun (_, col) -> column_busy x col) t.map
 
 let rec free_from t column_busy x col =
@@ -47,7 +48,6 @@ let rec cid_of col = function
 
 let cid_of_column t ~column = cid_of column t.map
 
-let occupancy t = List.length t.map
 let mappings t = t.map
 
 let set_mappings t map =

@@ -18,9 +18,6 @@ val create : entries:int -> class_columns:int -> t
     scopes (the set-scope column is not managed here).  Both must be
     non-negative and [entries >= 1]. *)
 
-val lookup : t -> cid:int -> int
-(** The column currently mapped to [cid], or -1. *)
-
 val lookup_or_allocate : t -> cid:int -> column_busy:('a -> int -> bool) -> 'a -> int
 (** Resolve [cid] to a column, allocating if needed:
     - already mapped: that column;
@@ -33,16 +30,12 @@ val lookup_or_allocate : t -> cid:int -> column_busy:('a -> int -> bool) -> 'a -
     [column_busy x col] says whether [col] is busy; a hit allocates
     nothing. *)
 
-val gc : t -> column_busy:('a -> int -> bool) -> 'a -> unit
-(** Drop every mapping whose column is quiescent. *)
-
 val cid_of_column : t -> column:int -> int
 (** The newest cid mapped to [column], or -1 — the reverse lookup the
     profiler uses to attribute a fence's stall to the scope it was
     decoded under (columns can be shared under overflow, so "newest"
     is the decode-time answer). *)
 
-val occupancy : t -> int
 val mappings : t -> (int * int) list
 (** Current (cid, column) pairs, for tests. *)
 

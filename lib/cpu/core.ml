@@ -98,7 +98,6 @@ let stats (t : t) =
   }
 
 let cpi (t : t) = Cpi.copy t.Core_state.cpi
-let scope_unit (t : t) = t.scope
 
 let step_complete_writes = Core_exec.step_complete_writes
 let step_complete_reads = Core_exec.step_complete_reads

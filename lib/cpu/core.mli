@@ -96,8 +96,6 @@ val cpi : t -> Fscope_obs.Cpi.t
     cycle is charged to exactly one leaf.  Identical between the
     fast-forward engine and the naive reference loop. *)
 
-val scope_unit : t -> Fscope_core.Scope_unit.t
-
 val step_complete_writes : t -> cycle:int -> bool
 (** Apply store-buffer drains and CAS read-modify-writes due this
     cycle to shared memory.  Returns whether anything completed. *)
@@ -292,7 +290,9 @@ val counters_restore : t -> int array * int array -> unit
 (** Save / restore the micro-architectural accounting only
     (mispredicts, ROB-occupancy sum, active cycles, CPI leaves): the
     engine brackets each detailed warmup with these so warmup cycles
-    keep the pipeline warm without polluting the measured window. *)
+    keep the pipeline warm without polluting the measured window.
+    Restoring also drops the spin probe's chain ({!spin_cancel}),
+    whose per-period deltas were taken against the rewound counters. *)
 
 val extrapolate : t -> total:int -> measured:int -> unit
 (** Scale every cycle-valued metric by [total / measured] (committed

@@ -273,7 +273,11 @@ let reseed_scope (t : t) =
    only the measured window contributes to the extrapolated metrics.
    The exact event counters (commits, memory ops, fences, ...) are
    real forward progress — warmup instructions execute once, not
-   again — and are never erased. *)
+   again — and are never erased.  Restoring rewinds the counters the
+   spin probe's per-period deltas are taken against, so a chain that
+   spans the rewind would arm a certificate with negative deltas: the
+   probe restarts instead (it never affects timing, only when a spin
+   loop can next sleep). *)
 let counters_snapshot (t : t) =
   ( [| t.counts.mispredicts; t.counts.rob_occupancy_sum; t.counts.active_cycles |],
     Cpi.to_array t.cpi )
@@ -285,7 +289,8 @@ let counters_restore (t : t) (a, cpi) =
     t.counts.rob_occupancy_sum <- r;
     t.counts.active_cycles <- ac
   | _ -> invalid_arg "Core.counters_restore: malformed snapshot");
-  Cpi.restore t.cpi cpi
+  Cpi.restore t.cpi cpi;
+  Core_spin.cancel t
 
 (* Scale the measured micro-architectural metrics to the whole run:
    [total] committed instructions were executed, [measured] of them

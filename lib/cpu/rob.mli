@@ -74,10 +74,6 @@ type mem_level =
 val served : Fscope_obs.Event.mem_outcome -> mem_level
 (** The level that served an access the memory port answered. *)
 
-val max_srcs : int
-(** Source operands per entry (3: a CAS reads base, expected and
-    desired). *)
-
 val wait_none : int
 (** The [fence_wait] of an entry that is not a fence. *)
 
@@ -158,7 +154,8 @@ val fresh :
 val add_src : entry -> reg:Fscope_isa.Reg.t -> producer:int -> unit
 (** Append a source (before {!dispatch}): its register and its
     producer's seq, -1 for the architectural file.  Raises
-    [Invalid_argument] beyond [max_srcs]. *)
+    [Invalid_argument] beyond three (a CAS reads base, expected and
+    desired). *)
 
 val src_reg : entry -> int -> Fscope_isa.Reg.t
 val src_producer : entry -> int -> int

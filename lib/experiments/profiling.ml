@@ -56,6 +56,8 @@ let spin_pcs (program : Program.t) =
     program.Program.threads;
   List.rev !edges
 
+(* The default profile label, read off the config's ablation flag and
+   scope hardware. *)
 let config_label (config : Config.t) =
   if config.Config.exec.Fscope_cpu.Exec_config.nop_fences then "no-fence"
   else if not config.Config.scope.Fscope_core.Scope_unit.enabled then "traditional"

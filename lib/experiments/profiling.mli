@@ -18,10 +18,6 @@ val spin_pcs : Fscope_isa.Program.t -> (int * int) list
 (** Static backward control edges [(core, pc)] — the candidate spin
     sites the commit-stream detector can attribute iterations to. *)
 
-val config_label : Fscope_machine.Config.t -> string
-(** ["no-fence"], ["traditional"] or ["sfence"], by inspecting the
-    config's ablation flag and scope hardware. *)
-
 val profile :
   ?label:string ->
   Fscope_machine.Config.t ->

@@ -49,6 +49,10 @@ let table4 () =
     ];
   t
 
+(* Total extra state per core: FSB bits on every ROB and store-buffer
+   entry, the mapping table (8-bit cid tag + column index per entry),
+   FSS and its shadow (one column index per slot), and the overflow
+   counter. *)
 let hardware_cost_bits (c : Config.t) =
   let scope = c.Config.scope and exec = c.Config.exec in
   let fsb = scope.Fscope_core.Scope_unit.fsb_entries in

@@ -8,12 +8,6 @@ val table3 : Fscope_machine.Config.t -> Fscope_util.Table.t
 val table4 : unit -> Fscope_util.Table.t
 (** The eight benchmarks with their scope types and descriptions. *)
 
-val hardware_cost_bits : Fscope_machine.Config.t -> int
-(** Total extra state per core: FSB bits on every ROB and store-buffer
-    entry, the mapping table (8-bit cid tag + column index per entry),
-    FSS and its shadow (one column index per slot), and the overflow
-    counter. *)
-
 val hardware_cost : Fscope_machine.Config.t -> Fscope_util.Table.t
 (** The §VI-E claim: under the default configuration the overhead is
     less than 80 bytes per core. *)

@@ -30,7 +30,6 @@ let push t p =
 let emit t instr = push t (Ready instr)
 let branch t cond src label = push t (Branch_to (cond, src, label))
 let jump t label = push t (Jump_to label)
-let here t = t.len
 
 let finish t =
   let resolve label =

@@ -27,9 +27,6 @@ val branch : t -> Instr.branch_cond -> Reg.t -> label -> unit
 val jump : t -> label -> unit
 (** Unconditional jump to a label. *)
 
-val here : t -> int
-(** Current position (index of the next emitted instruction). *)
-
 val finish : t -> Instr.t array
 (** Resolve labels and return the code.  Raises [Invalid_argument] if
     any referenced label was never placed. *)

@@ -136,21 +136,6 @@ let build ~obs (config : Config.t) program =
   in
   (cores, mem, hierarchy, on_store)
 
-(* The three-phase step protocol, every core every cycle (the
-   reference loop and the sampled settle loop); see Core's interface
-   for why the order matters.  Returns whether any core changed state
-   beyond per-cycle stall accounting. *)
-let step_all cores ~cycle =
-  let progress = ref false in
-  Array.iter
-    (fun core -> if Core.step_complete_writes core ~cycle then progress := true)
-    cores;
-  Array.iter
-    (fun core -> if Core.step_complete_reads core ~cycle then progress := true)
-    cores;
-  Array.iter (fun core -> if Core.step_pipeline core ~cycle then progress := true) cores;
-  !progress
-
 (* ------------------------------------------------------------------ *)
 (* The cycle stepper                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -352,10 +337,13 @@ and wake_core t i =
       end
     end
 
-let create ~obs ~spin_on ~domains (config : Config.t) program =
+let create ~obs ~domains (config : Config.t) program =
   let cores, mem, hierarchy, on_store = build ~obs config program in
   let n = Array.length cores in
   let d = Int.max 1 (Int.min domains n) in
+  let spin_on =
+    config.Config.exec.Exec_config.spin_fastforward && not (Obs.Trace.on obs)
+  in
   let t =
     {
       cores;
@@ -395,8 +383,10 @@ let create ~obs ~spin_on ~domains (config : Config.t) program =
      about to happen.  On wake (and at the stop) the skipped whole
      periods are replayed in closed form and the partial tail is
      re-stepped normally, which lands the core in exactly the state
-     naive stepping would have produced.  Tracing disables this — a
-     traced run must emit every per-cycle event. *)
+     naive stepping would have produced.  One rule for every driver
+     (exact runs, checkpoint legs, sampled windows and settle steps):
+     on when the config enables it and the run is untraced — a traced
+     run must emit every per-cycle event. *)
   if spin_on then begin
     Array.iter (fun core -> Core.set_spin_ff core true) cores;
     on_store :=
@@ -705,13 +695,8 @@ let restore t (config : Config.t) program (ck : Checkpoint.t) =
    publish point: the team is parked and the stop rule has put every
    core, spin sleepers included, in its naive-loop state. *)
 let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
-  let traced = Obs.Trace.on obs in
-  let t =
-    create ~obs
-      ~spin_on:(config.Config.exec.Exec_config.spin_fastforward && not traced)
-      ~domains:(if traced then 1 else config.Config.shard_domains)
-      config program
-  in
+  let domains = if Obs.Trace.on obs then 1 else config.Config.shard_domains in
+  let t = create ~obs ~domains config program in
   Option.iter (restore t config program) resume;
   let max_cycles = config.Config.max_cycles in
   let every, sink = Option.value checkpoint ~default:(max_cycles, ignore) in
@@ -756,11 +741,11 @@ let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
      cycles (accounting erased)  ->  measured detailed cycles
 
    Every detailed window (warmup and measured alike) is one {!advance}
-   with the window end as the stop, on one domain.  Spin fast-forward
-   stays off: windows are short and bounded, and sleep transitions
-   would complicate window accounting for no gain. *)
+   with the window end as the stop, on one domain, under the same spin
+   fast-forward rule as an exact run: the stop rule catches sleepers
+   up, so each window exits with the naive loop's counters. *)
 let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
-  let t = create ~obs ~spin_on:false ~domains:1 config program in
+  let t = create ~obs ~domains:1 config program in
   let cores = t.cores and n = t.n and max_cycles = config.Config.max_cycles in
   let hstats = Hierarchy.stats t.hierarchy in
   let set_hstats f (h : Hierarchy.stats) =
@@ -841,9 +826,7 @@ let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
           else all_flushed := false
       done;
       if not !all_flushed then begin
-        Obs.Trace.set_now obs t.cycle;
-        ignore (step_all cores ~cycle:t.cycle);
-        t.cycle <- t.cycle + 1;
+        advance t ~stop:(t.cycle + 1);
         incr settle;
         if !settle > 1_000_000 then
           failwith "Machine.run: sampled flush settle did not converge"
@@ -921,14 +904,28 @@ let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program 
 (* The retained naive loop: one cycle at a time, no fast-forward.  The
    differential suite holds [run] to bit-identical results against
    this, and the bench harness quotes the wall-clock win over it.  It
-   borrows only the stepper's machine instance, never its schedule. *)
+   borrows only the stepper's machine instance, built with spin
+   fast-forward off, never its schedule: every core takes the
+   three-phase protocol every cycle (see Core's interface for why the
+   order matters). *)
 let run_reference ?(obs = Obs.Trace.null) (config : Config.t) program =
-  let t = create ~obs ~spin_on:false ~domains:1 config program in
+  let t =
+    create ~obs ~domains:1 (Config.v ~base:config ~spin_fastforward:false ()) program
+  in
   let all_done () = Array.for_all Core.drained t.cores in
   while (not (all_done ())) && t.cycle < config.Config.max_cycles do
-    Obs.Trace.set_now obs t.cycle;
-    ignore (step_all t.cores ~cycle:t.cycle);
-    t.cycle <- t.cycle + 1
+    let cycle = t.cycle in
+    Obs.Trace.set_now obs cycle;
+    for i = 0 to t.n - 1 do
+      ignore (Core.step_complete_writes t.cores.(i) ~cycle)
+    done;
+    for i = 0 to t.n - 1 do
+      ignore (Core.step_complete_reads t.cores.(i) ~cycle)
+    done;
+    for i = 0 to t.n - 1 do
+      ignore (Core.step_pipeline t.cores.(i) ~cycle)
+    done;
+    t.cycle <- cycle + 1
   done;
   finish t ~cycles:t.cycle ~timed_out:(not (all_done ())) ~windows:[]
 

@@ -30,10 +30,10 @@ type spin_ff = {
 }
 (** Spin fast-forward counters of the run (see
     [Exec_config.spin_fastforward]).  All zero under {!run_reference},
-    on traced and sampled runs (both disable the optimisation), or
-    when the workload never reached a stable spin.  Deliberately NOT
-    part of the bit-identity contract between the two loops — they
-    describe how the engine got to the result, not the result. *)
+    on traced runs (which disable the optimisation), or when the
+    workload never reached a stable spin.  Deliberately NOT part of
+    the bit-identity contract between the two loops — they describe
+    how the engine got to the result, not the result. *)
 
 type shard_ctrs = {
   barriers : int;  (** barrier generations the shard team crossed *)
@@ -114,10 +114,10 @@ val run :
     transition settles rather than flushing blindly: a core flushes
     only once {!Fscope_cpu.Core.flushable} holds and is parked while
     stragglers step to their own flush points.  Sampled runs step on
-    one domain whatever [Config.shard_domains] says, record
-    [sample_windows] for the latency extraction, and keep spin
-    fast-forward off inside windows.  Traced runs step on one domain
-    too. *)
+    one domain whatever [Config.shard_domains] says and record
+    [sample_windows] for the latency extraction; their windows keep
+    spin fast-forward, and the result is the same with it on or off.
+    Traced runs step on one domain too. *)
 
 val run_reference : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> result
 (** Same machine, driven by the retained naive per-cycle loop instead

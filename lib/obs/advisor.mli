@@ -13,8 +13,6 @@
 
 type confidence = High | Medium | Low
 
-val confidence_name : confidence -> string
-
 type advice = {
   core : int;
   pc : int;

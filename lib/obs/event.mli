@@ -63,6 +63,3 @@ val phase : t -> [ `Begin | `End | `Instant ]
 val args : t -> (string * Fscope_util.Json.t) list
 (** Payload fields, in wire order, as JSON atoms (numbers, booleans,
     strings, [null]) for the sinks to place in their objects. *)
-
-val instr_class_name : instr_class -> string
-val mem_outcome_name : mem_outcome -> string

@@ -18,7 +18,6 @@
 
 val head_index : int
 val tail_index : int
-val tail_key : int
 
 val decl : fence:Fscope_slang.Ast.stmt -> pool:int -> Fscope_slang.Ast.class_decl
 (** The class, named "Harris". *)

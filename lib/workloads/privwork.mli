@@ -33,9 +33,6 @@ val cold : arith:int -> stores:int -> level
 val fig12_levels : level array
 (** The six workload settings used as Fig. 12's x-axis, low to high. *)
 
-val words_default : int
-(** Per-thread private array size (64 Ki words). *)
-
 val globals : threads:int -> ?words:int -> unit -> Fscope_slang.Ast.global_decl list
 (** The per-thread private arrays ["priv0"] ... ["priv<n-1>"]. *)
 

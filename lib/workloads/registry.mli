@@ -35,8 +35,6 @@ type spec = Workload.spec
 val all : spec list
 (** Every registered workload, in presentation order. *)
 
-val names : string list
-
 val find : string -> spec option
 (** Typed lookup: the full spec (tags, documented parameters,
     builder), not a bare thunk. *)

@@ -202,6 +202,60 @@ let test_worker_step_raises () =
        (Machine.run (Config.v ~shard_domains:2 ()) program)
        (Machine.run Config.default program))
 
+(* [max_cycles] is a timeout under every engine mode.  Three cores
+   jump to themselves forever and a fourth spins on a load of a word
+   nobody writes, so spin fast-forward puts cores to sleep and the cap
+   must catch them up.  Every run reports [timed_out]; the exact ones
+   (one and two shards, the naive loop, a traced run, a run cut into
+   checkpoint legs that do not divide the cap) stop at exactly the cap
+   and agree pairwise. *)
+let test_max_cycles_timeout () =
+  let open Fscope_isa in
+  let r n = Reg.r n in
+  let forever = [| Instr.Jump 0 |] in
+  let spinner =
+    [|
+      Instr.Load { dst = r 1; base = Reg.zero; off = 0; flagged = false };
+      Instr.Branch { cond = Instr.Eqz; src = r 1; target = 0 };
+      Instr.Halt;
+    |]
+  in
+  let program =
+    Program.make ~threads:[ forever; forever; forever; spinner ] ~mem_words:8 ()
+  in
+  let max_cycles = 5000 in
+  let config = Config.v ~max_cycles () in
+  let traced =
+    let trace = Obs.Trace.create ~cores:4 () in
+    { (Machine.run ~obs:trace config program) with Machine.obs = None }
+  in
+  let exact =
+    [
+      ("1 shard", Machine.run config program);
+      ("2 shards", Machine.run (Config.v ~base:config ~shard_domains:2 ()) program);
+      ("reference", Machine.run_reference config program);
+      ("traced", traced);
+      ("checkpoint legs", Machine.run ~checkpoint:(700, ignore) config program);
+    ]
+  in
+  Alcotest.(check bool) "spin fast-forward slept" true
+    ((List.assoc "1 shard" exact).Machine.spin.Machine.sleeps > 0);
+  List.iter
+    (fun (label, (r : Machine.result)) ->
+      Alcotest.(check bool) (label ^ ": timed out") true r.Machine.timed_out;
+      Alcotest.(check int) (label ^ ": cycles") max_cycles r.Machine.cycles;
+      List.iter
+        (fun (other, r') ->
+          Alcotest.(check bool) (label ^ " == " ^ other) true (Machine.same_outcome r r'))
+        exact)
+    exact;
+  let sampled =
+    Machine.run
+      (Config.v ~base:config ~sampling:(Some Config.sampling_default) ())
+      program
+  in
+  Alcotest.(check bool) "sampled: timed out" true sampled.Machine.timed_out
+
 (* An untraced simulated cycle allocates nothing: the ROB recycles its
    slots, execution state is unboxed, the pipeline's walks take no
    closures and the caches are arrays.  Two runs of the same exact
@@ -252,4 +306,6 @@ let tests =
       test_cycle_allocates_nothing;
     Alcotest.test_case "a step that raises on a worker domain surfaces its own exception"
       `Quick test_worker_step_raises;
+    Alcotest.test_case "max_cycles times out identically under every engine mode" `Quick
+      test_max_cycles_timeout;
   ]
