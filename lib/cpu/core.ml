@@ -40,6 +40,12 @@ let create ?(trace = Fscope_obs.Trace.null) ~id ~code ~port ~scope_config ~exec_
           rob_gauge = Fscope_obs.Metrics.gauge m (named "core%d/rob_occupancy");
           sb_gauge = Fscope_obs.Metrics.gauge m (named "core%d/sb_occupancy");
           stall_begin = -1;
+          spin_edges = Array.make (Array.length code) None;
+          fence_commits = Array.make (Array.length code) None;
+          fence_scoped = Array.make (Array.length code) None;
+          fence_stalls = Array.make (Array.length code) None;
+          cid_commits = [||];
+          cid_stalls = [||];
         }
     else None
   in

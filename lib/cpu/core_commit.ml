@@ -6,6 +6,7 @@
 module Instr = Fscope_isa.Instr
 module Reg = Fscope_isa.Reg
 module Cpi = Fscope_obs.Cpi
+module Metrics = Fscope_obs.Metrics
 module Scope_unit = Fscope_core.Scope_unit
 open Core_state
 
@@ -31,6 +32,18 @@ let fence_may_retire t (e : Rob.entry) =
     if w = Scope_unit.wait_global then Store_buffer.is_empty t.sb
     else not (Store_buffer.mask_overlaps t.sb w)
 
+(* Register the metric [name] on a traced core's first use of the
+   site cached at [cache.(i)]. *)
+let new_counter o cache i name =
+  let c = Metrics.counter (Fscope_obs.Trace.metrics o.trace) name in
+  cache.(i) <- Some c;
+  c
+
+let new_histogram o cache i name =
+  let h = Metrics.histogram (Fscope_obs.Trace.metrics o.trace) name in
+  cache.(i) <- Some h;
+  h
+
 (* Spin detection over the commit stream: a backward control transfer
    that repeats at the same PC with no store, CAS or fence committed in
    between is a read-only wait loop — the ROADMAP's spin-candidate.
@@ -44,9 +57,10 @@ let spin_backward_edge t pc =
   if spinning then Core_spin.note_boundary t;
   (match t.obs with
   | Some o when spinning ->
-    let m = Fscope_obs.Trace.metrics o.trace in
-    Fscope_obs.Metrics.incr
-      (Fscope_obs.Metrics.counter m (Printf.sprintf "core%d/spin/pc%d" t.id pc))
+    Metrics.incr
+      (match o.spin_edges.(pc) with
+      | Some c -> c
+      | None -> new_counter o o.spin_edges pc (Printf.sprintf "core%d/spin/pc%d" t.id pc))
   | Some _ | None -> ());
   t.spin_last_pc <- pc;
   t.spin_dirty <- false
@@ -100,30 +114,51 @@ let charge_fence_stall t (e : Rob.entry) ~times =
 (* Per-static-fence-site and per-scope attribution, on traced runs
    only: a commit counter per (core, fence PC), a scoped-commit
    counter, and a stall-episode histogram, plus the same keyed by the
-   fence's class id.  Registered lazily by name — static sites are
-   enumerated by the profiler from the program image, so sites that
-   never commit still appear (with zeros) in its tables. *)
+   fence's class id.  Registered by name on first use (see
+   [Core_state.obs]) — static sites are enumerated by the profiler
+   from the program image, so sites that never commit still appear
+   (with zeros) in its tables.  [stalled] is the stall episode's
+   length, or -1 when the fence retired without stalling. *)
+let fence_site t pc what = Printf.sprintf "core%d/fence_pc%d/%s" t.id pc what
+
 let note_fence_commit t (e : Rob.entry) ~stalled =
   match t.obs with
   | None -> ()
   | Some o ->
-    let m = Fscope_obs.Trace.metrics o.trace in
-    let c name = Fscope_obs.Metrics.counter m name in
-    let h name = Fscope_obs.Metrics.histogram m name in
-    let site suffix = Printf.sprintf "core%d/fence_pc%d/%s" t.id e.pc suffix in
-    Fscope_obs.Metrics.incr (c (site "commits"));
-    if scoped e then Fscope_obs.Metrics.incr (c (site "scoped_commits"));
-    (match stalled with
-    | Some cycles -> Fscope_obs.Metrics.observe (h (site "stall_cycles")) cycles
-    | None -> ());
-    if e.fence_cid >= 0 then begin
-      Fscope_obs.Metrics.incr (c (Printf.sprintf "cid%d/commits" e.fence_cid));
-      match stalled with
-      | Some cycles ->
-        Fscope_obs.Metrics.observe
-          (h (Printf.sprintf "cid%d/stall_cycles" e.fence_cid))
-          cycles
-      | None -> ()
+    let pc = e.pc in
+    Metrics.incr
+      (match o.fence_commits.(pc) with
+      | Some c -> c
+      | None -> new_counter o o.fence_commits pc (fence_site t pc "commits"));
+    if scoped e then
+      Metrics.incr
+        (match o.fence_scoped.(pc) with
+        | Some c -> c
+        | None -> new_counter o o.fence_scoped pc (fence_site t pc "scoped_commits"));
+    if stalled >= 0 then
+      Metrics.observe
+        (match o.fence_stalls.(pc) with
+        | Some h -> h
+        | None -> new_histogram o o.fence_stalls pc (fence_site t pc "stall_cycles"))
+        stalled;
+    let cid = e.fence_cid in
+    if cid >= 0 then begin
+      if cid >= Array.length o.cid_commits then begin
+        let grow a = Array.append a (Array.make (cid + 1 - Array.length a) None) in
+        o.cid_commits <- grow o.cid_commits;
+        o.cid_stalls <- grow o.cid_stalls
+      end;
+      Metrics.incr
+        (match o.cid_commits.(cid) with
+        | Some c -> c
+        | None -> new_counter o o.cid_commits cid (Printf.sprintf "cid%d/commits" cid));
+      if stalled >= 0 then
+        Metrics.observe
+          (match o.cid_stalls.(cid) with
+          | Some h -> h
+          | None ->
+            new_histogram o o.cid_stalls cid (Printf.sprintf "cid%d/stall_cycles" cid))
+          stalled
     end
 
 let commit t ~cycle =
@@ -168,14 +203,14 @@ let commit t ~cycle =
         end
       | Instr.Fence _ ->
         if fence_may_retire t e then begin
-          let stalled = ref None in
+          let stalled = ref (-1) in
           (match t.obs with
           | Some o when o.stall_begin >= 0 ->
             let cycles = cycle - o.stall_begin in
-            stalled := Some cycles;
+            stalled := cycles;
             Fscope_obs.Trace.emit o.trace ~core:t.id
               (Fscope_obs.Event.Fence_stall_end { pc = e.pc; cycles });
-            Fscope_obs.Metrics.observe o.stall_hist cycles;
+            Metrics.observe o.stall_hist cycles;
             o.stall_begin <- -1
           | Some _ | None -> ());
           note_fence_commit t e ~stalled:!stalled;
@@ -254,8 +289,8 @@ let account_stall_span t ~cycle ~cycles:n =
     t.counts.rob_occupancy_sum <- t.counts.rob_occupancy_sum + (n * Rob.count t.rob);
     (match t.obs with
     | Some o ->
-      Fscope_obs.Metrics.gauge_observe_n o.rob_gauge (Rob.count t.rob) ~times:n;
-      Fscope_obs.Metrics.gauge_observe_n o.sb_gauge (Store_buffer.count t.sb) ~times:n
+      Metrics.gauge_observe_n o.rob_gauge (Rob.count t.rob) ~times:n;
+      Metrics.gauge_observe_n o.sb_gauge (Store_buffer.count t.sb) ~times:n
     | None -> ());
     if not (Rob.is_empty t.rob) then begin
       let e = Rob.head t.rob in

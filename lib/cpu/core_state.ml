@@ -76,13 +76,23 @@ let counts_restore c = function
 
 (* Observability hooks, present only on a traced run: handles are
    resolved once at core creation so emission is a guarded write, and
-   [stall_begin] pairs each Fence_stall_begin with its End. *)
+   [stall_begin] pairs each Fence_stall_begin with its End.  Per-site
+   handles (indexed by pc, or by fence class id) are registered by name
+   on a site's first use and cached here, so a site that never fires
+   stays out of the registry and one that does pays no name lookup
+   after its first. *)
 type obs = {
   trace : Fscope_obs.Trace.t;
   stall_hist : Fscope_obs.Metrics.histogram;
   rob_gauge : Fscope_obs.Metrics.gauge;
   sb_gauge : Fscope_obs.Metrics.gauge;
   mutable stall_begin : int;  (* cycle the head fence began stalling; -1 = none *)
+  spin_edges : Fscope_obs.Metrics.counter option array;  (* core<i>/spin/pc<p> *)
+  fence_commits : Fscope_obs.Metrics.counter option array;  (* core<i>/fence_pc<p>/... *)
+  fence_scoped : Fscope_obs.Metrics.counter option array;
+  fence_stalls : Fscope_obs.Metrics.histogram option array;
+  mutable cid_commits : Fscope_obs.Metrics.counter option array;  (* cid<c>/... *)
+  mutable cid_stalls : Fscope_obs.Metrics.histogram option array;
 }
 
 (* ------------------------------------------------------------------ *)

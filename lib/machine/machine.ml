@@ -782,10 +782,14 @@ let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
         else st.Core.active_cycles)
   in
   let windows = ref [] in
+  (* A window stops at [max_cycles] like an exact run, and the run ends
+     there, timed out. *)
   let detailed_cycles k ~measure =
     let before = Array.map (fun c -> (Core.stats c).Core.committed) cores in
     let start = t.cycle in
-    if (not t.finished) && k > 0 then advance t ~stop:(start + k);
+    let stop = Int.min (start + k) max_cycles in
+    if (not t.finished) && stop > start then advance t ~stop;
+    if t.cycle >= max_cycles then t.finished <- true;
     if measure && t.cycle > start then windows := (start, t.cycle - 1) :: !windows;
     if measure then
       Array.iteri

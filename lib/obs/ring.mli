@@ -1,24 +1,31 @@
-(** A fixed-capacity ring buffer.
+(** One core's trace event ring.
 
-    Each core owns one; pushing into a full ring overwrites the oldest
-    entry and counts the loss, so a long run degrades to "the most
-    recent [capacity] events" instead of unbounded memory — the usual
-    flight-recorder behaviour. *)
+    A flight recorder: pushing into a full ring overwrites the oldest
+    event and counts the loss, so a long run keeps "the most recent
+    [capacity] events" instead of growing without bound.
 
-type 'a t
+    Events are stored unboxed, four words each in one [int array]: the
+    cycle, a constructor tag and two payload words.  {!push} decodes
+    an {!Event.t} into its slot with plain integer stores, so recording
+    takes no write barrier and allocates nothing but the array's
+    doubling; {!merge} rebuilds the {!Event.timed} values once, when
+    the trace is read.  The array starts at 64 slots (fewer if
+    [capacity] is smaller) and doubles whenever it fills, up to
+    [capacity], so a sparse core never pays for the full ring. *)
 
-val create : capacity:int -> 'a t
+type t
+
+val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val push : 'a t -> 'a -> unit
-val length : 'a t -> int
-val capacity : 'a t -> int
+val push : t -> cycle:int -> Event.t -> unit
+val length : t -> int
 
-val dropped : 'a t -> int
-(** How many entries have been overwritten so far. *)
+val dropped : t -> int
+(** How many events have been overwritten so far. *)
 
-val to_list : 'a t -> 'a list
-(** Retained entries, oldest first. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
+val merge : t array -> Event.timed list
+(** The retained events of [rings], ring [i] being core [i]'s, merged
+    by cycle, then core, then each core's push order.  Each ring's
+    pushes must come in non-decreasing cycle order, as the trace clock
+    makes them. *)

@@ -1,7 +1,7 @@
 type t = {
   live : bool;
   mutable current : int;
-  rings : Event.timed Ring.t array;
+  rings : Ring.t array;
   registry : Metrics.t;
   keep : Event.t -> bool;
 }
@@ -32,20 +32,9 @@ let emit t ~core ev =
   if t.live then begin
     if core < 0 || core >= Array.length t.rings then
       invalid_arg "Trace.emit: core out of range";
-    if t.keep ev then
-      Ring.push t.rings.(core) { Event.cycle = t.current; core; event = ev }
+    if t.keep ev then Ring.push t.rings.(core) ~cycle:t.current ev
   end
 
-let events t =
-  let per_core =
-    Array.to_list (Array.map Ring.to_list t.rings) |> List.concat
-  in
-  (* Per-core lists are cycle-ordered and concatenated core-major, so a
-     stable sort by (cycle, core) leaves same-key events in per-core
-     emission order. *)
-  List.stable_sort
-    (fun (a : Event.timed) (b : Event.timed) ->
-      match Int.compare a.cycle b.cycle with 0 -> Int.compare a.core b.core | c -> c)
-    per_core
+let events t = Ring.merge t.rings
 
 let dropped t = Array.fold_left (fun acc r -> acc + Ring.dropped r) 0 t.rings

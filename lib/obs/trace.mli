@@ -7,10 +7,14 @@
     observability is strictly timing- and result-neutral either way,
     because emission never feeds back into simulation state.
 
-    Events land in per-core ring buffers (see {!Ring}); the collector
-    also owns the run's {!Metrics} registry and the current cycle
-    ([now]), which the machine advances once per simulated cycle so
-    emission sites don't need a cycle parameter threaded through. *)
+    Events land in per-core rings (see {!Ring}) that store them
+    unboxed, so recording one on a live trace allocates nothing either
+    (beyond a ring's doubling while it grows to its capacity);
+    {!events} builds the {!Event.timed} list once, when the run is
+    read.  The collector also owns the run's {!Metrics} registry and
+    the current cycle ([now]), which the machine advances once per
+    simulated cycle so emission sites don't need a cycle parameter
+    threaded through. *)
 
 type t
 
@@ -29,14 +33,16 @@ val on : t -> bool
 
 val set_now : t -> int -> unit
 (** Advance the trace clock; called by the machine at the top of every
-    simulated cycle. *)
+    simulated cycle.  The clock must never go back: {!events} merges
+    the per-core streams assuming each is in cycle order. *)
 
 val now : t -> int
 val cores : t -> int
 
 val emit : t -> core:int -> Event.t -> unit
-(** Record an event at the current cycle.  No-op when disabled; raises
-    [Invalid_argument] if [core] is out of range on a live trace. *)
+(** Record an event at the current cycle, if [keep] accepts it.  No-op
+    when disabled; raises [Invalid_argument] if [core] is out of range
+    on a live trace.  Allocates only when the core's ring doubles. *)
 
 val metrics : t -> Metrics.t
 

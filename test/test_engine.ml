@@ -249,12 +249,27 @@ let test_max_cycles_timeout () =
           Alcotest.(check bool) (label ^ " == " ^ other) true (Machine.same_outcome r r'))
         exact)
     exact;
-  let sampled =
-    Machine.run
-      (Config.v ~base:config ~sampling:(Some Config.sampling_default) ())
-      program
-  in
-  Alcotest.(check bool) "sampled: timed out" true sampled.Machine.timed_out
+  (* sampled, with the cap past the first window and inside it *)
+  List.iter
+    (fun max_cycles ->
+      let sampled =
+        Machine.run
+          (Config.v ~base:config ~max_cycles ~sampling:(Some Config.sampling_default) ())
+          program
+      in
+      let label = Printf.sprintf "sampled, cap %d" max_cycles in
+      Alcotest.(check bool) (label ^ ": timed out") true sampled.Machine.timed_out;
+      Alcotest.(check bool) (label ^ ": cycles within the cap") true
+        (sampled.Machine.cycles <= max_cycles);
+      Alcotest.(check bool) (label ^ ": measured something") true
+        (sampled.Machine.sample_windows <> []);
+      List.iter
+        (fun (first, last) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: window %d-%d ends before the cap" label first last)
+            true (last < max_cycles))
+        sampled.Machine.sample_windows)
+    [ max_cycles; 300 ]
 
 (* An untraced simulated cycle allocates nothing: the ROB recycles its
    slots, execution state is unboxed, the pipeline's walks take no

@@ -117,12 +117,115 @@ let test_metrics_find () =
   Alcotest.(check bool) "kind mismatch hist" true (Obs.Metrics.find_histogram m "c" = None);
   Alcotest.(check bool) "kind mismatch gauge" true (Obs.Metrics.find_gauge m "h" = None)
 
+(* Event [i] is pushed at cycle [i] and carries [i] as its address,
+   so both fields read back the push order. *)
 let test_ring_overwrite () =
   let r = Obs.Ring.create ~capacity:3 in
-  List.iter (Obs.Ring.push r) [ 1; 2; 3; 4; 5 ];
+  List.iter
+    (fun i -> Obs.Ring.push r ~cycle:i (Obs.Event.Sb_insert { addr = i }))
+    [ 1; 2; 3; 4; 5 ];
+  let kept = Obs.Ring.merge [| r |] in
+  let addr (e : Obs.Event.timed) =
+    match e.event with Obs.Event.Sb_insert { addr } -> addr | _ -> -1
+  in
   Alcotest.(check int) "length" 3 (Obs.Ring.length r);
   Alcotest.(check int) "dropped" 2 (Obs.Ring.dropped r);
-  Alcotest.(check (list int)) "oldest first" [ 3; 4; 5 ] (Obs.Ring.to_list r)
+  Alcotest.(check (list int)) "oldest first" [ 3; 4; 5 ] (List.map addr kept);
+  Alcotest.(check (list int)) "cycles oldest first" [ 3; 4; 5 ]
+    (List.map (fun (e : Obs.Event.timed) -> e.cycle) kept)
+
+(* Every constructor, with payloads at the extremes of [int] and
+   [Scope_push None] next to [Some c] for negative [c], survives the
+   unboxed encoding; each core keeps its last [capacity] events, in
+   order, merged by (cycle, core) as a stable sort of the per-core
+   streams orders them; every other event counts as dropped. *)
+let gen_event =
+  let open QCheck2.Gen in
+  let open Obs.Event in
+  let word = oneof [ int; small_signed_int; oneofl [ min_int; max_int; -1; 0 ] ] in
+  let cls = oneofl [ Load; Store; Cas; Fence; Branch; Jump; Alu; Other ] in
+  oneof
+    [
+      map2 (fun pc global -> Fence_stall_begin { pc; global }) word bool;
+      map2 (fun pc cycles -> Fence_stall_end { pc; cycles }) word word;
+      map2 (fun pc cls -> Rob_dispatch { pc; cls }) word cls;
+      map2 (fun pc cls -> Rob_commit { pc; cls }) word cls;
+      map (fun addr -> Sb_insert { addr }) word;
+      map2 (fun addr value -> Sb_drain { addr; value }) word word;
+      map (fun column -> Scope_push { column }) (opt word);
+      pure Scope_pop;
+      map3
+        (fun addr write outcome -> Mem_access { addr; write; outcome })
+        word bool
+        (oneofl [ L1_hit; L2_hit; L2_miss ]);
+      map2 (fun addr success -> Cas_result { addr; success }) word bool;
+    ]
+
+let print_event e =
+  Obs.Event.name e ^ Fscope_util.Json.render (Fscope_util.Json.Obj (Obs.Event.args e))
+
+(* (cores, capacity, first cycle, [(core, clock advance, event)]) *)
+let gen_stream =
+  let open QCheck2.Gen in
+  let* cores = int_range 1 4 in
+  let* capacity = int_range 1 8 in
+  let* start = oneofl [ 0; 1_000_000; max_int - 200 ] in
+  let+ steps =
+    list_size (int_range 0 60) (triple (int_bound (cores - 1)) (int_bound 2) gen_event)
+  in
+  (cores, capacity, start, steps)
+
+let prop_ring_encoding =
+  QCheck2.Test.make ~count:500 ~name:"event rings keep each core's last events"
+    ~print:QCheck2.Print.(quad int int int (list (triple int int print_event)))
+    gen_stream
+    (fun (cores, capacity, start, steps) ->
+      let trace = Obs.Trace.create ~ring_capacity:capacity ~cores () in
+      let emitted = Array.make cores [] in
+      let clock = ref start in
+      List.iter
+        (fun (core, advance, event) ->
+          clock := !clock + advance;
+          Obs.Trace.set_now trace !clock;
+          Obs.Trace.emit trace ~core event;
+          emitted.(core) <- { Obs.Event.cycle = !clock; core; event } :: emitted.(core))
+        steps;
+      let last_n l =
+        List.filteri (fun i _ -> i >= List.length l - capacity) (List.rev l)
+      in
+      let kept = Array.map last_n emitted in
+      let expected =
+        List.stable_sort
+          (fun (a : Obs.Event.timed) (b : Obs.Event.timed) ->
+            match Int.compare a.cycle b.cycle with
+            | 0 -> Int.compare a.core b.core
+            | c -> c)
+          (List.concat (Array.to_list kept))
+      in
+      let emitted_n = List.length steps in
+      let kept_n = Array.fold_left (fun acc l -> acc + List.length l) 0 kept in
+      Obs.Trace.events trace = expected && Obs.Trace.dropped trace = emitted_n - kept_n)
+
+(* Once a ring is full, recording an event writes four words into it
+   and allocates nothing. *)
+let test_emit_allocates_nothing () =
+  let trace = Obs.Trace.create ~ring_capacity:64 ~cores:2 () in
+  let ev = Obs.Event.Mem_access { addr = 7; write = true; outcome = Obs.Event.L2_miss } in
+  let emits n =
+    for _ = 1 to n do
+      Obs.Trace.emit trace ~core:1 ev
+    done
+  in
+  emits 64;
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = minor_words (fun () -> emits 0) in
+  let busy = minor_words (fun () -> emits 10_000) in
+  Alcotest.(check (float 0.)) "minor words of 10,000 emits" idle busy;
+  Alcotest.(check int) "the full ring dropped them" 10_000 (Obs.Trace.dropped trace)
 
 (* ------------------------------------------------------------------ *)
 (* Run-level invariants                                                *)
@@ -374,6 +477,54 @@ let test_gauge_fold_deterministic () =
         fun () -> W.Cache_server.make ~threads:4 ~per_thread:6 ~scope:`Class () );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Pinned traced output                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The md5 of the jsonl and Chrome renderings of traced dekker and wsq
+   runs, with a 100-event ring (wrapped: the decode-after-wrap path)
+   and a 2^20-event one (nothing dropped).  Recorded from the boxed
+   ring the unboxed one replaced, so any change in what a ring keeps,
+   its order or its payloads changes a digest. *)
+let pinned_trace_digests =
+  [
+    ("dekker/100/jsonl", "20fb28ffd0f6731e043eb0a572711b19");
+    ("dekker/100/chrome", "a4942c9f8d501ccb233c2a132577c898");
+    ("dekker/1048576/jsonl", "b3dc852d05245f0415d8b9aed563ade4");
+    ("dekker/1048576/chrome", "6c4326975511e0906fdec7c5a8826fbd");
+    ("wsq/100/jsonl", "4165f429527388a708dd429faa5b25ba");
+    ("wsq/100/chrome", "70de99da9409620f80737aa8501a066e");
+    ("wsq/1048576/jsonl", "e54e8e035fea1ff6da692e5e35b17424");
+    ("wsq/1048576/chrome", "b74773d6174bb29d30b58d07fd364a54");
+  ]
+
+let test_pinned_trace_digests () =
+  let workloads =
+    [
+      ("dekker", tiny_dekker ());
+      ( "wsq",
+        Fscope_experiments.Exp_run.workload
+          ~params:{ Registry.default_params with rounds = Some 4 }
+          "wsq" );
+    ]
+  in
+  List.iter
+    (fun (name, w) ->
+      List.iter
+        (fun capacity ->
+          let cores = Fscope_isa.Program.thread_count w.W.Workload.program in
+          let trace = Obs.Trace.create ~ring_capacity:capacity ~cores () in
+          let result = Machine.run ~obs:trace Config.default w.W.Workload.program in
+          let report = Option.get result.Machine.obs in
+          List.iter
+            (fun (format, render) ->
+              let key = Printf.sprintf "%s/%d/%s" name capacity format in
+              let digest = Digest.to_hex (Digest.string (render report)) in
+              Alcotest.(check string) key (List.assoc key pinned_trace_digests) digest)
+            [ ("jsonl", Obs.Sink.jsonl); ("chrome", Obs.Sink.chrome) ])
+        [ 100; 1 lsl 20 ])
+    workloads
+
 let tests =
   [
     Alcotest.test_case "metrics counter" `Quick test_metrics_counter;
@@ -382,6 +533,9 @@ let tests =
     Alcotest.test_case "metrics gauge" `Quick test_metrics_gauge;
     Alcotest.test_case "metrics find accessors" `Quick test_metrics_find;
     Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;
+    QCheck_alcotest.to_alcotest prop_ring_encoding;
+    Alcotest.test_case "recording an event allocates nothing" `Quick
+      test_emit_allocates_nothing;
     Alcotest.test_case "tracing is timing-neutral" `Quick test_timing_neutral;
     Alcotest.test_case "fence stalls pair and sum" `Quick test_fence_pairing;
     Alcotest.test_case "sb inserts drain" `Quick test_sb_insert_drain;
@@ -391,6 +545,7 @@ let tests =
     Alcotest.test_case "summary quotes legacy total" `Quick test_summary_totals;
     Alcotest.test_case "summary drop warning" `Quick test_summary_drop_warning;
     Alcotest.test_case "emitted documents parse" `Quick test_documents_parse;
+    Alcotest.test_case "traced output pinned" `Quick test_pinned_trace_digests;
     Alcotest.test_case "gauge fold deterministic" `Quick test_gauge_fold_deterministic;
     Alcotest.test_case "registry round-trip" `Slow test_registry_round_trip;
     Alcotest.test_case "registry lookup" `Quick test_registry_lookup;
