@@ -104,6 +104,7 @@ let stats (t : t) =
   }
 
 let cpi (t : t) = Cpi.copy t.Core_state.cpi
+let rob (t : t) = t.Core_state.rob
 
 let step_complete_writes = Core_exec.step_complete_writes
 let step_complete_reads = Core_exec.step_complete_reads

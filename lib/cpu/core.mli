@@ -90,6 +90,11 @@ val drained : t -> bool
 
 val stats : t -> stats
 
+val rob : t -> Rob.t
+(** The core's reorder buffer, for inspection between steps (tests
+    read its wait links with {!Rob.parked_on}).  Only the step
+    functions change it. *)
+
 val cpi : t -> Fscope_obs.Cpi.t
 (** A copy of the core's cycle-accounting table.  Invariant:
     [Cpi.total (cpi t) = (stats t).active_cycles] — every active

@@ -7,7 +7,11 @@
    computed address) must be reported.
 
    Only [Executing] entries can complete, so every phase here walks
-   the ROB's executing queue (oldest first) rather than the window. *)
+   the ROB's executing queue (oldest first) rather than the window.
+   The two completion phases skip the walk in a cycle before the
+   ROB's completion bound for their kind ({!Rob.load_due},
+   {!Rob.cas_due}) and leave the bound exact when they walk.
+   [finalize] is not gated: most of its walks complete something. *)
 
 module Instr = Fscope_isa.Instr
 module Scope_unit = Fscope_core.Scope_unit
@@ -32,45 +36,65 @@ let complete_cas t (e : Rob.entry) =
       (Fscope_obs.Event.Cas_result { addr = e.addr; success })
   | None -> ()
 
-let rec complete_cas_from t cycle slot progress =
-  if slot < 0 then progress
+(* [next] is the earliest [done_at] of the CAS passed that stay
+   [Executing]. *)
+let rec complete_cas_from t cycle slot progress next =
+  if slot < 0 then begin
+    Rob.set_cas_due t.rob next;
+    progress
+  end
   else begin
     let e = Rob.slot_entry t.rob slot and prev = Rob.queue_prev t.rob slot in
-    let due =
-      match e.instr with
-      | Instr.Cas _ -> e.done_at <= cycle
-      | _ -> false
-    in
-    if due then complete_cas t e;
-    complete_cas_from t cycle (Rob.queue_next t.rob Rob.executing_q slot prev) (due || progress)
+    match e.instr with
+    | Instr.Cas _ when e.done_at <= cycle ->
+      complete_cas t e;
+      complete_cas_from t cycle (Rob.queue_next t.rob Rob.executing_q slot prev) true next
+    | Instr.Cas _ ->
+      complete_cas_from t cycle
+        (Rob.queue_next t.rob Rob.executing_q slot prev)
+        progress (Int.min next e.done_at)
+    | _ ->
+      complete_cas_from t cycle
+        (Rob.queue_next t.rob Rob.executing_q slot prev)
+        progress next
   end
 
 let step_complete_writes t ~cycle =
   let drained = Store_buffer.drain_due t.sb ~cycle write_drained t in
-  complete_cas_from t cycle (Rob.queue_first t.rob Rob.executing_q) drained
+  if cycle < Rob.cas_due t.rob then drained
+  else complete_cas_from t cycle (Rob.queue_first t.rob Rob.executing_q) drained max_int
 
 (* data2 = 1 marks a forwarded load whose value was captured at issue;
    otherwise the value is sampled from memory now, at the access's
    completion point. *)
-let rec complete_reads_from t cycle slot progress =
-  if slot < 0 then progress
+let rec complete_reads_from t cycle slot progress next =
+  if slot < 0 then begin
+    Rob.set_load_due t.rob next;
+    progress
+  end
   else begin
     let e = Rob.slot_entry t.rob slot and prev = Rob.queue_prev t.rob slot in
-    let due =
-      match e.instr with
-      | Instr.Load _ -> e.done_at <= cycle
-      | _ -> false
-    in
-    if due then begin
+    match e.instr with
+    | Instr.Load _ when e.done_at <= cycle ->
       if e.data2 = 0 then e.result <- read_mem t e.addr;
       Rob.set_state t.rob e Rob.Done;
-      Scope_unit.on_bits_cleared t.scope e.scope_mask
-    end;
-    complete_reads_from t cycle (Rob.queue_next t.rob Rob.executing_q slot prev) (due || progress)
+      Scope_unit.on_bits_cleared t.scope e.scope_mask;
+      complete_reads_from t cycle
+        (Rob.queue_next t.rob Rob.executing_q slot prev)
+        true next
+    | Instr.Load _ ->
+      complete_reads_from t cycle
+        (Rob.queue_next t.rob Rob.executing_q slot prev)
+        progress (Int.min next e.done_at)
+    | _ ->
+      complete_reads_from t cycle
+        (Rob.queue_next t.rob Rob.executing_q slot prev)
+        progress next
   end
 
 let step_complete_reads t ~cycle =
-  complete_reads_from t cycle (Rob.queue_first t.rob Rob.executing_q) false
+  cycle >= Rob.load_due t.rob
+  && complete_reads_from t cycle (Rob.queue_first t.rob Rob.executing_q) false max_int
 
 (* ------------------------------------------------------------------ *)
 (* Branch resolution and squash                                        *)

@@ -45,13 +45,12 @@ let fence_issue_ok t (e : Rob.entry) =
    else not (older_access t k ~seq:e.seq Rob.all_columns))
   && sb_ok
 
-(* What should an issuing load do about the youngest older same-address
-   memory operation?  A forward leaves the value in the load's
-   [result]. *)
-type load_source =
-  | From_memory
-  | Forward
-  | Must_wait
+(* What an issuing load does about the older memory operations: read
+   memory, take a forwarded value (left in the load's [result]), or
+   wait for the older entry whose seq [load_disambiguate] returns
+   instead (a seq, so no constructor is allocated per check). *)
+let from_memory = -1
+let forward = -2
 
 (* An older same-address load still in flight: same-address load-load
    order is coherence. *)
@@ -65,52 +64,59 @@ let same_addr_writer (e : Rob.entry) (o : Rob.entry) =
   | Instr.Store _ | Instr.Cas _ -> o.addr = e.addr
   | _ -> false
 
+(* The load waits (conservative disambiguation) for the oldest older
+   store/CAS with an unknown address until it has one, for the
+   youngest older same-address load still in flight, and for the
+   youngest older same-address writer until it is [Done]; each is a
+   blocker the load can park on.  Otherwise that writer decides. *)
 let load_disambiguate t (e : Rob.entry) =
-  (* Any older store/CAS with an unknown address, or older same-address
-     load still in flight, blocks the load (conservative
-     disambiguation). *)
-  if Rob.oldest_unknown_addr t.rob < e.seq || Rob.exists_older t.rob e.seq same_addr_load e
-  then Must_wait
-  else begin
-    (* Youngest older same-address writer in the ROB decides. *)
-    let w = Rob.youngest_older t.rob e.seq same_addr_writer e in
-    if w >= 0 then begin
-      let o = Rob.get t.rob w in
-      match o.instr with
-      | Instr.Store _ ->
-        if o.state = Rob.Done then begin
-          e.result <- o.data;
-          Forward
-        end
-        else Must_wait
-      | _ ->
-        (* A completed CAS has already written memory; the load can
-           read it there.  (No younger committed store can sit in the
-           store buffer while the CAS is still in the ROB: commit is
-           in order, and the CAS's own issue condition drained older
-           same-address entries.) *)
-        if o.state = Rob.Done then From_memory else Must_wait
-    end
+  let u = Rob.oldest_unknown_addr t.rob in
+  if u < e.seq then u
+  else
+    let l = Rob.youngest_older t.rob e.seq same_addr_load e in
+    if l >= 0 then l
     else begin
-      let i = Store_buffer.youngest_to t.sb ~addr:e.addr in
-      if i >= 0 then begin
-        e.result <- Store_buffer.value_at t.sb i;
-        Forward
+      let w = Rob.youngest_older t.rob e.seq same_addr_writer e in
+      if w >= 0 then begin
+        let o = Rob.get t.rob w in
+        if o.state <> Rob.Done then w
+        else
+          match o.instr with
+          | Instr.Store _ ->
+            e.result <- o.data;
+            forward
+          | _ ->
+            (* A completed CAS has already written memory; the load can
+               read it there.  (No younger committed store can sit in the
+               store buffer while the CAS is still in the ROB: commit is
+               in order, and the CAS's own issue condition drained older
+               same-address entries.) *)
+            from_memory
       end
-      else From_memory
+      else begin
+        let i = Store_buffer.youngest_to t.sb ~addr:e.addr in
+        if i >= 0 then begin
+          e.result <- Store_buffer.value_at t.sb i;
+          forward
+        end
+        else from_memory
+      end
     end
-  end
 
 let try_issue_load t (e : Rob.entry) ~cycle =
-  match load_disambiguate t e with
-  | Must_wait -> false
-  | Forward ->
+  let source = load_disambiguate t e in
+  if source >= 0 then begin
+    Rob.park t.rob e ~blocker:source;
+    false
+  end
+  else if source = forward then begin
     e.data2 <- 1;
     Rob.set_executing t.rob e ~done_at:(cycle + 1);
     (* a forward implies a store in flight — not a stable spin *)
     Core_spin.note_dirty t;
     true
-  | From_memory ->
+  end
+  else begin
     if in_bounds t e.addr then begin
       let completes = Mem_port.issue t.port ~core:t.id Mem_port.Read ~addr:e.addr ~now:cycle in
       let level = Mem_port.last_level t.port in
@@ -128,6 +134,7 @@ let try_issue_load t (e : Rob.entry) ~cycle =
       Core_spin.note_dirty t
     end;
     true
+  end
 
 (* CAS performs a memory write at completion, which cannot be undone:
    it must be non-speculative (no unresolved older branch, no older
@@ -149,31 +156,36 @@ let cas_issue_ok t (e : Rob.entry) =
   (not (blocked_cas_from t e (Rob.head_seq t.rob)))
   && not (Store_buffer.has_addr t.sb ~addr:e.addr)
 
-(* The seq of the in-flight producer of source [i] of [e] that has not
-   issued yet, or -1: [e] cannot issue before that producer does. *)
-let waiting_producer t (e : Rob.entry) i =
+(* The seq of the in-flight producer of source [i] of [e] that is not
+   [Done] yet, or -1: [e] cannot read that source before the producer
+   is [Done].  Issue runs after the completion phases and [finalize],
+   which leave no entry [Executing] past its [done_at], so an
+   [Executing] producer's value is not ready this cycle. *)
+let pending_producer t (e : Rob.entry) i ~cycle =
   if Reg.equal (Rob.src_reg e i) Reg.zero then -1
   else
     let seq = Rob.src_producer e i in
     if seq < 0 || not (Rob.contains t.rob seq) then -1
     else
-      match (Rob.get t.rob seq).state with
+      let p = Rob.get t.rob seq in
+      match p.state with
       | Rob.Waiting -> seq
-      | Rob.Executing | Rob.Done -> -1
+      | Rob.Executing ->
+        assert (p.done_at > cycle);
+        seq
+      | Rob.Done -> -1
 
-(* Park [e] on the first of its sources whose producer has not issued;
-   leave it in the walk when every missing operand is already on its
-   way. *)
-let rec park_on_srcs_from t (e : Rob.entry) i =
+(* Park [e] on the first of its sources whose producer is not [Done]. *)
+let rec park_on_srcs_from t (e : Rob.entry) i ~cycle =
   if i < e.n_srcs then begin
-    let p = waiting_producer t e i in
-    if p >= 0 then Rob.park t.rob e ~blocker:p else park_on_srcs_from t e (i + 1)
+    let p = pending_producer t e i ~cycle in
+    if p >= 0 then Rob.park t.rob e ~blocker:p else park_on_srcs_from t e (i + 1) ~cycle
   end
 
-let park_on_srcs t e = park_on_srcs_from t e 0
+let park_on_srcs t e ~cycle = park_on_srcs_from t e 0 ~cycle
 
-let park_on_src t (e : Rob.entry) i =
-  let p = waiting_producer t e i in
+let park_on_src t (e : Rob.entry) i ~cycle =
+  let p = pending_producer t e i ~cycle in
   if p >= 0 then Rob.park t.rob e ~blocker:p
 
 (* Only [Waiting] entries can issue, so the walk covers the waiting
@@ -182,15 +194,20 @@ let park_on_src t (e : Rob.entry) i =
    turns [Done] exactly when it issues or, under in-window speculation
    and no-fence runs, at dispatch).
 
-   An entry that cannot act until one specific older [Waiting] entry
-   leaves [Waiting] is parked on it ({!Rob.park}) and drops out of the
-   walks until then: an ALU op, branch or store-data read whose
-   producer has not issued, an address generation whose operand
-   producer has not issued, and a load behind an unissued fence that
-   blocks loads.  Visiting it meanwhile would change nothing, so
-   parking is invisible in the results.  When the blocker issues it
-   wakes the entry back into the queue, and this same walk reaches it
-   (a load behind a fence issues in the cycle the fence does).
+   An entry that cannot act until one specific older entry is [Done]
+   is parked on it ({!Rob.park}) and drops out of the walks until
+   then: an ALU op, branch or store-data read whose producer is not
+   [Done], an address generation whose operand producer is not [Done],
+   a load behind an unissued fence that blocks loads, and a load that
+   disambiguation holds back (behind a store or CAS with an unknown
+   address, which wakes it when given one, or behind a same-address
+   load or writer).  Visiting it meanwhile would change nothing, so
+   parking is invisible in the results.  A blocker that turns [Done]
+   in a completion phase wakes the entry before this walk starts; one
+   that turns [Done] or gets its address during the walk is older
+   than the entry, so the walk still reaches it (a load behind a
+   fence issues in the cycle the fence does, a consumer of a load in
+   the cycle the load completes).
 
    The walk's state travels in its arguments: the issue slots left
    ([budget]) and, in the non-speculative pipeline, whether an
@@ -233,7 +250,7 @@ let visit t (e : Rob.entry) ~cycle ~pending_fence ~blocking_fence =
       start t e ~done_at:(cycle + 1)
     end
     else begin
-      park_on_srcs t e;
+      park_on_srcs t e ~cycle;
       0
     end
   | Instr.Branch { cond; _ } ->
@@ -244,13 +261,13 @@ let visit t (e : Rob.entry) ~cycle ~pending_fence ~blocking_fence =
       start t e ~done_at:(cycle + 1)
     end
     else begin
-      park_on_src t e 0;
+      park_on_src t e 0 ~cycle;
       0
     end
   | Instr.Store { off; _ } ->
     let computed = agen t e ~cycle ~base:1 ~off in
     if e.addr < 0 then begin
-      park_on_src t e 1;
+      park_on_src t e 1 ~cycle;
       0
     end
     else if src_ready t cycle e 0 then begin
@@ -258,7 +275,7 @@ let visit t (e : Rob.entry) ~cycle ~pending_fence ~blocking_fence =
       start t e ~done_at:(cycle + 1)
     end
     else begin
-      park_on_src t e 0;
+      park_on_src t e 0 ~cycle;
       if computed then -1 else 0
     end
   | Instr.Load { off; _ } ->
@@ -266,7 +283,7 @@ let visit t (e : Rob.entry) ~cycle ~pending_fence ~blocking_fence =
        issue slot is only spent on the actual access. *)
     let computed = agen t e ~cycle ~base:0 ~off in
     if e.addr < 0 then begin
-      park_on_src t e 0;
+      park_on_src t e 0 ~cycle;
       0
     end
     else if blocking_fence >= 0 && not t.cfg.in_window_speculation then begin
@@ -287,7 +304,7 @@ let visit t (e : Rob.entry) ~cycle ~pending_fence ~blocking_fence =
         true
       end
       else begin
-        park_on_srcs t e;
+        park_on_srcs t e ~cycle;
         false
       end
     in

@@ -82,12 +82,21 @@ let blank slot =
    alone says which queue holds it, which is why only [set_state] may
    change it.
 
-   A [Waiting] entry may instead be parked on an older [Waiting] entry
-   it cannot issue before: [wait_on.(slot)] is then the blocker's slot
-   (-1 = not parked) and the entry sits on the blocker's waiter list,
-   which starts at [wait_first.(blocker)] and is threaded through the
-   same [next]/[prev] arrays (a parked entry is in neither queue).
-   Leaving [Waiting] wakes the waiters back into the waiting queue.
+   A [Waiting] entry may instead be parked on an older entry that is
+   not [Done] yet and that it cannot issue before: [wait_on.(slot)] is
+   then the blocker's slot (-1 = not parked) and the entry sits on the
+   blocker's waiter list, which starts at [wait_first.(blocker)] and is
+   threaded through the same [next]/[prev] arrays (a parked entry is in
+   neither queue).  The list stays with the blocker's slot while it
+   issues; the blocker turning [Done], leaving the window, or being
+   given its address while still [Waiting] wakes the waiters back into
+   the waiting queue.
+
+   [load_due] and [cas_due] are lower bounds on the [done_at] of the
+   [Executing] loads and of the [Executing] CAS ([max_int]: none), so
+   a completion phase can tell that nothing is due without walking.
+   Entering [Executing] or a new [done_at] lowers them; the completion
+   walks raise them back to the exact minimum they see.
 
    The access sets — stores and CAS with an unknown address, and per
    FSB column (or over all entries) the loads and CAS not yet [Done]
@@ -114,6 +123,8 @@ type t = {
   wait_on : int array;
   wait_first : int array;
   low : int array;
+  mutable load_due : int;
+  mutable cas_due : int;
   trace : Fscope_obs.Trace.t;
   core : int;
 }
@@ -150,6 +161,8 @@ let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~size ~columns () =
     wait_on = Array.make size (-1);
     wait_first = Array.make size (-1);
     low = Array.make (reads_a columns) 0;
+    load_due = max_int;
+    cas_due = max_int;
     trace;
     core;
   }
@@ -207,20 +220,35 @@ let unpark t slot =
   if n >= 0 then t.prev.(n) <- p;
   t.wait_on.(slot) <- -1
 
-(* Move [e] out of its state queue (or off its blocker's list), waking
-   what is parked on it when it was [Waiting]. *)
+(* Move [e] out of its state queue (or off its blocker's list); what is
+   parked on [e] stays parked. *)
 let dequeue t e =
   let slot = e.slot in
   match e.state with
-  | Waiting ->
-    if t.wait_on.(slot) >= 0 then unpark t slot else unlink t waiting_q slot;
-    wake t slot
+  | Waiting -> if t.wait_on.(slot) >= 0 then unpark t slot else unlink t waiting_q slot
   | Executing -> unlink t executing_q slot
   | Done -> ()
 
+(* [e] is [Executing] until [done_at]: lower the completion bound of
+   its kind. *)
+let note_due t e =
+  match e.instr with
+  | Instr.Load _ -> if e.done_at < t.load_due then t.load_due <- e.done_at
+  | Instr.Cas _ -> if e.done_at < t.cas_due then t.cas_due <- e.done_at
+  | _ -> ()
+
 let enqueue t e =
-  let q = queue_of e.state in
-  if q >= 0 then link t q e.slot
+  match e.state with
+  | Waiting -> link t waiting_q e.slot
+  | Executing ->
+    link t executing_q e.slot;
+    note_due t e
+  | Done -> ()
+
+(* [e] leaves the window. *)
+let remove t e =
+  dequeue t e;
+  wake t e.slot
 
 (* Is [e] in access set [a]?  Reads sets have odd indices, stores sets
    even ones. *)
@@ -330,7 +358,7 @@ let head t = at t t.head_slot
 let pop_head t =
   if is_empty t then invalid_arg "Rob.pop_head: empty";
   let e = head t in
-  dequeue t e;
+  remove t e;
   t.head_seq <- t.head_seq + 1;
   t.head_slot <- (if t.head_slot + 1 = t.size then 0 else t.head_slot + 1);
   if Fscope_obs.Trace.on t.trace then
@@ -341,7 +369,7 @@ let pop_head t =
 let squash_after t seq release x =
   let stop = Int.max (seq + 1) t.head_seq in
   for s = t.tail_seq - 1 downto stop do
-    dequeue t (get t s)
+    remove t (get t s)
   done;
   (* release oldest first, once the window no longer holds them *)
   let old_tail = t.tail_seq in
@@ -356,12 +384,13 @@ let in_flight t e seq = e.seq = seq && contains t seq && at t (slot_of t seq) ==
 let set_state t e state =
   if not (in_flight t e e.seq) then invalid_arg "Rob.set_state: entry not in flight";
   if state = Executing then invalid_arg "Rob.set_state: use set_executing";
-  let moves = queue_of e.state <> queue_of state in
-  let rejoins = e.state = Done && state = Waiting in
+  let was = e.state in
+  let moves = queue_of was <> queue_of state in
   if moves then dequeue t e;
   e.state <- state;
   if moves then enqueue t e;
-  if rejoins then lower t e.seq
+  if state = Done && was <> Done then wake t e.slot;
+  if was = Done && state = Waiting then lower t e.seq
 
 let set_executing t e ~done_at =
   if not (in_flight t e e.seq) then invalid_arg "Rob.set_executing: entry not in flight";
@@ -370,13 +399,15 @@ let set_executing t e ~done_at =
   if moves then dequeue t e;
   e.state <- Executing;
   e.done_at <- done_at;
-  if moves then enqueue t e;
+  if moves then enqueue t e else note_due t e;
   if rejoins then lower t e.seq
 
 let set_addr t e addr =
   if not (in_flight t e e.seq) then invalid_arg "Rob.set_addr: entry not in flight";
   let rejoins = e.addr >= 0 && addr < 0 in
+  let wakes = e.addr < 0 && addr >= 0 && e.state = Waiting in
   e.addr <- addr;
+  if wakes then wake t e.slot;
   if rejoins then lower t e.seq
 
 let park t e ~blocker =
@@ -387,8 +418,8 @@ let park t e ~blocker =
     || (not (contains t blocker))
     || t.wait_on.(slot) >= 0
     || e.state <> Waiting
-    || (at t b).state <> Waiting
-  then invalid_arg "Rob.park: needs a Waiting entry and an older Waiting blocker";
+    || (at t b).state = Done
+  then invalid_arg "Rob.park: needs a Waiting entry and an older blocker not Done";
   unlink t waiting_q slot;
   t.wait_on.(slot) <- b;
   let n = t.wait_first.(b) in
@@ -426,7 +457,15 @@ let rec shift_from t by slot =
     shift_from t by t.next.(slot)
   end
 
-let shift_executing t ~by = shift_from t by t.first.(executing_q)
+let shift_executing t ~by =
+  shift_from t by t.first.(executing_q);
+  if t.load_due <> max_int then t.load_due <- t.load_due + by;
+  if t.cas_due <> max_int then t.cas_due <- t.cas_due + by
+
+let load_due t = t.load_due
+let cas_due t = t.cas_due
+let set_load_due t d = t.load_due <- d
+let set_cas_due t d = t.cas_due <- d
 
 let rec iter_from t f s = if s < t.tail_seq then (f (at t (slot_of t s)); iter_from t f (s + 1))
 let iter t f = iter_from t f t.head_seq
@@ -473,7 +512,8 @@ let oldest_unknown_addr t = oldest t unknown_a
    entries [build] fills in, one per item, oldest first (each from
    {!fresh}); emits nothing — checkpointing is an untraced-run
    facility.  Nothing is parked afterwards: parking is a cache the
-   next issue walk rebuilds. *)
+   next issue walk rebuilds.  The completion bounds start over from
+   the appended [Executing] entries. *)
 let restore t ~head_seq items build =
   if head_seq < 0 then invalid_arg "Rob.restore: negative head seq";
   if List.length items > t.size then invalid_arg "Rob.restore: too many entries";
@@ -482,6 +522,8 @@ let restore t ~head_seq items build =
   Array.fill t.wait_on 0 t.size (-1);
   Array.fill t.wait_first 0 t.size (-1);
   Array.fill t.low 0 (Array.length t.low) head_seq;
+  t.load_due <- max_int;
+  t.cas_due <- max_int;
   t.head_seq <- head_seq;
   t.head_slot <- head_seq mod t.size;
   t.tail_seq <- head_seq;

@@ -23,14 +23,23 @@
       walks the waiting queue and the completion phases and branch
       resolution walk the executing queue (see {!section-walks}).
     - {b Wait links.}  Issue may {!park} a [Waiting] entry that cannot
-      issue before one specific older [Waiting] entry does (an operand
-      producer, or a fence that blocks loads).  A parked entry leaves
-      the waiting queue, so issue stops re-checking it; when its
-      blocker leaves [Waiting], {!set_state} wakes it back into the
-      queue, where a walk still in progress visits it.  Parking is a
-      cache of what the next issue walk would find: {!restore} and
-      {!squash_after} leave nothing parked on a removed entry, and
-      checkpoints never record it.
+      issue before one specific older entry is [Done] (an operand
+      producer, a fence that blocks loads, or the older access a load
+      must not pass).  A parked entry leaves the waiting queue, so
+      issue stops re-checking it.  It stays parked while its blocker
+      issues, the way a scoreboard holds a consumer until its
+      producer's writeback: the blocker turning [Done]
+      ({!set_state}), leaving the window ({!pop_head},
+      {!squash_after}) or, while still [Waiting], being given its
+      address ({!set_addr}) wakes it back into the queue, where a walk
+      still in progress visits it.  Parking is a cache of what the
+      next issue walk would find: {!restore} and {!squash_after} leave
+      nothing parked on a removed entry, and checkpoints never record
+      it.
+    - {b Completion bounds.}  A lower bound on the [done_at] of the
+      [Executing] loads ({!load_due}) and one for the [Executing] CAS
+      ({!cas_due}), so a completion phase with nothing due returns
+      without walking.
     - {b Access sets.}  The loads and CAS not yet [Done]
       ({!oldest_read}), the stores and CAS not yet [Done]
       ({!oldest_store}) — each over all entries and per FSB column,
@@ -45,8 +54,10 @@
     [state], [addr] and [scope_mask], so the rule is: after an entry is
     dispatched, only {!set_state} and {!set_executing} may change its
     [state] (and, with {!shift_executing}, its [done_at]), only
-    {!set_addr} its [addr], and nothing its [scope_mask].  {!dispatch}, {!pop_head}, {!squash_after} and
-    {!restore} keep every queue and set in step with the window.
+    {!set_addr} its [addr], and nothing its [scope_mask]; the same
+    calls keep the wait links and the completion bounds.  {!dispatch},
+    {!pop_head}, {!squash_after} and {!restore} keep every queue and
+    set in step with the window.
 
     Each entry carries the paper's per-entry fence scope bits
     ([scope_mask]) and, for fences, the wait condition captured from
@@ -183,24 +194,34 @@ val in_flight : t -> entry -> int -> bool
 
 val set_state : t -> entry -> exec_state -> unit
 (** Move an in-flight entry to [Waiting] or [Done], between the
-    queues.  An entry leaving [Waiting] wakes every entry parked on
-    it.  Raises [Invalid_argument] if the entry is not in flight, and
-    for [Executing] (use {!set_executing}). *)
+    queues.  An entry turning [Done] wakes every entry parked on it;
+    one that goes back to [Waiting] keeps them.  Raises
+    [Invalid_argument] if the entry is not in flight, and for
+    [Executing] (use {!set_executing}). *)
 
 val set_executing : t -> entry -> done_at:int -> unit
-(** Issue an in-flight entry: it is [Executing] until [done_at]. *)
+(** Issue an in-flight entry: it is [Executing] until [done_at].  What
+    is parked on it stays parked.  Lowers {!load_due} or {!cas_due} to
+    [done_at] for a load or CAS, also when the entry was already
+    [Executing]. *)
 
 val set_addr : t -> entry -> int -> unit
-(** Set an in-flight entry's [addr].  Raises [Invalid_argument] if the
-    entry is not in flight. *)
+(** Set an in-flight entry's [addr].  Giving a [Waiting] entry its
+    first address wakes every entry parked on it (a load parked behind
+    a store or CAS whose address was unknown).  Raises
+    [Invalid_argument] if the entry is not in flight. *)
 
 val park : t -> entry -> blocker:int -> unit
 (** [park t e ~blocker]: take the [Waiting] entry [e] out of the
     waiting queue until the older in-flight entry with seq [blocker]
-    leaves [Waiting].  Only park an entry that no issue walk could act
-    on while [blocker] is [Waiting].  Allocates nothing.  Raises
-    [Invalid_argument] unless [e] is in flight, [Waiting] and not
-    parked, and [blocker] is older, in flight and [Waiting]. *)
+    turns [Done], leaves the window or, if it is [Waiting] with an
+    unknown address, is given one.  Only park an entry that no issue
+    walk could act on before then.  The pipeline issues after the
+    completion phases of the same cycle, so an [Executing] blocker
+    completes in a later cycle than the walk that parks on it.
+    Allocates nothing.  Raises [Invalid_argument] unless [e] is in
+    flight, [Waiting] and not parked, and [blocker] is older, in
+    flight and not [Done]. *)
 
 val parked_on : t -> entry -> int
 (** The seq [e] is parked on, or -1.  Raises [Invalid_argument] if the
@@ -267,8 +288,24 @@ val queue_next : t -> int -> int -> int -> int
 
 val shift_executing : t -> by:int -> unit
 (** Add [by] to the completion cycle of every [Executing] entry (the
-    closed-form spin replay's time shift).  Leaves every queue and
-    wait link as it is. *)
+    closed-form spin replay's time shift) and to the completion
+    bounds.  Leaves every queue and wait link as it is. *)
+
+val load_due : t -> int
+(** A lower bound on the [done_at] of every [Executing] load;
+    [max_int] when there is none to wait for.  No load completes
+    before it. *)
+
+val cas_due : t -> int
+(** The same for the [Executing] CAS. *)
+
+val set_load_due : t -> int -> unit
+(** [set_load_due t d], at the end of a walk of the executing queue:
+    [d] is the earliest [done_at] of the loads still [Executing]
+    ([max_int] for none).  A larger [d] would hide a completion. *)
+
+val set_cas_due : t -> int -> unit
+(** The same for the CAS. *)
 
 val exists_older : t -> int -> ('a -> entry -> bool) -> 'a -> bool
 (** [exists_older t seq p x]: does any in-flight entry [e] older than
@@ -301,6 +338,7 @@ val restore : t -> head_seq:int -> 'a list -> ('a -> entry) -> unit
 (** Checkpoint restore: empty the window at [head_seq], then for each
     item, oldest first, append the entry [build item] returns — a
     {!fresh} entry for the next seq, filled in.  Nothing is parked
-    afterwards.  Emits no events.  Raises [Invalid_argument] for a
+    afterwards, and the completion bounds are those of the appended
+    entries.  Emits no events.  Raises [Invalid_argument] for a
     negative [head_seq], more items than slots, or an entry
     {!dispatch} would refuse. *)

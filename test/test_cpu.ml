@@ -174,6 +174,16 @@ let gone : (Rob.entry * int) list ref = ref []
 
 let note_gone (e : Rob.entry) = gone := (e, e.Rob.seq) :: List.filteri (fun i _ -> i < 32) !gone
 
+(* The earliest completion cycle of the [Executing] entries [p] holds. *)
+let earliest_due p es =
+  List.fold_left
+    (fun m (e : Rob.entry) ->
+      if is_executing e.Rob.state && p e then min m e.Rob.done_at else m)
+    max_int es
+
+let is_load (e : Rob.entry) = match e.Rob.instr with Instr.Load _ -> true | _ -> false
+let is_cas (e : Rob.entry) = match e.Rob.instr with Instr.Cas _ -> true | _ -> false
+
 let invariants rob sb =
   let es = window rob in
   let waiting = List.filter (fun (e : Rob.entry) -> is_waiting e.Rob.state) es in
@@ -182,7 +192,7 @@ let invariants rob sb =
   let blocker_ok e =
     let b = Rob.parked_on rob e in
     is_waiting e.Rob.state && b < e.Rob.seq && Rob.contains rob b
-    && is_waiting (Rob.get rob b).Rob.state
+    && (Rob.get rob b).Rob.state <> Rob.Done
   in
   let cols = Rob.all_columns :: List.init columns Fun.id in
   List.for_all (fun (e : Rob.entry) -> Rob.in_flight rob e e.Rob.seq) es
@@ -199,6 +209,8 @@ let invariants rob sb =
          && Rob.oldest_store rob col = oldest (fun e -> is_store e && in_col col e) es)
        cols
   && Rob.oldest_unknown_addr rob = oldest is_unknown es
+  && Rob.load_due rob <= earliest_due is_load es
+  && Rob.cas_due rob <= earliest_due is_cas es
   &&
   let sbs = ref [] in
   Sb.iter sb (fun en -> sbs := en :: !sbs);
@@ -208,12 +220,12 @@ let invariants rob sb =
       = List.length (List.filter (fun (en : Sb.entry) -> Fsb.mem c en.Sb.mask) !sbs))
     (List.init Sys.int_size Fun.id)
 
-(* Park [e] on the oldest older [Waiting] entry, if it may be parked. *)
+(* Park [e] on the oldest older entry not [Done], if it may be parked. *)
 let try_park rob (e : Rob.entry) =
   if is_waiting e.Rob.state && Rob.parked_on rob e < 0 then
     match
       List.find_opt
-        (fun (o : Rob.entry) -> o.Rob.seq < e.Rob.seq && is_waiting o.Rob.state)
+        (fun (o : Rob.entry) -> o.Rob.seq < e.Rob.seq && o.Rob.state <> Rob.Done)
         (window rob)
     with
     | Some o -> Rob.park rob e ~blocker:o.Rob.seq
@@ -221,17 +233,45 @@ let try_park rob (e : Rob.entry) =
 
 let squash rob seq = Rob.squash_after rob seq (fun () e -> note_gone e) ()
 
+(* The seqs of the entries parked on [seq]. *)
+let waiters rob seq = seqs (List.filter (fun e -> Rob.parked_on rob e = seq) (window rob))
+
+(* Apply [f] to [e]: what is parked on [e] must be woken if [wakes],
+   else stay parked. *)
+let wakes_iff rob (e : Rob.entry) ~wakes f =
+  let before = waiters rob e.Rob.seq in
+  f ();
+  waiters rob e.Rob.seq = if wakes then [] else before
+
+(* Give [e] address [addr]: a [Waiting] entry given its first address
+   wakes what is parked on it. *)
+let set_addr rob (e : Rob.entry) addr =
+  wakes_iff rob e
+    ~wakes:(is_waiting e.Rob.state && e.Rob.addr < 0 && addr >= 0)
+    (fun () -> Rob.set_addr rob e addr)
+
 (* Walk one queue, acting on the i-th visited entry by 2-bit code i of
-   [codes]: 1 moves it out of the queue (waking what is parked on it),
-   2 moves it out and squashes everything younger, 3 parks it (waiting
-   walk only), else it stays.  The walk must visit, oldest first and
+   [codes]: 1 moves it out of the queue (in the waiting walk, to
+   [Executing] for an even seq, keeping what is parked on it, or to
+   [Done] for an odd one, waking it), 2 moves it out and squashes
+   everything younger, 3 parks it (waiting walk only), else it stays
+   (in the waiting walk, given an address if it had none, which wakes
+   what is parked on it).  The walk must visit, oldest first and
    only while they are queued, every entry in the queue at its start
    up to the first squash, nothing after it, and every entry in the
    queue at its end: entries woken during the walk are younger than
    the entry that woke them, so the walk reaches them. *)
 let walk_and_check rob ~waiting ~codes =
   let q = if waiting then Rob.waiting_q else Rob.executing_q in
-  let leave e = if waiting then Rob.set_executing rob e ~done_at:0 else Rob.set_state rob e Rob.Done in
+  let woke = ref true in
+  let leave (e : Rob.entry) =
+    let ok =
+      if waiting && e.Rob.seq mod 2 = 0 then
+        wakes_iff rob e ~wakes:false (fun () -> Rob.set_executing rob e ~done_at:0)
+      else wakes_iff rob e ~wakes:true (fun () -> Rob.set_state rob e Rob.Done)
+    in
+    woke := !woke && ok
+  in
   let before = walk_seqs q rob in
   let visited = ref [] in
   let squashed_at = ref max_int in
@@ -244,6 +284,8 @@ let walk_and_check rob ~waiting ~codes =
          &&
          if waiting then is_waiting e.Rob.state && Rob.parked_on rob e < 0
          else is_executing e.Rob.state);
+      if code = 0 && waiting && e.Rob.addr < 0 then
+        woke := set_addr rob e e.Rob.seq && !woke;
       if code = 1 || code = 2 then leave e;
       if code = 2 then begin
         squashed_at := e.Rob.seq;
@@ -252,7 +294,7 @@ let walk_and_check rob ~waiting ~codes =
       if code = 3 && waiting then try_park rob e);
   let visited = List.rev !visited in
   let rec increasing = function a :: (b :: _ as r) -> a < b && increasing r | _ -> true in
-  !queued && increasing visited
+  !woke && !queued && increasing visited
   && List.for_all (fun s -> s <= !squashed_at) visited
   && List.for_all (fun s -> s > !squashed_at || List.mem s visited) before
   && List.for_all (fun s -> List.mem s visited) (walk_seqs q rob)
@@ -268,8 +310,13 @@ let apply rob sb (op, a, b) =
     dispatch_mem rob ~sk:a ~k:b;
     true
   | 1 ->
-    if n > 0 then set_state_code rob (pick a) b;
-    true
+    (* only turning [Done] wakes what is parked on the entry *)
+    n = 0
+    ||
+    let e = pick a in
+    wakes_iff rob e
+      ~wakes:(e.Rob.state <> Rob.Done && b mod 3 = 2)
+      (fun () -> set_state_code rob e b)
   | 2 ->
     squash rob (Rob.head_seq rob - 1 + (a mod (n + 1)));
     true
@@ -287,9 +334,7 @@ let apply rob sb (op, a, b) =
   | 6 ->
     if n > 0 then try_park rob (pick a);
     true
-  | 7 ->
-    if n > 0 then Rob.set_addr rob (pick a) (if b mod 2 = 0 then -1 else b);
-    true
+  | 7 -> n = 0 || set_addr rob (pick a) (if b mod 2 = 0 then -1 else b)
   | 8 ->
     if not (Sb.is_full sb) then
       Sb.push sb ~addr:a ~value:0 ~mask:(b mod (1 lsl columns)) ~done_at:(a mod 16);
@@ -397,15 +442,18 @@ let test_fence_kind_flavors () =
   Alcotest.(check string) "printing" "S-FENCE[class].ss" (Fk.to_string ss)
 
 (* A one-core pipeline on a flat memory whose every access takes
-   [latency] cycles; [reads] records each read's (addr, issue cycle). *)
-let run_core ?(latency = 7) code =
+   [latency] cycles and is served at [outcome]; [reads] records each
+   read's (addr, issue cycle), and [each core cycle] runs after every
+   cycle. *)
+let run_core ?(latency = 7) ?(outcome = Fscope_obs.Event.L1_hit) ?(each = fun _ _ -> ())
+    code =
   let mem = Array.make 64 0 in
   let reads = ref [] in
   let port =
     Fscope_cpu.Mem_port.make ~size:(Array.length mem)
       ~issue:(fun ~core:_ kind ~addr ~now ->
         if kind = Fscope_cpu.Mem_port.Read then reads := (addr, now) :: !reads;
-        (now + latency, Fscope_obs.Event.L1_hit))
+        (now + latency, outcome))
       ~load:(fun ~addr -> mem.(addr))
       ~store:(fun ~addr ~value -> mem.(addr) <- value)
   in
@@ -419,6 +467,7 @@ let run_core ?(latency = 7) code =
     ignore (Fscope_cpu.Core.step_complete_writes core ~cycle:!cycle);
     ignore (Fscope_cpu.Core.step_complete_reads core ~cycle:!cycle);
     ignore (Fscope_cpu.Core.step_pipeline core ~cycle:!cycle);
+    each core !cycle;
     incr cycle
   done;
   (core, List.rev !reads)
@@ -435,6 +484,63 @@ let test_fence_wakes_load_same_cycle () =
   let issued addr = List.assoc addr reads in
   Alcotest.(check int) "older load issue cycle" 1 (issued 10);
   Alcotest.(check int) "younger load issues as the fence does" 8 (issued 20)
+
+(* The entry with seq [seq], when in flight. *)
+let in_rob core seq =
+  let rob = Fscope_cpu.Core.rob core in
+  if Rob.contains rob seq then Some (Rob.get rob seq) else None
+
+(* A consumer of a main-memory load waits parked on it for the whole
+   miss, not re-checked every cycle, and issues in the cycle the load
+   completes (41, as before parking on issued producers). *)
+let test_consumer_parks_for_miss () =
+  let parked = ref 0 in
+  let each core cycle =
+    match (in_rob core 0, in_rob core 1) with
+    | Some l, Some c when l.Rob.state = Rob.Executing ->
+      Alcotest.(check bool) "the load misses" true (l.Rob.mem_level = Rob.Main);
+      Alcotest.(check int)
+        (Printf.sprintf "cycle %d: consumer parked on the load" cycle)
+        0
+        (Rob.parked_on (Fscope_cpu.Core.rob core) c);
+      incr parked
+    | _ -> ()
+  in
+  let base1 = Instr.Load { dst = Reg.r 2; base = Reg.r 1; off = 20; flagged = false } in
+  let _, reads =
+    run_core ~latency:40 ~outcome:Fscope_obs.Event.L2_miss ~each
+      [| load ~dst:1 ~off:10; base1; Instr.Halt |]
+  in
+  let issued addr = List.assoc addr reads in
+  Alcotest.(check int) "load issue cycle" 1 (issued 10);
+  Alcotest.(check int) "consumer issues as the load completes" 41 (issued 20);
+  Alcotest.(check int) "parked for the whole miss" 40 !parked
+
+(* A load behind a store whose address is not known yet waits parked
+   on the store, and issues in the cycle the store's address is
+   computed (8, when the store's base arrives; as before such loads
+   were parked). *)
+let test_load_parks_on_unknown_store () =
+  let parked = ref 0 in
+  let each core cycle =
+    match (in_rob core 1, in_rob core 2) with
+    (* dispatched in cycle 0, first visited by issue in cycle 1 *)
+    | Some s, Some l when cycle > 0 && s.Rob.addr < 0 && l.Rob.state = Rob.Waiting ->
+      Alcotest.(check int)
+        (Printf.sprintf "cycle %d: load parked on the store" cycle)
+        1
+        (Rob.parked_on (Fscope_cpu.Core.rob core) l);
+      incr parked
+    | _ -> ()
+  in
+  let st = Instr.Store { src = Reg.r 2; base = Reg.r 1; off = 30; flagged = false } in
+  let _, reads =
+    run_core ~each [| load ~dst:1 ~off:10; st; load ~dst:3 ~off:20; Instr.Halt |]
+  in
+  let issued addr = List.assoc addr reads in
+  Alcotest.(check int) "base load issue cycle" 1 (issued 10);
+  Alcotest.(check int) "load issues as the store's address is computed" 8 (issued 20);
+  Alcotest.(check int) "parked until then" 7 !parked
 
 (* Commit charges a stalled head fence to its store-buffer drain leaf;
    an unscoped fence lands in the unscoped leaf, and nothing else
@@ -472,6 +578,9 @@ let tests =
     Alcotest.test_case "bpred aliasing" `Quick test_bpred_aliasing;
     Alcotest.test_case "fence kind flavors" `Quick test_fence_kind_flavors;
     Alcotest.test_case "fence wakes load same cycle" `Quick test_fence_wakes_load_same_cycle;
+    Alcotest.test_case "consumer parks for a miss" `Quick test_consumer_parks_for_miss;
+    Alcotest.test_case "load parks on unknown store address" `Quick
+      test_load_parks_on_unknown_store;
     Alcotest.test_case "head fence stall is sb drain" `Quick
       test_head_fence_stall_is_sb_drain;
   ]
