@@ -186,7 +186,7 @@ let cmd_trace workload machine format output ring_capacity =
        in every sink (partial if the ring dropped events — the summary
        warns). *)
     (match W.Gauges.for_workload ~name:w.W.Workload.name w.W.Workload.program with
-    | Some g -> g.W.Gauges.fold report.Obs.Report.metrics report.Obs.Report.events
+    | Some g -> g.W.Gauges.fold report.Obs.Report.metrics (Obs.Trace.iter_events report.Obs.Report.trace)
     | None -> ());
     let text =
       match format with

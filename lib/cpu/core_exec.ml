@@ -32,8 +32,7 @@ let complete_cas t (e : Rob.entry) =
   Scope_unit.on_bits_cleared t.scope e.scope_mask;
   match t.obs with
   | Some o ->
-    Fscope_obs.Trace.emit o.trace ~core:t.id
-      (Fscope_obs.Event.Cas_result { addr = e.addr; success })
+    Fscope_obs.Trace.cas_result o.trace ~core:t.id ~addr:e.addr ~success
   | None -> ()
 
 (* [next] is the earliest [done_at] of the CAS passed that stay

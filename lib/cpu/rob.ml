@@ -343,8 +343,7 @@ let append t e =
 let dispatch t e =
   append t e;
   if Fscope_obs.Trace.on t.trace then
-    Fscope_obs.Trace.emit t.trace ~core:t.core
-      (Fscope_obs.Event.Rob_dispatch { pc = e.pc; cls = instr_class e.instr })
+    Fscope_obs.Trace.rob_dispatch t.trace ~core:t.core ~pc:e.pc ~cls:(instr_class e.instr)
 
 let contains t seq = seq >= t.head_seq && seq < t.tail_seq
 
@@ -362,8 +361,7 @@ let pop_head t =
   t.head_seq <- t.head_seq + 1;
   t.head_slot <- (if t.head_slot + 1 = t.size then 0 else t.head_slot + 1);
   if Fscope_obs.Trace.on t.trace then
-    Fscope_obs.Trace.emit t.trace ~core:t.core
-      (Fscope_obs.Event.Rob_commit { pc = e.pc; cls = instr_class e.instr });
+    Fscope_obs.Trace.rob_commit t.trace ~core:t.core ~pc:e.pc ~cls:(instr_class e.instr);
   e
 
 let squash_after t seq release x =

@@ -66,11 +66,12 @@ let config_label (config : Config.t) =
 (* One traced run, packaged for the Profile renderers.  Profiling is
    observational: validation is skipped (the no-fence ablation would
    fail it by design), and tracing is timing-neutral, so the cycle
-   count equals an unprofiled run's bit for bit. *)
+   count equals an unprofiled run's bit for bit.  A profile reads only
+   the registry, so its trace records no events. *)
 let profile ?label (config : Config.t) (workload : Workload.t) =
   let program = workload.Workload.program in
   let cores = Program.thread_count program in
-  let trace = Obs.Trace.create ~ring_capacity:1024 ~cores () in
+  let trace = Obs.Trace.metrics_only ~cores () in
   let result = Machine.run ~obs:trace config program in
   let metrics = Option.map (fun (r : Obs.Report.t) -> r.Obs.Report.metrics) result.Machine.obs in
   (* Tracing disables the engine's spin fast-forward, so the traced

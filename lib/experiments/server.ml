@@ -145,7 +145,7 @@ let eval pt =
   let traced = Machine.run ~obs:trace pt.pt_machine program in
   if traced.Machine.cycles <> r.Machine.cycles then fail "trace not timing-neutral";
   if Obs.Trace.dropped trace <> 0 then fail "trace dropped markers";
-  let events = Obs.Trace.events trace in
+  let events = Obs.Trace.iter_events trace in
   let metrics = Obs.Trace.metrics trace in
   let h = if sampled then empty_hist else hist_of metrics "fence/stall_cycles" in
   let lats =

@@ -91,8 +91,7 @@ let set_remote_victim_hook t f = t.on_remote_victim <- f
 
 let emit_access t ~core ~addr ~write outcome =
   if Fscope_obs.Trace.on t.trace then
-    Fscope_obs.Trace.emit t.trace ~core
-      (Fscope_obs.Event.Mem_access { addr; write; outcome })
+    Fscope_obs.Trace.mem_access t.trace ~core ~addr ~write ~outcome
 
 let stats t = t.stats
 let line_words t = t.config.line_words

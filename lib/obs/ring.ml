@@ -14,6 +14,10 @@
      9    Mem_access         addr    outcome code * 2 + write (0/1)
      10   Cas_result         addr    success (0/1)
 
+   The writers below ([rob_dispatch], ...) are the only encoder: the
+   typed emitters in {!Trace} call them directly and never build the
+   [Event.t], and [push] dispatches an already-built event to them.
+
    Until the ring first fills at [capacity], [start] stays 0 and slot
    [len] is the next free one; [data] doubles whenever it is full below
    [capacity].  From then on [len = capacity] and every push overwrites
@@ -95,28 +99,58 @@ let outcome_of_code : int -> Event.mem_outcome = function
   | 1 -> L2_hit
   | _ -> L2_miss
 
-let set (d : int array) i cycle tag a b =
+(* The tags, in the order of the table above. *)
+let tag_fence_stall_begin = 0
+let tag_fence_stall_end = 1
+let tag_rob_dispatch = 2
+let tag_rob_commit = 3
+let tag_sb_insert = 4
+let tag_sb_drain = 5
+let tag_scope_push_none = 6
+let tag_scope_push = 7
+let tag_scope_pop = 8
+let tag_mem_access = 9
+let tag_cas_result = 10
+
+let record t ~cycle tag a b =
+  let i = stride * claim t in
+  let d = t.data in
   d.(i) <- cycle;
   d.(i + 1) <- tag;
   d.(i + 2) <- a;
   d.(i + 3) <- b
 
+let fence_stall_begin t ~cycle ~pc ~global =
+  record t ~cycle tag_fence_stall_begin pc (Bool.to_int global)
+
+let fence_stall_end t ~cycle ~pc ~cycles = record t ~cycle tag_fence_stall_end pc cycles
+let rob_dispatch t ~cycle ~pc ~cls = record t ~cycle tag_rob_dispatch pc (cls_code cls)
+let rob_commit t ~cycle ~pc ~cls = record t ~cycle tag_rob_commit pc (cls_code cls)
+let sb_insert t ~cycle ~addr = record t ~cycle tag_sb_insert addr 0
+let sb_drain t ~cycle ~addr ~value = record t ~cycle tag_sb_drain addr value
+let scope_push_none t ~cycle = record t ~cycle tag_scope_push_none 0 0
+let scope_push t ~cycle ~column = record t ~cycle tag_scope_push column 0
+let scope_pop t ~cycle = record t ~cycle tag_scope_pop 0 0
+
+let mem_access t ~cycle ~addr ~write ~outcome =
+  record t ~cycle tag_mem_access addr ((2 * outcome_code outcome) + Bool.to_int write)
+
+let cas_result t ~cycle ~addr ~success =
+  record t ~cycle tag_cas_result addr (Bool.to_int success)
+
 let push t ~cycle (ev : Event.t) =
-  let i = stride * claim t in
-  let d = t.data in
   match ev with
-  | Fence_stall_begin { pc; global } -> set d i cycle 0 pc (Bool.to_int global)
-  | Fence_stall_end { pc; cycles } -> set d i cycle 1 pc cycles
-  | Rob_dispatch { pc; cls } -> set d i cycle 2 pc (cls_code cls)
-  | Rob_commit { pc; cls } -> set d i cycle 3 pc (cls_code cls)
-  | Sb_insert { addr } -> set d i cycle 4 addr 0
-  | Sb_drain { addr; value } -> set d i cycle 5 addr value
-  | Scope_push { column = None } -> set d i cycle 6 0 0
-  | Scope_push { column = Some c } -> set d i cycle 7 c 0
-  | Scope_pop -> set d i cycle 8 0 0
-  | Mem_access { addr; write; outcome } ->
-    set d i cycle 9 addr ((2 * outcome_code outcome) + Bool.to_int write)
-  | Cas_result { addr; success } -> set d i cycle 10 addr (Bool.to_int success)
+  | Fence_stall_begin { pc; global } -> fence_stall_begin t ~cycle ~pc ~global
+  | Fence_stall_end { pc; cycles } -> fence_stall_end t ~cycle ~pc ~cycles
+  | Rob_dispatch { pc; cls } -> rob_dispatch t ~cycle ~pc ~cls
+  | Rob_commit { pc; cls } -> rob_commit t ~cycle ~pc ~cls
+  | Sb_insert { addr } -> sb_insert t ~cycle ~addr
+  | Sb_drain { addr; value } -> sb_drain t ~cycle ~addr ~value
+  | Scope_push { column = None } -> scope_push_none t ~cycle
+  | Scope_push { column = Some column } -> scope_push t ~cycle ~column
+  | Scope_pop -> scope_pop t ~cycle
+  | Mem_access { addr; write; outcome } -> mem_access t ~cycle ~addr ~write ~outcome
+  | Cas_result { addr; success } -> cas_result t ~cycle ~addr ~success
 
 let decode tag a b : Event.t =
   match tag with
@@ -144,26 +178,33 @@ let timed t ~core k =
   let i = stride * slot t k and d = t.data in
   { Event.cycle = d.(i); core; event = decode d.(i + 1) d.(i + 2) d.(i + 3) }
 
-(* Built back to front, one cons per event: each round takes the
-   latest cycle any ring still holds and conses that cycle's events
-   core by core, highest core first and each core newest first, so the
-   finished list is in (cycle, core, emission) order without a sort. *)
-let merge rings =
-  let next = Array.map (fun r -> r.len - 1) rings in
+let scope_counts t =
+  let pushes = ref 0 and pops = ref 0 in
+  for k = 0 to t.len - 1 do
+    let tag = t.data.((stride * slot t k) + 1) in
+    if tag = tag_scope_push || tag = tag_scope_push_none then incr pushes
+    else if tag = tag_scope_pop then incr pops
+  done;
+  (!pushes, !pops)
+
+(* Each round takes the earliest cycle any ring still holds and hands
+   over that cycle's events core by core, lowest core first and each
+   core oldest first: (cycle, core, emission) order without a sort. *)
+let iter rings f =
+  let next = Array.make (Array.length rings) 0 in
   let remaining = ref (Array.fold_left (fun acc r -> acc + r.len) 0 rings) in
-  let acc = ref [] in
   while !remaining > 0 do
-    let c = ref min_int in
-    Array.iteri
-      (fun core r -> if next.(core) >= 0 then c := Int.max !c (cycle_at r next.(core)))
-      rings;
-    for core = Array.length rings - 1 downto 0 do
+    let c = ref max_int in
+    for core = 0 to Array.length rings - 1 do
       let r = rings.(core) in
-      while next.(core) >= 0 && cycle_at r next.(core) = !c do
-        acc := timed r ~core next.(core) :: !acc;
-        next.(core) <- next.(core) - 1;
+      if next.(core) < r.len then c := Int.min !c (cycle_at r next.(core))
+    done;
+    for core = 0 to Array.length rings - 1 do
+      let r = rings.(core) in
+      while next.(core) < r.len && cycle_at r next.(core) = !c do
+        f (timed r ~core next.(core));
+        next.(core) <- next.(core) + 1;
         decr remaining
       done
     done
-  done;
-  !acc
+  done

@@ -5,27 +5,59 @@
     [capacity] events" instead of growing without bound.
 
     Events are stored unboxed, four words each in one [int array]: the
-    cycle, a constructor tag and two payload words.  {!push} decodes
-    an {!Event.t} into its slot with plain integer stores, so recording
-    takes no write barrier and allocates nothing but the array's
-    doubling; {!merge} rebuilds the {!Event.timed} values once, when
-    the trace is read.  The array starts at 64 slots (fewer if
-    [capacity] is smaller) and doubles whenever it fills, up to
-    [capacity], so a sparse core never pays for the full ring. *)
+    cycle, a constructor tag and two payload words.  The writers
+    ({!rob_dispatch}, ...) fill a slot with plain integer stores, so
+    recording takes no write barrier and allocates nothing but the
+    array's doubling; {!push} does the same for an already-built
+    {!Event.t}.  Events are decoded back into
+    {!Event.timed} values only when they are read ({!iter}).  The
+    array starts at 64 slots (fewer if [capacity] is smaller) and
+    doubles whenever it fills, up to [capacity], so a sparse core never
+    pays for the full ring. *)
 
 type t
 
 val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
+(** {2 Writers}
+
+    One per {!Event.t} constructor ([Scope_push] has two: with and
+    without a column).  Each stores its event at [cycle] in the slot
+    encoding, without building the {!Event.t}. *)
+
+val fence_stall_begin : t -> cycle:int -> pc:int -> global:bool -> unit
+val fence_stall_end : t -> cycle:int -> pc:int -> cycles:int -> unit
+val rob_dispatch : t -> cycle:int -> pc:int -> cls:Event.instr_class -> unit
+val rob_commit : t -> cycle:int -> pc:int -> cls:Event.instr_class -> unit
+val sb_insert : t -> cycle:int -> addr:int -> unit
+val sb_drain : t -> cycle:int -> addr:int -> value:int -> unit
+
+val scope_push : t -> cycle:int -> column:int -> unit
+(** [Scope_push { column = Some column }]. *)
+
+val scope_push_none : t -> cycle:int -> unit
+(** [Scope_push { column = None }]. *)
+
+val scope_pop : t -> cycle:int -> unit
+val mem_access :
+  t -> cycle:int -> addr:int -> write:bool -> outcome:Event.mem_outcome -> unit
+val cas_result : t -> cycle:int -> addr:int -> success:bool -> unit
+
 val push : t -> cycle:int -> Event.t -> unit
+(** The writer of the event's constructor, applied to its payload. *)
+
 val length : t -> int
 
 val dropped : t -> int
 (** How many events have been overwritten so far. *)
 
-val merge : t array -> Event.timed list
-(** The retained events of [rings], ring [i] being core [i]'s, merged
-    by cycle, then core, then each core's push order.  Each ring's
-    pushes must come in non-decreasing cycle order, as the trace clock
-    makes them. *)
+val scope_counts : t -> int * int
+(** The retained [Scope_push] and [Scope_pop] events, counted from the
+    slot tags without decoding them. *)
+
+val iter : t array -> (Event.timed -> unit) -> unit
+(** Decode the retained events of [rings], ring [i] being core [i]'s,
+    one at a time, merged by cycle, then core, then each core's push
+    order.  Each ring's pushes must come in non-decreasing cycle
+    order, as the trace clock makes them. *)

@@ -43,14 +43,12 @@ let jsonl (r : Report.t) =
       ("dropped", Json.Int r.dropped);
       ("timed_out", Json.Bool r.timed_out);
     ];
-  List.iter
-    (fun (te : Event.timed) ->
+  Trace.iter_events r.trace (fun (te : Event.timed) ->
       line
         (("cycle", Json.Int te.cycle)
         :: ("core", Json.Int te.core)
         :: ("event", Json.Str (Event.name te.event))
-        :: Event.args te.event))
-    r.events;
+        :: Event.args te.event));
   List.iter (fun (name, s) -> line (metric_fields name s)) (Metrics.snapshot r.metrics);
   Buffer.contents buf
 
@@ -80,8 +78,7 @@ let chrome (r : Report.t) =
   for core = 0 to r.cores - 1 do
     meta "thread_name" core (Printf.sprintf "core %d" core)
   done;
-  List.iter
-    (fun (te : Event.timed) ->
+  Trace.iter_events r.trace (fun (te : Event.timed) ->
       let name, ph =
         match Event.phase te.event with
         | `Begin -> ("fence_stall", "B")
@@ -100,8 +97,7 @@ let chrome (r : Report.t) =
             ("pid", Json.Int 0);
             ("tid", Json.Int te.core);
             ("args", Json.Obj (Event.args te.event));
-          ]))
-    r.events;
+          ]));
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf
 
@@ -113,6 +109,7 @@ let pct num den = if den = 0 then 0. else 100. *. float_of_int num /. float_of_i
 
 let summary (r : Report.t) =
   let buf = Buffer.create 1024 in
+  let snapshot = Metrics.snapshot r.metrics in
   let c name = Report.counter r name in
   let core_c i field = c (Printf.sprintf "core%d/%s" i field) in
   Printf.bprintf buf "fscope trace summary — %d cores, %d cycles (%s)\n" r.cores r.cycles
@@ -146,9 +143,7 @@ let summary (r : Report.t) =
     (c "total/fence_stall_cycles")
     (pct (c "total/fence_stall_cycles") (sum "active_cycles"))
     (sum "active_cycles");
-  (match
-     List.assoc_opt "fence/stall_cycles" (Metrics.snapshot r.metrics)
-   with
+  (match List.assoc_opt "fence/stall_cycles" snapshot with
   | Some (Metrics.Histogram_v { count; sum; buckets }) when count > 0 ->
     Printf.bprintf buf "fence stalls: %d completed, %d cycles total, %.1f avg\n" count sum
       (float_of_int sum /. float_of_int count);
@@ -160,13 +155,7 @@ let summary (r : Report.t) =
     "caches: L1 %d hits / %d misses, L2 %d hits / %d misses, %d invalidations, %d c2c\n"
     (c "mem/l1_hits") (c "mem/l1_misses") (c "mem/l2_hits") (c "mem/l2_misses")
     (c "mem/invalidations") (c "mem/c2c_transfers");
-  let count_events p =
-    List.fold_left
-      (fun acc (te : Event.timed) -> if p te.event then acc + 1 else acc)
-      0 r.events
-  in
-  let pushes = count_events (function Event.Scope_push _ -> true | _ -> false) in
-  let pops = count_events (function Event.Scope_pop -> true | _ -> false) in
+  let pushes, pops = Trace.scope_counts r.trace in
   if pushes > 0 || pops > 0 then
     Printf.bprintf buf "scopes: %d pushes, %d pops%s\n" pushes pops
       (if r.dropped > 0 then " (ring dropped events; counts partial)" else "");
@@ -178,7 +167,7 @@ let summary (r : Report.t) =
           when String.length name > 6 && String.sub name 0 6 = "gauge/" ->
           Some (name, h)
         | _ -> None)
-      (Metrics.snapshot r.metrics)
+      snapshot
   in
   if gauges <> [] then begin
     Printf.bprintf buf "\nworkload gauges (occupancy transitions; log2-bucket floors):\n";

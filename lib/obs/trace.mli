@@ -1,18 +1,23 @@
 (** The trace collector handed to a machine run.
 
-    A trace is either live (created with {!create}) or the shared
-    disabled collector {!null}.  Emission sites are expected to guard
-    with {!on} before building an event, so a run without tracing pays
-    one boolean load per potential event and allocates nothing —
-    observability is strictly timing- and result-neutral either way,
-    because emission never feeds back into simulation state.
+    A trace is either live (created with {!create} or {!metrics_only})
+    or the shared disabled collector {!null}.  Emission sites guard
+    with {!on} before computing an event's fields, so a run without
+    tracing pays one boolean load per potential event and allocates
+    nothing — observability is strictly timing- and result-neutral
+    either way, because emission never feeds back into simulation
+    state.
 
-    Events land in per-core rings (see {!Ring}) that store them
-    unboxed, so recording one on a live trace allocates nothing either
-    (beyond a ring's doubling while it grows to its capacity);
-    {!events} builds the {!Event.timed} list once, when the run is
-    read.  The collector also owns the run's {!Metrics} registry and
-    the current cycle ([now]), which the machine advances once per
+    Emission sites call the typed emitters ({!rob_dispatch},
+    {!sb_drain}, ...), one per {!Event.t} constructor.  On a trace that
+    keeps every event they write the event's four words straight into
+    the core's ring (see {!Ring}) and allocate nothing (beyond a ring's
+    doubling while it grows to its capacity); only a trace with a
+    [keep] filter builds the {!Event.t} to ask the filter.  Events are
+    decoded when something reads them ({!iter_events}).
+
+    The collector also owns the run's {!Metrics} registry and the
+    current cycle ([now]), which the machine advances once per
     simulated cycle so emission sites don't need a cycle parameter
     threaded through. *)
 
@@ -20,35 +25,75 @@ type t
 
 val create : ?ring_capacity:int -> ?keep:(Event.t -> bool) -> cores:int -> unit -> t
 (** A live collector with one ring per core.  [ring_capacity] is per
-    core and defaults to 65536 events.  [keep] filters events at the
+    core and defaults to 65536 events; raises [Invalid_argument] if it
+    is not positive or [cores <= 0].  [keep] filters events at the
     emission site (default: keep everything); a selective filter lets a
     long run retain one sparse event family without the ring cycling
     it out. *)
 
+val metrics_only : cores:int -> unit -> t
+(** A live collector that records no events: [on] is true, so the
+    machine fills its metrics registry and runs under the traced
+    engine rules exactly as under {!create}, but every emitter returns
+    at once and the rings are empty.  For consumers that read only the
+    metrics, such as profiles. *)
+
 val null : t
-(** The disabled collector: [on null = false]; [emit]/[set_now] on it
-    are no-ops.  Safe to share — it holds no per-run state. *)
+(** The disabled collector: [on null = false]; emitting into it and
+    [set_now] on it are no-ops.  Safe to share — it holds no per-run
+    state. *)
 
 val on : t -> bool
 
 val set_now : t -> int -> unit
 (** Advance the trace clock; called by the machine at the top of every
-    simulated cycle.  The clock must never go back: {!events} merges
-    the per-core streams assuming each is in cycle order. *)
+    simulated cycle.  The clock must never go back: {!iter_events}
+    merges the per-core streams assuming each is in cycle order. *)
 
 val now : t -> int
 val cores : t -> int
 
 val emit : t -> core:int -> Event.t -> unit
-(** Record an event at the current cycle, if [keep] accepts it.  No-op
+(** Record an event at the current cycle, if the trace keeps it.  No-op
     when disabled; raises [Invalid_argument] if [core] is out of range
-    on a live trace.  Allocates only when the core's ring doubles. *)
+    on a live trace.  Allocates only when the core's ring doubles.  For
+    tests and generic callers: the simulator's emission sites use the
+    typed emitters below. *)
+
+(** {2 Typed emitters}
+
+    Each records its constructor's event at the current cycle on
+    [core], exactly as [emit] would. *)
+
+val fence_stall_begin : t -> core:int -> pc:int -> global:bool -> unit
+val fence_stall_end : t -> core:int -> pc:int -> cycles:int -> unit
+val rob_dispatch : t -> core:int -> pc:int -> cls:Event.instr_class -> unit
+val rob_commit : t -> core:int -> pc:int -> cls:Event.instr_class -> unit
+val sb_insert : t -> core:int -> addr:int -> unit
+val sb_drain : t -> core:int -> addr:int -> value:int -> unit
+
+val scope_push : t -> core:int -> column:int -> unit
+(** [Scope_push { column = Some column }], or [{ column = None }] when
+    [column < 0]. *)
+
+val scope_pop : t -> core:int -> unit
+val mem_access : t -> core:int -> addr:int -> write:bool -> outcome:Event.mem_outcome -> unit
+val cas_result : t -> core:int -> addr:int -> success:bool -> unit
+
+(** {2 Reading} *)
 
 val metrics : t -> Metrics.t
 
-val events : t -> Event.timed list
-(** All retained events merged across cores, sorted by cycle, then
-    core, then per-core emission order (deterministic). *)
+val iter_events : t -> (Event.timed -> unit) -> unit
+(** Decode the retained events one at a time, merged across cores in
+    cycle, then core, then per-core emission order (deterministic). *)
+
+val length : t -> int
+(** Retained events across cores, without decoding them. *)
 
 val dropped : t -> int
 (** Total ring-buffer overwrites across cores. *)
+
+val scope_counts : t -> int * int
+(** Retained [Scope_push] and [Scope_pop] events across cores, counted
+    without decoding. *)

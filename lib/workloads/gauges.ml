@@ -23,8 +23,8 @@
      data, not runtime stores, so every drain there is a
      reclamation).
 
-   Sampling is a post-hoc fold over [Trace.events], never live at the
-   emission site, so it inherits the trace's deterministic
+   Sampling is a post-hoc fold over [Trace.iter_events], never live at
+   the emission site, so it inherits the trace's deterministic
    cycle/core/emission order — the histograms are bit-identical across
    --jobs and --shard-domains, like everything else in a row.
 
@@ -42,8 +42,9 @@ type t = {
       (* registry name of the aggregate histogram the fold fills *)
   keep : Obs.Event.t -> bool;
       (* trace keep-filter retaining exactly the marker drains *)
-  fold : Obs.Metrics.t -> Obs.Event.timed list -> unit;
-      (* replay retained events into gauge histograms *)
+  fold : Obs.Metrics.t -> ((Obs.Event.timed -> unit) -> unit) -> unit;
+      (* replay retained events, as an iterator such as
+         [Trace.iter_events trace], into gauge histograms *)
 }
 
 (* Symbol region: base address and length, the length being the gap to
@@ -63,12 +64,10 @@ let region program name =
   (base, next - base)
 
 let fold_drains events f =
-  List.iter
-    (fun (te : Obs.Event.timed) ->
+  events (fun (te : Obs.Event.timed) ->
       match te.Obs.Event.event with
       | Obs.Event.Sb_drain { addr; value } -> f ~addr ~value
       | _ -> ())
-    events
 
 (* ------------------------------------------------------------------ *)
 (* server-mpmc: queue depth                                            *)

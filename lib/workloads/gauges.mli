@@ -27,8 +27,10 @@ type t = {
       (** registry name of the aggregate histogram the fold fills *)
   keep : Fscope_obs.Event.t -> bool;
       (** trace keep-filter retaining exactly the marker drains *)
-  fold : Fscope_obs.Metrics.t -> Fscope_obs.Event.timed list -> unit;
-      (** replay retained events into gauge histograms *)
+  fold :
+    Fscope_obs.Metrics.t -> ((Fscope_obs.Event.timed -> unit) -> unit) -> unit;
+      (** replay retained events, given as an iterator such as
+          [Trace.iter_events trace], into gauge histograms *)
 }
 
 val for_workload : name:string -> Fscope_isa.Program.t -> t option

@@ -252,8 +252,7 @@ let latency_of_events ~requests ~threads ~windows program events =
   let inject_slot, retire_slot = latency_markers ~requests ~threads program in
   let inject = Array.make requests max_int in
   let retire = Array.make requests max_int in
-  List.iter
-    (fun (ev : Fscope_obs.Event.timed) ->
+  events (fun (ev : Fscope_obs.Event.timed) ->
       match ev.Fscope_obs.Event.event with
       | Fscope_obs.Event.Sb_drain { addr; value } ->
         (match inject_slot addr value with
@@ -262,8 +261,7 @@ let latency_of_events ~requests ~threads ~windows program events =
         (match retire_slot addr value with
         | Some s -> if ev.cycle < retire.(s) then retire.(s) <- ev.cycle
         | None -> ())
-      | _ -> ())
-    events;
+      | _ -> ());
   let in_one_window lo hi =
     List.exists (fun (ws, we) -> ws <= lo && hi <= we) windows
   in

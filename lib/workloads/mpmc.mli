@@ -56,14 +56,15 @@ val latency_of_events :
   threads:int ->
   windows:(int * int) list ->
   Fscope_isa.Program.t ->
-  Fscope_obs.Event.timed list ->
+  ((Fscope_obs.Event.timed -> unit) -> unit) ->
   int list
 (** Per-request inject-to-retire latencies (simulated cycles),
-    ascending.  A request appears once both its markers were retained
-    and both fall inside ONE of the inclusive [windows].  An exact run
-    passes the whole run, [[(0, cycles)]]: with an undropped
-    {!keep_latency}-filtered trace every request then appears.  A
-    sampled run passes its measured detailed ranges
-    ([Machine.result.sample_windows]): a pair spanning a functional
-    fast-forward gap would count unsimulated cycles, so it is dropped
-    rather than estimated. *)
+    ascending, from the events the iterator (such as
+    [Trace.iter_events trace]) visits.  A request appears once both
+    its markers were retained and both fall inside ONE of the
+    inclusive [windows].  An exact run passes the whole run,
+    [[(0, cycles)]]: with an undropped {!keep_latency}-filtered trace
+    every request then appears.  A sampled run passes its measured
+    detailed ranges ([Machine.result.sample_windows]): a pair spanning
+    a functional fast-forward gap would count unsimulated cycles, so it
+    is dropped rather than estimated. *)

@@ -23,6 +23,12 @@ let traced_run w =
 
 let tiny_dekker () = W.Dekker.make ~level:level1 ~attempts:1
 
+(* The events an iterator such as [Trace.iter_events trace] visits. *)
+let collect iter =
+  let acc = ref [] in
+  iter (fun e -> acc := e :: !acc);
+  List.rev !acc
+
 (* ------------------------------------------------------------------ *)
 (* Metrics registry units                                              *)
 (* ------------------------------------------------------------------ *)
@@ -124,7 +130,7 @@ let test_ring_overwrite () =
   List.iter
     (fun i -> Obs.Ring.push r ~cycle:i (Obs.Event.Sb_insert { addr = i }))
     [ 1; 2; 3; 4; 5 ];
-  let kept = Obs.Ring.merge [| r |] in
+  let kept = collect (Obs.Ring.iter [| r |]) in
   let addr (e : Obs.Event.timed) =
     match e.event with Obs.Event.Sb_insert { addr } -> addr | _ -> -1
   in
@@ -164,30 +170,63 @@ let gen_event =
 let print_event e =
   Obs.Event.name e ^ Fscope_util.Json.render (Fscope_util.Json.Obj (Obs.Event.args e))
 
-(* (cores, capacity, first cycle, [(core, clock advance, event)]) *)
+(* Record [event] through the typed emitter the simulator would call,
+   or through [Trace.emit] for the one event no emitter can express. *)
+let emit_typed trace ~core (event : Obs.Event.t) =
+  match event with
+  | Fence_stall_begin { pc; global } ->
+    Obs.Trace.fence_stall_begin trace ~core ~pc ~global
+  | Fence_stall_end { pc; cycles } -> Obs.Trace.fence_stall_end trace ~core ~pc ~cycles
+  | Rob_dispatch { pc; cls } -> Obs.Trace.rob_dispatch trace ~core ~pc ~cls
+  | Rob_commit { pc; cls } -> Obs.Trace.rob_commit trace ~core ~pc ~cls
+  | Sb_insert { addr } -> Obs.Trace.sb_insert trace ~core ~addr
+  | Sb_drain { addr; value } -> Obs.Trace.sb_drain trace ~core ~addr ~value
+  | Scope_push { column = None } -> Obs.Trace.scope_push trace ~core ~column:(-1)
+  | Scope_push { column = Some column } when column >= 0 ->
+    Obs.Trace.scope_push trace ~core ~column
+  | Scope_push { column = Some _ } -> Obs.Trace.emit trace ~core event
+  | Scope_pop -> Obs.Trace.scope_pop trace ~core
+  | Mem_access { addr; write; outcome } ->
+    Obs.Trace.mem_access trace ~core ~addr ~write ~outcome
+  | Cas_result { addr; success } -> Obs.Trace.cas_result trace ~core ~addr ~success
+
+(* (cores, capacity, first cycle, keep-all filter,
+   [(core, clock advance, typed emitter, event)]) *)
 let gen_stream =
   let open QCheck2.Gen in
   let* cores = int_range 1 4 in
   let* capacity = int_range 1 8 in
   let* start = oneofl [ 0; 1_000_000; max_int - 200 ] in
+  let* filtered = bool in
   let+ steps =
-    list_size (int_range 0 60) (triple (int_bound (cores - 1)) (int_bound 2) gen_event)
+    list_size (int_range 0 60)
+      (quad (int_bound (cores - 1)) (int_bound 2) bool gen_event)
   in
-  (cores, capacity, start, steps)
+  (cores, capacity, (start, filtered), steps)
 
+(* Whether events go through the typed emitters or [Trace.emit], and
+   through the keep-everything path or a [keep] filter that keeps them
+   all, they are recorded alike. *)
 let prop_ring_encoding =
   QCheck2.Test.make ~count:500 ~name:"event rings keep each core's last events"
-    ~print:QCheck2.Print.(quad int int int (list (triple int int print_event)))
+    ~print:
+      QCheck2.Print.(
+        quad int int (pair int bool) (list (quad int int bool print_event)))
     gen_stream
-    (fun (cores, capacity, start, steps) ->
-      let trace = Obs.Trace.create ~ring_capacity:capacity ~cores () in
+    (fun (cores, capacity, (start, filtered), steps) ->
+      let trace =
+        if filtered then
+          Obs.Trace.create ~ring_capacity:capacity ~keep:(fun _ -> true) ~cores ()
+        else Obs.Trace.create ~ring_capacity:capacity ~cores ()
+      in
       let emitted = Array.make cores [] in
       let clock = ref start in
       List.iter
-        (fun (core, advance, event) ->
+        (fun (core, advance, typed, event) ->
           clock := !clock + advance;
           Obs.Trace.set_now trace !clock;
-          Obs.Trace.emit trace ~core event;
+          if typed then emit_typed trace ~core event
+          else Obs.Trace.emit trace ~core event;
           emitted.(core) <- { Obs.Event.cycle = !clock; core; event } :: emitted.(core))
         steps;
       let last_n l =
@@ -204,7 +243,8 @@ let prop_ring_encoding =
       in
       let emitted_n = List.length steps in
       let kept_n = Array.fold_left (fun acc l -> acc + List.length l) 0 kept in
-      Obs.Trace.events trace = expected && Obs.Trace.dropped trace = emitted_n - kept_n)
+      collect (Obs.Trace.iter_events trace) = expected
+      && Obs.Trace.dropped trace = emitted_n - kept_n)
 
 (* Once a ring is full, recording an event writes four words into it
    and allocates nothing. *)
@@ -242,15 +282,13 @@ let test_fence_pairing () =
   let result, report = traced_run (tiny_dekker ()) in
   Alcotest.(check int) "nothing dropped" 0 report.Obs.Report.dropped;
   let begins = ref 0 and ends = ref 0 and stall_sum = ref 0 in
-  List.iter
-    (fun (e : Obs.Event.timed) ->
+  Obs.Trace.iter_events report.Obs.Report.trace (fun (e : Obs.Event.timed) ->
       match e.event with
       | Obs.Event.Fence_stall_begin _ -> incr begins
       | Obs.Event.Fence_stall_end { cycles; _ } ->
         incr ends;
         stall_sum := !stall_sum + cycles
-      | _ -> ())
-    report.Obs.Report.events;
+      | _ -> ());
   Alcotest.(check int) "begin/end paired" !begins !ends;
   Alcotest.(check int)
     "stall durations sum to the legacy counter"
@@ -260,13 +298,11 @@ let test_fence_pairing () =
 let test_sb_insert_drain () =
   let _, report = traced_run (tiny_dekker ()) in
   let inserts = ref 0 and drains = ref 0 in
-  List.iter
-    (fun (e : Obs.Event.timed) ->
+  Obs.Trace.iter_events report.Obs.Report.trace (fun (e : Obs.Event.timed) ->
       match e.event with
       | Obs.Event.Sb_insert _ -> incr inserts
       | Obs.Event.Sb_drain _ -> incr drains
-      | _ -> ())
-    report.Obs.Report.events;
+      | _ -> ());
   Alcotest.(check bool) "stores happened" true (!inserts > 0);
   Alcotest.(check int) "every insert drains" !inserts !drains
 
@@ -461,7 +497,7 @@ let test_gauge_fold_deterministic () =
         Alcotest.(check int) (name ^ " gauge trace undropped") 0
           (Obs.Trace.dropped trace);
         let m = Obs.Metrics.create () in
-        g.W.Gauges.fold m (Obs.Trace.events trace);
+        g.W.Gauges.fold m (Obs.Trace.iter_events trace);
         Obs.Metrics.snapshot m
       in
       let a = run () and b = run () in
@@ -481,21 +517,27 @@ let test_gauge_fold_deterministic () =
 (* Pinned traced output                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The md5 of the jsonl and Chrome renderings of traced dekker and wsq
-   runs, with a 100-event ring (wrapped: the decode-after-wrap path)
-   and a 2^20-event one (nothing dropped).  Recorded from the boxed
-   ring the unboxed one replaced, so any change in what a ring keeps,
-   its order or its payloads changes a digest. *)
+(* The md5 of the jsonl, Chrome and summary renderings of traced
+   dekker and wsq runs, with a 100-event ring (wrapped: the
+   decode-after-wrap path) and a 2^20-event one (nothing dropped).  The
+   jsonl and Chrome digests were recorded from the boxed ring the
+   unboxed one replaced, the summary ones from the summary that still
+   counted scope events on the decoded list, so any change in what a
+   ring keeps, its order or its payloads changes a digest. *)
 let pinned_trace_digests =
   [
     ("dekker/100/jsonl", "20fb28ffd0f6731e043eb0a572711b19");
     ("dekker/100/chrome", "a4942c9f8d501ccb233c2a132577c898");
+    ("dekker/100/summary", "7435ba9b9c6599bf0ee609b64df5ad17");
     ("dekker/1048576/jsonl", "b3dc852d05245f0415d8b9aed563ade4");
     ("dekker/1048576/chrome", "6c4326975511e0906fdec7c5a8826fbd");
+    ("dekker/1048576/summary", "e39309b27c9ae20f652f922b2faa6788");
     ("wsq/100/jsonl", "4165f429527388a708dd429faa5b25ba");
     ("wsq/100/chrome", "70de99da9409620f80737aa8501a066e");
+    ("wsq/100/summary", "bcbc130fd1f64a29cd999be88e56f9a7");
     ("wsq/1048576/jsonl", "e54e8e035fea1ff6da692e5e35b17424");
     ("wsq/1048576/chrome", "b74773d6174bb29d30b58d07fd364a54");
+    ("wsq/1048576/summary", "40f73daaa62b5581c77cbc06da656968");
   ]
 
 let test_pinned_trace_digests () =
@@ -521,9 +563,99 @@ let test_pinned_trace_digests () =
               let key = Printf.sprintf "%s/%d/%s" name capacity format in
               let digest = Digest.to_hex (Digest.string (render report)) in
               Alcotest.(check string) key (List.assoc key pinned_trace_digests) digest)
-            [ ("jsonl", Obs.Sink.jsonl); ("chrome", Obs.Sink.chrome) ])
+            [
+              ("jsonl", Obs.Sink.jsonl);
+              ("chrome", Obs.Sink.chrome);
+              ("summary", Obs.Sink.summary);
+            ])
         [ 100; 1 lsl 20 ])
     workloads
+
+(* ------------------------------------------------------------------ *)
+(* Metrics-only traces                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A trace that records no events still runs the machine under the
+   traced rules and fills the same registry: the advisor's four
+   workloads under T and S give the same metrics snapshot, cycles and
+   per-core CPI stacks as with a 65536-event ring, and record nothing. *)
+let advised = [ "dekker"; "wsq"; "msn"; "harris" ]
+
+let test_metrics_only_same_metrics () =
+  let module E = Fscope_experiments in
+  List.iter
+    (fun name ->
+      let w = E.Exp_run.workload name in
+      let program = w.W.Workload.program in
+      let cores = Fscope_isa.Program.thread_count program in
+      List.iter
+        (fun (variant, config) ->
+          let label = name ^ "/" ^ variant in
+          let run trace =
+            let r = Machine.run ~obs:trace config program in
+            (r, Option.get r.Machine.obs)
+          in
+          let ringed, ringed_rep =
+            run (Obs.Trace.create ~ring_capacity:65536 ~cores ())
+          in
+          let bare, bare_rep = run (Obs.Trace.metrics_only ~cores ()) in
+          Alcotest.(check int) (label ^ ": cycles") ringed.Machine.cycles
+            bare.Machine.cycles;
+          Alcotest.(check bool) (label ^ ": per-core CPI") true
+            (Array.for_all2 Obs.Cpi.equal ringed.Machine.core_cpi bare.Machine.core_cpi);
+          Alcotest.(check bool) (label ^ ": metrics snapshot") true
+            (Obs.Metrics.snapshot ringed_rep.Obs.Report.metrics
+            = Obs.Metrics.snapshot bare_rep.Obs.Report.metrics);
+          Alcotest.(check bool) (label ^ ": the ring run recorded events") true
+            (Obs.Report.events_count ringed_rep > 0);
+          Alcotest.(check int) (label ^ ": no events recorded") 0
+            (Obs.Report.events_count bare_rep))
+        [
+          ("T", E.Exp_run.t_config Config.default);
+          ("S", E.Exp_run.s_config Config.default);
+        ])
+    advised
+
+(* The md5 of [Profile.json] of both advisor inputs and of
+   [Advisor.text], for each advised workload at its registry defaults.
+   Recorded when the profiles still recorded events into 1024-event
+   rings. *)
+let pinned_advise_digests =
+  [
+    ( "dekker",
+      ( "02ca2e715377e8bd0faf250ceec5a696",
+        "cd3072a0459b19eb992c5de8622d6b86",
+        "9535107598ea92b484885c3505db4751" ) );
+    ( "wsq",
+      ( "824a1ebf87d6e182f5fc7993cb3833ca",
+        "78ed0141517f4f67eb07bb48204712ef",
+        "e0bf989f810c669e6a2ba8425c22bd03" ) );
+    ( "msn",
+      ( "812b96b3524040afb244036d02ff7611",
+        "17ecf440e00fc71319fe5edb29cec18c",
+        "76ffc449ffe316d1fe21327f54281596" ) );
+    ( "harris",
+      ( "1043949bf04a29806c716b9c97b271b3",
+        "d9fd8676f2d57645d988c10d136a1eb8",
+        "9c5d453849ff370f97a451ffc8064df7" ) );
+  ]
+
+let test_advise_inputs_pinned () =
+  let module E = Fscope_experiments in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun name ->
+      let t_in, s_in =
+        E.Profiling.advise_inputs Config.default (E.Exp_run.workload name)
+      in
+      let t_md5, s_md5, text_md5 = List.assoc name pinned_advise_digests in
+      Alcotest.(check string) (name ^ ": traditional profile json") t_md5
+        (md5 (Fscope_util.Json.render (Obs.Profile.json t_in)));
+      Alcotest.(check string) (name ^ ": scoped profile json") s_md5
+        (md5 (Fscope_util.Json.render (Obs.Profile.json s_in)));
+      Alcotest.(check string) (name ^ ": advisor text") text_md5
+        (md5 (Obs.Advisor.text (Obs.Advisor.analyze ~scoped:s_in t_in))))
+    advised
 
 let tests =
   [
@@ -547,6 +679,9 @@ let tests =
     Alcotest.test_case "emitted documents parse" `Quick test_documents_parse;
     Alcotest.test_case "traced output pinned" `Quick test_pinned_trace_digests;
     Alcotest.test_case "gauge fold deterministic" `Quick test_gauge_fold_deterministic;
+    Alcotest.test_case "metrics-only traces change no metric" `Quick
+      test_metrics_only_same_metrics;
+    Alcotest.test_case "advisor inputs pinned" `Quick test_advise_inputs_pinned;
     Alcotest.test_case "registry round-trip" `Slow test_registry_round_trip;
     Alcotest.test_case "registry lookup" `Quick test_registry_lookup;
   ]
