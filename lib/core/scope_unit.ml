@@ -172,14 +172,14 @@ let on_fs_start t ~cid =
       if t.live.counter > 0 then -1
       else Mapping_table.lookup_or_allocate t.mt ~cid ~column_busy t
     in
-    if Fscope_obs.Trace.on t.trace then
+    if Fscope_obs.Trace.records t.trace then
       Fscope_obs.Trace.scope_push t.trace ~core:t.core ~column:col;
     if col >= 0 then record t ev_push col else record t ev_pushn 0
   end
 
 let on_fs_end t ~cid:_ =
   if t.config.enabled then begin
-    if Fscope_obs.Trace.on t.trace then
+    if Fscope_obs.Trace.records t.trace then
       Fscope_obs.Trace.scope_pop t.trace ~core:t.core;
     record t ev_pop 0
   end

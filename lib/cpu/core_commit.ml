@@ -208,7 +208,8 @@ let commit t ~cycle =
           | Some o when o.stall_begin >= 0 ->
             let cycles = cycle - o.stall_begin in
             stalled := cycles;
-            Fscope_obs.Trace.fence_stall_end o.trace ~core:t.id ~pc:e.pc ~cycles;
+            if Fscope_obs.Trace.records o.trace then
+              Fscope_obs.Trace.fence_stall_end o.trace ~core:t.id ~pc:e.pc ~cycles;
             Metrics.observe o.stall_hist cycles;
             o.stall_begin <- -1
           | Some _ | None -> ());
@@ -224,8 +225,9 @@ let commit t ~cycle =
           (match t.obs with
           | Some o when o.stall_begin < 0 ->
             o.stall_begin <- cycle;
-            Fscope_obs.Trace.fence_stall_begin o.trace ~core:t.id ~pc:e.pc
-              ~global:(not (scoped e))
+            if Fscope_obs.Trace.records o.trace then
+              Fscope_obs.Trace.fence_stall_begin o.trace ~core:t.id ~pc:e.pc
+                ~global:(not (scoped e))
           | Some _ | None -> ());
           blocked := true
         end

@@ -31,9 +31,9 @@ let complete_cas t (e : Rob.entry) =
   Rob.set_state t.rob e Rob.Done;
   Scope_unit.on_bits_cleared t.scope e.scope_mask;
   match t.obs with
-  | Some o ->
+  | Some o when Fscope_obs.Trace.records o.trace ->
     Fscope_obs.Trace.cas_result o.trace ~core:t.id ~addr:e.addr ~success
-  | None -> ()
+  | Some _ | None -> ()
 
 (* [next] is the earliest [done_at] of the CAS passed that stay
    [Executing]. *)

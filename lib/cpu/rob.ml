@@ -342,7 +342,7 @@ let append t e =
 
 let dispatch t e =
   append t e;
-  if Fscope_obs.Trace.on t.trace then
+  if Fscope_obs.Trace.records t.trace then
     Fscope_obs.Trace.rob_dispatch t.trace ~core:t.core ~pc:e.pc ~cls:(instr_class e.instr)
 
 let contains t seq = seq >= t.head_seq && seq < t.tail_seq
@@ -360,7 +360,7 @@ let pop_head t =
   remove t e;
   t.head_seq <- t.head_seq + 1;
   t.head_slot <- (if t.head_slot + 1 = t.size then 0 else t.head_slot + 1);
-  if Fscope_obs.Trace.on t.trace then
+  if Fscope_obs.Trace.records t.trace then
     Fscope_obs.Trace.rob_commit t.trace ~core:t.core ~pc:e.pc ~cls:(instr_class e.instr);
   e
 

@@ -56,7 +56,7 @@ let push t ~addr ~value ~mask ~done_at =
   t.dues.(j) <- done_at;
   t.count <- t.count + 1;
   count_mask t mask 0 1;
-  if Fscope_obs.Trace.on t.trace then
+  if Fscope_obs.Trace.records t.trace then
     Fscope_obs.Trace.sb_insert t.trace ~core:t.core ~addr
 
 let rec due_from t cycle i = i < t.count && (t.dues.(i) <= cycle || due_from t cycle (i + 1))
@@ -72,7 +72,7 @@ let rec drain_from t cycle apply x i w =
     let addr = t.addrs.(i) and value = t.values.(i) and mask = t.masks.(i) in
     if t.dues.(i) <= cycle then begin
       count_mask t mask 0 (-1);
-      if Fscope_obs.Trace.on t.trace then
+      if Fscope_obs.Trace.records t.trace then
         Fscope_obs.Trace.sb_drain t.trace ~core:t.core ~addr ~value;
       apply x ~addr ~value ~mask;
       drain_from t cycle apply x (i + 1) w

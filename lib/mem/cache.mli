@@ -7,8 +7,13 @@
     based on where the tag hits.
 
     Lines live in slots (one per set and way) kept as parallel arrays
-    of tags, LRU stamps and payloads, so lookups and fills allocate
-    nothing: they answer with a slot index, -1 for a miss. *)
+    of tags, LRU stamps and payloads, so lookups allocate nothing:
+    they answer with a slot index, -1 for a miss.  The arrays are
+    split into blocks of 64 sets, each allocated by the first {!fill}
+    into it (the only allocation); until then its slots read as
+    invalid with LRU stamp 0, exactly as if it had been allocated
+    empty, so a run pays only for the sets it touches.  A slot index
+    is opaque: only the cache that returned it can read it. *)
 
 type 'a t
 
@@ -68,6 +73,7 @@ val dump :
 
 val restore :
   'a t -> payload:('b -> 'a) -> int * (int * int * 'b option) array array -> unit
-(** Inverse of {!dump} into an existing cache of the same geometry;
-    raises [Invalid_argument] on a shape mismatch or a slot whose
+(** Inverse of {!dump} into an existing cache of the same geometry.
+    Only blocks holding a line or a nonzero stamp end up allocated.
+    Raises [Invalid_argument] on a shape mismatch or a slot whose
     payload does not match its tag (present iff the tag is not -1). *)

@@ -90,7 +90,7 @@ let create ?(trace = Fscope_obs.Trace.null) ~cores config =
 let set_remote_victim_hook t f = t.on_remote_victim <- f
 
 let emit_access t ~core ~addr ~write outcome =
-  if Fscope_obs.Trace.on t.trace then
+  if Fscope_obs.Trace.records t.trace then
     Fscope_obs.Trace.mem_access t.trace ~core ~addr ~write ~outcome
 
 let stats t = t.stats

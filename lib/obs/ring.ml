@@ -1,5 +1,5 @@
-(* Slot [s] is words [stride * s] to [stride * s + 3] of [data]:
-   [cycle; tag; a; b].  [a] and [b] are the constructor's payload:
+(* A slot is four consecutive words of a chunk: [cycle; tag; a; b].
+   [a] and [b] are the constructor's payload:
 
      tag  constructor        a       b
      0    Fence_stall_begin  pc      global (0/1)
@@ -18,17 +18,21 @@
    typed emitters in {!Trace} call them directly and never build the
    [Event.t], and [push] dispatches an already-built event to them.
 
-   Until the ring first fills at [capacity], [start] stays 0 and slot
-   [len] is the next free one; [data] doubles whenever it is full below
-   [capacity].  From then on [len = capacity] and every push overwrites
-   slot [start]. *)
+   Slot [s] is the [s mod chunk_slots]-th of chunk [s / chunk_slots],
+   which is allocated when the ring first reaches it (the last one
+   only as long as [capacity] needs) and never moved or copied.  Until
+   the ring first fills at [capacity], [start] stays 0 and slot [len]
+   is the next free one.  From then on [len = capacity] and every push
+   overwrites slot [start]. *)
 
 let stride = 4
-let initial_slots = 64
+let chunk_bits = 10
+let chunk_slots = 1 lsl chunk_bits
+let chunk_mask = chunk_slots - 1
 
 type t = {
   capacity : int;
-  mutable data : int array;
+  chunks : int array array;  (* [||] until the ring reaches the chunk *)
   mutable start : int;  (* slot of the oldest entry *)
   mutable len : int;
   mutable dropped : int;
@@ -38,7 +42,7 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   {
     capacity;
-    data = Array.make (stride * Int.min capacity initial_slots) 0;
+    chunks = Array.make (((capacity - 1) lsr chunk_bits) + 1) [||];
     start = 0;
     len = 0;
     dropped = 0;
@@ -49,17 +53,13 @@ let dropped t = t.dropped
 
 (* The slot the next event goes to. *)
 let claim t =
-  let slots = Array.length t.data / stride in
-  if t.len < slots then begin
-    t.len <- t.len + 1;
-    t.len - 1
-  end
-  else if slots < t.capacity then begin
-    let data = Array.make (stride * Int.min t.capacity (2 * slots)) 0 in
-    Array.blit t.data 0 data 0 (Array.length t.data);
-    t.data <- data;
-    t.len <- t.len + 1;
-    t.len - 1
+  if t.len < t.capacity then begin
+    let s = t.len in
+    if s land chunk_mask = 0 then
+      t.chunks.(s lsr chunk_bits) <-
+        Array.make (stride * Int.min chunk_slots (t.capacity - s)) 0;
+    t.len <- s + 1;
+    s
   end
   else begin
     let s = t.start in
@@ -113,8 +113,8 @@ let tag_mem_access = 9
 let tag_cas_result = 10
 
 let record t ~cycle tag a b =
-  let i = stride * claim t in
-  let d = t.data in
+  let s = claim t in
+  let d = t.chunks.(s lsr chunk_bits) and i = stride * (s land chunk_mask) in
   d.(i) <- cycle;
   d.(i + 1) <- tag;
   d.(i + 2) <- a;
@@ -172,16 +172,19 @@ let slot t k =
   let s = t.start + k in
   if s >= t.capacity then s - t.capacity else s
 
-let cycle_at t k = t.data.(stride * slot t k)
+let chunk t s = t.chunks.(s lsr chunk_bits)
+let word t s w = (chunk t s).((stride * (s land chunk_mask)) + w)
+let cycle_at t k = word t (slot t k) 0
 
 let timed t ~core k =
-  let i = stride * slot t k and d = t.data in
+  let s = slot t k in
+  let d = chunk t s and i = stride * (s land chunk_mask) in
   { Event.cycle = d.(i); core; event = decode d.(i + 1) d.(i + 2) d.(i + 3) }
 
 let scope_counts t =
   let pushes = ref 0 and pops = ref 0 in
   for k = 0 to t.len - 1 do
-    let tag = t.data.((stride * slot t k) + 1) in
+    let tag = word t (slot t k) 1 in
     if tag = tag_scope_push || tag = tag_scope_push_none then incr pushes
     else if tag = tag_scope_pop then incr pops
   done;

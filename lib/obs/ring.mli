@@ -4,18 +4,22 @@
     event and counts the loss, so a long run keeps "the most recent
     [capacity] events" instead of growing without bound.
 
-    Events are stored unboxed, four words each in one [int array]: the
-    cycle, a constructor tag and two payload words.  The writers
-    ({!rob_dispatch}, ...) fill a slot with plain integer stores, so
-    recording takes no write barrier and allocates nothing but the
-    array's doubling; {!push} does the same for an already-built
-    {!Event.t}.  Events are decoded back into
-    {!Event.timed} values only when they are read ({!iter}).  The
-    array starts at 64 slots (fewer if [capacity] is smaller) and
-    doubles whenever it fills, up to [capacity], so a sparse core never
-    pays for the full ring. *)
+    Events are stored unboxed, four words each, in [int array] chunks
+    of 1024 slots: the cycle, a constructor tag and two payload words.
+    The writers ({!rob_dispatch}, ...) fill a slot with plain integer
+    stores, so recording takes no write barrier; {!push} does the same
+    for an already-built {!Event.t}.  The only allocation is a chunk,
+    made when the ring first reaches it (the last one only as long as
+    [capacity] needs) and never copied or moved, so a sparse core
+    never pays for the full ring and a growing one never pays twice.
+    Only the chunk directory, one word per 1024 slots of [capacity],
+    is allocated up front.  Events are decoded back into
+    {!Event.timed} values only when they are read ({!iter}). *)
 
 type t
+
+val chunk_slots : int
+(** The slots of one chunk (1024). *)
 
 val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)

@@ -41,6 +41,7 @@ let null =
   }
 
 let on t = t.live
+let records t = match t.recording with Nothing -> false | All | Only _ -> true
 let set_now t n = if t.live then t.current <- n
 let now t = t.current
 let cores t = t.cores

@@ -2,17 +2,17 @@
 
     A trace is either live (created with {!create} or {!metrics_only})
     or the shared disabled collector {!null}.  Emission sites guard
-    with {!on} before computing an event's fields, so a run without
-    tracing pays one boolean load per potential event and allocates
-    nothing — observability is strictly timing- and result-neutral
-    either way, because emission never feeds back into simulation
-    state.
+    with {!records} before computing an event's fields, so a run
+    without tracing, or with a metrics-only trace, pays one load per
+    potential event and allocates nothing — observability is strictly
+    timing- and result-neutral either way, because emission never
+    feeds back into simulation state.
 
     Emission sites call the typed emitters ({!rob_dispatch},
     {!sb_drain}, ...), one per {!Event.t} constructor.  On a trace that
     keeps every event they write the event's four words straight into
     the core's ring (see {!Ring}) and allocate nothing (beyond a ring's
-    doubling while it grows to its capacity); only a trace with a
+    chunk, the first time the ring reaches it); only a trace with a
     [keep] filter builds the {!Event.t} to ask the filter.  Events are
     decoded when something reads them ({!iter_events}).
 
@@ -45,6 +45,12 @@ val null : t
 
 val on : t -> bool
 
+val records : t -> bool
+(** Whether the trace keeps events: true for {!create}, false for
+    {!metrics_only} and {!null}.  Emission sites guard the typed
+    emitters with it, and their metric updates with {!on}, so a
+    metrics-only trace pays no call per event. *)
+
 val set_now : t -> int -> unit
 (** Advance the trace clock; called by the machine at the top of every
     simulated cycle.  The clock must never go back: {!iter_events}
@@ -56,9 +62,9 @@ val cores : t -> int
 val emit : t -> core:int -> Event.t -> unit
 (** Record an event at the current cycle, if the trace keeps it.  No-op
     when disabled; raises [Invalid_argument] if [core] is out of range
-    on a live trace.  Allocates only when the core's ring doubles.  For
-    tests and generic callers: the simulator's emission sites use the
-    typed emitters below. *)
+    on a live trace.  Allocates only when the core's ring first
+    reaches a new chunk.  For tests and generic callers: the
+    simulator's emission sites use the typed emitters below. *)
 
 (** {2 Typed emitters}
 

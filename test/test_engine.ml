@@ -319,6 +319,35 @@ let test_traced_cycle_allocates_nothing () =
     ~obs:(fun ~cores -> Obs.Trace.create ~ring_capacity:64 ~cores ())
     ()
 
+(* What a run allocates besides its memory image: the machine's cores,
+   ROBs and store buffers, the cache tag stores and, when traced, the
+   rings.  The caches are allocated by blocks of 64 sets on their first
+   fill and the rings by 1024-event chunks as they first reach them, so
+   pst S at registry defaults, whose threads touch few sets, no longer
+   pays for the whole Table III hierarchy (122,880 words) up front, and
+   a 4096-event ring is never grown by copying.  This measures 30.6K
+   words untraced and 171.6K with 4096-event rings (131K of them the
+   rings, full); allocating the hierarchy in full and doubling the
+   rings read 119.8K and 402.0K.  The bounds leave about 30% over the
+   chunked figures. *)
+let check_major_words label ?obs ~bound () =
+  let w = E.Exp_run.workload ~params:Registry.default_params "pst" in
+  let program = w.Fscope_workloads.Workload.program in
+  let cores = Fscope_isa.Program.thread_count program in
+  let config = E.Exp_run.s_config (Config.v ()) in
+  let obs = Option.map (fun mk -> mk ~cores) obs in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r = Machine.run ?obs config program in
+  let words =
+    (Gc.quick_stat ()).Gc.major_words -. before
+    -. float_of_int program.Fscope_isa.Program.mem_words
+  in
+  Printf.printf "%s: pst S at registry defaults: %d cycles, %.0f major words besides the %d-word memory image\n"
+    label r.Machine.cycles words program.Fscope_isa.Program.mem_words;
+  if words > bound then
+    Alcotest.failf "%s: %.0f major words besides the memory image, bound %.0f" label words bound
+
 let tests =
   [
     Alcotest.test_case "fig12 parallel fan-out is deterministic" `Quick
@@ -337,6 +366,12 @@ let tests =
       test_cycle_allocates_nothing;
     Alcotest.test_case "a traced cycle allocates nothing" `Quick
       test_traced_cycle_allocates_nothing;
+    Alcotest.test_case "an untraced run allocates little besides its memory image" `Quick
+      (check_major_words "untraced" ~bound:40_000.);
+    Alcotest.test_case "a ring-traced run allocates little besides its memory image" `Quick
+      (check_major_words "traced"
+         ~obs:(fun ~cores -> Obs.Trace.create ~ring_capacity:4096 ~cores ())
+         ~bound:225_000.);
     Alcotest.test_case "a step that raises on a worker domain surfaces its own exception"
       `Quick test_worker_step_raises;
     Alcotest.test_case "max_cycles times out identically under every engine mode" `Quick

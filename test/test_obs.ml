@@ -191,17 +191,24 @@ let emit_typed trace ~core (event : Obs.Event.t) =
   | Cas_result { addr; success } -> Obs.Trace.cas_result trace ~core ~addr ~success
 
 (* (cores, capacity, first cycle, keep-all filter,
-   [(core, clock advance, typed emitter, event)]) *)
+   [(core, clock advance, typed emitter, event)]).  Half the streams
+   use a ring on either side of a chunk boundary, long enough that
+   their cores often wrap it; those are not shrunk, as shrinking
+   thousands of events one by one runs for many minutes. *)
 let gen_stream =
   let open QCheck2.Gen in
+  let c = Obs.Ring.chunk_slots in
   let* cores = int_range 1 4 in
-  let* capacity = int_range 1 8 in
-  let* start = oneofl [ 0; 1_000_000; max_int - 200 ] in
+  let* capacity = oneof [ int_range 1 8; oneofl [ 1; c - 1; c; c + 1; (2 * c) + 1 ] ] in
   let* filtered = bool in
-  let+ steps =
-    list_size (int_range 0 60)
-      (quad (int_bound (cores - 1)) (int_bound 2) bool gen_event)
+  let* steps =
+    (if capacity > 8 then no_shrink else Fun.id)
+      (list_size
+         (int_range 0 (Int.max 60 (2 * cores * capacity)))
+         (quad (int_bound (cores - 1)) (int_bound 2) bool gen_event))
   in
+  (* the last clock advance ends at [max_int] at the latest *)
+  let+ start = oneofl [ 0; 1_000_000; max_int - (2 * List.length steps) ] in
   (cores, capacity, (start, filtered), steps)
 
 (* Whether events go through the typed emitters or [Trace.emit], and
@@ -230,7 +237,8 @@ let prop_ring_encoding =
           emitted.(core) <- { Obs.Event.cycle = !clock; core; event } :: emitted.(core))
         steps;
       let last_n l =
-        List.filteri (fun i _ -> i >= List.length l - capacity) (List.rev l)
+        let n = List.length l in
+        List.filteri (fun i _ -> i >= n - capacity) (List.rev l)
       in
       let kept = Array.map last_n emitted in
       let expected =
@@ -244,6 +252,7 @@ let prop_ring_encoding =
       let emitted_n = List.length steps in
       let kept_n = Array.fold_left (fun acc l -> acc + List.length l) 0 kept in
       collect (Obs.Trace.iter_events trace) = expected
+      && Obs.Trace.length trace = kept_n
       && Obs.Trace.dropped trace = emitted_n - kept_n)
 
 (* Once a ring is full, recording an event writes four words into it
