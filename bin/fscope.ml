@@ -41,7 +41,8 @@ let of_flags f = try f () with Invalid_argument msg -> failwith msg
    one-line message — "did you mean" included; render it without a
    backtrace.  IO and parse errors from artefact / checkpoint files
    get the same treatment: a missing baseline is a usage error, not a
-   crash. *)
+   crash.  So does a workload program that flag values made
+   uncompilable. *)
 let guard f =
   try f () with
   | Failure msg ->
@@ -52,6 +53,9 @@ let guard f =
     1
   | Json.Parse_error msg ->
     Printf.eprintf "fscope: invalid JSON: %s\n" msg;
+    1
+  | Fscope_slang.Typecheck.Error msg | Fscope_slang.Codegen.Error msg ->
+    Printf.eprintf "fscope: workload does not compile: %s\n" msg;
     1
 
 (* --sample accepts "default" or WARMUP:DETAILED:FF (instruction count

@@ -17,6 +17,3 @@ let columns m =
     else go (i + 1) (if mem i m then i :: acc else acc)
   in
   if m = 0 then [] else go 0 []
-
-let pp fmt m =
-  Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int (columns m)))

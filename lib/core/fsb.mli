@@ -20,4 +20,3 @@ val is_empty : mask -> bool
 val columns : mask -> int list
 (** Set columns, ascending. *)
 
-val pp : Format.formatter -> mask -> unit

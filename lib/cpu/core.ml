@@ -78,7 +78,6 @@ let create ?(trace = Fscope_obs.Trace.null) ~id ~code ~port ~scope_config ~exec_
     obs;
   }
 
-let id (t : t) = t.id
 let halted (t : t) = t.halted
 let drained (t : t) = t.halted && Store_buffer.is_empty t.sb
 

@@ -80,7 +80,6 @@ val create :
     Emission never feeds back into pipeline state, so a traced run is
     cycle-identical to an untraced one. *)
 
-val id : t -> int
 val halted : t -> bool
 (** True once the core committed a [Halt]. *)
 

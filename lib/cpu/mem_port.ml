@@ -27,5 +27,4 @@ let issue t ~core kind ~addr ~now = t.issue ~core kind ~addr ~now
 let last_level t = t.level ()
 let load t ~addr = t.load ~addr
 let store t ~addr ~value = t.store ~addr ~value
-let size t = t.size
 let in_bounds t ~addr = addr >= 0 && addr < t.size

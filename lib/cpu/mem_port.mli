@@ -61,5 +61,4 @@ val last_level : t -> Fscope_obs.Event.mem_outcome
 
 val load : t -> addr:int -> int
 val store : t -> addr:int -> value:int -> unit
-val size : t -> int
 val in_bounds : t -> addr:int -> bool

@@ -42,7 +42,6 @@ let rec count_mask t mask col by =
     count_mask t (mask lsr 1) (col + 1) by
   end
 
-let capacity t = t.capacity
 let count t = t.count
 let is_full t = t.count >= t.capacity
 let is_empty t = t.count = 0

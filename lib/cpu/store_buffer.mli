@@ -28,7 +28,6 @@ val create : ?trace:Fscope_obs.Trace.t -> ?core:int -> capacity:int -> unit -> t
     emits one [Sb_drain] per completed entry for [core].  Defaults to
     the disabled {!Fscope_obs.Trace.null}. *)
 
-val capacity : t -> int
 val is_full : t -> bool
 val is_empty : t -> bool
 val count : t -> int

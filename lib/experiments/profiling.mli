@@ -11,9 +11,6 @@ val fence_sites : Fscope_isa.Program.t -> Fscope_obs.Profile.fence_site list
 (** Every static [Fence] instruction, in (thread, pc) program order,
     with its rendered kind. *)
 
-val cids : Fscope_isa.Program.t -> int list
-(** Class ids appearing in [Fs_start] markers, sorted, deduplicated. *)
-
 val spin_pcs : Fscope_isa.Program.t -> (int * int) list
 (** Static backward control edges [(core, pc)] — the candidate spin
     sites the commit-stream detector can attribute iterations to. *)

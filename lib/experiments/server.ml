@@ -86,13 +86,14 @@ let hist_of metrics name =
 
 (* One evaluator for exact and sampled points.  Each point makes one
    untraced run (cycles, CPI fence share, validation), the naive
-   reference run on exact points only, and one traced run whose keep
-   filter retains exactly the workload's drain markers: the inject /
+   reference run on exact points only, and one traced run whose drain
+   predicate accepts exactly the workload's drain markers: the inject /
    retire markers of the latency extraction and the gauge sampler's
-   occupancy markers.  That trace must reproduce the untraced cycle
-   count (tracing is timing-neutral) and must drop nothing.  The keep filter does
-   not touch the metrics registry, so the [fence/stall_cycles]
-   histogram still counts every stall episode.
+   occupancy markers, and records no other event.  That trace must
+   reproduce the untraced cycle count (tracing is timing-neutral) and
+   must drop nothing.  The predicate does not touch the metrics
+   registry, so the [fence/stall_cycles] histogram still counts every
+   stall episode.
 
    Sampled points skip the reference run (the estimator IS the
    engine), leave the stall columns zero (the registry only saw the
@@ -124,21 +125,21 @@ let eval pt =
     if sampled then None
     else W.Gauges.for_workload ~name:w.W.Workload.name program
   in
-  let keeps =
+  let accepts =
     Option.to_list
       (Option.map
          (fun threads -> W.Mpmc.keep_latency ~requests ~threads program)
          pt.pt_lat_threads)
-    @ Option.to_list (Option.map (fun g -> g.W.Gauges.keep) gauge)
+    @ Option.to_list (Option.map (fun g -> g.W.Gauges.drains) gauge)
   in
-  let keep ev = List.exists (fun k -> k ev) keeps in
+  let drains ~addr ~value = List.exists (fun k -> k ~addr ~value) accepts in
   (* A request leaves at most one marker of each family; gauge samplers
      also follow per-thread structures, so they get more headroom. *)
   let ring_capacity =
     max 1024 (if gauge = None then requests + 2 else (4 * requests) + 64)
   in
   let trace =
-    Obs.Trace.create ~ring_capacity ~keep
+    Obs.Trace.create ~ring_capacity ~drains
       ~cores:(Fscope_isa.Program.thread_count program)
       ()
   in

@@ -6,9 +6,9 @@
 
     One evaluator measures every point, exact or sampled: one
     untraced run, the naive reference run on exact points only, and
-    one traced run whose keep filter retains exactly the workload's
-    latency and gauge drain markers (3 machine runs per exact point,
-    2 per sampled point).  Every exact point asserts engine/reference
+    one traced run that records only the workload's latency and gauge
+    drain markers (3 machine runs per exact point, 2 per sampled
+    point).  Every exact point asserts engine/reference
     bit-identity, functional validation, and that the traced run is
     timing-neutral and dropped no marker, before it becomes a row, so
     a row is identical for any loop, any [--jobs] count and any host —

@@ -17,7 +17,6 @@ let block_sets = 1 lsl block_bits
 type 'a t = {
   sets : int;
   ways : int;
-  line_words : int;
   line_shift : int;
   block_slots : int;  (* slots of one block's arrays *)
   block_shift : int;  (* slot index = block lsl block_shift lor offset *)
@@ -49,7 +48,6 @@ let create ~sets ~ways ~line_words ~empty =
   {
     sets;
     ways;
-    line_words;
     line_shift = log2 line_words;
     block_slots;
     block_shift = log2 ((2 * block_slots) - 1);
@@ -63,7 +61,6 @@ let create ~sets ~ways ~line_words ~empty =
     clock = 0;
   }
 
-let line_words t = t.line_words
 let line_addr t addr = (addr lsr t.line_shift) lsl t.line_shift
 let set_of t line = (line lsr t.line_shift) mod t.sets
 let block_of t slot = slot lsr t.block_shift

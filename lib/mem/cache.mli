@@ -21,8 +21,6 @@ val create : sets:int -> ways:int -> line_words:int -> empty:'a -> 'a t
 (** [sets] and [ways] must be positive; [line_words] must be a positive
     power of two.  [empty] is the payload an invalid slot holds. *)
 
-val line_words : 'a t -> int
-
 val line_addr : 'a t -> int -> int
 (** [line_addr t addr] is the address of the first word of [addr]'s
     line — the canonical key for a line. *)

@@ -45,9 +45,6 @@ val leaf_count : int
 val leaves : leaf list
 (** Every leaf once, in display order. *)
 
-val index : leaf -> int
-(** Dense index in [0, leaf_count); the order of {!leaves}. *)
-
 val name : leaf -> string
 (** Stable snake_case name ([commit], [fence_sb_scoped], ...) used for
     registry counters and JSON keys. *)

@@ -15,8 +15,9 @@
      10   Cas_result         addr    success (0/1)
 
    The writers below ([rob_dispatch], ...) are the only encoder: the
-   typed emitters in {!Trace} call them directly and never build the
-   [Event.t], and [push] dispatches an already-built event to them.
+   typed emitters in {!Trace} call them with the payload and never
+   build the [Event.t].  [decode] is the only decoder, and the only
+   place in the library that builds an [Event.t].
 
    Slot [s] is the [s mod chunk_slots]-th of chunk [s / chunk_slots],
    which is allocated when the ring first reaches it (the last one
@@ -137,20 +138,6 @@ let mem_access t ~cycle ~addr ~write ~outcome =
 
 let cas_result t ~cycle ~addr ~success =
   record t ~cycle tag_cas_result addr (Bool.to_int success)
-
-let push t ~cycle (ev : Event.t) =
-  match ev with
-  | Fence_stall_begin { pc; global } -> fence_stall_begin t ~cycle ~pc ~global
-  | Fence_stall_end { pc; cycles } -> fence_stall_end t ~cycle ~pc ~cycles
-  | Rob_dispatch { pc; cls } -> rob_dispatch t ~cycle ~pc ~cls
-  | Rob_commit { pc; cls } -> rob_commit t ~cycle ~pc ~cls
-  | Sb_insert { addr } -> sb_insert t ~cycle ~addr
-  | Sb_drain { addr; value } -> sb_drain t ~cycle ~addr ~value
-  | Scope_push { column = None } -> scope_push_none t ~cycle
-  | Scope_push { column = Some column } -> scope_push t ~cycle ~column
-  | Scope_pop -> scope_pop t ~cycle
-  | Mem_access { addr; write; outcome } -> mem_access t ~cycle ~addr ~write ~outcome
-  | Cas_result { addr; success } -> cas_result t ~cycle ~addr ~success
 
 let decode tag a b : Event.t =
   match tag with

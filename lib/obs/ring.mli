@@ -7,8 +7,8 @@
     Events are stored unboxed, four words each, in [int array] chunks
     of 1024 slots: the cycle, a constructor tag and two payload words.
     The writers ({!rob_dispatch}, ...) fill a slot with plain integer
-    stores, so recording takes no write barrier; {!push} does the same
-    for an already-built {!Event.t}.  The only allocation is a chunk,
+    stores, so recording takes no write barrier and builds no
+    {!Event.t}.  The only allocation is a chunk,
     made when the ring first reaches it (the last one only as long as
     [capacity] needs) and never copied or moved, so a sparse core
     never pays for the full ring and a growing one never pays twice.
@@ -48,9 +48,6 @@ val mem_access :
   t -> cycle:int -> addr:int -> write:bool -> outcome:Event.mem_outcome -> unit
 val cas_result : t -> cycle:int -> addr:int -> success:bool -> unit
 
-val push : t -> cycle:int -> Event.t -> unit
-(** The writer of the event's constructor, applied to its payload. *)
-
 val length : t -> int
 
 val dropped : t -> int
@@ -63,5 +60,6 @@ val scope_counts : t -> int * int
 val iter : t array -> (Event.timed -> unit) -> unit
 (** Decode the retained events of [rings], ring [i] being core [i]'s,
     one at a time, merged by cycle, then core, then each core's push
-    order.  Each ring's pushes must come in non-decreasing cycle
+    order; this is the only place an {!Event.t} is built from a ring.
+    Each ring's pushes must come in non-decreasing cycle
     order, as the trace clock makes them. *)

@@ -2,7 +2,7 @@
 type recording =
   | All
   | Nothing
-  | Only of (Event.t -> bool)
+  | Drains of (addr:int -> value:int -> bool)
 
 type t = {
   live : bool;
@@ -20,11 +20,11 @@ let live ~cores rings recording =
 
 let check_cores cores = if cores <= 0 then invalid_arg "Trace.create: need at least one core"
 
-let create ?(ring_capacity = default_ring_capacity) ?keep ~cores () =
+let create ?(ring_capacity = default_ring_capacity) ?drains ~cores () =
   check_cores cores;
   live ~cores
     (Array.init cores (fun _ -> Ring.create ~capacity:ring_capacity))
-    (match keep with None -> All | Some k -> Only k)
+    (match drains with None -> All | Some d -> Drains d)
 
 let metrics_only ~cores () =
   check_cores cores;
@@ -41,92 +41,70 @@ let null =
   }
 
 let on t = t.live
-let records t = match t.recording with Nothing -> false | All | Only _ -> true
+let records t = match t.recording with Nothing -> false | All | Drains _ -> true
 let set_now t n = if t.live then t.current <- n
-let now t = t.current
 let cores t = t.cores
 let metrics t = t.registry
 
-let emit t ~core ev =
-  if t.live then begin
-    if core < 0 || core >= t.cores then invalid_arg "Trace.emit: core out of range";
-    match t.recording with
-    | All -> Ring.push t.rings.(core) ~cycle:t.current ev
-    | Only keep -> if keep ev then Ring.push t.rings.(core) ~cycle:t.current ev
-    | Nothing -> ()
-  end
-
-(* The typed emitters: on the keep-everything path they hand the
-   payload straight to the ring's writer; only a selective filter needs
-   the [Event.t] to decide. *)
+(* The typed emitters hand the payload straight to the ring's writer.
+   A drain-filtered trace records nothing but the drains its predicate
+   accepts, so every other emitter returns at once on it. *)
 
 let ring t ~core = t.rings.(core)
-let filtered t ~core keep ev =
-  if keep ev then Ring.push (ring t ~core) ~cycle:t.current ev
 
 let fence_stall_begin t ~core ~pc ~global =
   match t.recording with
   | All -> Ring.fence_stall_begin (ring t ~core) ~cycle:t.current ~pc ~global
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Fence_stall_begin { pc; global })
+  | Nothing | Drains _ -> ()
 
 let fence_stall_end t ~core ~pc ~cycles =
   match t.recording with
   | All -> Ring.fence_stall_end (ring t ~core) ~cycle:t.current ~pc ~cycles
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Fence_stall_end { pc; cycles })
+  | Nothing | Drains _ -> ()
 
 let rob_dispatch t ~core ~pc ~cls =
   match t.recording with
   | All -> Ring.rob_dispatch (ring t ~core) ~cycle:t.current ~pc ~cls
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Rob_dispatch { pc; cls })
+  | Nothing | Drains _ -> ()
 
 let rob_commit t ~core ~pc ~cls =
   match t.recording with
   | All -> Ring.rob_commit (ring t ~core) ~cycle:t.current ~pc ~cls
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Rob_commit { pc; cls })
+  | Nothing | Drains _ -> ()
 
 let sb_insert t ~core ~addr =
   match t.recording with
   | All -> Ring.sb_insert (ring t ~core) ~cycle:t.current ~addr
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Sb_insert { addr })
+  | Nothing | Drains _ -> ()
 
 let sb_drain t ~core ~addr ~value =
   match t.recording with
   | All -> Ring.sb_drain (ring t ~core) ~cycle:t.current ~addr ~value
+  | Drains keep ->
+    if keep ~addr ~value then Ring.sb_drain (ring t ~core) ~cycle:t.current ~addr ~value
   | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Sb_drain { addr; value })
 
 let scope_push t ~core ~column =
   match t.recording with
   | All ->
     if column >= 0 then Ring.scope_push (ring t ~core) ~cycle:t.current ~column
     else Ring.scope_push_none (ring t ~core) ~cycle:t.current
-  | Nothing -> ()
-  | Only keep ->
-    filtered t ~core keep
-      (Scope_push { column = (if column >= 0 then Some column else None) })
+  | Nothing | Drains _ -> ()
 
 let scope_pop t ~core =
   match t.recording with
   | All -> Ring.scope_pop (ring t ~core) ~cycle:t.current
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep Scope_pop
+  | Nothing | Drains _ -> ()
 
 let mem_access t ~core ~addr ~write ~outcome =
   match t.recording with
   | All -> Ring.mem_access (ring t ~core) ~cycle:t.current ~addr ~write ~outcome
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Mem_access { addr; write; outcome })
+  | Nothing | Drains _ -> ()
 
 let cas_result t ~core ~addr ~success =
   match t.recording with
   | All -> Ring.cas_result (ring t ~core) ~cycle:t.current ~addr ~success
-  | Nothing -> ()
-  | Only keep -> filtered t ~core keep (Cas_result { addr; success })
+  | Nothing | Drains _ -> ()
 
 let iter_events t f = Ring.iter t.rings f
 let length t = Array.fold_left (fun acc r -> acc + Ring.length r) 0 t.rings

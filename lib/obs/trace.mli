@@ -9,27 +9,31 @@
     feeds back into simulation state.
 
     Emission sites call the typed emitters ({!rob_dispatch},
-    {!sb_drain}, ...), one per {!Event.t} constructor.  On a trace that
-    keeps every event they write the event's four words straight into
-    the core's ring (see {!Ring}) and allocate nothing (beyond a ring's
-    chunk, the first time the ring reaches it); only a trace with a
-    [keep] filter builds the {!Event.t} to ask the filter.  Events are
-    decoded when something reads them ({!iter_events}).
+    {!sb_drain}, ...), one per {!Event.t} constructor.  A live trace
+    records all events, nothing ({!metrics_only}), or only the
+    store-buffer drains a [drains] predicate accepts.  The emitters
+    write an event's four words straight into the core's ring (see
+    {!Ring}) and allocate nothing (beyond a ring's chunk, the first
+    time the ring reaches it); on a drain-filtered trace every emitter
+    but {!sb_drain} returns at once.  No emitter builds an {!Event.t}:
+    events are decoded only when something reads them
+    ({!iter_events}).
 
     The collector also owns the run's {!Metrics} registry and the
-    current cycle ([now]), which the machine advances once per
+    current cycle, which the machine advances once per
     simulated cycle so emission sites don't need a cycle parameter
     threaded through. *)
 
 type t
 
-val create : ?ring_capacity:int -> ?keep:(Event.t -> bool) -> cores:int -> unit -> t
+val create :
+  ?ring_capacity:int -> ?drains:(addr:int -> value:int -> bool) -> cores:int -> unit -> t
 (** A live collector with one ring per core.  [ring_capacity] is per
     core and defaults to 65536 events; raises [Invalid_argument] if it
-    is not positive or [cores <= 0].  [keep] filters events at the
-    emission site (default: keep everything); a selective filter lets a
-    long run retain one sparse event family without the ring cycling
-    it out. *)
+    is not positive or [cores <= 0].  Without [drains] the trace
+    records every event; with it, only the [Sb_drain { addr; value }]
+    events it accepts, so a long run can retain a sparse family of
+    drain markers without the ring cycling them out. *)
 
 val metrics_only : cores:int -> unit -> t
 (** A live collector that records no events: [on] is true, so the
@@ -56,20 +60,13 @@ val set_now : t -> int -> unit
     simulated cycle.  The clock must never go back: {!iter_events}
     merges the per-core streams assuming each is in cycle order. *)
 
-val now : t -> int
 val cores : t -> int
-
-val emit : t -> core:int -> Event.t -> unit
-(** Record an event at the current cycle, if the trace keeps it.  No-op
-    when disabled; raises [Invalid_argument] if [core] is out of range
-    on a live trace.  Allocates only when the core's ring first
-    reaches a new chunk.  For tests and generic callers: the
-    simulator's emission sites use the typed emitters below. *)
 
 (** {2 Typed emitters}
 
     Each records its constructor's event at the current cycle on
-    [core], exactly as [emit] would. *)
+    [core], if the trace records it.  A no-op on {!null} and
+    {!metrics_only}; [core] must be in range on a recording trace. *)
 
 val fence_stall_begin : t -> core:int -> pc:int -> global:bool -> unit
 val fence_stall_end : t -> core:int -> pc:int -> cycles:int -> unit

@@ -306,7 +306,6 @@ let member key = function
 let to_list = function Arr items -> Some items | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
-let to_int = function Int n -> Some n | _ -> None
 
 let to_float = function
   | Int n -> Some (float_of_int n)

@@ -55,7 +55,6 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 val to_string : t -> string option
 val to_bool : t -> bool option
-val to_int : t -> int option
 
 val to_float : t -> float option
 (** Numeric value as a float; accepts both {!Int} and {!Float}. *)

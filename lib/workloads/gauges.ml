@@ -40,8 +40,8 @@ type t = {
       (* short metric label for table rows, e.g. "queue_depth" *)
   hist : string;
       (* registry name of the aggregate histogram the fold fills *)
-  keep : Obs.Event.t -> bool;
-      (* trace keep-filter retaining exactly the marker drains *)
+  drains : addr:int -> value:int -> bool;
+      (* trace drain predicate accepting exactly the marker drains *)
   fold : Obs.Metrics.t -> ((Obs.Event.timed -> unit) -> unit) -> unit;
       (* replay retained events, as an iterator such as
          [Trace.iter_events trace], into gauge histograms *)
@@ -76,7 +76,7 @@ let mpmc program =
   let threads = Program.thread_count program in
   let requests = snd (region program "claims0") - 2 in
   let inject_slot, retire_slot = Mpmc.latency_markers ~requests ~threads program in
-  let keep = Mpmc.keep_latency ~requests ~threads program in
+  let drains = Mpmc.keep_latency ~requests ~threads program in
   let fold metrics events =
     let h = Obs.Metrics.histogram metrics "gauge/server-mpmc/queue_depth" in
     let injected = Array.make requests false in
@@ -96,7 +96,7 @@ let mpmc program =
           Obs.Metrics.observe h !depth
         | _ -> ())
   in
-  { label = "queue_depth"; hist = "gauge/server-mpmc/queue_depth"; keep; fold }
+  { label = "queue_depth"; hist = "gauge/server-mpmc/queue_depth"; drains; fold }
 
 (* ------------------------------------------------------------------ *)
 (* server-steal: per-worker deque occupancy                            *)
@@ -134,11 +134,8 @@ let steal program =
             if t >= 1 && t < len && t <= n_tasks then Some t else None)
         None claims
   in
-  let keep (ev : Obs.Event.t) =
-    match ev with
-    | Obs.Event.Sb_drain { addr; value } ->
-      put_task addr value <> None || claim_task addr value <> None
-    | _ -> false
+  let drains ~addr ~value =
+    put_task addr value <> None || claim_task addr value <> None
   in
   let fold metrics events =
     let all = Obs.Metrics.histogram metrics "gauge/server-steal/deque_occupancy" in
@@ -172,7 +169,7 @@ let steal program =
   {
     label = "deque_occ";
     hist = "gauge/server-steal/deque_occupancy";
-    keep;
+    drains;
     fold;
   }
 
@@ -194,11 +191,8 @@ let cache program =
       in
       go 0
   in
-  let keep (ev : Obs.Event.t) =
-    match ev with
-    | Obs.Event.Sb_drain { addr; value } ->
-      owner_of limbo addr value <> None || owner_of free addr value <> None
-    | _ -> false
+  let drains ~addr ~value =
+    owner_of limbo addr value <> None || owner_of free addr value <> None
   in
   let fold metrics events =
     let all = Obs.Metrics.histogram metrics "gauge/server-cache/limbo_len" in
@@ -224,7 +218,7 @@ let cache program =
             observe t
           | _ -> ()))
   in
-  { label = "limbo_len"; hist = "gauge/server-cache/limbo_len"; keep; fold }
+  { label = "limbo_len"; hist = "gauge/server-cache/limbo_len"; drains; fold }
 
 (* ------------------------------------------------------------------ *)
 

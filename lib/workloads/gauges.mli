@@ -4,11 +4,12 @@
     Each server workload exposes a data-structure occupancy signal in
     the [Sb_drain] markers the latency extraction already relies on: a
     store into a known symbol region with a value only one protocol
-    step can produce.  A sampler pairs a trace keep-filter (retain
-    exactly the marker drains) with a post-hoc fold that replays the
-    retained events — in the trace's deterministic cycle/core/emission
-    order — maintaining the implied occupancy and observing every
-    transition into log2-bucket histograms in a metrics registry:
+    step can produce.  A sampler pairs a trace drain predicate
+    (accept exactly the marker drains, so the trace records nothing
+    else) with a post-hoc fold that replays the retained events — in
+    the trace's deterministic cycle/core/emission order — maintaining
+    the implied occupancy and observing every transition into
+    log2-bucket histograms in a metrics registry:
 
     - [server-mpmc]: queue depth under ["gauge/server-mpmc/queue_depth"];
     - [server-steal]: deque occupancy under
@@ -25,8 +26,9 @@ type t = {
       (** short metric label for table rows, e.g. ["queue_depth"] *)
   hist : string;
       (** registry name of the aggregate histogram the fold fills *)
-  keep : Fscope_obs.Event.t -> bool;
-      (** trace keep-filter retaining exactly the marker drains *)
+  drains : addr:int -> value:int -> bool;
+      (** trace drain predicate accepting exactly the marker drains
+          (the [drains] of {!Fscope_obs.Trace.create}) *)
   fold :
     Fscope_obs.Metrics.t -> ((Fscope_obs.Event.timed -> unit) -> unit) -> unit;
       (** replay retained events, given as an iterator such as

@@ -237,11 +237,7 @@ let latency_markers ~requests ~threads program =
 
 let keep_latency ~requests ~threads program =
   let inject_slot, retire_slot = latency_markers ~requests ~threads program in
-  fun (ev : Fscope_obs.Event.t) ->
-    match ev with
-    | Fscope_obs.Event.Sb_drain { addr; value } ->
-      inject_slot addr value <> None || retire_slot addr value <> None
-    | _ -> false
+  fun ~addr ~value -> inject_slot addr value <> None || retire_slot addr value <> None
 
 (* A marker pair counts only when both endpoints fall inside ONE of
    the inclusive [windows].  An exact run passes the whole run as one

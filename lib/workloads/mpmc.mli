@@ -44,12 +44,12 @@ val latency_markers :
     depth from the same drains. *)
 
 val keep_latency :
-  requests:int -> threads:int -> Fscope_isa.Program.t -> Fscope_obs.Event.t -> bool
-(** Trace keep-filter retaining exactly the store-buffer drains that
-    mark a request's injection (the enqueue's [qval] node store) or
-    retirement (a worker's [claims] increment).  Pass to
-    {!Fscope_obs.Trace.create} so a long run keeps every marker in a
-    small ring. *)
+  requests:int -> threads:int -> Fscope_isa.Program.t -> addr:int -> value:int -> bool
+(** Trace drain predicate accepting exactly the store-buffer drains
+    that mark a request's injection (the enqueue's [qval] node store)
+    or retirement (a worker's [claims] increment).  Pass as
+    {!Fscope_obs.Trace.create}'s [drains] so a long run keeps every
+    marker in a small ring and records no other event. *)
 
 val latency_of_events :
   requests:int ->
@@ -63,7 +63,7 @@ val latency_of_events :
     [Trace.iter_events trace]) visits.  A request appears once both
     its markers were retained and both fall inside ONE of the
     inclusive [windows].  An exact run passes the whole run,
-    [[(0, cycles)]]: with an undropped {!keep_latency}-filtered trace
+    [[(0, cycles)]]: with an undropped trace filtered by {!keep_latency}
     every request then appears.  A sampled run passes its measured
     detailed ranges ([Machine.result.sample_windows]): a pair spanning
     a functional fast-forward gap would count unsimulated cycles, so it

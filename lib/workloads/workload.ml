@@ -66,4 +66,12 @@ end
 
 type spec = Spec.t
 
-let build (s : spec) params = s.Spec.build params
+let build (s : spec) params =
+  let positive flag = function
+    | Some n when n <= 0 ->
+      invalid_arg (Printf.sprintf "--%s must be positive, got %d" flag n)
+    | _ -> ()
+  in
+  positive "size" params.size;
+  positive "rounds" params.rounds;
+  s.Spec.build params

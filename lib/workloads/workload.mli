@@ -88,4 +88,7 @@ end
 type spec = Spec.t
 
 val build : spec -> params -> t
-(** [build spec params] is [spec.Spec.build params]. *)
+(** [build spec params] is [spec.Spec.build params], after checking
+    that [params.size] and [params.rounds] are positive when given:
+    otherwise it raises [Invalid_argument] with one line naming the
+    flag ([--size] or [--rounds]) and its value. *)

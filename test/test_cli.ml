@@ -73,8 +73,38 @@ let test_out_of_range_flags () =
       [ "checkpoint"; "resume"; "msn"; "--from"; "no-such-checkpoint.json" ];
     ]
 
+(* A non-positive size or round count is refused before the workload
+   is built, with one line naming the flag, instead of reaching the
+   slang compiler or an [Array.make]. *)
+let test_registry_params () =
+  List.iter
+    (fun (args, line) ->
+      Alcotest.(check string)
+        (String.concat " " args)
+        ("fscope: " ^ line ^ "\n")
+        (expect_exit 1 ("run" :: args)))
+    [
+      ([ "msn"; "--size=-1" ], "--size must be positive, got -1");
+      ([ "radiosity"; "--size=0" ], "--size must be positive, got 0");
+      ([ "server-mpmc"; "--size=0" ], "--size must be positive, got 0");
+      ([ "server-cache"; "--size=0" ], "--size must be positive, got 0");
+      ([ "wsq"; "--rounds=-1" ], "--rounds must be positive, got -1");
+      ([ "wsq-flavored"; "--rounds=-1" ], "--rounds must be positive, got -1");
+      ([ "harris"; "--size=-1" ], "--size must be positive, got -1");
+      ([ "radiosity"; "--size=-1" ], "--size must be positive, got -1");
+    ]
+
 let test_unreadable_file () =
-  expect_bad_input [ "report"; "--against"; "no-such-baseline.json" ]
+  expect_bad_input [ "report"; "--against"; "no-such-baseline.json" ];
+  (* a baseline cut short is unparsable, not a crash *)
+  let text = read_file server_baseline in
+  let file = Filename.temp_file "fscope" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc (String.sub text 0 (String.length text / 2)));
+      expect_bad_input [ "report"; "--against"; file; "--current"; server_baseline ])
 
 (* One checkpoint, saved at cycle 2000, serves two cases: resuming it
    under a different machine is a digest mismatch (1), and resuming it
@@ -178,6 +208,7 @@ let tests =
   [
     Alcotest.test_case "success exits 0" `Quick test_success;
     Alcotest.test_case "out-of-range flags exit 1" `Quick test_out_of_range_flags;
+    Alcotest.test_case "non-positive sizes exit 1" `Quick test_registry_params;
     Alcotest.test_case "unreadable file exits 1" `Quick test_unreadable_file;
     Alcotest.test_case "checkpoint mismatch 1, timeout 2" `Quick test_checkpoint_exits;
     Alcotest.test_case "tampered checkpoint exits 1" `Quick test_tampered_checkpoint;

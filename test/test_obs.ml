@@ -127,9 +127,7 @@ let test_metrics_find () =
    so both fields read back the push order. *)
 let test_ring_overwrite () =
   let r = Obs.Ring.create ~capacity:3 in
-  List.iter
-    (fun i -> Obs.Ring.push r ~cycle:i (Obs.Event.Sb_insert { addr = i }))
-    [ 1; 2; 3; 4; 5 ];
+  List.iter (fun i -> Obs.Ring.sb_insert r ~cycle:i ~addr:i) [ 1; 2; 3; 4; 5 ];
   let kept = collect (Obs.Ring.iter [| r |]) in
   let addr (e : Obs.Event.timed) =
     match e.event with Obs.Event.Sb_insert { addr } -> addr | _ -> -1
@@ -140,15 +138,24 @@ let test_ring_overwrite () =
   Alcotest.(check (list int)) "cycles oldest first" [ 3; 4; 5 ]
     (List.map (fun (e : Obs.Event.timed) -> e.cycle) kept)
 
-(* Every constructor, with payloads at the extremes of [int] and
-   [Scope_push None] next to [Some c] for negative [c], survives the
-   unboxed encoding; each core keeps its last [capacity] events, in
-   order, merged by (cycle, core) as a stable sort of the per-core
-   streams orders them; every other event counts as dropped. *)
+(* Every event a typed emitter can record, with payloads at the
+   extremes of [int], survives the unboxed encoding; each core keeps
+   its last [capacity] recorded events, in order, merged by (cycle,
+   core) as a stable sort of the per-core streams orders them; every
+   other recorded event counts as dropped.  A drain-filtered trace
+   records only the drains its predicate accepts. *)
+let gen_word =
+  QCheck2.Gen.(oneof [ int; small_signed_int; oneofl [ min_int; max_int; -1; 0 ] ])
+
+let gen_drain =
+  QCheck2.Gen.map2
+    (fun addr value -> Obs.Event.Sb_drain { addr; value })
+    gen_word gen_word
+
 let gen_event =
   let open QCheck2.Gen in
   let open Obs.Event in
-  let word = oneof [ int; small_signed_int; oneofl [ min_int; max_int; -1; 0 ] ] in
+  let word = gen_word in
   let cls = oneofl [ Load; Store; Cas; Fence; Branch; Jump; Alu; Other ] in
   oneof
     [
@@ -157,8 +164,10 @@ let gen_event =
       map2 (fun pc cls -> Rob_dispatch { pc; cls }) word cls;
       map2 (fun pc cls -> Rob_commit { pc; cls }) word cls;
       map (fun addr -> Sb_insert { addr }) word;
-      map2 (fun addr value -> Sb_drain { addr; value }) word word;
-      map (fun column -> Scope_push { column }) (opt word);
+      gen_drain;
+      map
+        (fun column -> Scope_push { column })
+        (opt (oneof [ nat; oneofl [ 0; max_int ] ]));
       pure Scope_pop;
       map3
         (fun addr write outcome -> Mem_access { addr; write; outcome })
@@ -170,8 +179,7 @@ let gen_event =
 let print_event e =
   Obs.Event.name e ^ Fscope_util.Json.render (Fscope_util.Json.Obj (Obs.Event.args e))
 
-(* Record [event] through the typed emitter the simulator would call,
-   or through [Trace.emit] for the one event no emitter can express. *)
+(* Record [event] through the typed emitter the simulator would call. *)
 let emit_typed trace ~core (event : Obs.Event.t) =
   match event with
   | Fence_stall_begin { pc; global } ->
@@ -182,59 +190,70 @@ let emit_typed trace ~core (event : Obs.Event.t) =
   | Sb_insert { addr } -> Obs.Trace.sb_insert trace ~core ~addr
   | Sb_drain { addr; value } -> Obs.Trace.sb_drain trace ~core ~addr ~value
   | Scope_push { column = None } -> Obs.Trace.scope_push trace ~core ~column:(-1)
-  | Scope_push { column = Some column } when column >= 0 ->
-    Obs.Trace.scope_push trace ~core ~column
-  | Scope_push { column = Some _ } -> Obs.Trace.emit trace ~core event
+  | Scope_push { column = Some column } -> Obs.Trace.scope_push trace ~core ~column
   | Scope_pop -> Obs.Trace.scope_pop trace ~core
   | Mem_access { addr; write; outcome } ->
     Obs.Trace.mem_access trace ~core ~addr ~write ~outcome
   | Cas_result { addr; success } -> Obs.Trace.cas_result trace ~core ~addr ~success
 
-(* (cores, capacity, first cycle, keep-all filter,
-   [(core, clock advance, typed emitter, event)]).  Half the streams
-   use a ring on either side of a chunk boundary, long enough that
-   their cores often wrap it; those are not shrunk, as shrinking
-   thousands of events one by one runs for many minutes. *)
+(* The drain predicate a stream's [cut] stands for: [None] records
+   every event, [Some cut] the drains whose low two address-and-value
+   bits fall below [cut] (0 accepts none, 4 all). *)
+let accepts cut ~addr ~value = (addr lxor value) land 3 < cut
+
+let recorded cut (event : Obs.Event.t) =
+  match (cut, event) with
+  | None, _ -> true
+  | Some cut, Sb_drain { addr; value } -> accepts cut ~addr ~value
+  | Some _, _ -> false
+
+(* (cores, capacity, (first cycle, drain predicate),
+   [(core, clock advance, event)]).  Half the streams use a ring on
+   either side of a chunk boundary, long enough that their cores often
+   wrap it; those are not shrunk, as shrinking thousands of events one
+   by one runs for many minutes.  Filtered streams are mostly drains,
+   so their rings wrap too. *)
 let gen_stream =
   let open QCheck2.Gen in
   let c = Obs.Ring.chunk_slots in
   let* cores = int_range 1 4 in
   let* capacity = oneof [ int_range 1 8; oneofl [ 1; c - 1; c; c + 1; (2 * c) + 1 ] ] in
-  let* filtered = bool in
+  let* cut = opt (int_bound 4) in
+  let event =
+    if cut = None then gen_event else oneof [ gen_event; gen_drain; gen_drain ]
+  in
   let* steps =
     (if capacity > 8 then no_shrink else Fun.id)
       (list_size
          (int_range 0 (Int.max 60 (2 * cores * capacity)))
-         (quad (int_bound (cores - 1)) (int_bound 2) bool gen_event))
+         (triple (int_bound (cores - 1)) (int_bound 2) event))
   in
   (* the last clock advance ends at [max_int] at the latest *)
   let+ start = oneofl [ 0; 1_000_000; max_int - (2 * List.length steps) ] in
-  (cores, capacity, (start, filtered), steps)
+  (cores, capacity, (start, cut), steps)
 
-(* Whether events go through the typed emitters or [Trace.emit], and
-   through the keep-everything path or a [keep] filter that keeps them
-   all, they are recorded alike. *)
 let prop_ring_encoding =
   QCheck2.Test.make ~count:500 ~name:"event rings keep each core's last events"
     ~print:
       QCheck2.Print.(
-        quad int int (pair int bool) (list (quad int int bool print_event)))
+        quad int int (pair int (option int)) (list (triple int int print_event)))
     gen_stream
-    (fun (cores, capacity, (start, filtered), steps) ->
+    (fun (cores, capacity, (start, cut), steps) ->
       let trace =
-        if filtered then
-          Obs.Trace.create ~ring_capacity:capacity ~keep:(fun _ -> true) ~cores ()
-        else Obs.Trace.create ~ring_capacity:capacity ~cores ()
+        match cut with
+        | None -> Obs.Trace.create ~ring_capacity:capacity ~cores ()
+        | Some cut ->
+          Obs.Trace.create ~ring_capacity:capacity ~drains:(accepts cut) ~cores ()
       in
       let emitted = Array.make cores [] in
       let clock = ref start in
       List.iter
-        (fun (core, advance, typed, event) ->
+        (fun (core, advance, event) ->
           clock := !clock + advance;
           Obs.Trace.set_now trace !clock;
-          if typed then emit_typed trace ~core event
-          else Obs.Trace.emit trace ~core event;
-          emitted.(core) <- { Obs.Event.cycle = !clock; core; event } :: emitted.(core))
+          emit_typed trace ~core event;
+          if recorded cut event then
+            emitted.(core) <- { Obs.Event.cycle = !clock; core; event } :: emitted.(core))
         steps;
       let last_n l =
         let n = List.length l in
@@ -249,32 +268,58 @@ let prop_ring_encoding =
             | c -> c)
           (List.concat (Array.to_list kept))
       in
-      let emitted_n = List.length steps in
+      let recorded_n = Array.fold_left (fun acc l -> acc + List.length l) 0 emitted in
       let kept_n = Array.fold_left (fun acc l -> acc + List.length l) 0 kept in
       collect (Obs.Trace.iter_events trace) = expected
       && Obs.Trace.length trace = kept_n
-      && Obs.Trace.dropped trace = emitted_n - kept_n)
+      && Obs.Trace.dropped trace = recorded_n - kept_n)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
 
 (* Once a ring is full, recording an event writes four words into it
-   and allocates nothing. *)
+   and allocates nothing; a drain-filtered trace allocates nothing for
+   the events it does not record. *)
 let test_emit_allocates_nothing () =
   let trace = Obs.Trace.create ~ring_capacity:64 ~cores:2 () in
-  let ev = Obs.Event.Mem_access { addr = 7; write = true; outcome = Obs.Event.L2_miss } in
   let emits n =
     for _ = 1 to n do
-      Obs.Trace.emit trace ~core:1 ev
+      Obs.Trace.mem_access trace ~core:1 ~addr:7 ~write:true ~outcome:Obs.Event.L2_miss
     done
   in
   emits 64;
-  let minor_words f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
   let idle = minor_words (fun () -> emits 0) in
   let busy = minor_words (fun () -> emits 10_000) in
   Alcotest.(check (float 0.)) "minor words of 10,000 emits" idle busy;
-  Alcotest.(check int) "the full ring dropped them" 10_000 (Obs.Trace.dropped trace)
+  Alcotest.(check int) "the full ring dropped them" 10_000 (Obs.Trace.dropped trace);
+  let filtered =
+    Obs.Trace.create ~ring_capacity:64
+      ~drains:(fun ~addr ~value:_ -> addr = 1)
+      ~cores:2 ()
+  in
+  let skips n =
+    for i = 1 to n do
+      Obs.Trace.fence_stall_begin filtered ~core:0 ~pc:i ~global:true;
+      Obs.Trace.fence_stall_end filtered ~core:0 ~pc:i ~cycles:i;
+      Obs.Trace.rob_dispatch filtered ~core:0 ~pc:i ~cls:Obs.Event.Store;
+      Obs.Trace.rob_commit filtered ~core:0 ~pc:i ~cls:Obs.Event.Store;
+      Obs.Trace.sb_insert filtered ~core:0 ~addr:i;
+      Obs.Trace.scope_push filtered ~core:0 ~column:(i land 1);
+      Obs.Trace.scope_pop filtered ~core:0;
+      Obs.Trace.mem_access filtered ~core:1 ~addr:i ~write:false
+        ~outcome:Obs.Event.L1_hit;
+      Obs.Trace.cas_result filtered ~core:1 ~addr:i ~success:true;
+      Obs.Trace.sb_drain filtered ~core:1 ~addr:2 ~value:i
+    done
+  in
+  let idle = minor_words (fun () -> skips 0) in
+  let busy = minor_words (fun () -> skips 10_000) in
+  Alcotest.(check (float 0.)) "minor words of 10,000 unrecorded rounds" idle busy;
+  Alcotest.(check int) "nothing recorded" 0 (Obs.Trace.length filtered);
+  Obs.Trace.sb_drain filtered ~core:1 ~addr:1 ~value:5;
+  Alcotest.(check int) "an accepted drain is recorded" 1 (Obs.Trace.length filtered)
 
 (* ------------------------------------------------------------------ *)
 (* Run-level invariants                                                *)
@@ -500,7 +545,7 @@ let test_gauge_fold_deterministic () =
       let run () =
         let cores = Fscope_isa.Program.thread_count program in
         let trace =
-          Obs.Trace.create ~ring_capacity:(1 lsl 16) ~keep:g.W.Gauges.keep ~cores ()
+          Obs.Trace.create ~ring_capacity:(1 lsl 16) ~drains:g.W.Gauges.drains ~cores ()
         in
         let _ = Machine.run ~obs:trace Config.default program in
         Alcotest.(check int) (name ^ " gauge trace undropped") 0

@@ -315,6 +315,103 @@ let test_unknown_schema_rejected () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "schema-less artefact accepted"
 
+(* ------------------------------------------------------------------ *)
+(* Robustness: a damaged baseline is bad input, never a crash          *)
+
+(* One damage to a committed artefact: its text cut at an offset or
+   with one byte replaced, or the [n]-th object member (preorder,
+   counted modulo the members there are) dropped or given another
+   type. *)
+type damage =
+  | Cut of int
+  | Byte of int * char
+  | Drop of int
+  | Retype of int * Json.t
+
+let print_damage = function
+  | Cut k -> Printf.sprintf "cut at %d" k
+  | Byte (k, c) -> Printf.sprintf "byte %d := %C" k c
+  | Drop n -> Printf.sprintf "drop member %d" n
+  | Retype (n, v) -> Printf.sprintf "member %d := %s" n (Json.render v)
+
+let gen_damage =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map (fun k -> Cut k) nat;
+      map2
+        (fun k c -> Byte (k, c))
+        nat
+        (oneofl [ '"'; '{'; '}'; ']'; ','; ':'; '0'; '-'; 'x'; ' ' ]);
+      map (fun n -> Drop n) nat;
+      map2
+        (fun n v -> Retype (n, v))
+        nat
+        (oneofl
+           Json.
+             [ Null; Bool true; Int (-1); Int 0; Float 1e300; Str "v9"; Arr []; Obj [] ]);
+    ]
+
+let rec members = function
+  | Json.Obj kvs -> List.fold_left (fun acc (_, v) -> acc + 1 + members v) 0 kvs
+  | Json.Arr xs -> List.fold_left (fun acc v -> acc + members v) 0 xs
+  | _ -> 0
+
+(* The document with its [n]-th member replaced by [edit]'s answer:
+   [None] drops it. *)
+let edit_member n edit doc =
+  let count = ref 0 in
+  let rec go = function
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             let here = !count = n in
+             incr count;
+             if here then Option.map (fun v -> (k, v)) (edit v) else Some (k, go v))
+           kvs)
+    | Json.Arr xs -> Json.Arr (List.map go xs)
+    | v -> v
+  in
+  go doc
+
+let damaged text = function
+  | Cut k -> String.sub text 0 (k mod String.length text)
+  | Byte (k, c) ->
+    let k = k mod String.length text in
+    String.mapi (fun i b -> if i = k then c else b) text
+  | Drop n ->
+    let doc = Json.parse text in
+    Json.render (edit_member (n mod members doc) (fun _ -> None) doc)
+  | Retype (n, v) ->
+    let doc = Json.parse text in
+    Json.render (edit_member (n mod members doc) (fun _ -> Some v) doc)
+
+(* What [fscope report --against] does with a pair of artefacts: load
+   both, diff them and render the verdict.  A damaged baseline may
+   only raise [Failure] or [Json.Parse_error], which the CLI reports as
+   bad input. *)
+let prop_damaged_baseline_rejected =
+  let files =
+    lazy
+      (List.map
+         (fun f -> (f, In_channel.with_open_bin f In_channel.input_all))
+         (baseline_files ()))
+  in
+  QCheck2.Test.make ~count:300 ~name:"damaged baselines fail to load cleanly"
+    ~print:QCheck2.Print.(pair int print_damage)
+    QCheck2.Gen.(pair (int_bound 2) gen_damage)
+    (fun (i, damage) ->
+      let file, text = List.nth (Lazy.force files) i in
+      let current = Trend.load ~file (Json.parse text) in
+      (try
+         let baseline = Trend.load ~file (Json.parse (damaged text damage)) in
+         let verdict = Trend.diff ~threshold:0. ~baseline ~current () in
+         ignore (Fscope_util.Table.render (Trend.table ~verdict ~baseline ~current));
+         ignore (Trend.summary_line ~verdict ~baseline ~current)
+       with Failure _ | Json.Parse_error _ -> ());
+      true)
+
 let tests =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -330,4 +427,5 @@ let tests =
     Alcotest.test_case "wall threshold arms wall metrics" `Quick
       test_wall_threshold_arms_wall_metrics;
     Alcotest.test_case "unknown schema rejected" `Quick test_unknown_schema_rejected;
+    QCheck_alcotest.to_alcotest prop_damaged_baseline_rejected;
   ]
