@@ -310,16 +310,16 @@ let server_rows = ref ([] : E.Server.row list)
 let skipped_artefacts = ref ([] : string list)
 let mark_skipped name = skipped_artefacts := name :: !skipped_artefacts
 
-let run_server ~quick ~shard_domains () =
+let run_server ~quick () =
   let cpus = Domain.recommended_domain_count () in
   let saved = E.Exp_run.jobs () in
   let rows =
-    if cpus < 2 then E.Server.run ~quick ~shard_domains ()
+    if cpus < 2 then E.Server.run ~quick ()
     else begin
       E.Exp_run.set_jobs 1;
-      let seq = E.Server.run ~quick ~shard_domains () in
+      let seq = E.Server.run ~quick () in
       E.Exp_run.set_jobs 2;
-      let par = E.Server.run ~quick ~shard_domains () in
+      let par = E.Server.run ~quick () in
       if seq <> par then
         failwith "server: rows diverge between --jobs 1 and --jobs 2";
       seq
@@ -388,65 +388,6 @@ let run_jobs_scaling ~quick () =
            ("speedup", Json.fixed 2 sp);
          ])
   end
-
-(* ------------------------------------------------------------------ *)
-(* Shard-scaling artefact: one machine's cores split across OCaml
-   domains (--shard-domains) against the same machine on the
-   sequential engine loop.  Bit-identity is asserted on every host;
-   the wall-clock ratio is recorded, not asserted — a 1-CPU runner
-   legitimately loses time to barrier traffic.                         *)
-(* ------------------------------------------------------------------ *)
-
-let run_shard_scaling ~quick () =
-  let cpus = Domain.recommended_domain_count () in
-  let threads = if quick then 16 else 32 in
-  let per = if quick then 4 else 12 in
-  let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
-  let base = E.Exp_run.s_config Config.default in
-  let run d =
-    timed (fun () ->
-        Machine.run (Config.v ~base ~shard_domains:d ()) w.W.Workload.program)
-  in
-  let seq_r, seq_s = run 1 in
-  let shards = max 2 (min 4 cpus) in
-  let shard_r, shard_s = run shards in
-  if not (Machine.same_outcome seq_r shard_r) then
-    failwith
-      (Printf.sprintf "shard-scaling: %d-shard run diverged from the sequential loop"
-         shards);
-  (* Barrier elision must have fired: the MPMC service loops give the
-     horizon analysis plenty of provably-quiet spans. *)
-  let lockstep_r =
-    Machine.run
-      (Config.v ~base ~shard_domains:shards ~elide_barriers:false ())
-      w.W.Workload.program
-  in
-  if not (Machine.same_outcome lockstep_r shard_r) then
-    failwith "shard-scaling: elision changed the result";
-  if shard_r.Machine.shard.Machine.elided_cycles = 0 then
-    failwith "shard-scaling: barrier elision never fired";
-  if shard_r.Machine.shard.Machine.barriers >= lockstep_r.Machine.shard.Machine.barriers
-  then
-    failwith "shard-scaling: elision did not reduce barrier traffic";
-  say
-    "shard-scaling: %d cores — 1 shard %.2fs, %d shards %.2fs, %.2fx (host CPUs: %d, \
-     bit-identical; %d barriers, %d cycles elided, %d barriers without elision)"
-    threads seq_s shards shard_s (seq_s /. shard_s) cpus
-    shard_r.Machine.shard.Machine.barriers shard_r.Machine.shard.Machine.elided_cycles
-    lockstep_r.Machine.shard.Machine.barriers;
-  record "shard_scaling"
-    (Json.Obj
-       [
-         ("cpus", Json.Int cpus);
-         ("cores", Json.Int threads);
-         ("shards", Json.Int shards);
-         ("seq_seconds", Json.fixed 3 seq_s);
-         ("shard_seconds", Json.fixed 3 shard_s);
-         ("shard_speedup", Json.fixed 2 (seq_s /. shard_s));
-         ("barriers_total", Json.Int shard_r.Machine.shard.Machine.barriers);
-         ("elided_cycles", Json.Int shard_r.Machine.shard.Machine.elided_cycles);
-         ("bit_identical", Json.Bool true);
-       ])
 
 (* ------------------------------------------------------------------ *)
 (* Sampled-simulation artefact: the SMARTS-style interval estimator
@@ -547,7 +488,7 @@ let run_sampled_sim ~quick () =
 
 let artefact_times = ref ([] : (string * float) list)
 
-let write_bench_json ~quick ~jobs ~shard_domains path =
+let write_bench_json ~quick ~jobs path =
   let artefact (name, s) =
     Json.Obj
       ([ ("name", Json.Str name); ("seconds", Json.fixed 3 s) ]
@@ -562,21 +503,19 @@ let write_bench_json ~quick ~jobs ~shard_domains path =
           ("schema", Json.Str "fence-scoping/bench-engine/v4");
           ("quick", Json.Bool quick);
           ("jobs", Json.Int jobs);
-          ("shard_domains", Json.Int shard_domains);
           ("artefacts", Json.Arr (List.rev_map artefact !artefact_times));
         ]
        @ List.concat_map section
            [
              "engine_vs_naive";
              "jobs_scaling";
-             "shard_scaling";
              "sampled_sim";
              "engine_total_seconds";
              "naive_total_seconds";
              "overall_speedup";
            ]))
 
-let artefacts ~quick ~shard_domains =
+let artefacts ~quick =
   [
     ("table3", run_table3);
     ("table4", run_table4);
@@ -589,10 +528,9 @@ let artefacts ~quick ~shard_domains =
     ("ablate", run_ablate ~quick);
     ("engine", run_engine ~quick);
     ("profile", run_profile ~quick);
-    ("server", run_server ~quick ~shard_domains);
+    ("server", run_server ~quick);
     ("sampled", run_sampled_sim ~quick);
     ("jobs-scaling", run_jobs_scaling ~quick);
-    ("shard-scaling", run_shard_scaling ~quick);
   ]
 
 let run_artefact (name, f) =
@@ -608,32 +546,28 @@ let usage_error fmt =
       exit 2)
     fmt
 
-(* "quick", "--jobs N" / "--jobs=N" and "--shard-domains N" /
-   "--shard-domains=N" are modifiers; everything else names an
-   artefact. *)
+(* "quick" and "--jobs N" / "--jobs=N" are modifiers; everything else
+   names an artefact. *)
 let parse_args args =
   let count flag n =
     match int_of_string_opt n with
     | Some k when k >= 1 -> k
     | _ -> usage_error "%s expects a positive integer, got %S" flag n
   in
-  let rec go quick jobs shards wanted = function
-    | [] -> (quick, jobs, shards, List.rev wanted)
-    | "quick" :: rest -> go true jobs shards wanted rest
-    | "--jobs" :: n :: rest -> go quick (count "--jobs" n) shards wanted rest
-    | "--shard-domains" :: n :: rest ->
-      go quick jobs (count "--shard-domains" n) wanted rest
+  let rec go quick jobs wanted = function
+    | [] -> (quick, jobs, List.rev wanted)
+    | "quick" :: rest -> go true jobs wanted rest
+    | "--jobs" :: n :: rest -> go quick (count "--jobs" n) wanted rest
     | arg :: rest -> (
       match String.split_on_char '=' arg with
-      | [ "--jobs"; n ] -> go quick (count "--jobs" n) shards wanted rest
-      | [ "--shard-domains"; n ] -> go quick jobs (count "--shard-domains" n) wanted rest
-      | _ -> go quick jobs shards (arg :: wanted) rest)
+      | [ "--jobs"; n ] -> go quick (count "--jobs" n) wanted rest
+      | _ -> go quick jobs (arg :: wanted) rest)
   in
-  go false 1 1 [] args
+  go false 1 [] args
 
 let () =
-  let quick, jobs, shard_domains, wanted = parse_args (List.tl (Array.to_list Sys.argv)) in
-  let all = artefacts ~quick ~shard_domains in
+  let quick, jobs, wanted = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let all = artefacts ~quick in
   let selected =
     List.map
       (fun name ->
@@ -653,6 +587,6 @@ let () =
         run_artefact a)
       all
   else List.iter run_artefact selected;
-  write_bench_json ~quick ~jobs ~shard_domains "BENCH_engine.json";
+  write_bench_json ~quick ~jobs "BENCH_engine.json";
   if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
   if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"

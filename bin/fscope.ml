@@ -400,24 +400,13 @@ let machine =
              until a cross-core store wakes them).  Timing-neutral: results are \
              bit-identical either way; this only trades simulator wall-clock for a \
              simpler execution.")
-  and shard_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "shard-domains" ] ~docv:"N"
-          ~doc:
-            "Split the simulated machine's cores across $(docv) OCaml domains (default 1: \
-             the sequential engine loop).  Affects untraced exact runs only, \
-             checkpoint legs included: traced runs (as in $(b,trace), $(b,profile) and \
-             $(b,advise)) and $(b,--sample) runs always step on one domain.  Timing-neutral: the \
-             sharded engine is bit-identical to the sequential one — this only trades \
-             simulator wall-clock on multi-core hosts.")
   in
-  let make mem_latency rob_size fsb_entries mem_model no_spin_ff shard_domains () =
+  let make mem_latency rob_size fsb_entries mem_model no_spin_ff () =
     of_flags @@ fun () ->
     Config.v ?mem_latency ?rob_size ?fsb_entries ~mem_model
-      ~spin_fastforward:(not no_spin_ff) ~shard_domains ()
+      ~spin_fastforward:(not no_spin_ff) ()
   in
-  Term.(const make $ mem_latency $ rob $ fsb $ mem_model $ no_spin_ff $ shard_domains)
+  Term.(const make $ mem_latency $ rob $ fsb $ mem_model $ no_spin_ff)
 
 let variant =
   let traditional =
@@ -483,8 +472,7 @@ let run_cmd =
             "Write a whole-machine checkpoint to $(b,--checkpoint-out) at the top of \
              every multiple of $(docv) cycles the run reaches, each overwriting the last \
              — a crashed or cancelled run can be resumed with $(b,fscope checkpoint \
-             resume).  Composes with $(b,--shard-domains): the checkpoints are the same \
-             for every shard count.  Incompatible with $(b,--sample).")
+             resume).  Incompatible with $(b,--sample).")
   and checkpoint_out =
     Arg.(
       value & opt string "fscope.ckpt.json"

@@ -164,130 +164,6 @@ let spin_poll = Core_spin.poll
 let spin_cancel = Core_spin.cancel
 let spin_replay (t : t) ~stable ~k = Core_spin.replay t ~stable ~k
 
-(* Shard-classification predicates for the domain-sharded engine: may
-   the core's next sub-step touch state shared between cores?  Each
-   over-approximates (a [true] only costs parallelism; a missed [true]
-   would break bit-identity), and each is exact enough to matter. *)
-
-(* Phase 1 (complete-writes) touches shared memory iff a store-buffer
-   entry drains this cycle or a CAS reaches its completion point.
-   Exact at the time the engine asks (phase-1 start): phase 1 never
-   creates new completions. *)
-let rec cas_due_from (t : t) cycle slot =
-  slot >= 0
-  &&
-  let e = Rob.slot_entry t.rob slot in
-  (match e.instr with Fscope_isa.Instr.Cas _ -> e.done_at <= cycle | _ -> false)
-  || cas_due_from t cycle (Rob.queue_next t.rob Rob.executing_q slot (Rob.queue_prev t.rob slot))
-
-let writes_pending (t : t) ~cycle =
-  Store_buffer.any_due t.sb ~cycle
-  || cas_due_from t cycle (Rob.queue_first t.rob Rob.executing_q)
-
-(* Phase 3 (pipeline) reaches the memory port — and under the cache
-   hierarchy model, shared directory/stats state even on an L1 hit —
-   in exactly three places: a store committing into the store buffer,
-   a load issuing, a CAS issuing.  Stores can commit from any ROB
-   state; loads and CAS issue only out of [Waiting].  Dispatch runs
-   after issue within the step, so entries appearing this cycle cannot
-   also issue this cycle and the phase-start answer is sound. *)
-let touches_mem () (e : Rob.entry) =
-  match e.instr with
-  | Fscope_isa.Instr.Store _ -> true
-  | Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Cas _ -> e.state = Rob.Waiting
-  | _ -> false
-
-let may_touch_mem (t : t) =
-  (not t.halted) && Rob.exists_older t.rob (Rob.next_seq t.rob) touches_mem ()
-
-(* Can this phase-3 step end with an armed spin-stability certificate
-   (and therefore a sleep transition, which registers shared watches)?
-   Arming inside [Core_spin.on_boundary] compares against a snapshot
-   taken at a PREVIOUS boundary, so no previous snapshot at phase start
-   guarantees {!spin_poll} returns [None] this cycle. *)
-let spin_may_arm (t : t) =
-  t.spin_probe.pr_enabled && t.spin_probe.pr_snap_len >= 0
-
-(* Whole-cycle FREE horizon for barrier elision.  [quiet_until t ~from
-   ~cap ~hier] returns the largest cycle X in [from-1, cap] such that
-   stepping this core through cycles [from..X] provably performs no
-   shared-state step: no store-buffer drain or CAS write reaches
-   memory, no ordered phase-3 step runs, no spin certificate can arm
-   (so no sleep transition registers watches), and the core cannot
-   halt (so the engine's drain bookkeeping stays untouched).  [from-1]
-   means "no quiet span at all".  Three sources bound the horizon:
-
-   - the store buffer: the earliest [done_at] writes memory, so the
-     span must end strictly before it;
-   - the ROB: any in-flight Store / Cas / Branch / Halt (plus Load
-     under the cache hierarchy, where even a hit bumps directory
-     state) can act at unpredictable cycles once present, so its mere
-     presence collapses the horizon;
-   - the fetch stream: walking the static code from [fetch_pc]
-     (following unconditional jumps, assuming fetch restarts at
-     [max from fetch_resume] and sustains the full fetch width — both
-     earliest-possible, therefore conservative) bounds the first cycle
-     an unsafe instruction can enter the ROB; the span ends strictly
-     before that fetch cycle.  No Branch in the ROB or in the walked
-     prefix means nothing can redirect fetch off the walked path, and
-     ROB-full back-pressure only delays fetch, never hastens it.
-
-   The walk is capped at [stream_walk_slots] budget slots so a pure
-   jump/ALU loop terminates; stopping early just shortens the proven
-   span, never unsounds it. *)
-let stream_walk_slots = 1024
-
-(* An in-flight entry that can act on shared state at an unpredictable
-   cycle. *)
-let acts_shared hier (e : Rob.entry) =
-  match e.instr with
-  | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ | Fscope_isa.Instr.Branch _
-  | Fscope_isa.Instr.Halt ->
-    true
-  | Fscope_isa.Instr.Load _ -> hier
-  | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
-  | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Jump _ | Fscope_isa.Instr.Fence _
-  | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ ->
-    false
-
-(* The fetch-stream bound: walk the code from [pc], the [slots]-th
-   fetch slot from [first] at [width] per cycle, to the first
-   instruction that can act on shared state (or the walk cap); [bound]
-   lowered to the cycle before it is fetched. *)
-let rec stream_bound (t : t) ~hier ~first ~width ~bound pc slots =
-  let fetch_cycle = first + (slots / width) in
-  if pc < 0 || pc >= Array.length t.code then bound (* fetch runs dry *)
-  else if fetch_cycle > bound then bound
-  else if slots >= stream_walk_slots then Int.min bound (fetch_cycle - 1)
-  else
-    match t.code.(pc) with
-    | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ | Fscope_isa.Instr.Branch _
-    | Fscope_isa.Instr.Halt ->
-      Int.min bound (fetch_cycle - 1)
-    | Fscope_isa.Instr.Load _ when hier -> Int.min bound (fetch_cycle - 1)
-    | Fscope_isa.Instr.Jump target ->
-      stream_bound t ~hier ~first ~width ~bound target (slots + 1)
-    | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
-    | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Fence _
-    | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ ->
-      stream_bound t ~hier ~first ~width ~bound (pc + 1) (slots + 1)
-
-let quiet_until (t : t) ~from ~cap ~hier =
-  (* [min_due] is [max_int] for an empty store buffer *)
-  let bound = Int.min cap (Store_buffer.min_due t.sb - 1) in
-  let bound =
-    if t.halted then bound
-    else if spin_may_arm t || Rob.exists_older t.rob (Rob.next_seq t.rob) acts_shared hier
-    then Int.min bound (from - 1)
-    else if (not t.fetch_stopped) && bound >= from then
-      stream_bound t ~hier
-        ~first:(Int.max from t.fetch_resume)
-        ~width:(Int.max 1 t.cfg.Exec_config.fetch_width)
-        ~bound t.fetch_pc 0
-    else bound
-  in
-  Int.max (from - 1) bound
-
 (* The earliest of [m] and the completion cycles after [cycle] of the
    executing queue from [slot]. *)
 let rec exec_wake_from (t : t) cycle slot m =

@@ -126,45 +126,6 @@ val next_wake : t -> cycle:int -> int
     state, i.e. after a cycle in which every step reported no
     progress. *)
 
-val writes_pending : t -> cycle:int -> bool
-(** Will [step_complete_writes ~cycle] write shared memory — a
-    store-buffer entry completing at or before [cycle], or an
-    in-flight CAS reaching its completion point?  Exact when asked
-    before the writes phase, with no step of the core in between.  The
-    domain-sharded engine runs the phase-1 steps for which this holds
-    on one domain in core order, and the rest on their owners in any
-    order. *)
-
-val may_touch_mem : t -> bool
-(** May [step_pipeline] reach the memory port this cycle — a store
-    committing into the store buffer, or a load / CAS issuing?
-    Conservative (based on the ROB at phase start, any-state stores
-    and waiting loads/CAS); under the cache-hierarchy model, where
-    even an L1 hit bumps shared directory state, the sharded engine
-    runs the phase-3 steps for which this holds on one domain in core
-    order. *)
-
-val spin_may_arm : t -> bool
-(** May this cycle's pipeline step arm a spin-stability certificate
-    (see below)?  False whenever no boundary snapshot exists yet, which
-    makes it a sound phase-start test for sleep transitions: the
-    sharded engine runs the phase-3 steps for which it holds on one
-    domain in core order. *)
-
-val quiet_until : t -> from:int -> cap:int -> hier:bool -> int
-(** Whole-cycle FREE horizon for barrier elision in the sharded
-    engine: the largest cycle [X] in [[from-1, cap]] such that
-    stepping this core through cycles [from..X] provably performs no
-    shared-state step — no store-buffer drain or CAS write, no
-    ordered phase-3 step ([hier] selects the stricter cache-hierarchy
-    classification), no spin-certificate arming (hence no sleep
-    transition), and no halt (hence no drain-bookkeeping change).
-    [from - 1] means no quiet span exists.  Bounded by the earliest
-    store-buffer deadline, collapsed by any unsafe in-flight ROB
-    entry, and otherwise limited by a conservative walk of the static
-    fetch stream (earliest-fetch assumptions, capped so jump loops
-    terminate).  Pure: never mutates core state. *)
-
 val account_stall_span : t -> cycle:int -> cycles:int -> unit
 (** Replay the per-cycle accounting of the [cycles] consecutive
     no-progress cycles after [cycle] in O(1): active cycles,

@@ -468,11 +468,6 @@ let set_cas_due t d = t.cas_due <- d
 let rec iter_from t f s = if s < t.tail_seq then (f (at t (slot_of t s)); iter_from t f (s + 1))
 let iter t f = iter_from t f t.head_seq
 
-let rec exists_from t stop p x s =
-  s < stop && (p x (at t (slot_of t s)) || exists_from t stop p x (s + 1))
-
-let exists_older t seq p x = exists_from t (Int.min seq t.tail_seq) p x t.head_seq
-
 let rec youngest_from t p x s =
   if s < t.head_seq then -1 else if p x (at t (slot_of t s)) then s else youngest_from t p x (s - 1)
 

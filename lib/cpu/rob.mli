@@ -307,11 +307,6 @@ val set_load_due : t -> int -> unit
 val set_cas_due : t -> int -> unit
 (** The same for the CAS. *)
 
-val exists_older : t -> int -> ('a -> entry -> bool) -> 'a -> bool
-(** [exists_older t seq p x]: does any in-flight entry [e] older than
-    [seq] satisfy [p x e]?  Oldest first; allocates nothing when [p]
-    is a top-level function. *)
-
 val youngest_older : t -> int -> ('a -> entry -> bool) -> 'a -> int
 (** [youngest_older t seq p x]: the seq of the youngest in-flight
     entry older than [seq] that satisfies [p x], or -1. *)

@@ -61,9 +61,6 @@ let push t ~addr ~value ~mask ~done_at =
 let rec due_from t cycle i = i < t.count && (t.dues.(i) <= cycle || due_from t cycle (i + 1))
 let any_due t ~cycle = due_from t cycle 0
 
-let rec min_due_from t i m = if i >= t.count then m else min_due_from t (i + 1) (Int.min m t.dues.(i))
-let min_due t = min_due_from t 0 max_int
-
 (* Remove the due entries oldest first, handing each to [apply], and
    close the gaps so the rest keep their order. *)
 let rec drain_from t cycle apply x i w =

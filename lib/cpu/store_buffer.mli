@@ -36,12 +36,6 @@ val push : t -> addr:int -> value:int -> mask:Fscope_core.Fsb.mask -> done_at:in
 (** Append a committed store that becomes visible at [done_at].
     Raises [Invalid_argument] when full. *)
 
-val any_due : t -> cycle:int -> bool
-(** Does any entry have [done_at <= cycle]? *)
-
-val min_due : t -> int
-(** The earliest [done_at]; [max_int] when empty. *)
-
 val drain_due :
   t -> cycle:int -> ('a -> addr:int -> value:int -> mask:Fscope_core.Fsb.mask -> unit) -> 'a -> bool
 (** [drain_due t ~cycle apply x] removes every entry with

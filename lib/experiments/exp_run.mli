@@ -57,10 +57,9 @@ val speedup : baseline:measurement -> measurement -> float
 val set_jobs : int -> unit
 (** Number of domains {!measure_all} fans experiment points across
     (default 1 = sequential).  Process-global: the CLI's [--jobs] flag
-    sets it once at startup.  How many domains one machine's cores are
-    split across is a machine knob instead,
-    [Fscope_machine.Config.shard_domains].  Raises [Invalid_argument]
-    when [n < 1]. *)
+    sets it once at startup.  This point pool is the simulator's only
+    host parallelism: one machine always steps on one domain.  Raises
+    [Invalid_argument] when [n < 1]. *)
 
 val jobs : unit -> int
 

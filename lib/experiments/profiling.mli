@@ -36,4 +36,4 @@ val advise_inputs :
     {!Fscope_obs.Advisor.analyze} consumes.  Both are profiled with
     spin fast-forward off, so each costs one traced run and carries
     [spin_ff = None].  Deterministic: the pair is bit-identical for any
-    job count or shard count. *)
+    job count. *)

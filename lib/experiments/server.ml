@@ -205,16 +205,12 @@ let eval pt =
 (* Three machine configurations per workload.  The set-scope point
    recompiles the workload with S-FENCE[set] sites, so it is a
    (program, machine) pair of its own. *)
-let points ~quick ~shard_domains =
+let points ~quick =
   let threads = if quick then 4 else 8 in
   let per = if quick then 8 else 24 in
   let steal_reqs = if quick then 24 else 96 in
-  (* With [shard_domains > 1] every point runs the domain-sharded
-     engine, and eval's engine-vs-reference check becomes a
-     sharded-vs-sequential bit-identity assertion. *)
-  let shard c = Config.v ~base:c ~shard_domains () in
-  let t = shard (Exp_run.t_config Config.default) in
-  let s = shard (Exp_run.s_config Config.default) in
+  let t = Exp_run.t_config Config.default in
+  let s = Exp_run.s_config Config.default in
   let per_workload ?lat_threads name requests build =
     [
       (name, "T", t, (fun () -> build `Class));
@@ -231,10 +227,9 @@ let points ~quick ~shard_domains =
              pt_lat_threads = lat_threads;
            })
   in
-  (* The scale point: one 64-core MPMC machine, the shape the sharded
-     engine exists for.  Quick keeps the request count small so the
-     point still runs everywhere; full is the 64-core x 10k-request
-     configuration from the issue. *)
+  (* The scale point: one 64-core MPMC machine.  Quick keeps the
+     request count small so the point still runs everywhere; full is
+     the 64-core x 10k-request configuration from the issue. *)
   let big_threads = 64 in
   let big_per = if quick then 4 else 625 in
   per_workload "server-mpmc"
@@ -259,10 +254,8 @@ let points ~quick ~shard_domains =
       };
     ]
 
-let run ?(quick = false) ?(shard_domains = 1) () =
-  Array.to_list
-    (Exp_run.parmap ~jobs:(Exp_run.jobs ()) eval
-       (Array.of_list (points ~quick ~shard_domains)))
+let run ?(quick = false) () =
+  Array.to_list (Exp_run.parmap ~jobs:(Exp_run.jobs ()) eval (Array.of_list (points ~quick)))
 
 (* Quick points are a few thousand cycles end to end — smaller than
    the default 10k-cycle detailed window — so quick mode shrinks the

@@ -68,14 +68,10 @@ type row = {
           covered subset ([sv_lat_samples]), not estimates *)
 }
 
-val run : ?quick:bool -> ?shard_domains:int -> unit -> row list
+val run : ?quick:bool -> unit -> row list
 (** Ten points (3 workloads x T/S/S-set, plus one 64-core MPMC scale
     point), fanned across {!Exp_run.jobs} domains; results are in
-    point order and independent of the job count.  Every machine
-    config carries [shard_domains] (default 1), so with [N > 1] every
-    point's untraced run uses the domain-sharded engine and the
-    per-point engine-vs-reference check asserts sharded/sequential
-    bit-identity (the traced run steps on one domain). *)
+    point order and independent of the job count. *)
 
 val sampled_sampling : quick:bool -> Fscope_machine.Config.sampling
 (** The sampling schedule the sampled points run under:
@@ -90,10 +86,9 @@ val run_sampled : ?quick:bool -> unit -> row list
     win against the detailed row) and the 256-core MPMC machine, which
     only exists sampled.  Rows carry [sv_sampled = true], validate
     functionally like every other point, and fill the latency columns
-    from the measured-window extraction ([sv_lat_sampled]).  Sampled
-    runs step on one domain, so these points take no shard count;
-    the traced run's cycle estimate must reproduce the untraced
-    one exactly. *)
+    from the measured-window extraction ([sv_lat_sampled]).  The
+    traced run's cycle estimate must reproduce the untraced one
+    exactly. *)
 
 val table : row list -> Fscope_util.Table.t
 

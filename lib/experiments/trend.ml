@@ -117,36 +117,6 @@ let load_engine ~file j =
         };
       ]
   in
-  (* The shard-scaling object: wall-clock compares only across equal
-     hosts, so speedup/seconds stay Gate_wall; the barrier and elision
-     counters are engine diagnostics — a rewrite legitimately moves
-     them, so they are context (Gate_never), never a gate. *)
-  let shard_points =
-    match Json.member "shard_scaling" j with
-    | None -> []
-    | Some ss ->
-      let ctx = "shard_scaling" in
-      [
-        {
-          p_key = "engine/shard-scaling";
-          p_metrics =
-            [
-              metric ~gate:Gate_wall ~dir:Lower_better "seq_seconds"
-                (num ~file ~ctx ss "seq_seconds");
-              metric ~gate:Gate_wall ~dir:Lower_better "shard_seconds"
-                (num ~file ~ctx ss "shard_seconds");
-              metric ~gate:Gate_wall ~dir:Higher_better "shard_speedup"
-                (num ~file ~ctx ss "shard_speedup");
-            ]
-            @ List.filter_map
-                (fun name ->
-                  Option.map
-                    (fun v -> metric ~gate:Gate_never ~dir:Lower_better name v)
-                    (num_opt ss name))
-                [ "barriers_total"; "elided_cycles" ];
-        };
-      ]
-  in
   let engine_points =
     List.map
       (fun r ->
@@ -178,7 +148,7 @@ let load_engine ~file j =
         };
       ]
   in
-  artefact_points @ sampled_points @ shard_points @ engine_points @ totals
+  artefact_points @ sampled_points @ engine_points @ totals
 
 (* One profile object is Obs.Profile.json output, which stores no
    fence share: it is recomputed here from the CPI leaves. *)

@@ -18,8 +18,8 @@ type gate =
   | Gate_always  (** deterministic metric: gates at [threshold] *)
   | Gate_wall  (** wall-clock: gates only when [wall_threshold] is given *)
   | Gate_never
-      (** context — gauge summaries, shard barrier/elision counters,
-          placeholder latency columns: never gates *)
+      (** context — gauge summaries, placeholder latency columns:
+          never gates *)
 
 type metric = {
   m_name : string;

@@ -5,10 +5,10 @@
    rebuilt by the caller (the CLI re-derives them from the workload
    registry) and validated against a digest of the machine-defining
    parts (pipeline / memory / scope configs plus the full program
-   image).  Wall-clock knobs — [max_cycles], [shard_domains],
-   [sampling] — are deliberately outside the digest: resuming with a
-   longer cycle budget is the point of checkpointing, and engine
-   choice never changes results.
+   image).  Wall-clock knobs — [max_cycles] and [sampling] — are
+   deliberately outside the digest: resuming with a longer cycle
+   budget is the point of checkpointing, and engine choice never
+   changes results.
 
    The per-core payloads are produced by {!Fscope_cpu.Core.snapshot}.
    No engine schedule is stored: captures happen at a stop, where

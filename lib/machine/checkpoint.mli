@@ -5,17 +5,16 @@
     and the cache hierarchy — as one JSON document.  Configuration and
     instructions are not stored; the caller rebuilds both and
     {!validate} checks them against the embedded digest.  The engine
-    captures at a stop of its stepper, with any domain team parked
-    and every core in its naive-loop state, so a checkpoint is the
-    same under every [shard_domains] and resumes bit-identically
-    under any other. *)
+    captures at a stop of its stepper, with every core in its
+    naive-loop state, so a resumed run is bit-identical to the
+    uninterrupted one. *)
 
 type t = {
   cycle : int;  (** the engine resumes at the top of this cycle *)
   digest : string;
       (** MD5 over exec/mem/scope configs and the full program image;
-          wall-clock knobs ([max_cycles], [shard_domains], [sampling])
-          are excluded so a resume may extend the budget *)
+          wall-clock knobs ([max_cycles], [sampling]) are excluded so
+          a resume may extend the budget *)
   cores : Fscope_util.Json.t array;
   mem : int array;
   hierarchy : Fscope_util.Json.t;

@@ -27,8 +27,6 @@ type t = {
   mem_model : mem_model;
   scope : Fscope_core.Scope_unit.config;
   max_cycles : int;
-  shard_domains : int;
-  elide_barriers : bool;
   sampling : sampling option;
 }
 
@@ -39,8 +37,6 @@ let default =
     mem_model = Hierarchy;
     scope = Fscope_core.Scope_unit.default_config;
     max_cycles = 30_000_000;
-    shard_domains = 1;
-    elide_barriers = true;
     sampling = None;
   }
 
@@ -48,10 +44,12 @@ let default =
    machine when omitted) and override exactly the named knobs.  An
    omitted argument leaves the base's value untouched, so refinements
    compose:
-   [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()]. *)
+   [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].
+   [shard_domains] and [elide_barriers] are accepted and have no
+   effect: a shard count is checked, then dropped. *)
 let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_model
     ?mem_latency ?rob_size ?fsb_entries ?fss_entries ?mt_entries ?max_cycles
-    ?shard_domains ?elide_barriers ?sampling () =
+    ?(shard_domains = 1) ?elide_barriers:(_ : bool option) ?sampling () =
   let opt v dflt = Option.value v ~default:dflt in
   let sampling = opt sampling base.sampling in
   Option.iter sampling_validate sampling;
@@ -75,8 +73,6 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
           mt_entries = opt mt_entries base.scope.mt_entries;
         };
       max_cycles = opt max_cycles base.max_cycles;
-      shard_domains = opt shard_domains base.shard_domains;
-      elide_barriers = opt elide_barriers base.elide_barriers;
       sampling;
     }
   in
@@ -85,5 +81,5 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
   let check name v = if v < 1 then invalid_arg ("Config: " ^ name ^ " must be positive") in
   check "mem_latency" t.mem.mem_latency;
   check "max_cycles" t.max_cycles;
-  check "shard_domains" t.shard_domains;
+  check "shard_domains" shard_domains;
   t

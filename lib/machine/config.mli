@@ -41,22 +41,9 @@ type t = {
   mem_model : mem_model;
   scope : Fscope_core.Scope_unit.config;
   max_cycles : int;  (** runaway guard; a run reaching it is reported as timed out *)
-  shard_domains : int;
-      (** partition the machine's cores across this many OCaml domains
-          (default 1 = the sequential engine).  Applies to untraced
-          exact runs only, checkpoint legs included; traced runs and
-          sampled runs always step on one domain.  Results are
-          bit-identical for any value — this only trades simulator
-          wall-clock; see DESIGN.md §13. *)
-  elide_barriers : bool;
-      (** let the sharded engine collapse provably non-interacting
-          cycle spans to a single barrier (default [true]), so like
-          [shard_domains] it only affects untraced exact runs.
-          Bit-identical either way — wall-clock and barrier-count
-          only; see DESIGN.md §16. *)
   sampling : sampling option;
-      (** [Some _] selects the sampled engine, which steps on one
-          domain; [None] (the default) is exact detailed simulation. *)
+      (** [Some _] selects the sampled engine; [None] (the default) is
+          exact detailed simulation. *)
 }
 
 val default : t
@@ -95,7 +82,10 @@ val v :
     - [spin_fastforward]: the engine's spin sleep/replay optimisation
       (bit-identical results either way, wall-clock only);
     - [mem_model], [mem_latency], [rob_size], [fsb_entries],
-      [fss_entries], [mt_entries], [max_cycles]: as the record fields.
+      [fss_entries], [mt_entries], [max_cycles]: as the record fields;
+    - [shard_domains], [elide_barriers]: accepted and ignored, kept
+      only so that [perfbench/fsbench.ml] compiles until it stops
+      passing them.  The machine always steps on one domain.
 
     Omitted arguments keep the base's value, so refinements compose:
     [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].

@@ -140,9 +140,9 @@ let build ~obs (config : Config.t) program =
 (* The cycle stepper                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One stepper drives the three-phase protocol for every engine mode:
-   {!advance} takes the machine to the top of a stop cycle over a
-   shard plan of [d] domains.
+(* One sequential stepper drives the three-phase protocol for every
+   engine mode: {!advance} takes the machine to the top of a stop
+   cycle, stepping the cores in core order within each phase.
 
    Per-core event-horizon scheduling.  A core whose three sub-steps
    all report no progress is frozen: every cycle-dependence of its
@@ -182,15 +182,10 @@ type stepper = {
   obs : Obs.Trace.t;
   hier_mem : bool;
   spin_on : bool;
-  d : int;  (** shard count; 1 = the sequential engine *)
-  elide_on : bool;
-  sync : Shard_sync.t;
   wake : int array;
   progress : bool array;
-  drained_count : int Atomic.t;
+  mutable drained_count : int;
   sleeping : Core.spin_stable option array;
-  ordered : bool array;
-  quiet : int array;
   watches : (int, int list) Hashtbl.t;
       (** watched address -> sorted list of sleeping watcher cores (a
           list, not a bitmask, so the machine is not capped at 62
@@ -198,16 +193,13 @@ type stepper = {
   mutable spin_sleeps : int;
   mutable spin_skipped : int;
   mutable spin_wakes : int;
-  mutable elided_cycles : int;
-      (** engine diagnostics, published once as [result.spin] and
-          [result.shard] *)
+      (** engine diagnostics, published once as [result.spin] *)
   mutable cycle : int;
   mutable stop : int;
   mutable finished : bool;
-  mutable quit : bool;  (** tells the parked team to exit *)
   mutable phase : int;
   mutable phase_core : int;
-      (** the phase (1 or 3) and core shard 0's walk is at, so a wake
+      (** the phase (1 or 3) and core the stepper is at, so a wake
           fired from inside another core's step can splice the sleeper
           back into the phase order it would have had in the naive
           loop *)
@@ -271,7 +263,7 @@ let rec step3 t i c =
   if t.progress.(i) then begin
     if Core.drained t.cores.(i) then begin
       (* counted once: a [never] wake keeps it from being stepped again *)
-      Atomic.incr t.drained_count;
+      t.drained_count <- t.drained_count + 1;
       t.wake.(i) <- never
     end
     else begin
@@ -337,10 +329,9 @@ and wake_core t i =
       end
     end
 
-let create ~obs ~domains (config : Config.t) program =
+let create ~obs (config : Config.t) program =
   let cores, mem, hierarchy, on_store = build ~obs config program in
   let n = Array.length cores in
-  let d = Int.max 1 (Int.min domains n) in
   let spin_on =
     config.Config.exec.Exec_config.spin_fastforward && not (Obs.Trace.on obs)
   in
@@ -353,24 +344,17 @@ let create ~obs ~domains (config : Config.t) program =
       obs;
       hier_mem = config.Config.mem_model = Config.Hierarchy;
       spin_on;
-      d;
-      elide_on = config.Config.elide_barriers && d > 1;
-      sync = Shard_sync.create ~domains:d;
       wake = Array.make n 0;
       progress = Array.make n false;
-      drained_count = Atomic.make 0;
+      drained_count = 0;
       sleeping = Array.make n None;
-      ordered = Array.make n false;
-      quiet = Array.make d (-1);
       watches = Hashtbl.create 16;
       spin_sleeps = 0;
       spin_skipped = 0;
       spin_wakes = 0;
-      elided_cycles = 0;
       cycle = 0;
       stop = 0;
       finished = false;
-      quit = false;
       phase = 0;
       phase_core = 0;
     }
@@ -416,7 +400,7 @@ let finish t ~cycles ~timed_out ~windows =
       mem = t.mem;
       cache = Hierarchy.stats t.hierarchy;
       spin = { sleeps = t.spin_sleeps; cycles_skipped = t.spin_skipped; wakes = t.spin_wakes };
-      shard = { barriers = Shard_sync.barriers t.sync; elided_cycles = t.elided_cycles };
+      shard = { barriers = 0; elided_cycles = 0 };
       sample_windows = windows;
       obs = None;
     }
@@ -427,212 +411,46 @@ let finish t ~cycles ~timed_out ~windows =
   end
   else r
 
-(* ------------------------------------------------------------------ *)
-(* The shard plan                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* With [d > 1] the machine's cores split cyclically across [d] OCaml
-   domains (core i belongs to shard [i mod d]), each running the same
-   three-phase protocol with a barrier at every phase boundary.  Only
-   untraced exact runs shard: a traced run or a sampled one steps on
-   one domain whatever [Config.shard_domains] says.  Phase 2 only
-   completes loads, which read memory no phase-2 step writes, so each
-   shard steps its owned cores there.  In phases 1 and 3 a core's step
-   is ORDERED — may touch state shared between cores (memory writes,
-   the cache directory and its stats, spin watches and wakes) — or
-   FREE (provably commutes with every other step of the phase).  Each
-   owner classifies its cores before the phase, while no step that
-   could change them runs: phase 1 in the publish window before the
-   cycle, phase 3 after its own phase-2 steps.  Shard 0 then walks
-   cores 0..n-1 and steps every ordered core and its own free ones;
-   the other shards step only their own free cores.  So the ordered
-   steps run on one domain in the naive loop's order, the free ones
-   commute with them, and the whole run — cycles, every CPI leaf,
-   final memory — is bit-identical to the naive loop.  With [d = 1]
-   nothing is classified: shard 0 owns every core and its walk is the
-   naive loop.
-
-   Spin wakes fire only from inside ordered steps (the disturbing
-   store or invalidation is itself shared-state work), and sleeping
-   cores are always ordered, so wakes, sleep transitions and the watch
-   table are shard 0's alone, at the disturber's position in the walk.
-
-   Per-core slots ([wake], [progress], [sleeping], [ordered]) are
-   written by their owner, or by shard 0 while it steps the core as
-   ordered; a barrier separates every such write from a read on
-   another domain.  [phase] and [phase_core] are shard 0's; [cycle]
-   and [finished] are written only by shard 0 in the publish window
-   between the phase-3 barrier and the cycle barrier; [stop] only by
-   the driver while the team is parked.  [drained_count] is an atomic
-   because a core can drain inside a free step. *)
-
-let barrier t = if t.d > 1 then Shard_sync.barrier t.sync
-
-(* [f] over the cores shard [me] owns, in ascending order. *)
-let iter_owned t me f =
-  let i = ref me in
-  while !i < t.n do
-    f !i;
-    i := !i + t.d
-  done
-
-let step t p i c =
-  match p with
-  | 1 -> t.progress.(i) <- t.wake.(i) <= c && Core.step_complete_writes t.cores.(i) ~cycle:c
-  | 2 ->
-    if t.wake.(i) <= c && Core.step_complete_reads t.cores.(i) ~cycle:c then
-      t.progress.(i) <- true
-  | _ -> if t.wake.(i) <= c then step3 t i c
-
-(* Classification of a phase-1 or phase-3 step (see DESIGN §13 for the
-   argument):
-   - phase 1: ordered iff the core is spin-sleeping (a wake may touch
-     its slots), or {!Core.writes_pending} (a drain or CAS completion
-     writes memory);
-   - phase 3: ordered iff spin-sleeping, may arm a spin certificate (a
-     sleep transition registers shared watches), or — under the
-     hierarchy model, where even an L1 hit bumps shared directory
-     stats — {!Core.may_touch_mem}. *)
-let is_ordered t p i c =
-  Option.is_some t.sleeping.(i)
-  ||
-  if p = 1 then Core.writes_pending t.cores.(i) ~cycle:c
-  else
-    (t.spin_on && Core.spin_may_arm t.cores.(i))
-    || (t.hier_mem && Core.may_touch_mem t.cores.(i))
-
-(* Classify phase [p] of cycle [c] for the cores shard [me] owns. *)
-let classify t me p c = iter_owned t me (fun i -> t.ordered.(i) <- is_ordered t p i c)
-
-(* Shard [me]'s steps of phase [p] of cycle [c].  The loops one domain
-   runs are written out, not [iter_owned], so its cycle takes no
-   closure. *)
-let run_phase t me p c =
-  if p = 2 then begin
-    let i = ref me in
-    while !i < t.n do
-      step t 2 !i c;
-      i := !i + t.d
-    done;
-    if t.d > 1 then classify t me 3 c
-  end
-  else if me = 0 then begin
-    t.phase <- p;
-    let own = ref 0 in
-    for i = 0 to t.n - 1 do
-      let mine = i = !own in
-      if mine then own := i + t.d;
-      if mine || t.ordered.(i) then begin
-        t.phase_core <- i;
-        step t p i c
-      end
-    done
-  end
-  else iter_owned t me (fun i -> if not t.ordered.(i) then step t p i c)
-
-(* Barrier elision (DESIGN §16).  In the publish window each shard
-   computes, over its own non-drained non-sleeping cores (the ones
-   with a wake other than [never]), the minimum
-   {!Core.quiet_until} horizon — the last cycle through which stepping
-   those cores provably performs no shared-state step, no sleep
-   transition and no drain.  Sleeping cores contribute infinity: a
-   quiet span is machine-wide write-free, so nothing can touch their
-   watches.  At the next loop top every shard reads all slots
-   (published before the cycle barrier) and derives the same span
-   end; if it covers at least one cycle, the shards step their own
-   cores through the whole span locally — per-core, all three
-   sub-steps per cycle in order, which is observationally identical to
-   the phase-major order because no step touches shared state — and
-   meet at ONE barrier instead of four per cycle.  Capped at
-   [stop - 1] and recomputed at every publish, so the horizon is
-   always fresh by construction. *)
-let compute_quiet t me c =
-  let b = ref max_int in
-  iter_owned t me (fun core ->
-      if t.wake.(core) <> never then
-        b :=
-          Int.min !b
-            (Core.quiet_until t.cores.(core)
-               ~from:(Int.max t.wake.(core) (c + 1))
-               ~cap:(t.stop - 1) ~hier:t.hier_mem));
-  t.quiet.(me) <- !b
-
-(* Publish window after the last stepped cycle [c]: no step runs.  The
-   next cycle is the first at which anything can happen (awake cores
-   have wake = c+1; if everyone sleeps this jumps the clock), never
-   past the stop; every shard derives it from the same [wake] array.
-   Owners classify their cores' phase-1 steps of that cycle and
-   refresh their elision horizon, and shard 0 advances the shared
-   clock.  Ends with the cycle barrier. *)
-let publish t me c =
-  let next = Int.min t.stop (Int.max (Array.fold_left Int.min max_int t.wake) (c + 1)) in
-  if t.d > 1 then classify t me 1 next;
-  if t.elide_on then compute_quiet t me c;
-  if me = 0 then begin
-    t.finished <- Atomic.get t.drained_count = t.n;
-    t.cycle <- (if t.finished then c + 1 else next);
-    if (not t.finished) && t.cycle < t.stop then Obs.Trace.set_now t.obs t.cycle
-  end;
-  barrier t
-
-(* One shard's share of an {!advance}, in lockstep with the others.
-   The exit barrier keeps shard 0 from returning to its driver and
-   moving [stop] before a worker re-read the loop condition, which
-   would strand that worker in a phantom cycle. *)
-let shard_body t me =
-  while (not t.finished) && t.cycle < t.stop do
-    let c = t.cycle in
-    (* same inputs on every shard, hence the same answer *)
-    let span_end = if t.elide_on then Array.fold_left Int.min (t.stop - 1) t.quiet else c - 1 in
-    if span_end >= c then begin
-      if me = 0 then t.elided_cycles <- t.elided_cycles + (span_end - c + 1);
-      (* every step in the span is provably FREE, so per-core
-         cycle-major order is observationally identical to the
-         phase-major order of the lockstep path *)
-      iter_owned t me (fun core ->
-          for x = c to span_end do
-            step t 1 core x;
-            step t 2 core x;
-            step t 3 core x
-          done);
-      barrier t;
-      publish t me span_end
-    end
-    else begin
-      run_phase t me 1 c;
-      barrier t;
-      run_phase t me 2 c;
-      barrier t;
-      run_phase t me 3 c;
-      barrier t;
-      publish t me c
-    end
-  done;
-  barrier t
-
 (* Step the machine to the top of [stop], or until every core has
    drained.  Entry re-derives the schedule from the cores (live cores
    awake, drained ones retired): exact at cycle 0, after a restore or
-   a functional leg, and at any stop.  Runs as shard 0: it classifies
-   the first cycle's phase-1 steps for every shard while the team is
-   parked, and the command barrier releases the team. *)
+   a functional leg, and at any stop.  Each cycle runs the three
+   phases over the cores whose wake has come, in core order; then the
+   clock moves to the first cycle at which anything can happen (awake
+   cores have wake = c+1; if everyone sleeps this jumps the clock),
+   never past the stop. *)
 let advance t ~stop =
   t.stop <- stop;
-  Atomic.set t.drained_count 0;
+  t.drained_count <- 0;
   for i = 0 to t.n - 1 do
     let drained = Core.drained t.cores.(i) in
-    if drained then Atomic.incr t.drained_count;
+    if drained then t.drained_count <- t.drained_count + 1;
     t.wake.(i) <- (if drained then never else t.cycle)
   done;
-  (* no elision before the first publish: the last horizons are stale *)
-  Array.fill t.quiet 0 t.d (-1);
-  if t.d > 1 then
-    for me = 0 to t.d - 1 do
-      classify t me 1 t.cycle
-    done;
   Obs.Trace.set_now t.obs t.cycle;
-  barrier t;
-  shard_body t 0;
+  while (not t.finished) && t.cycle < stop do
+    let c = t.cycle in
+    t.phase <- 1;
+    for i = 0 to t.n - 1 do
+      t.progress.(i) <- t.wake.(i) <= c && Core.step_complete_writes t.cores.(i) ~cycle:c
+    done;
+    for i = 0 to t.n - 1 do
+      if t.wake.(i) <= c && Core.step_complete_reads t.cores.(i) ~cycle:c then
+        t.progress.(i) <- true
+    done;
+    t.phase <- 3;
+    for i = 0 to t.n - 1 do
+      t.phase_core <- i;
+      if t.wake.(i) <= c then step3 t i c
+    done;
+    let next = ref max_int in
+    for i = 0 to t.n - 1 do
+      if t.wake.(i) < !next then next := t.wake.(i)
+    done;
+    t.finished <- t.drained_count = t.n;
+    t.cycle <- (if t.finished then c + 1 else Int.min stop (Int.max !next (c + 1)));
+    if (not t.finished) && t.cycle < stop then Obs.Trace.set_now t.obs t.cycle
+  done;
   if not t.finished then
     Array.iteri
       (fun i s ->
@@ -643,36 +461,6 @@ let advance t ~stop =
           unregister_watches t i st;
           catch_up t i st ~through:(t.cycle - 1))
       t.sleeping
-
-(* Run the driver [f] with the stepper's [d - 1] worker domains,
-   spawned once and parked at the command barrier between {!advance}
-   calls.  A failure anywhere — a step, a worker, or driver code such
-   as a checkpoint sink — poisons the team, joins every domain and
-   re-raises the original exception. *)
-let with_team t f =
-  if t.d = 1 then f ()
-  else
-    let worker me () =
-      try
-        Shard_sync.barrier t.sync;
-        while not t.quit do
-          shard_body t me;
-          Shard_sync.barrier t.sync
-        done
-      with e -> Shard_sync.poison t.sync e
-    in
-    let team = Array.init (t.d - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    match f () with
-    | v ->
-      t.quit <- true;
-      Shard_sync.barrier t.sync;
-      Array.iter Domain.join team;
-      Shard_sync.check t.sync;
-      v
-    | exception e ->
-      Shard_sync.poison t.sync e;
-      Array.iter Domain.join team;
-      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Plain runs and checkpoints                                          *)
@@ -691,12 +479,10 @@ let restore t (config : Config.t) program (ck : Checkpoint.t) =
   t.cycle <- ck.Checkpoint.cycle
 
 (* Advance to [max_cycles] in [every]-cycle legs, capturing at each
-   stop the run reaches before it ends.  The capture is the one
-   publish point: the team is parked and the stop rule has put every
+   stop the run reaches before it ends: the stop rule has put every
    core, spin sleepers included, in its naive-loop state. *)
 let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
-  let domains = if Obs.Trace.on obs then 1 else config.Config.shard_domains in
-  let t = create ~obs ~domains config program in
+  let t = create ~obs config program in
   Option.iter (restore t config program) resume;
   let max_cycles = config.Config.max_cycles in
   let every, sink = Option.value checkpoint ~default:(max_cycles, ignore) in
@@ -715,8 +501,8 @@ let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
       legs ()
     end
   in
-  with_team t legs;
-  finish t ~cycles:t.cycle ~timed_out:(Atomic.get t.drained_count < t.n) ~windows:[]
+  legs ();
+  finish t ~cycles:t.cycle ~timed_out:(t.drained_count < t.n) ~windows:[]
 
 (* ------------------------------------------------------------------ *)
 (* SMARTS-style interval sampling                                      *)
@@ -741,11 +527,11 @@ let run_exact ~obs ?checkpoint ?resume (config : Config.t) program =
      cycles (accounting erased)  ->  measured detailed cycles
 
    Every detailed window (warmup and measured alike) is one {!advance}
-   with the window end as the stop, on one domain, under the same spin
+   with the window end as the stop, under the same spin
    fast-forward rule as an exact run: the stop rule catches sleepers
    up, so each window exits with the naive loop's counters. *)
 let run_sampled ~obs (config : Config.t) program (s : Config.sampling) =
-  let t = create ~obs ~domains:1 config program in
+  let t = create ~obs config program in
   let cores = t.cores and n = t.n and max_cycles = config.Config.max_cycles in
   let hstats = Hierarchy.stats t.hierarchy in
   let set_hstats f (h : Hierarchy.stats) =
@@ -913,9 +699,7 @@ let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program 
    three-phase protocol every cycle (see Core's interface for why the
    order matters). *)
 let run_reference ?(obs = Obs.Trace.null) (config : Config.t) program =
-  let t =
-    create ~obs ~domains:1 (Config.v ~base:config ~spin_fastforward:false ()) program
-  in
+  let t = create ~obs (Config.v ~base:config ~spin_fastforward:false ()) program in
   let all_done () = Array.for_all Core.drained t.cores in
   while (not (all_done ())) && t.cycle < config.Config.max_cycles do
     let cycle = t.cycle in
@@ -933,4 +717,4 @@ let run_reference ?(obs = Obs.Trace.null) (config : Config.t) program =
   done;
   finish t ~cycles:t.cycle ~timed_out:(not (all_done ())) ~windows:[]
 
-let same_outcome a b = { a with spin = b.spin; shard = b.shard } = b
+let same_outcome a b = { a with spin = b.spin } = b

@@ -12,16 +12,17 @@
     its earliest scheduled completion ({!Fscope_cpu.Core.next_wake}),
     its skipped span's accounting replayed in O(1), and when every
     core sleeps the clock jumps to the earliest wake-up.  The stepper
-    advances the machine to a stop cycle over one or more shard
-    domains, never letting the clock or a frozen core's horizon pass
-    the stop, so every core is in its naive-loop state there.  A plain
+    is one sequential loop on the calling domain: it advances the
+    machine to a stop cycle, never letting the clock or a frozen
+    core's horizon pass the stop, so every core is in its naive-loop
+    state there.  A plain
     run is one call (or one per checkpoint interval); a sampled run is
     one call per detailed window.  {!run_reference} is the naive
     one-cycle-at-a-time loop, kept as the oracle for differential
     testing and as the baseline the bench harness quotes speedups
     against.  The two agree on every [result] field except the engine
-    diagnostics [spin] and [shard] ({!same_outcome}); the differential
-    test suite enforces this. *)
+    diagnostics [spin] ({!same_outcome}); the differential test suite
+    enforces this. *)
 
 type spin_ff = {
   sleeps : int;  (** times the engine put a core into spin-sleep *)
@@ -36,14 +37,11 @@ type spin_ff = {
     how the engine got to the result, not the result. *)
 
 type shard_ctrs = {
-  barriers : int;  (** barrier generations the shard team crossed *)
+  barriers : int;
   elided_cycles : int;
-      (** cycles run inside elided spans — one meeting barrier per
-          span instead of four barriers per cycle (DESIGN §16) *)
 }
-(** Lockstep-traffic counters of a sharded run.  Zero for one-domain,
-    traced, sampled and naive runs.  Like {!spin_ff}, engine diagnostics — NOT part of
-    the bit-identity contract. *)
+(** Always zero: the machine steps on one domain.  Kept only because
+    [perfbench/fsbench.ml] still reads [result.shard]. *)
 
 type result = {
   cycles : int;  (** cycle at which every core had halted and drained *)
@@ -57,7 +55,7 @@ type result = {
   mem : int array;  (** final shared memory, for functional self-checks *)
   cache : Fscope_mem.Hierarchy.stats;
   spin : spin_ff;
-  shard : shard_ctrs;
+  shard : shard_ctrs;  (** always zero, see {!shard_ctrs} *)
   sample_windows : (int * int) list;
       (** a sampled run's measured detailed windows as inclusive
           [start, end] cycle ranges ([[]] otherwise); the sampled
@@ -67,8 +65,8 @@ type result = {
       (** present iff the run was traced; carries the event stream and
           the metrics registry (which includes a snapshot of every
           legacy stat under [core<i>/...], [mem/...], [total/...]; the
-          [spin] and [shard] counters, always zero on a traced run, are
-          left out) *)
+          [spin] counters, always zero on a traced run, are left
+          out) *)
 }
 
 val run :
@@ -89,21 +87,9 @@ val run :
     (counted from the start) that the run reaches; [resume] continues
     a run from such a checkpoint (digest-validated, [Failure] on a
     mismatch) — the resumed run is bit-identical to the uninterrupted
-    one.  Captures happen with the domain team parked, so checkpoints
-    and resumed runs are the same for every shard count; if [sink]
-    raises, every domain is joined and the exception re-raised.  Both
-    require an untraced run and are rejected ([Invalid_argument]) when
-    [Config.sampling] is set.
-
-    With [Config.shard_domains > 1] (and a multi-core program) an
-    untraced exact run partitions the cores cyclically across that
-    many OCaml domains, spawned once per run, with barriers at phase
-    boundaries; within a phase, the steps that may touch shared state
-    all run on the first domain in core order, and the others on their
-    owners (DESIGN §13).  With [Config.elide_barriers] a sharded exact
-    run also collapses spans of provably non-interacting cycles
-    ({!Fscope_cpu.Core.quiet_until}) to a single meeting barrier
-    (DESIGN §16).
+    one.  An exception raised by [sink] ends the run and propagates.
+    Both require an untraced run and are rejected ([Invalid_argument])
+    when [Config.sampling] is set.
 
     With [Config.sampling = Some _] the run is SMARTS-style interval
     sampling (DESIGN §15): measured detailed windows alternate with
@@ -113,11 +99,9 @@ val run :
     committed-instruction coverage.  The detailed->functional
     transition settles rather than flushing blindly: a core flushes
     only once {!Fscope_cpu.Core.flushable} holds and is parked while
-    stragglers step to their own flush points.  Sampled runs step on
-    one domain whatever [Config.shard_domains] says and record
+    stragglers step to their own flush points.  Sampled runs record
     [sample_windows] for the latency extraction; their windows keep
-    spin fast-forward, and the result is the same with it on or off.
-    Traced runs step on one domain too. *)
+    spin fast-forward, and the result is the same with it on or off. *)
 
 val run_reference : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> result
 (** Same machine, driven by the retained naive per-cycle loop instead
@@ -126,10 +110,9 @@ val run_reference : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t 
     by {!same_outcome}. *)
 
 val same_outcome : result -> result -> bool
-(** Equality of everything but the engine diagnostics [spin] and
-    [shard] — the bit-identity contract between {!run} (under any
-    shard count, elision or spin fast-forward setting) and
-    {!run_reference}. *)
+(** Equality of everything but the engine diagnostics [spin] — the
+    bit-identity contract between {!run} (under either spin
+    fast-forward setting) and {!run_reference}. *)
 
 val fence_stall_cycles : result -> int
 (** Sum of per-core commit-head fence stalls. *)

@@ -2,13 +2,11 @@
 
     The directory used to track sharers in a single [int] bitmask,
     which silently capped the machine at 62 cores; this module is the
-    same idea spread over an [int array] so domain-sharded machines can
-    go to arbitrary core counts.  All operations are O(1) except
+    same idea spread over an [int array] so machines can go to
+    arbitrary core counts.  All operations are O(1) except
     {!retain_only}, {!is_empty} and {!iter}, which are O(capacity/63).
 
-    Not thread-safe; in the sharded engine every bitset is only touched
-    by an ORDERED step, and those all run on one domain (see DESIGN.md
-    §13). *)
+    Not thread-safe; a machine steps on one domain. *)
 
 type t
 

@@ -1,6 +1,6 @@
-(* Struct of arrays, by blocks of [block_sets] sets: way [w] of set
-   [s] is offset [(s mod block_sets) * ways + w] of block [s /
-   block_sets], whose tags (-1 = invalid), LRU stamps and payloads are
+(* Struct of arrays, by blocks of [2^block_bits] sets: way [w] of set
+   [s] is offset [(s mod 2^block_bits) * ways + w] of block [s lsr
+   block_bits], whose tags (-1 = invalid), LRU stamps and payloads are
    three arrays; an invalid slot holds the [empty] payload.  A block's
    arrays are allocated by the first [fill] into it (or a [restore]
    that puts a line or a stamp there).  Until then the block shares
@@ -11,13 +11,24 @@
    implementation, and the access path allocates nothing but a block
    on its first fill. *)
 
-let block_bits = 6
-let block_sets = 1 lsl block_bits
+(* The largest block OCaml allocates in the minor heap
+   ([Max_young_wosize]).  A block's arrays live as long as the cache,
+   so each is made larger than this: it is then allocated straight in
+   the major heap instead of being copied there by the next minor
+   collection. *)
+let max_young_words = 256
+
+(* The fewest sets, a power of two, whose slots exceed
+   [max_young_words]. *)
+let block_bits_for ~ways =
+  let rec go b = if (1 lsl b) * ways > max_young_words then b else go (b + 1) in
+  go 0
 
 type 'a t = {
   sets : int;
   ways : int;
   line_shift : int;
+  block_bits : int;  (* sets per block = 2^block_bits *)
   block_slots : int;  (* slots of one block's arrays *)
   block_shift : int;  (* slot index = block lsl block_shift lor offset *)
   tags : int array array;
@@ -40,7 +51,8 @@ let create ~sets ~ways ~line_words ~empty =
   if sets <= 0 || ways <= 0 then invalid_arg "Cache.create: sets/ways must be positive";
   if not (is_power_of_two line_words) then
     invalid_arg "Cache.create: line_words must be a power of two";
-  let block_slots = Int.min sets block_sets * ways in
+  let block_bits = block_bits_for ~ways in
+  let block_slots = Int.min sets (1 lsl block_bits) * ways in
   let blocks = ((sets - 1) lsr block_bits) + 1 in
   let no_tags = Array.make block_slots (-1)
   and no_stamps = Array.make block_slots 0
@@ -49,6 +61,7 @@ let create ~sets ~ways ~line_words ~empty =
     sets;
     ways;
     line_shift = log2 line_words;
+    block_bits;
     block_slots;
     block_shift = log2 ((2 * block_slots) - 1);
     tags = Array.make blocks no_tags;
@@ -66,8 +79,8 @@ let set_of t line = (line lsr t.line_shift) mod t.sets
 let block_of t slot = slot lsr t.block_shift
 let offset_of t slot = slot land ((1 lsl t.block_shift) - 1)
 
-(* Way [w] of [set] in its block, [set lsr block_bits]. *)
-let offset t set w = ((set land (block_sets - 1)) * t.ways) + w
+(* Way [w] of [set] in its block, [set lsr t.block_bits]. *)
+let offset t set w = ((set land ((1 lsl t.block_bits) - 1)) * t.ways) + w
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -79,7 +92,7 @@ let rec find_from tags line o stop =
 let peek t addr =
   let line = line_addr t addr in
   let set = set_of t line in
-  let b = set lsr block_bits and base = offset t set 0 in
+  let b = set lsr t.block_bits and base = offset t set 0 in
   let o = find_from t.tags.(b) line base (base + t.ways) in
   if o < 0 then -1 else (b lsl t.block_shift) lor o
 
@@ -112,7 +125,7 @@ let rec victim_from tags stamps o stop v =
 let victim t addr =
   if resident t addr then invalid_arg "Cache.victim: line already resident";
   let set = set_of t (line_addr t addr) in
-  let b = set lsr block_bits and base = offset t set 0 in
+  let b = set lsr t.block_bits and base = offset t set 0 in
   (b lsl t.block_shift)
   lor victim_from t.tags.(b) t.stamps.(b) (base + 1) (base + t.ways) base
 
@@ -157,7 +170,7 @@ let iter t f =
 
 let dump t ~payload =
   let slot set w =
-    let b = set lsr block_bits and o = offset t set w in
+    let b = set lsr t.block_bits and o = offset t set w in
     let tag = t.tags.(b).(o) in
     (tag, t.stamps.(b).(o), if tag = -1 then None else Some (payload t.payloads.(b).(o)))
   in
@@ -184,7 +197,7 @@ let restore t ~payload (clock, slots) =
       Array.iteri
         (fun w (tag, stamp, p) ->
           if tag <> -1 || stamp <> 0 then begin
-            let b = set lsr block_bits and o = offset t set w in
+            let b = set lsr t.block_bits and o = offset t set w in
             allocate t b;
             t.tags.(b).(o) <- tag;
             t.stamps.(b).(o) <- stamp;

@@ -9,8 +9,11 @@
     Lines live in slots (one per set and way) kept as parallel arrays
     of tags, LRU stamps and payloads, so lookups allocate nothing:
     they answer with a slot index, -1 for a miss.  The arrays are
-    split into blocks of 64 sets, each allocated by the first {!fill}
-    into it (the only allocation); until then its slots read as
+    split into blocks of sets, each allocated by the first {!fill}
+    into it (the only allocation).  A block holds the fewest sets, a
+    power of two, whose slots exceed 256 (128 sets at 4 ways, 64 at
+    8), so its arrays are allocated straight in the major heap rather
+    than promoted there from the minor heap.  Until then its slots read as
     invalid with LRU stamp 0, exactly as if it had been allocated
     empty, so a run pays only for the sets it touches.  A slot index
     is opaque: only the cache that returned it can read it. *)

@@ -26,7 +26,7 @@
    Sampling is a post-hoc fold over [Trace.iter_events], never live at
    the emission site, so it inherits the trace's deterministic
    cycle/core/emission order — the histograms are bit-identical across
-   --jobs and --shard-domains, like everything else in a row.
+   --jobs, like everything else in a row.
 
    All address arithmetic derives from the program image's symbol
    table alone (region = gap to the next symbol), so a sampler works

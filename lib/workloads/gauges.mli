@@ -18,8 +18,8 @@
       ["gauge/server-cache/limbo_len"] (all threads) and [".../t<t>"].
 
     Because sampling is a replay of the trace rather than live
-    instrumentation, the histograms are bit-identical across [--jobs]
-    and [--shard-domains], like every other row metric. *)
+    instrumentation, the histograms are bit-identical across [--jobs],
+    like every other row metric. *)
 
 type t = {
   label : string;

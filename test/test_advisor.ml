@@ -1,7 +1,7 @@
 (* Advisor tests: the predicted per-workload speedup ordering must
    match the paper's measured ordering across the eight paper
    workloads, and the ranked advice must be bit-identical for any
-   --jobs and --shard-domains setting.
+   --jobs setting.
 
    The ordering check runs the quick bench sizes under a 100k-cycle
    cap (the committed BENCH_profile baseline's shape) with spin

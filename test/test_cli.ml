@@ -54,7 +54,6 @@ let test_out_of_range_flags () =
       [ "run"; "dekker"; "--level"; "9" ];
       [ "run"; "server-mpnc" ];
       [ "run"; "dekker"; "--mem-latency=-5" ];
-      [ "run"; "dekker"; "--shard-domains=-3" ];
       [ "compare"; "dekker"; "--jobs"; "0" ];
       [ "profile"; "dekker"; "--max-cycles"; "0" ];
     ];
@@ -64,7 +63,7 @@ let test_out_of_range_flags () =
     (fun command ->
       List.iter
         (fun flag -> expect_bad_input (command @ flag))
-        [ [ "--rob"; "0" ]; [ "--shard-domains"; "0" ] ])
+        [ [ "--rob"; "0" ]; [ "--fsb"; "0" ] ])
     [
       [ "trace"; "dekker" ];
       [ "profile"; "dekker" ];

@@ -49,9 +49,6 @@ let test_rob_iteration_helpers () =
   for s = 0 to 4 do
     dispatch_nop rob s
   done;
-  let has_seq s (e : Rob.entry) = e.Rob.seq = s in
-  Alcotest.(check bool) "exists_older finds" true (Rob.exists_older rob 3 has_seq 2);
-  Alcotest.(check bool) "exists_older bounded" false (Rob.exists_older rob 3 has_seq 3);
   let even () (e : Rob.entry) = e.Rob.seq mod 2 = 0 in
   Alcotest.(check int) "youngest_older finds the youngest" 2 (Rob.youngest_older rob 4 even ());
   Alcotest.(check int) "youngest_older bounded" 0 (Rob.youngest_older rob 2 even ());

@@ -506,65 +506,12 @@ let test_spin_line_invalidated_before_arming () =
     [ "scoped"; "traditional"; "scoped+spec" ]
 
 (* ------------------------------------------------------------------ *)
-(* Shard-count invariance: splitting one machine's cores across OCaml
-   domains must be invisible in the results.  Sweeps shard counts over
-   both program families (flag handshakes exercising cross-shard
-   spin-sleep wakes, and disjoint 4-thread programs), composed with
-   spin fast-forward on/off, both memory models and truncating cycle
-   limits; every case must be bit-identical to the naive reference
-   loop in all result fields except the spin diagnostics. *)
-
-let shard_case_gen =
-  let open QCheck2.Gen in
-  let* seed = int_range 1 10_000 in
-  let* handshake = bool in
-  let* shards = oneofl [ 1; 2; 4 ] in
-  let* spin_ff = bool in
-  let* ideal = bool in
-  let* elide = bool in
-  let* max_c = oneofl [ None; Some 200; Some 5000 ] in
-  return (seed, handshake, shards, spin_ff, ideal, elide, max_c)
-
-let print_shard_case (seed, handshake, shards, spin_ff, ideal, elide, max_c) =
-  Printf.sprintf "seed=%d program=%s shards=%d spin_ff=%b mem=%s elide=%b max_cycles=%s"
-    seed
-    (if handshake then "handshake" else "disjoint")
-    shards spin_ff
-    (if ideal then "ideal" else "hierarchy")
-    elide
-    (match max_c with None -> "default" | Some n -> string_of_int n)
-
-let prop_shard_invariance =
-  QCheck2.Test.make ~count:70 ~name:"sharded engine == naive reference loop"
-    ~print:print_shard_case shard_case_gen
-    (fun (seed, handshake, shards, spin_ff, ideal, elide, max_c) ->
-      let program =
-        if handshake then handshake_program (Rng.create seed)
-        else fst (Compile.compile (gen_disjoint_program seed ~threads:4))
-      in
-      let config =
-        Config.v ~sfence:true ~spin_fastforward:spin_ff
-          ~mem_model:(if ideal then Config.Ideal else Config.Hierarchy)
-          ?max_cycles:max_c ~shard_domains:shards ~elide_barriers:elide ()
-      in
-      let sharded = Machine.run config program in
-      let reference = Machine.run_reference config program in
-      if Machine.same_outcome sharded reference then true
-      else
-        QCheck2.Test.fail_report
-          (Printf.sprintf "shards=%d elide=%b: %s" shards elide
-             (explain_mismatch
-                (if handshake then "handshake" else "disjoint")
-                seed sharded reference)))
-
-(* ------------------------------------------------------------------ *)
 (* Checkpoint round-trip: interrupt a run mid-flight, push the
    whole-machine checkpoint through its JSON wire format, resume from
    the parsed copy, and require the resumed run to be bit-identical to
-   the uninterrupted one — across both program families, shard counts,
-   spin fast-forward on/off and both memory models.  The run being
-   checkpointed must itself be unperturbed by the capture, and the
-   checkpoint must equal the one a single-domain run captures. *)
+   the uninterrupted one — across both program families, spin
+   fast-forward on/off and both memory models.  The run being
+   checkpointed must itself be unperturbed by the capture. *)
 
 module Checkpoint = Fscope_machine.Checkpoint
 module Json = Fscope_util.Json
@@ -573,24 +520,23 @@ let ckpt_case_gen =
   let open QCheck2.Gen in
   let* seed = int_range 1 10_000 in
   let* handshake = bool in
-  let* shards = oneofl [ 1; 2; 4 ] in
   let* spin_ff = bool in
   let* ideal = bool in
   (* small intervals force a capture well inside the run *)
   let* every = oneofl [ 40; 200; 1000 ] in
-  return (seed, handshake, shards, spin_ff, ideal, every)
+  return (seed, handshake, spin_ff, ideal, every)
 
-let print_ckpt_case (seed, handshake, shards, spin_ff, ideal, every) =
-  Printf.sprintf "seed=%d program=%s shards=%d spin_ff=%b mem=%s every=%d" seed
+let print_ckpt_case (seed, handshake, spin_ff, ideal, every) =
+  Printf.sprintf "seed=%d program=%s spin_ff=%b mem=%s every=%d" seed
     (if handshake then "handshake" else "disjoint")
-    shards spin_ff
+    spin_ff
     (if ideal then "ideal" else "hierarchy")
     every
 
 let prop_checkpoint_roundtrip =
   QCheck2.Test.make ~count:50 ~name:"mid-run checkpoint restore == uninterrupted run"
     ~print:print_ckpt_case ckpt_case_gen
-    (fun (seed, handshake, shards, spin_ff, ideal, every) ->
+    (fun (seed, handshake, spin_ff, ideal, every) ->
       let program =
         if handshake then handshake_program (Rng.create seed)
         else fst (Compile.compile (gen_disjoint_program seed ~threads:4))
@@ -598,24 +544,17 @@ let prop_checkpoint_roundtrip =
       let config =
         Config.v ~sfence:true ~spin_fastforward:spin_ff
           ~mem_model:(if ideal then Config.Ideal else Config.Hierarchy)
-          ~shard_domains:shards ()
+          ()
       in
       let baseline = Machine.run config program in
-      let first_capture config =
-        let first = ref None in
-        let sink ck = if Option.is_none !first then first := Some ck in
-        let r = Machine.run ~checkpoint:(every, sink) config program in
-        (r, !first)
-      in
-      let observed, first = first_capture config in
-      let _, first_seq = first_capture (Config.v ~base:config ~shard_domains:1 ()) in
+      let first = ref None in
+      let sink ck = if Option.is_none !first then first := Some ck in
+      let observed = Machine.run ~checkpoint:(every, sink) config program in
       if not (Machine.same_outcome observed baseline) then
         QCheck2.Test.fail_report
           ("capture perturbed the run: " ^ explain_mismatch "ckpt" seed observed baseline)
-      else if first <> first_seq then
-        QCheck2.Test.fail_reportf "shards=%d captured a checkpoint unlike shards=1" shards
       else
-        match first with
+        match !first with
         | None ->
           (* the run finished before the first capture point; the
              unperturbed-run identity above is the whole property *)
@@ -676,7 +615,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_spin_ff_identity;
     Alcotest.test_case "spin line invalidated before arming" `Quick
       test_spin_line_invalidated_before_arming;
-    QCheck_alcotest.to_alcotest prop_shard_invariance;
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
     Alcotest.test_case "compact checkpoint: >=5x smaller, identical resume" `Quick
       test_compact_checkpoint;

@@ -60,40 +60,26 @@ let test_traced_identical () =
   let config = E.Exp_run.s_config Config.default in
   check_traced_matches_reference ~label:"seq" config program
 
-(* Only untraced exact runs shard.  A traced run steps on one domain
-   whatever [shard_domains] says, so its rendered trace is the same
-   document at any shard count; a sampled run does too, so it matches
-   the one-domain run and its team never crossed a barrier. *)
-let test_traced_sampled_unsharded () =
-  let w =
-    E.Exp_run.workload ~params:{ Registry.default_params with attempts = 10 } "dekker"
-  in
-  let traced shards =
-    snd
-      (traced_run
-         (Config.v ~shard_domains:shards ())
-         w.Fscope_workloads.Workload.program
-         (fun ~obs c p -> Machine.run ~obs c p))
-  in
-  let one = traced 1 and four = traced 4 in
-  (* a bool, not a string check: a failure would print two whole traces *)
-  Alcotest.(check bool)
-    "traced jsonl at 4 shards == 1" true
-    (String.equal (Obs.Sink.jsonl one) (Obs.Sink.jsonl four));
-  Alcotest.(check bool)
-    "traced chrome at 4 shards == 1" true
-    (String.equal (Obs.Sink.chrome one) (Obs.Sink.chrome four));
-  let mpmc = Fscope_workloads.Mpmc.make ~threads:8 ~per_producer:16 ~scope:`Class () in
-  let sampled shards =
-    Machine.run
-      (Config.v ~shard_domains:shards
-         ~sampling:(Some { Config.warmup = 100; detailed = 500; ff_instrs = 1_000 })
-         ())
-      mpmc.Fscope_workloads.Workload.program
-  in
-  let one = sampled 1 and four = sampled 4 in
-  Alcotest.(check bool) "sampled at 4 shards == 1" true (Machine.same_outcome one four);
-  Alcotest.(check int) "sampled run crossed no barrier" 0 four.Machine.shard.Machine.barriers
+(* The machine steps on one domain.  [Config.v] still takes the
+   [shard_domains] and [elide_barriers] labels and ignores them, so a
+   run under them is the default run and its [result.shard] reads
+   zero. *)
+let test_shard_labels_ignored () =
+  List.iter
+    (fun (name, params) ->
+      let program = (E.Exp_run.workload ~params name).Fscope_workloads.Workload.program in
+      let labelled = Machine.run (Config.v ~shard_domains:3 ~elide_barriers:true ()) program in
+      let default = Machine.run Config.default program in
+      Alcotest.(check bool) (name ^ ": same outcome as the default config") true
+        (Machine.same_outcome labelled default);
+      Alcotest.(check (pair int int))
+        (name ^ ": shard counters read zero")
+        (0, 0)
+        (labelled.Machine.shard.Machine.barriers, labelled.Machine.shard.Machine.elided_cycles))
+    [
+      ("dekker", Registry.default_params);
+      ("server-mpmc", { Registry.default_params with threads = Some 8 });
+    ]
 
 (* Spin fast-forward regression: a two-core flag handshake.  Core 0
    counts down a few thousand iterations (a counting loop whose ARF
@@ -142,32 +128,24 @@ let test_spin_fastforward () =
     (ff_on.Machine.spin.Machine.cycles_skipped > 0);
   Alcotest.(check int) "FF off skipped nothing" 0 ff_off.Machine.spin.Machine.cycles_skipped
 
-(* A checkpoint sink that raises while a 4-core run is split across
-   two domains: the worker domain is parked between legs, so the run
-   must poison it, join it and hand back the sink's own exception —
-   returning, not hanging.  A second sharded run afterwards must still
-   be bit-identical to the sequential engine. *)
+(* A checkpoint sink that raises ends the run with the sink's own
+   exception. *)
 exception Sink_failed
 
-let test_poisoned_team () =
+let test_raising_sink () =
   let w = Fscope_workloads.Mpmc.make ~threads:4 ~per_producer:8 ~scope:`Class () in
-  let program = w.Fscope_workloads.Workload.program in
-  let sharded = Config.v ~shard_domains:2 () in
-  (match Machine.run ~checkpoint:(100, fun _ -> raise Sink_failed) sharded program with
+  match
+    Machine.run
+      ~checkpoint:(100, fun _ -> raise Sink_failed)
+      Config.default w.Fscope_workloads.Workload.program
+  with
   | _ -> Alcotest.fail "the run swallowed the sink's exception"
-  | exception Sink_failed -> ());
-  Alcotest.(check bool) "sharded run after a poisoned team == sequential" true
-    (Machine.same_outcome (Machine.run sharded program) (Machine.run Config.default program))
+  | exception Sink_failed -> ()
 
-(* A step that raises inside a worker domain.  Core 1 of a 4-core run
-   split across two domains counts down, then commits a store to word
-   1000 of an 8-word memory.  Under the ideal memory model with spin
-   fast-forward off every phase-3 step is FREE, so core 1's owner —
-   domain 1, not the driver's — steps the faulting commit.  The run
-   must poison the team, join it and hand back the step's own
-   exception, the one a one-domain run raises; a sharded run
-   afterwards must still be bit-identical to the sequential engine. *)
-let test_worker_step_raises () =
+(* A step that raises.  Core 1 of a 4-core run counts down, then
+   commits a store to word 1000 of an 8-word memory; the run must hand
+   back the step's own exception. *)
+let test_step_raises () =
   let open Fscope_isa in
   let r n = Reg.r n in
   let faulting =
@@ -182,31 +160,20 @@ let test_worker_step_raises () =
   in
   let idle = [| Instr.Halt |] in
   let program = Program.make ~threads:[ idle; faulting; idle; idle ] ~mem_words:8 () in
-  let expected = Invalid_argument "core 1: store to out-of-bounds address 1000 (pc 4)" in
-  List.iter
-    (fun shards ->
-      let config =
-        Config.v ~mem_model:Config.Ideal ~spin_fastforward:false ~shard_domains:shards ()
-      in
-      match Machine.run config program with
-      | _ -> Alcotest.failf "%d shard(s): the run swallowed the out-of-bounds store" shards
-      | exception e ->
-        Alcotest.(check string)
-          (Printf.sprintf "%d shard(s): the step's own exception" shards)
-          (Printexc.to_string expected) (Printexc.to_string e))
-    [ 1; 2 ];
-  let w = Fscope_workloads.Mpmc.make ~threads:4 ~per_producer:8 ~scope:`Class () in
-  let program = w.Fscope_workloads.Workload.program in
-  Alcotest.(check bool) "sharded run after a raising step == sequential" true
-    (Machine.same_outcome
-       (Machine.run (Config.v ~shard_domains:2 ()) program)
-       (Machine.run Config.default program))
+  let config = Config.v ~mem_model:Config.Ideal ~spin_fastforward:false () in
+  match Machine.run config program with
+  | _ -> Alcotest.fail "the run swallowed the out-of-bounds store"
+  | exception e ->
+    Alcotest.(check string) "the step's own exception"
+      (Printexc.to_string
+         (Invalid_argument "core 1: store to out-of-bounds address 1000 (pc 4)"))
+      (Printexc.to_string e)
 
 (* [max_cycles] is a timeout under every engine mode.  Three cores
    jump to themselves forever and a fourth spins on a load of a word
    nobody writes, so spin fast-forward puts cores to sleep and the cap
    must catch them up.  Every run reports [timed_out]; the exact ones
-   (one and two shards, the naive loop, a traced run, a run cut into
+   (the engine, the naive loop, a traced run, a run cut into
    checkpoint legs that do not divide the cap) stop at exactly the cap
    and agree pairwise. *)
 let test_max_cycles_timeout () =
@@ -231,15 +198,14 @@ let test_max_cycles_timeout () =
   in
   let exact =
     [
-      ("1 shard", Machine.run config program);
-      ("2 shards", Machine.run (Config.v ~base:config ~shard_domains:2 ()) program);
+      ("engine", Machine.run config program);
       ("reference", Machine.run_reference config program);
       ("traced", traced);
       ("checkpoint legs", Machine.run ~checkpoint:(700, ignore) config program);
     ]
   in
   Alcotest.(check bool) "spin fast-forward slept" true
-    ((List.assoc "1 shard" exact).Machine.spin.Machine.sleeps > 0);
+    ((List.assoc "engine" exact).Machine.spin.Machine.sleeps > 0);
   List.iter
     (fun (label, (r : Machine.result)) ->
       Alcotest.(check bool) (label ^ ": timed out") true r.Machine.timed_out;
@@ -321,15 +287,15 @@ let test_traced_cycle_allocates_nothing () =
 
 (* What a run allocates besides its memory image: the machine's cores,
    ROBs and store buffers, the cache tag stores and, when traced, the
-   rings.  The caches are allocated by blocks of 64 sets on their first
+   rings.  The caches are allocated by blocks of sets on their first
    fill and the rings by 1024-event chunks as they first reach them, so
    pst S at registry defaults, whose threads touch few sets, no longer
    pays for the whole Table III hierarchy (122,880 words) up front, and
    a 4096-event ring is never grown by copying.  This measures 30.6K
-   words untraced and 171.6K with 4096-event rings (131K of them the
-   rings, full); allocating the hierarchy in full and doubling the
-   rings read 119.8K and 402.0K.  The bounds leave about 30% over the
-   chunked figures. *)
+   words untraced and 218.3K with 4096-event rings in the full suite
+   (the traced figure moves with where the runtime samples its
+   counters: this case alone reads 271K); allocating the hierarchy in
+   full and doubling the rings read 119.8K and 402.0K. *)
 let check_major_words label ?obs ~bound () =
   let w = E.Exp_run.workload ~params:Registry.default_params "pst" in
   let program = w.Fscope_workloads.Workload.program in
@@ -356,12 +322,11 @@ let tests =
       (test_jobs_identical "fig13" render_fig13);
     Alcotest.test_case "traced engine run matches traced reference" `Quick
       test_traced_identical;
-    Alcotest.test_case "traced and sampled runs ignore shard_domains" `Quick
-      test_traced_sampled_unsharded;
+    Alcotest.test_case "shard labels change no outcome" `Quick test_shard_labels_ignored;
     Alcotest.test_case "spin fast-forward sleeps and stays bit-identical" `Quick
       test_spin_fastforward;
-    Alcotest.test_case "raising checkpoint sink poisons and joins the team" `Quick
-      test_poisoned_team;
+    Alcotest.test_case "a raising checkpoint sink surfaces its own exception" `Quick
+      test_raising_sink;
     Alcotest.test_case "an untraced cycle allocates nothing" `Quick
       test_cycle_allocates_nothing;
     Alcotest.test_case "a traced cycle allocates nothing" `Quick
@@ -372,8 +337,8 @@ let tests =
       (check_major_words "traced"
          ~obs:(fun ~cores -> Obs.Trace.create ~ring_capacity:4096 ~cores ())
          ~bound:225_000.);
-    Alcotest.test_case "a step that raises on a worker domain surfaces its own exception"
-      `Quick test_worker_step_raises;
+    Alcotest.test_case "a step that raises surfaces its own exception" `Quick
+      test_step_raises;
     Alcotest.test_case "max_cycles times out identically under every engine mode" `Quick
       test_max_cycles_timeout;
   ]

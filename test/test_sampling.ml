@@ -110,28 +110,6 @@ let test_bad_schedule_rejected () =
       ignore
         (Config.v ~sampling:(Some { Config.warmup = 0; detailed = 0; ff_instrs = 1 }) ()))
 
-(* A checkpoint captured inside the sharded loop's publish window must
-   resume under the sequential loop as if nothing happened: same final
-   result as an uninterrupted sequential run.  (Sampled runs step on
-   one domain and take no checkpoints, so this regression runs the
-   detailed engine.) *)
-let test_sharded_checkpoint_sequential_resume () =
-  let w = mpmc () in
-  let sharded_cfg = Config.v ~shard_domains:4 () in
-  let first = ref None in
-  let sink ck = if Option.is_none !first then first := Some ck in
-  ignore (Machine.run ~checkpoint:(200, sink) sharded_cfg w.Workload.program);
-  match !first with
-  | None -> Alcotest.fail "run finished before the first capture point"
-  | Some ck ->
-    let sequential_cfg = Config.v ~shard_domains:1 () in
-    Checkpoint.validate ck sequential_cfg w.Workload.program;
-    let resumed = Machine.run ~resume:ck sequential_cfg w.Workload.program in
-    let baseline = Machine.run sequential_cfg w.Workload.program in
-    Alcotest.(check bool)
-      "sharded-captured checkpoint resumes bit-identically under sequential" true
-      (Machine.same_outcome resumed baseline)
-
 (* Sampled results pinned to recorded values, so a change to how
    detailed windows are stepped cannot move the estimate unnoticed.
    The expected
@@ -196,6 +174,4 @@ let tests =
     Alcotest.test_case "sampling + checkpointing rejected" `Quick
       test_checkpoint_sampling_rejected;
     Alcotest.test_case "invalid schedule rejected" `Quick test_bad_schedule_rejected;
-    Alcotest.test_case "sharded checkpoint resumes under sequential loop" `Quick
-      test_sharded_checkpoint_sequential_resume;
   ]
